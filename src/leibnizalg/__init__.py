@@ -14,8 +14,8 @@ from .aalgebra import (AVerdict, BatteryReport, is_a_algebra,
 from .algfile import (algebra_from_doc, algebra_to_doc, dumps_algebra,
                       input_digest, load_algebra_path, loads_algebra,
                       save_algebra_path)
-from .core import (Embedding, LeibnizAlgebra, QuotientMap, SubHandle,
-                   Violation, direct_sum, format_vector)
+from .core import (Embedding, LeibnizAlgebra, QuotientMap, Violation,
+                   direct_sum, format_vector)
 from .corpus import FIELDS, FIXTURE_NAMES, CorpusMember, corpus, fixture
 from .cyclic import (CyclicReport, CyclicSpec, build_cyclic, classify_cyclic,
                      complement_vector, describe_polynomial,
@@ -25,15 +25,15 @@ from .decompose import (ClauseResult, FittingPair, StructureReport,
                         enumerated_cartan_subalgebras, fitting, fitting_family,
                         ideal_decomposition, max_nilpotent_subalgebras,
                         structure_report, triangular_decomposition)
-from .enumeration import (DEFAULT_BUDGET, SocleReport, enumerate_handles,
-                          enumerate_spaces, frattini_ideal, gaussian_binomial,
-                          iter_ideals, iter_subalgebras, iter_subspaces,
-                          maximal_subalgebras, socle_analysis, total_subspaces)
+from .enumeration import (DEFAULT_BUDGET, SocleReport, enumerate_spaces,
+                          frattini_ideal, gaussian_binomial, iter_ideals,
+                          iter_subalgebras, iter_subspaces, maximal_subalgebras,
+                          socle_analysis, total_subspaces)
 from .errors import (AmbientMismatch, BadSpec, BudgetExceeded,
-                     CartanSearchFailed, DecompositionFailed, FieldMismatch,
-                     FieldParseError, InfiniteFieldUnsupported, LeibnizError,
-                     NoSolution, NotAnIdeal, NotASubalgebra, NotDecomposing,
-                     NotLeibniz, NotSolvable, ParseError, ShapeMismatch,
+                     CartanSearchFailed, DecompositionFailed, FieldParseError,
+                     InfiniteFieldUnsupported, LeibnizError, NoSolution,
+                     NotAnIdeal, NotASubalgebra, NotDecomposing, NotLeibniz,
+                     NotSolvable, ParseError, ShapeMismatch,
                      UnsupportedFactorization, ZeroPolynomial)
 from .fields import (QQ, ExtensionField, PrimeField, Rationals, field_from_doc,
                      field_to_doc, gf, parse_field_name)

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import LeibnizAlgebra
+from .core import LeibnizAlgebra, memo
 from .decompose import (ClauseResult, DecompositionFailed, _na,
                         check_frattini_free_socle, check_ideal_chain_alignment,
                         check_max_nilpotent_cartan_split,
@@ -86,16 +86,23 @@ def _false_verdict(L: LeibnizAlgebra, U: Subspace, certificate: str) -> AVerdict
     return AVerdict(False, certificate, U)
 
 
+def _basis_sums_differences(L: LeibnizAlgebra) -> list:
+    """The basis vectors, then e_i + e_j and e_i - e_j for each i < j."""
+    F, n = L.field, L.dim
+    out = [L.basis_vector(i) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            u, v = L.basis_vector(i), L.basis_vector(j)
+            out.append(tuple(F.add(a, b) for a, b in zip(u, v)))
+            out.append(tuple(F.sub(a, b) for a, b in zip(u, v)))
+    return out
+
+
 def _witness_candidates(L: LeibnizAlgebra, seed: int):
     """Deterministic stream of subalgebra candidates likely to expose a
     nilpotent non-abelian subalgebra."""
     F, n = L.field, L.dim
-    singles = [L.basis_vector(i) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            u, v = L.basis_vector(i), L.basis_vector(j)
-            singles.append(tuple(F.add(a, b) for a, b in zip(u, v)))
-            singles.append(tuple(F.sub(a, b) for a, b in zip(u, v)))
+    singles = _basis_sums_differences(L)
     for u in singles:
         yield L.closure([u])
     for x in singles[:2 * n]:
@@ -115,8 +122,7 @@ def _witness_candidates(L: LeibnizAlgebra, seed: int):
         yield L.closure([u, v])
 
 
-def witness_search(L: LeibnizAlgebra, seed: int = 0,
-                   budget: int = DEFAULT_BUDGET) -> Optional[Subspace]:
+def witness_search(L: LeibnizAlgebra, seed: int = 0) -> Optional[Subspace]:
     """First re-verified nilpotent non-abelian subalgebra found, if any."""
     seen = set()
     for U in _witness_candidates(L, seed):
@@ -188,18 +194,10 @@ def _necessary_condition_violation(L: LeibnizAlgebra) -> Optional[str]:
     return None
 
 
+@memo
 def is_a_algebra(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET,
                  seed: int = 0) -> AVerdict:
     """Decide whether every nilpotent subalgebra is abelian."""
-    key = ("a_verdict", budget, seed)
-    if key in L._cache:
-        return L._cache[key]
-    verdict = _a_verdict_uncached(L, budget, seed)
-    L._cache[key] = verdict
-    return verdict
-
-
-def _a_verdict_uncached(L: LeibnizAlgebra, budget: int, seed: int) -> AVerdict:
     if L.dim <= 1:
         return AVerdict(True, "dimension")
     if is_nilpotent(L):
@@ -216,7 +214,7 @@ def _a_verdict_uncached(L: LeibnizAlgebra, budget: int, seed: int) -> AVerdict:
     reasons = []
     violation = _necessary_condition_violation(L)
     if violation is not None:
-        w = witness_search(L, seed, budget)
+        w = witness_search(L, seed)
         if w is not None:
             return _false_verdict(L, w, "witness")
         return AVerdict(None, None, None,
@@ -225,7 +223,7 @@ def _a_verdict_uncached(L: LeibnizAlgebra, budget: int, seed: int) -> AVerdict:
     if granted:
         return AVerdict(True, "lemma_aa")
     reasons.append(f"certificate refused: {why}")
-    w = witness_search(L, seed, budget)
+    w = witness_search(L, seed)
     if w is not None:
         return _false_verdict(L, w, "witness")
     reasons.append("witness search found nothing")
@@ -363,13 +361,8 @@ def _check_left_products(L, ideals) -> ClauseResult:
     """For an abelian ideal A and x with x^2 in A, iterated left products
     of x into A stay inside the span of one fewer iterated right products."""
     clause = "left_products_in_right_chain"
-    F, n = L.field, L.dim
-    xs = [L.basis_vector(i) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            u, v = L.basis_vector(i), L.basis_vector(j)
-            xs.append(tuple(F.add(a, b) for a, b in zip(u, v)))
-            xs.append(tuple(F.sub(a, b) for a, b in zip(u, v)))
+    n = L.dim
+    xs = _basis_sums_differences(L)
     abelian = [A for A in ideals if L.is_abelian_space(A) and A.dim > 0]
     tried = 0
     for A in abelian:

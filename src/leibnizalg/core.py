@@ -13,10 +13,13 @@ coordinate maps instead of implicit conventions.
 
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import NotAnIdeal, NotASubalgebra, NotLeibniz, ShapeMismatch
+from .errors import (LeibnizError, NotAnIdeal, NotASubalgebra, NotLeibniz,
+                     ShapeMismatch)
 from .linalg import Subspace, is_zero_vec, kernel, vec_add, vec_sub, zero_vec
 
 
@@ -74,57 +77,58 @@ class Embedding:
                              [self.embed(w) for w in small.basis])
 
 
-class SubHandle:
-    """A subspace of an algebra with lazily computed closure flags.
+_MISSING = object()
 
-    One-sided flags matter here: products are not antisymmetric, so left
-    ideals and right ideals genuinely differ.
+
+class _Failure:
+    """A memoised library error: its type, arguments and attributes, but
+    not its traceback, so the cache keeps no frames alive."""
+
+    __slots__ = ("cls", "args", "attrs")
+
+    def __init__(self, exc: LeibnizError):
+        self.cls, self.args, self.attrs = type(exc), exc.args, dict(vars(exc))
+
+    def fresh(self) -> LeibnizError:
+        exc = self.cls.__new__(self.cls)
+        exc.args = self.args
+        vars(exc).update(self.attrs)
+        return exc
+
+
+def memo(fn):
+    """Memoise ``fn(L, ...)`` on ``L._cache``.
+
+    The key is the function's qualified name plus every argument after
+    defaults are applied, so a result computed under one budget or seed is
+    never returned for another.  A ``LeibnizError`` is memoised as well and
+    raised again as a fresh copy.  Arguments after the algebra must be
+    hashable; functions of a subspace are not memoised.
     """
+    sig = inspect.signature(fn)
+    name = fn.__qualname__
+    arity = len(sig.parameters) - 1
 
-    def __init__(self, algebra: "LeibnizAlgebra", space: Subspace):
-        if space.ambient != algebra.dim or space.field != algebra.field:
-            raise ShapeMismatch("subspace does not live in the algebra")
-        self.algebra = algebra
-        self.space = space
-        self._flags = {}
+    @functools.wraps(fn)
+    def wrapper(L, *args, **kwargs):
+        if kwargs or len(args) != arity:
+            bound = sig.bind(L, *args, **kwargs)
+            bound.apply_defaults()
+            args = tuple(bound.arguments.values())[1:]
+        key = (name, *args)
+        hit = L._cache.get(key, _MISSING)
+        if hit is _MISSING:
+            try:
+                hit = fn(L, *args)
+            except LeibnizError as exc:
+                L._cache[key] = _Failure(exc)
+                raise
+            L._cache[key] = hit
+        if type(hit) is _Failure:
+            raise hit.fresh()
+        return hit
 
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
-    def _flag(self, name, compute):
-        if name not in self._flags:
-            self._flags[name] = compute()
-        return self._flags[name]
-
-    @property
-    def is_subalgebra(self) -> bool:
-        return self._flag("sub", lambda: self.algebra.is_subalgebra(self.space))
-
-    @property
-    def is_left_ideal(self) -> bool:
-        """[L, U] contained in U."""
-        def check():
-            L, U = self.algebra, self.space
-            return all(U.contains(L.bracket(L.basis_vector(i), u))
-                       for i in range(L.dim) for u in U.basis)
-        return self._flag("left", check)
-
-    @property
-    def is_right_ideal(self) -> bool:
-        """[U, L] contained in U."""
-        def check():
-            L, U = self.algebra, self.space
-            return all(U.contains(L.bracket(u, L.basis_vector(i)))
-                       for i in range(L.dim) for u in U.basis)
-        return self._flag("right", check)
-
-    @property
-    def is_ideal(self) -> bool:
-        return self.is_left_ideal and self.is_right_ideal
-
-    def __repr__(self):
-        return f"SubHandle(dim={self.space.dim} of {self.algebra})"
+    return wrapper
 
 
 class LeibnizAlgebra:
@@ -235,11 +239,10 @@ class LeibnizAlgebra:
                 return S
             S = self.span(list(S.basis) + new)
 
+    @memo
     def derived_space(self) -> Subspace:
-        if "derived" not in self._cache:
-            full = self.full_space()
-            self._cache["derived"] = self.product(full, full)
-        return self._cache["derived"]
+        full = self.full_space()
+        return self.product(full, full)
 
     def leib_ideal(self) -> Subspace:
         """Span of all squares: generated by the symmetrized table entries."""
@@ -273,13 +276,10 @@ class LeibnizAlgebra:
         return True
 
     # -- distinguished subspaces -------------------------------------------
+    @memo
     def centre(self) -> Subspace:
         """Two-sided centre {x : [x, L] = 0 = [L, x]}."""
-        if "centre" in self._cache:
-            return self._cache["centre"]
-        z = self.centralizer(self.full_space())
-        self._cache["centre"] = z
-        return z
+        return self.centralizer(self.full_space())
 
     def centralizer(self, U: Subspace) -> Subspace:
         """{x : [x, u] = 0 = [u, x] for all u in U}."""

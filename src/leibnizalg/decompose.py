@@ -15,13 +15,13 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import LeibnizAlgebra
+from .core import LeibnizAlgebra, memo
 from .enumeration import (DEFAULT_BUDGET, enumerate_spaces, frattini_ideal,
                           socle_analysis)
 from .errors import (BudgetExceeded, CartanSearchFailed, DecompositionFailed,
                      InfiniteFieldUnsupported, NotDecomposing, NotSolvable)
 from .linalg import (Subspace, generalized_kernel, image, is_nilpotent_operator,
-                     kernel, restrict_operator)
+                     kernel, mat_mul, mat_vec, restrict_operator)
 from .series import (derived_series, is_completely_solvable, is_metabelian,
                      is_nilpotent, is_nilpotent_space, is_solvable, nilradical)
 
@@ -43,18 +43,17 @@ def fitting(L: LeibnizAlgebra, A) -> FittingPair:
     """
     F, n = L.field, L.dim
     null = generalized_kernel(F, A)
-    mat = [list(row) for row in A]
+    mat = A
     e = 1
     while e < max(n, 1):
-        mat = _mat_mul(F, mat, mat)
+        mat = mat_mul(F, mat, mat)
         e *= 2
     one = image(F, mat)
     if null.intersect(one).dim != 0 or null.add(one).dim != n:
         raise NotDecomposing("operator Fitting components are not complementary")
     for space, name in ((null, "null"), (one, "one")):
         for v in space.basis:
-            w = _apply(F, A, v)
-            if not space.contains(w):
+            if not space.contains(mat_vec(F, A, v)):
                 raise NotDecomposing(f"Fitting {name} component is not invariant")
     if one.dim:
         R = restrict_operator(F, A, one)
@@ -65,36 +64,6 @@ def fitting(L: LeibnizAlgebra, A) -> FittingPair:
         if not is_nilpotent_operator(F, R):
             raise NotDecomposing("operator is not nilpotent on its null component")
     return FittingPair(null, one)
-
-
-def _mat_mul(F, A, B):
-    n, m = len(A), len(B[0])
-    k = len(B)
-    out = []
-    for i in range(n):
-        row = []
-        Ai = A[i]
-        for j in range(m):
-            acc = F.zero
-            for t in range(k):
-                a = Ai[t]
-                if not F.is_zero(a):
-                    acc = F.add(acc, F.mul(a, B[t][j]))
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def _apply(F, A, v):
-    n = len(A)
-    out = []
-    for i in range(n):
-        acc = F.zero
-        for j, x in enumerate(v):
-            if not F.is_zero(x):
-                acc = F.add(acc, F.mul(A[i][j], x))
-        out.append(acc)
-    return tuple(out)
 
 
 def fitting_family(L: LeibnizAlgebra, C: Subspace) -> FittingPair:
@@ -119,7 +88,7 @@ def fitting_family(L: LeibnizAlgebra, C: Subspace) -> FittingPair:
     for _ in range(n + 1):
         stacked = []
         for A in mats:
-            cols = [null.reduce(_apply(F, A, L.basis_vector(j))) for j in range(n)]
+            cols = [null.reduce(tuple(row[j] for row in A)) for j in range(n)]
             for i in range(n):
                 stacked.append(tuple(col[i] for col in cols))
         nxt = kernel(F, stacked, ncols=n)
@@ -181,6 +150,7 @@ def _descend_step(K: LeibnizAlgebra, rng: random.Random,
     return None
 
 
+@memo
 def cartan_subalgebra(L: LeibnizAlgebra, seed: int = 0,
                       budget: int = DEFAULT_BUDGET) -> Subspace:
     """A nilpotent self-normalizing subalgebra, found by Fitting descent.
@@ -190,9 +160,6 @@ def cartan_subalgebra(L: LeibnizAlgebra, seed: int = 0,
     smallest null space.  The final candidate is verified; on failure a
     finite field falls back to exhaustive search.
     """
-    key = ("cartan", seed)
-    if key in L._cache:
-        return L._cache[key]
     rng = random.Random(seed)
     K = L.full_space()
     while K.dim:
@@ -215,33 +182,24 @@ def cartan_subalgebra(L: LeibnizAlgebra, seed: int = 0,
     if result is None:
         raise CartanSearchFailed(
             "no nilpotent self-normalizing subalgebra found")
-    L._cache[key] = result
     return result
 
 
+@memo
 def enumerated_cartan_subalgebras(L: LeibnizAlgebra,
                                   budget: int = DEFAULT_BUDGET):
     """All Cartan subalgebras of a small finite-field algebra."""
-    if "cartans_enum" not in L._cache:
-        found = []
-        for S in enumerate_spaces(L, "subalgebras", budget):
-            if is_nilpotent_space(L, S) and L.normalizer(S) == S:
-                found.append(S)
-        L._cache["cartans_enum"] = tuple(found)
-    return L._cache["cartans_enum"]
+    return tuple(S for S in enumerate_spaces(L, "subalgebras", budget)
+                 if is_nilpotent_space(L, S) and L.normalizer(S) == S)
 
 
+@memo
 def max_nilpotent_subalgebras(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
     """Maximal nilpotent subalgebras of a small finite-field algebra."""
-    if "max_nilpotent" not in L._cache:
-        nilp = [S for S in enumerate_spaces(L, "subalgebras", budget)
-                if is_nilpotent_space(L, S)]
-        out = []
-        for S in nilp:
-            if not any(T.dim > S.dim and T.contains_space(S) for T in nilp):
-                out.append(S)
-        L._cache["max_nilpotent"] = tuple(out)
-    return L._cache["max_nilpotent"]
+    nilp = [S for S in enumerate_spaces(L, "subalgebras", budget)
+            if is_nilpotent_space(L, S)]
+    return tuple(S for S in nilp
+                 if not any(T.dim > S.dim and T.contains_space(S) for T in nilp))
 
 
 @dataclass(frozen=True)
@@ -284,22 +242,13 @@ def _triangular_parts(L: LeibnizAlgebra, seed: int, budget: int):
     return [top] + [Bemb.embed_space(P) for P in sub]
 
 
+@memo
 def triangular_decomposition(L: LeibnizAlgebra, seed: int = 0,
                              budget: int = DEFAULT_BUDGET) -> TriangularDecomposition:
-    key = ("triangular", seed)
-    if key in L._cache:
-        cached = L._cache[key]
-        if isinstance(cached, Exception):
-            raise cached
-        return cached
     try:
-        result = _verified_triangular(L, seed, budget)
+        return _verified_triangular(L, seed, budget)
     except (DecompositionFailed, NotDecomposing, CartanSearchFailed) as exc:
-        failure = DecompositionFailed(str(exc))
-        L._cache[key] = failure
-        raise failure from exc
-    L._cache[key] = result
-    return result
+        raise DecompositionFailed(str(exc)) from exc
 
 
 def _verified_triangular(L, seed, budget):

@@ -13,10 +13,11 @@ checked against the caller's budget before any work happens.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import LeibnizAlgebra, SubHandle
+from .core import LeibnizAlgebra, memo
 from .errors import BudgetExceeded, InfiniteFieldUnsupported
 from .fields import PrimeField
 from .linalg import Subspace
@@ -212,17 +213,20 @@ _ITERATORS = {
 
 
 def enumerate_spaces(L: LeibnizAlgebra, kind: str, budget: int = DEFAULT_BUDGET):
-    """All subspaces of the given kind, canonical order, cached per algebra."""
+    """All subspaces of the given kind, canonical order.
+
+    The budget gate runs on every call.  A scan that passed it does not
+    depend on the budget, so the scan is memoised per kind alone.
+    """
     if kind not in _ITERATORS:
         raise ValueError(f"unknown enumeration kind {kind!r}")
-    key = ("enum", kind)
-    if key not in L._cache:
-        L._cache[key] = tuple(_ITERATORS[kind](L, budget))
-    return L._cache[key]
+    _check_enumerable(L, budget)
+    return _scan(L, kind)
 
 
-def enumerate_handles(L: LeibnizAlgebra, kind: str, budget: int = DEFAULT_BUDGET):
-    return [SubHandle(L, U) for U in enumerate_spaces(L, kind, budget)]
+@memo
+def _scan(L: LeibnizAlgebra, kind: str):
+    return tuple(_ITERATORS[kind](L, math.inf))  # enumerate_spaces gated it
 
 
 @dataclass(frozen=True)
@@ -233,9 +237,8 @@ class SocleReport:
     monolith: Optional[Subspace]
 
 
+@memo
 def socle_analysis(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET) -> SocleReport:
-    if "socle" in L._cache:
-        return L._cache["socle"]
     minimal = []
     for I in enumerate_spaces(L, "ideals", budget):
         if I.is_zero():
@@ -247,27 +250,23 @@ def socle_analysis(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET) -> SocleRepo
     for M in minimal:
         if L.is_abelian_space(M):
             asoc = asoc.add(M)
-    report = SocleReport(tuple(minimal), asoc, len(minimal) == 1,
-                         minimal[0] if len(minimal) == 1 else None)
-    L._cache["socle"] = report
-    return report
+    return SocleReport(tuple(minimal), asoc, len(minimal) == 1,
+                       minimal[0] if len(minimal) == 1 else None)
 
 
+@memo
 def maximal_subalgebras(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
     """Maximal proper subalgebras, canonical order."""
-    if "maximal_subalgebras" in L._cache:
-        return L._cache["maximal_subalgebras"]
     proper = [S for S in enumerate_spaces(L, "subalgebras", budget)
               if S.dim < L.dim]
     out = []
     for S in proper:
         if not any(T.dim > S.dim and T.contains_space(S) for T in proper):
             out.append(S)
-    result = tuple(out)
-    L._cache["maximal_subalgebras"] = result
-    return result
+    return tuple(out)
 
 
+@memo
 def frattini_ideal(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET) -> Subspace:
     """Largest ideal inside the intersection of all maximal subalgebras.
 
@@ -275,21 +274,16 @@ def frattini_ideal(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET) -> Subspace:
     be one: when the check fails, the result is the sum of all enumerated
     ideals lying inside the intersection.
     """
-    if "frattini" in L._cache:
-        return L._cache["frattini"]
     maxes = maximal_subalgebras(L, budget)
     if not maxes:
-        result = L.zero_space()
-    else:
-        inter = maxes[0]
-        for M in maxes[1:]:
-            inter = inter.intersect(M)
-        if L.is_ideal(inter):
-            result = inter
-        else:
-            result = L.zero_space()
-            for I in enumerate_spaces(L, "ideals", budget):
-                if inter.contains_space(I):
-                    result = result.add(I)
-    L._cache["frattini"] = result
+        return L.zero_space()
+    inter = maxes[0]
+    for M in maxes[1:]:
+        inter = inter.intersect(M)
+    if L.is_ideal(inter):
+        return inter
+    result = L.zero_space()
+    for I in enumerate_spaces(L, "ideals", budget):
+        if inter.contains_space(I):
+            result = result.add(I)
     return result

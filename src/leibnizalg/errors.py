@@ -5,10 +5,6 @@ class LeibnizError(Exception):
     """Base class for library-specific errors."""
 
 
-class FieldMismatch(LeibnizError):
-    """Operands belong to different ground fields."""
-
-
 class FieldParseError(LeibnizError, ValueError):
     """A scalar literal does not denote an element of the declared field."""
 

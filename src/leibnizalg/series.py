@@ -3,16 +3,17 @@
 All series are reported in ambient coordinates as `Subspace` terms, even
 when computed for a proper subalgebra: products of subspaces do not care
 whether the computation happens in a restriction or in the ambient
-algebra.  Full-algebra series and predicates are cached on the algebra.
+algebra.  Full-algebra series and predicates are memoised on the algebra;
+series of a subspace are not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import LeibnizAlgebra
+from .core import LeibnizAlgebra, memo
 from .enumeration import DEFAULT_BUDGET, enumerate_spaces
-from .errors import InfiniteFieldUnsupported, LeibnizError
+from .errors import BudgetExceeded, InfiniteFieldUnsupported, LeibnizError
 from .linalg import Subspace
 
 
@@ -31,39 +32,13 @@ def _step_cap(L: LeibnizAlgebra) -> int:
     return 2 * L.dim + 4
 
 
-def derived_series(L: LeibnizAlgebra, U: Subspace | None = None) -> SeriesReport:
-    cache = U is None
-    if cache and "derived_series" in L._cache:
-        return L._cache["derived_series"]
-    term = L.full_space() if U is None else U
-    terms = [term]
-    terminated = False
-    for _ in range(_step_cap(L)):
-        nxt = L.product(term, term)
-        if nxt == term:
-            terminated = True
-            break
-        terms.append(nxt)
-        term = nxt
-        if term.dim == 0:
-            terminated = True
-            break
-    report = SeriesReport("derived", tuple(terms), terminated)
-    if cache:
-        L._cache["derived_series"] = report
-    return report
-
-
-def lower_central_series(L: LeibnizAlgebra, U: Subspace | None = None) -> SeriesReport:
-    cache = U is None
-    if cache and "lower_central" in L._cache:
-        return L._cache["lower_central"]
-    base = L.full_space() if U is None else U
+def _series(L: LeibnizAlgebra, kind: str, base: Subspace) -> SeriesReport:
+    """Derived (T -> [T, T]) or lower central (T -> [T, base]) series."""
     term = base
     terms = [term]
     terminated = False
     for _ in range(_step_cap(L)):
-        nxt = L.product(term, base)
+        nxt = L.product(term, term if kind == "derived" else base)
         if nxt == term:
             terminated = True
             break
@@ -72,15 +47,28 @@ def lower_central_series(L: LeibnizAlgebra, U: Subspace | None = None) -> Series
         if term.dim == 0:
             terminated = True
             break
-    report = SeriesReport("lower_central", tuple(terms), terminated)
-    if cache:
-        L._cache["lower_central"] = report
-    return report
+    return SeriesReport(kind, tuple(terms), terminated)
 
 
+@memo
+def _algebra_series(L: LeibnizAlgebra, kind: str) -> SeriesReport:
+    return _series(L, kind, L.full_space())
+
+
+def derived_series(L: LeibnizAlgebra, U: Subspace | None = None) -> SeriesReport:
+    if U is None:
+        return _algebra_series(L, "derived")
+    return _series(L, "derived", U)
+
+
+def lower_central_series(L: LeibnizAlgebra, U: Subspace | None = None) -> SeriesReport:
+    if U is None:
+        return _algebra_series(L, "lower_central")
+    return _series(L, "lower_central", U)
+
+
+@memo
 def upper_central_series(L: LeibnizAlgebra) -> SeriesReport:
-    if "upper_central" in L._cache:
-        return L._cache["upper_central"]
     term = L.zero_space()
     terms = [term]
     for _ in range(L.dim + 1):
@@ -94,9 +82,7 @@ def upper_central_series(L: LeibnizAlgebra) -> SeriesReport:
             break
         terms.append(nxt)
         term = nxt
-    report = SeriesReport("upper_central", tuple(terms), True)
-    L._cache["upper_central"] = report
-    return report
+    return SeriesReport("upper_central", tuple(terms), True)
 
 
 def hypercentre(L: LeibnizAlgebra) -> Subspace:
@@ -109,11 +95,10 @@ def nilpotent_residual(L: LeibnizAlgebra, U: Subspace | None = None) -> Subspace
     return lower_central_series(L, U).terms[-1]
 
 
+@memo
 def lower_nilpotent_series(L: LeibnizAlgebra) -> SeriesReport:
     """N_0 = L, each next term the nilpotent residual of the previous one,
     taken as an algebra in its own right."""
-    if "lower_nilpotent" in L._cache:
-        return L._cache["lower_nilpotent"]
     term = L.full_space()
     terms = [term]
     for _ in range(L.dim + 1):
@@ -124,30 +109,22 @@ def lower_nilpotent_series(L: LeibnizAlgebra) -> SeriesReport:
         term = nxt
         if term.dim == 0:
             break
-    report = SeriesReport("lower_nilpotent", tuple(terms), True)
-    L._cache["lower_nilpotent"] = report
-    return report
+    return SeriesReport("lower_nilpotent", tuple(terms), True)
 
 
 def is_nilpotent(L: LeibnizAlgebra) -> bool:
-    if "is_nilpotent" not in L._cache:
-        L._cache["is_nilpotent"] = lower_central_series(L).reaches_zero
-    return L._cache["is_nilpotent"]
+    return lower_central_series(L).reaches_zero
 
 
 def is_solvable(L: LeibnizAlgebra) -> bool:
-    if "is_solvable" not in L._cache:
-        L._cache["is_solvable"] = derived_series(L).reaches_zero
-    return L._cache["is_solvable"]
+    return derived_series(L).reaches_zero
 
 
+@memo
 def is_completely_solvable(L: LeibnizAlgebra) -> bool:
     """The derived subalgebra is nilpotent (sometimes called strongly
     solvable)."""
-    if "is_completely_solvable" not in L._cache:
-        report = lower_central_series(L, L.derived_space())
-        L._cache["is_completely_solvable"] = report.reaches_zero
-    return L._cache["is_completely_solvable"]
+    return lower_central_series(L, L.derived_space()).reaches_zero
 
 
 def is_metabelian(L: LeibnizAlgebra) -> bool:
@@ -176,6 +153,7 @@ def is_solvable_space(L: LeibnizAlgebra, U: Subspace) -> bool:
     return derived_series(L, U).reaches_zero
 
 
+@memo
 def nilradical(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
     """Largest nilpotent ideal when computable exactly.
 
@@ -186,22 +164,14 @@ def nilradical(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
     first nilpotent derived term, which may be smaller than the true
     nilradical.
     """
-    if "nilradical" in L._cache:
-        return L._cache["nilradical"]
-    result = _nilradical_uncached(L, budget)
-    L._cache["nilradical"] = result
-    return result
-
-
-def _nilradical_uncached(L: LeibnizAlgebra, budget: int):
     if is_nilpotent(L):
         return L.full_space(), "exact"
     if L.field.is_finite:
         try:
             ideals = enumerate_spaces(L, "ideals", budget)
-        except Exception:
-            ideals = None
-        if ideals is not None:
+        except BudgetExceeded:
+            pass
+        else:
             total = L.zero_space()
             for I in ideals:
                 if is_nilpotent_space(L, I):
@@ -220,6 +190,7 @@ def _nilradical_uncached(L: LeibnizAlgebra, budget: int):
     return total, "lower_bound"
 
 
+@memo
 def radical(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
     """Largest solvable ideal; exact or it refuses.
 
@@ -227,20 +198,15 @@ def radical(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
     implemented is the solvable one; anything else raises
     InfiniteFieldUnsupported rather than guessing.
     """
-    if "radical" in L._cache:
-        return L._cache["radical"]
     if is_solvable(L):
-        result = (L.full_space(), "exact")
-    elif L.field.is_finite:
-        total = L.zero_space()
-        for I in enumerate_spaces(L, "ideals", budget):
-            if is_solvable_space(L, I):
-                total = total.add(I)
-        if not is_solvable_space(L, total):
-            raise LeibnizError("sum of solvable ideals failed its solvability check")
-        result = (total, "exact")
-    else:
+        return L.full_space(), "exact"
+    if not L.field.is_finite:
         raise InfiniteFieldUnsupported(
             "radical of a non-solvable algebra needs a finite ground field")
-    L._cache["radical"] = result
-    return result
+    total = L.zero_space()
+    for I in enumerate_spaces(L, "ideals", budget):
+        if is_solvable_space(L, I):
+            total = total.add(I)
+    if not is_solvable_space(L, total):
+        raise LeibnizError("sum of solvable ideals failed its solvability check")
+    return total, "exact"

@@ -179,15 +179,6 @@ def test_subalgebra_and_ideal_flags(h3):
     assert not h3.is_subalgebra(plane)
 
 
-def test_subhandle_flags(h3):
-    from leibnizalg.core import SubHandle
-    h = SubHandle(h3, h3.span([(0, 0, 1)]))
-    assert h.is_subalgebra and h.is_ideal
-    assert h.is_left_ideal and h.is_right_ideal
-    h2 = SubHandle(h3, h3.span([(1, 0, 0)]))
-    assert h2.is_subalgebra and not h2.is_ideal
-
-
 def test_closure(h3):
     assert h3.closure([(1, 0, 0)]).dim == 1
     assert h3.closure([(1, 0, 0), (0, 1, 0)]).dim == 3

@@ -142,6 +142,23 @@ def test_nilradical_rational_lower_bound():
     assert L.is_ideal(N) and is_nilpotent_space(L, N)
 
 
+def test_nilradical_budget_is_lower_bound_not_error():
+    L = fixture("C3b", gf(3))
+    assert nilradical(L, 10)[1] == "lower_bound"
+    assert nilradical(L, 10 ** 6)[1] == "exact"
+
+
+def test_nilradical_propagates_non_budget_errors(monkeypatch):
+    import leibnizalg.series as series
+
+    def broken(L, kind, budget):
+        raise LeibnizError("ideal scan failed")
+
+    monkeypatch.setattr(series, "enumerate_spaces", broken)
+    with pytest.raises(LeibnizError, match="ideal scan failed"):
+        nilradical(fixture("r2", gf(3)))
+
+
 def test_nilradical_contains_hypercentre_and_leib(small_finite_members):
     for m in small_finite_members[:40]:
         L = m.algebra
