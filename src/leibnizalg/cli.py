@@ -31,7 +31,7 @@ from .errors import (BadSpec, BudgetExceeded, CartanSearchFailed,
                      InfiniteFieldUnsupported, LeibnizError, NoSolution,
                      NotDecomposing, NotLeibniz, ParseError,
                      UnsupportedFactorization)
-from .fields import field_to_doc, parse_field_name
+from .fields import parse_field_name
 from .poly import format_poly
 from .series import (derived_length, derived_series, hypercentre,
                      is_completely_solvable, is_metabelian, is_nilpotent,

@@ -280,16 +280,19 @@ class ExtensionField:
         if q <= _TABLE_LIMIT:
             mul = [[self._mul_slow(a, b) for b in range(q)] for a in range(q)]
             add = [[self._add_slow(a, b) for b in range(q)] for a in range(q)]
+            neg = [self._neg_slow(a) for a in range(q)]
             inv = [0] * q
             for a in range(1, q):
                 row = mul[a]
                 inv[a] = row.index(1)
             object.__setattr__(self, "_mul_tab", mul)
             object.__setattr__(self, "_add_tab", add)
+            object.__setattr__(self, "_neg_tab", neg)
             object.__setattr__(self, "_inv_tab", inv)
         else:
             object.__setattr__(self, "_mul_tab", None)
             object.__setattr__(self, "_add_tab", None)
+            object.__setattr__(self, "_neg_tab", None)
             object.__setattr__(self, "_inv_tab", None)
 
     # digit codecs -----------------------------------------------------
@@ -309,6 +312,9 @@ class ExtensionField:
     def _add_slow(self, a, b):
         da, db = self._decode(a), self._decode(b)
         return self._encode([(x + y) % self.p for x, y in zip(da, db)])
+
+    def _neg_slow(self, a):
+        return self._encode([(-d) % self.p for d in self._decode(a)])
 
     def _mul_slow(self, a, b):
         prod = _gfp_mul(_trim(self._decode(a)), _trim(self._decode(b)), self.p)
@@ -343,7 +349,9 @@ class ExtensionField:
         return self._add_slow(a, b)
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        if self._add_tab is not None:
+            return self._add_tab[a][self._neg_tab[b]]
+        return self._add_slow(a, self._neg_slow(b))
 
     def mul(self, a, b):
         if self._mul_tab is not None:
@@ -351,7 +359,9 @@ class ExtensionField:
         return self._mul_slow(a, b)
 
     def neg(self, a):
-        return self._encode([(-d) % self.p for d in self._decode(a)])
+        if self._neg_tab is not None:
+            return self._neg_tab[a]
+        return self._neg_slow(a)
 
     def inv(self, a):
         if a == 0:

@@ -9,7 +9,7 @@ are identical; everything downstream leans on that canonical form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .errors import AmbientMismatch, NoSolution, ShapeMismatch
 

@@ -1,10 +1,16 @@
+import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from leibnizalg.aalgebra import (is_a_algebra, lemma_aa_certificate,
-                                 theorem_battery, verify_witness)
+from leibnizalg.aalgebra import (_check_abelian_ideals_commute,
+                                 _check_quotient_closure, is_a_algebra,
+                                 lemma_aa_certificate, theorem_battery,
+                                 verify_witness)
+from leibnizalg.core import LeibnizAlgebra
 from leibnizalg.corpus import fixture
+from leibnizalg.enumeration import DEFAULT_BUDGET, enumerate_spaces
 from leibnizalg.fields import QQ, gf
 
 
@@ -155,3 +161,71 @@ def test_battery_deterministic():
     b = theorem_battery(fixture("C3b", gf(2)), seed=0)
     assert [(c.clause, c.applicable, c.holds) for c in a.clauses] == \
            [(c.clause, c.applicable, c.holds) for c in b.clauses]
+
+
+# ------------------------------------------- battery fast paths vs definitions
+
+def _commute_by_products(L, B, C):
+    return L.product(B, C).dim == 0 == L.product(C, B).dim
+
+
+def _assert_commute_matches_products(L):
+    """The clause and every pair's centralizer test against [B,C] and [C,B]."""
+    ideals = list(enumerate_spaces(L, "ideals"))
+    clause = _check_abelian_ideals_commute(L, ideals)
+    expected = (True, "")
+    if L.is_abelian():
+        # every bracket is zero, so every product of subspaces is zero
+        assert all(L.centralizer(B) == L.full_space() for B in ideals)
+    else:
+        abelian = [I for I in ideals if L.is_abelian_space(I)]
+        cent = {B: L.centralizer(B) for B in abelian}
+        for B, C in itertools.combinations_with_replacement(abelian, 2):
+            commute = _commute_by_products(L, B, C)
+            assert cent[B].contains_space(C) == commute
+            if not commute and expected[0]:
+                expected = (False, f"abelian ideals of dims {B.dim}, {C.dim} do not commute")
+    assert (clause.holds, clause.detail) == expected
+    return clause
+
+
+def test_abelian_ideals_commute_matches_products(small_finite_members):
+    for m in small_finite_members:
+        _assert_commute_matches_products(m.algebra)
+
+
+def test_abelian_ideals_commute_detects_h3_gf2(h3_gf2):
+    L = h3_gf2
+    xz = L.span([(1, 0, 0), (0, 0, 1)])
+    yz = L.span([(0, 1, 0), (0, 0, 1)])
+    assert L.is_abelian_space(xz) and L.is_abelian_space(yz)
+    assert not L.centralizer(xz).contains_space(yz)
+    assert not _commute_by_products(L, xz, yz)
+    clause = _assert_commute_matches_products(L)
+    assert not clause.holds
+
+
+def test_battery_builds_each_quotient_once(monkeypatch):
+    L = fixture("C3b", gf(3))
+    ideals = list(enumerate_spaces(L, "ideals"))
+    built = Counter()
+    quotient = LeibnizAlgebra.quotient
+
+    def counting_quotient(self, I):
+        if self is L:
+            built[I] += 1
+        return quotient(self, I)
+
+    monkeypatch.setattr(LeibnizAlgebra, "quotient", counting_quotient)
+    rep = theorem_battery(L)
+    assert rep.ok and rep.verdict.certificate == "exhaustive"
+    names = {c.clause for c in rep.clauses}
+    assert {"quotient_closure", "intersection_quotient"} <= names
+    assert built[L.zero_space()] == 0
+    assert set(built) <= {I for I in ideals if 0 < I.dim < L.dim}
+    assert all(count == 1 for count in built.values())
+    # the verdicts the intersection clause draws on are all recorded
+    verdict_map = {}
+    _check_quotient_closure(L, ideals, DEFAULT_BUDGET, 0, verdict_map)
+    assert set(verdict_map) == {I for I in ideals if I.dim < L.dim}
+    assert verdict_map[L.zero_space()] is is_a_algebra(L)

@@ -132,6 +132,35 @@ def test_large_field_beyond_tables():
     assert F.mul(a, F.inv(a)) == F.one
 
 
+def _digit_neg(F, a):
+    return F.parse_scalar([(-d) % F.p for d in F.serialize_scalar(a)])
+
+
+def _digit_sub(F, a, b):
+    return F.parse_scalar([(x - y) % F.p for x, y in
+                           zip(F.serialize_scalar(a), F.serialize_scalar(b))])
+
+
+@pytest.mark.parametrize("q", (4, 8, 9, 25))
+def test_neg_sub_tables_match_digits(q):
+    F = gf(q)
+    assert F._neg_tab is not None
+    elems = elements_of(F)
+    for a in elems:
+        assert F.neg(a) == _digit_neg(F, a)
+        for b in elems:
+            assert F.sub(a, b) == _digit_sub(F, a, b)
+
+
+def test_neg_sub_digit_path_beyond_tables():
+    F = gf(729)
+    assert F._neg_tab is None and F._add_tab is None
+    for a in (0, 1, 2, 3, 100, 364, 728):
+        assert F.neg(a) == _digit_neg(F, a)
+        for b in (0, 5, 242, 728):
+            assert F.sub(a, b) == _digit_sub(F, a, b)
+
+
 @pytest.mark.parametrize("q", (3, 9))
 def test_finite_scalar_round_trip(q):
     F = gf(q)
