@@ -29,8 +29,8 @@ from .decompose import (ClauseResult, DecompositionFailed, _na,
                         check_nilradical_chain, check_part_centre_alignment,
                         check_strong_split, enumerated_cartan_subalgebras,
                         max_nilpotent_subalgebras, triangular_decomposition)
-from .enumeration import (DEFAULT_BUDGET, enumerate_spaces, iter_subalgebras,
-                          socle_analysis, total_subspaces)
+from .enumeration import (DEFAULT_BUDGET, enumerate_spaces, socle_analysis,
+                          total_subspaces)
 from .errors import (BudgetExceeded, InfiniteFieldUnsupported, NoSolution,
                      NotDecomposing)
 from .linalg import (Subspace, generalized_kernel, is_nilpotent_operator,
@@ -206,7 +206,7 @@ def is_a_algebra(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET,
             return AVerdict(True, "abelian")
         return _false_verdict(L, L.full_space(), "nilpotent_self")
     if L.field.is_finite and total_subspaces(L.dim, L.field.size) <= budget:
-        for U in iter_subalgebras(L, budget):
+        for U in enumerate_spaces(L, "subalgebras", budget):
             if U.dim < 2:
                 continue
             if not L.is_abelian_space(U) and is_nilpotent_space(L, U):

@@ -50,10 +50,6 @@ class QuotientMap:
             v[j] = c
         return tuple(v)
 
-    def push_space(self, space: Subspace) -> Subspace:
-        return Subspace.span(self.ideal.field, len(self.free),
-                             [self.push(v) for v in space.basis])
-
 
 @dataclass(frozen=True)
 class Embedding:
@@ -161,26 +157,40 @@ class LeibnizAlgebra:
         return (self.field, self.dim, self.table)
 
     # -- bracket ---------------------------------------------------------
-    def bracket(self, u, v):
+    @functools.cached_property
+    def _terms(self):
+        """``_terms[i]``: ``(j, terms)`` for each j with [e_i, e_j] nonzero,
+        where ``terms`` lists the nonzero ``(m, c)`` of [e_i, e_j]."""
+        return tuple(tuple((j, tuple((m, c) for m, c in enumerate(entry) if c))
+                           for j, entry in enumerate(row) if any(entry))
+                     for row in self.table)
+
+    @functools.cached_property
+    def _basis(self):
         F = self.field
-        out = list(zero_vec(F, self.dim))
-        for i, a in enumerate(u):
-            if F.is_zero(a):
-                continue
-            row = self.table[i]
-            for j, b in enumerate(v):
-                if F.is_zero(b):
-                    continue
-                c = F.mul(a, b)
-                entry = row[j]
-                for m in range(self.dim):
-                    if not F.is_zero(entry[m]):
-                        out[m] = F.add(out[m], F.mul(c, entry[m]))
+        return tuple(tuple(F.one if j == i else F.zero for j in range(self.dim))
+                     for i in range(self.dim))
+
+    def bracket(self, u, v):
+        """[u, v] from the structure constants; the one arithmetic kernel.
+
+        Zero scalars are skipped by truthiness (see ``fields``).
+        """
+        F = self.field
+        add, mul = F.add, F.mul
+        out = [F.zero] * self.dim
+        for a, row in zip(u, self._terms):
+            if a:
+                for j, terms in row:
+                    b = v[j]
+                    if b:
+                        c = mul(a, b)
+                        for m, e in terms:
+                            out[m] = add(out[m], mul(c, e))
         return tuple(out)
 
     def basis_vector(self, i):
-        return tuple(self.field.one if j == i else self.field.zero
-                     for j in range(self.dim))
+        return self._basis[i]
 
     def right_mult(self, x):
         """Matrix of u -> [u, x] on column vectors."""
@@ -266,8 +276,7 @@ class LeibnizAlgebra:
                    for u in U.basis for v in U.basis)
 
     def is_ideal(self, U: Subspace) -> bool:
-        for i in range(self.dim):
-            e = self.basis_vector(i)
+        for e in self._basis:
             for u in U.basis:
                 if not U.contains(self.bracket(u, e)):
                     return False

@@ -19,7 +19,6 @@ from typing import Optional
 
 from .core import LeibnizAlgebra, memo
 from .errors import BudgetExceeded, InfiniteFieldUnsupported
-from .fields import PrimeField
 from .linalg import Subspace
 
 DEFAULT_BUDGET = 10 ** 6
@@ -76,110 +75,6 @@ def echelon_bases(field, n: int):
         yield from batch
 
 
-def _subalgebra_tester(L: LeibnizAlgebra):
-    """Fast closure test: do all pairwise basis products stay inside?"""
-    table = L.table
-    n = L.dim
-    F = L.field
-    if isinstance(F, PrimeField):
-        p = F.p
-
-        def test(rows, pivots) -> bool:
-            for u in rows:
-                for v in rows:
-                    w = [0] * n
-                    for i, a in enumerate(u):
-                        if a:
-                            row_i = table[i]
-                            for j, b in enumerate(v):
-                                if b:
-                                    c = a * b
-                                    ent = row_i[j]
-                                    for m, e in enumerate(ent):
-                                        if e:
-                                            w[m] += c * e
-                    if not _reduces_to_zero_mod(w, rows, pivots, p):
-                        return False
-            return True
-
-        return test
-
-    def test(rows, pivots) -> bool:
-        for u in rows:
-            for v in rows:
-                w = list(L.bracket(u, v))
-                if not _reduces_to_zero(F, w, rows, pivots):
-                    return False
-        return True
-
-    return test
-
-
-def _ideal_tester(L: LeibnizAlgebra):
-    """Two-sided ideal test against all basis vectors; implies subalgebra."""
-    table = L.table
-    n = L.dim
-    F = L.field
-    if isinstance(F, PrimeField):
-        p = F.p
-
-        def test(rows, pivots) -> bool:
-            for u in rows:
-                for i in range(n):
-                    right = [0] * n  # [u, e_i]
-                    left = [0] * n   # [e_i, u]
-                    row_i = table[i]
-                    for m, a in enumerate(u):
-                        if a:
-                            for t, e in enumerate(table[m][i]):
-                                if e:
-                                    right[t] += a * e
-                            for t, e in enumerate(row_i[m]):
-                                if e:
-                                    left[t] += a * e
-                    if not _reduces_to_zero_mod(right, rows, pivots, p):
-                        return False
-                    if not _reduces_to_zero_mod(left, rows, pivots, p):
-                        return False
-            return True
-
-        return test
-
-    def test(rows, pivots) -> bool:
-        for u in rows:
-            for i in range(n):
-                e = L.basis_vector(i)
-                if not _reduces_to_zero(F, list(L.bracket(u, e)), rows, pivots):
-                    return False
-                if not _reduces_to_zero(F, list(L.bracket(e, u)), rows, pivots):
-                    return False
-        return True
-
-    return test
-
-
-def _reduces_to_zero_mod(w, rows, pivots, p) -> bool:
-    for m in range(len(w)):
-        w[m] %= p
-    for row, pv in zip(rows, pivots):
-        c = w[pv]
-        if c:
-            for m, rm in enumerate(row):
-                if rm:
-                    w[m] = (w[m] - c * rm) % p
-    return not any(w)
-
-
-def _reduces_to_zero(F, w, rows, pivots) -> bool:
-    for row, pv in zip(rows, pivots):
-        c = w[pv]
-        if not F.is_zero(c):
-            for m, rm in enumerate(row):
-                if not F.is_zero(rm):
-                    w[m] = F.sub(w[m], F.mul(c, rm))
-    return all(F.is_zero(x) for x in w)
-
-
 def iter_subspaces(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
     _check_enumerable(L, budget)
     F, n = L.field, L.dim
@@ -190,19 +85,19 @@ def iter_subspaces(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
 def iter_subalgebras(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
     _check_enumerable(L, budget)
     F, n = L.field, L.dim
-    test = _subalgebra_tester(L)
     for rows, pivots in echelon_bases(F, n):
-        if test(rows, pivots):
-            yield Subspace(F, n, rows, pivots)
+        S = Subspace(F, n, rows, pivots)
+        if L.is_subalgebra(S):
+            yield S
 
 
 def iter_ideals(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
     _check_enumerable(L, budget)
     F, n = L.field, L.dim
-    test = _ideal_tester(L)
     for rows, pivots in echelon_bases(F, n):
-        if test(rows, pivots):
-            yield Subspace(F, n, rows, pivots)
+        S = Subspace(F, n, rows, pivots)
+        if L.is_ideal(S):
+            yield S
 
 
 _ITERATORS = {

@@ -8,6 +8,11 @@ least significant digit first; for a prime field (k = 1) this is just the
 residue.  Field objects supply the operations, so every higher layer stays
 field-agnostic and exact.
 
+Every field's zero is ``0`` or ``Fraction(0)``, and ``is_zero`` is
+``a == 0`` in all three classes, so ``bool(a) == (not F.is_zero(a))`` for
+every scalar.  The inner loops of ``core`` and ``linalg`` rely on this to
+skip zeros by truthiness.
+
 Extension fields with q below a small threshold precompute full q x q
 multiplication/addition tables, which keeps the enumeration-heavy callers
 fast without any compiled dependency.

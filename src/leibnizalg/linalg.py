@@ -26,21 +26,13 @@ def vec_sub(field, u, v):
     return tuple(field.sub(a, b) for a, b in zip(u, v))
 
 
-def vec_scale(field, c, v):
-    return tuple(field.mul(c, a) for a in v)
-
-
 def is_zero_vec(field, v):
-    return all(field.is_zero(a) for a in v)
+    return not any(v)
 
 
 def identity_matrix(field, n):
     one, zero = field.one, field.zero
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def transpose(rows):
-    return [list(col) for col in zip(*rows)]
 
 
 def mat_vec(field, rows, v):
@@ -141,23 +133,25 @@ class Subspace:
     def is_zero(self) -> bool:
         return not self.basis
 
-    def is_full(self) -> bool:
-        return len(self.basis) == self.ambient
-
     def reduce(self, v):
-        """Subtract the projection onto this space: zero out pivot coords."""
-        F = self.field
-        v = tuple(v)
-        if len(v) != self.ambient:
-            raise ShapeMismatch(f"vector of length {len(v)} in ambient {self.ambient}")
+        """Subtract the projection onto this space: zero out pivot coords.
+
+        Zero scalars are skipped by truthiness (see ``fields``).
+        """
+        w = list(v)
+        if len(w) != self.ambient:
+            raise ShapeMismatch(f"vector of length {len(w)} in ambient {self.ambient}")
+        sub, mul = self.field.sub, self.field.mul
         for row, p in zip(self.basis, self.pivots):
-            c = v[p]
-            if not F.is_zero(c):
-                v = tuple(F.sub(a, F.mul(c, b)) for a, b in zip(v, row))
-        return v
+            c = w[p]
+            if c:
+                for m, b in enumerate(row):
+                    if b:
+                        w[m] = sub(w[m], mul(c, b))
+        return tuple(w)
 
     def contains(self, v) -> bool:
-        return is_zero_vec(self.field, self.reduce(v))
+        return not any(self.reduce(v))
 
     def contains_space(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.basis)

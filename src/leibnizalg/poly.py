@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ShapeMismatch, UnsupportedFactorization, ZeroPolynomial
-from .fields import Rationals
 
 
 @dataclass(frozen=True)
@@ -309,7 +308,7 @@ def poly_factor(f: Poly):
         raise ZeroPolynomial("cannot factor the zero polynomial")
     unit = f.leading
     m = f.monic()
-    if isinstance(f.field, Rationals):
+    if not f.field.is_finite:  # over Q
         # peel off the power of x first so the root machinery sees a0 != 0
         val = 0
         coeffs = list(m.coeffs)

@@ -79,6 +79,13 @@ def test_verdict_cached():
     assert is_a_algebra(L) is is_a_algebra(L)
 
 
+def test_exhaustive_verdict_memoises_subalgebra_scan():
+    # the battery's Cartan, nilpotent and Frattini clauses reuse this scan
+    L = fixture("r2", gf(3))
+    assert is_a_algebra(L).certificate == "exhaustive"
+    assert ("_scan", "subalgebras") in L._cache
+
+
 def test_false_witnesses_verified(small_finite_members):
     for m in small_finite_members[:60]:
         v = is_a_algebra(m.algebra)

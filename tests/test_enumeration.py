@@ -1,5 +1,6 @@
 import pytest
 
+from kernel_reference import dense_bracket, rank_contains, unit_vectors
 from leibnizalg.corpus import fixture
 from leibnizalg.enumeration import (echelon_bases, enumerate_spaces,
                                     frattini_ideal, gaussian_binomial,
@@ -66,18 +67,23 @@ def test_h3_gf2_counts(h3_gf2):
 
 @pytest.mark.parametrize("name,q", [("H3", 3), ("r2", 4), ("C3b", 2), ("sl2", 3)])
 def test_testers_match_definitions(name, q):
-    # the specialized testers agree with the definitional checks
+    # the scans agree with the dense bracket and rank-based membership
     L = fixture(name, gf(q))
-    by_tester_sub = {s.basis for s in iter_subalgebras(L)}
-    by_tester_id = {s.basis for s in iter_ideals(L)}
+    basis = unit_vectors(L.field, L.dim)
+
+    def closed(S, pairs):
+        return all(rank_contains(S, dense_bracket(L, u, v)) for u, v in pairs)
+
     by_def_sub, by_def_id = set(), set()
     for s in iter_subspaces(L):
-        if L.is_subalgebra(s):
+        if closed(s, [(u, v) for u in s.basis for v in s.basis]):
             by_def_sub.add(s.basis)
-        if L.is_ideal(s):
+        if closed(s, [p for u in s.basis for e in basis for p in ((u, e), (e, u))]):
             by_def_id.add(s.basis)
-    assert by_tester_sub == by_def_sub
-    assert by_tester_id == by_def_id
+    assert [s.basis for s in iter_subalgebras(L)] == [
+        s.basis for s in iter_subspaces(L) if s.basis in by_def_sub]
+    assert [s.basis for s in iter_ideals(L)] == [
+        s.basis for s in iter_subspaces(L) if s.basis in by_def_id]
 
 
 def test_enumerate_spaces_cached(h3_gf2):

@@ -1,15 +1,19 @@
-"""Source hygiene: every name a library module imports is used there.
+"""Source hygiene: every name a library module imports is used there, and
+every private function, method or class is referenced by the package.
 
-``__init__.py`` is skipped, since its imports are the package's re-exports.
+``__init__.py`` is skipped by the import check, since its imports are the
+package's re-exports.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "leibnizalg"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _unused_imports(tree):
@@ -36,3 +40,50 @@ def test_no_unused_imports(path):
 def test_scan_finds_unused_import():
     tree = ast.parse("import os\nfrom x import a, b as c\nprint(a)\n")
     assert _unused_imports(tree) == [(1, "os"), (2, "c")]
+
+
+def _references(node):
+    """Names read, attributes taken and names imported under ``node``."""
+    out = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            out[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            out.update(alias.name for alias in sub.names)
+    return out
+
+
+def _unreferenced_privates(trees):
+    """Underscore-prefixed, non-dunder definitions that nothing outside
+    their own body refers to, as (module, line, name)."""
+    refs = sum((_references(tree) for tree in trees.values()), Counter())
+    out = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            name = getattr(node, "name", "")
+            if (isinstance(node, DEFINITIONS) and name.startswith("_")
+                    and not (name.startswith("__") and name.endswith("__"))
+                    and refs[name] == _references(node)[name]):
+                out.append((module, node.lineno, name))
+    return sorted(out)
+
+
+def test_no_unreferenced_private_definitions():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p))
+             for p in sorted(SRC.glob("*.py"))}
+    assert _unreferenced_privates(trees) == []
+
+
+def test_scan_finds_unreferenced_private():
+    trees = {
+        "a.py": ast.parse("def _used(): pass\n"
+                          "def _dead(n): return _dead(n - 1)\n"
+                          "class _Gone:\n"
+                          "    def __init__(self): pass\n"
+                          "    def _method(self): pass\n"),
+        "b.py": ast.parse("from a import _used\n_used()\n"),
+    }
+    assert _unreferenced_privates(trees) == [
+        ("a.py", 2, "_dead"), ("a.py", 3, "_Gone"), ("a.py", 5, "_method")]

@@ -1,0 +1,81 @@
+"""The bracket and membership kernels against their definitions.
+
+``LeibnizAlgebra.bracket`` walks sparse structure constants and, like
+``Subspace.reduce``, skips zero scalars by truthiness; both are compared
+with the slow references in ``kernel_reference`` on every fixture over
+every corpus field.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from kernel_reference import (dense_bracket, random_vector, rank_contains,
+                              unit_vectors)
+from leibnizalg.corpus import FIELDS, FIXTURE_NAMES, fixture
+from leibnizalg.fields import QQ, gf
+from leibnizalg.linalg import Subspace
+
+FIELD_IDS = [str(F) for F in FIELDS]
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_bracket_matches_dense_reference(name, F):
+    L = fixture(name, F)
+    rng = random.Random(f"bracket-{name}-{F}")
+    vectors = unit_vectors(F, L.dim)
+    vectors += [random_vector(F, L.dim, rng) for _ in range(6)]
+    for u in vectors:
+        for v in vectors:
+            assert L.bracket(u, v) == dense_bracket(L, u, v)
+    assert [L.basis_vector(i) for i in range(L.dim)] == unit_vectors(F, L.dim)
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=FIELD_IDS)
+def test_contains_matches_rank(F):
+    rng = random.Random(f"contains-{F}")
+    for n in (1, 2, 3, 4):
+        for _ in range(12):
+            S = Subspace.span(F, n, [random_vector(F, n, rng)
+                                     for _ in range(rng.randrange(n + 1))])
+            inside = []
+            for _ in range(4):  # random combinations of the basis
+                w = (F.zero,) * n
+                for row in S.basis:
+                    c = F.random_scalar(rng)
+                    w = tuple(F.add(x, F.mul(c, y)) for x, y in zip(w, row))
+                inside.append(w)
+            assert all(rank_contains(S, w) for w in inside)
+            for v in inside + [random_vector(F, n, rng) for _ in range(8)]:
+                assert S.contains(v) == rank_contains(S, v)
+                assert S.reduce(iter(v)) == S.reduce(v)
+
+
+def _scalars(F):
+    """Every element, and every sum, difference and product of two."""
+    elems = list(F.elements())
+    out = list(elems)
+    for a in elems:
+        for b in elems:
+            out += [F.add(a, b), F.sub(a, b), F.mul(a, b)]
+    return out
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 9, 25))
+def test_zero_is_the_only_falsy_scalar_finite(q):
+    F = gf(q)
+    for a in _scalars(F):
+        assert bool(a) == (not F.is_zero(a))
+    assert not F.zero and F.one
+
+
+def test_zero_is_the_only_falsy_scalar_rational():
+    F = QQ
+    samples = [Fraction(0), F.zero, F.one, F.from_int(0), F.from_int(-3),
+               Fraction(-1, 3), Fraction(5, 7), F.sub(Fraction(2, 3), Fraction(2, 3)),
+               F.mul(F.zero, Fraction(4, 9)), F.add(Fraction(1, 2), Fraction(-1, 2))]
+    for a in samples:
+        assert bool(a) == (not F.is_zero(a))
+    assert not F.zero and F.one
