@@ -50,6 +50,10 @@ class _ArgumentError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # main reads --format and --output from argv by their full names
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise _ArgumentError(message)
 

@@ -292,35 +292,26 @@ class LeibnizAlgebra:
 
     def centralizer(self, U: Subspace) -> Subspace:
         """{x : [x, u] = 0 = [u, x] for all u in U}."""
-        F, n = self.field, self.dim
-        if U.is_zero() or n == 0:
-            return self.full_space()
-        cols = []
-        for i in range(n):
-            e = self.basis_vector(i)
-            long = []
-            for u in U.basis:
-                long.extend(self.bracket(e, u))
-                long.extend(self.bracket(u, e))
-            cols.append(long)
-        rows = [[cols[i][r] for i in range(n)] for r in range(len(cols[0]))]
-        return kernel(F, rows, ncols=n)
+        return self._stabilizer(U, self.zero_space())
 
     def normalizer(self, U: Subspace) -> Subspace:
-        """{x : [x, U] + [U, x] contained in U}, via reduction mod U."""
+        """{x : [x, U] + [U, x] contained in U}."""
+        return self._stabilizer(U, U)
+
+    def _stabilizer(self, U: Subspace, W: Subspace) -> Subspace:
+        """{x : [x, U] + [U, x] contained in W}: the kernel of the map
+        sending x to its brackets with the basis of U, reduced mod W."""
         F, n = self.field, self.dim
         if U.is_zero() or n == 0:
             return self.full_space()
         cols = []
-        for i in range(n):
-            e = self.basis_vector(i)
+        for e in self._basis:
             long = []
             for u in U.basis:
-                long.extend(U.reduce(self.bracket(e, u)))
-                long.extend(U.reduce(self.bracket(u, e)))
+                long.extend(W.reduce(self.bracket(e, u)))
+                long.extend(W.reduce(self.bracket(u, e)))
             cols.append(long)
-        rows = [[cols[i][r] for i in range(n)] for r in range(len(cols[0]))]
-        return kernel(F, rows, ncols=n)
+        return kernel(F, list(zip(*cols)), ncols=n)
 
     # -- derived algebras ----------------------------------------------------
     def quotient(self, I: Subspace):

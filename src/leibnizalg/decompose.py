@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import LeibnizAlgebra, memo
-from .enumeration import (DEFAULT_BUDGET, enumerate_spaces, frattini_ideal,
-                          socle_analysis)
+from .enumeration import (DEFAULT_BUDGET, _maximal_members, enumerate_spaces,
+                          frattini_ideal, socle_analysis)
 from .errors import (BudgetExceeded, CartanSearchFailed, DecompositionFailed,
                      InfiniteFieldUnsupported, NotDecomposing, NotSolvable)
 from .linalg import (Subspace, generalized_kernel, image, is_nilpotent_operator,
@@ -188,18 +188,25 @@ def cartan_subalgebra(L: LeibnizAlgebra, seed: int = 0,
 @memo
 def enumerated_cartan_subalgebras(L: LeibnizAlgebra,
                                   budget: int = DEFAULT_BUDGET):
-    """All Cartan subalgebras of a small finite-field algebra."""
-    return tuple(S for S in enumerate_spaces(L, "subalgebras", budget)
-                 if is_nilpotent_space(L, S) and L.normalizer(S) == S)
+    """All Cartan subalgebras of a small finite-field algebra, canonical order.
+
+    These are the self-normalizing members of ``max_nilpotent_subalgebras``,
+    because a nilpotent self-normalizing subalgebra H is maximal nilpotent.
+    Let H be a proper subalgebra of a nilpotent subalgebra K, whose upper
+    central series 0 = Z_0(K) < Z_1(K) < ... ends at K.  Take i minimal
+    with Z_i(K) not inside H and z in Z_i(K) outside H.  Then
+    [z, H] + [H, z] lies in Z_{i-1}(K), which lies in H, so z is in N(H)
+    but not in H.
+    """
+    return tuple(S for S in max_nilpotent_subalgebras(L, budget)
+                 if L.normalizer(S) == S)
 
 
 @memo
 def max_nilpotent_subalgebras(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
     """Maximal nilpotent subalgebras of a small finite-field algebra."""
-    nilp = [S for S in enumerate_spaces(L, "subalgebras", budget)
-            if is_nilpotent_space(L, S)]
-    return tuple(S for S in nilp
-                 if not any(T.dim > S.dim and T.contains_space(S) for T in nilp))
+    return _maximal_members([S for S in enumerate_spaces(L, "subalgebras", budget)
+                             if is_nilpotent_space(L, S)])
 
 
 @dataclass(frozen=True)

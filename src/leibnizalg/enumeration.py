@@ -149,16 +149,24 @@ def socle_analysis(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET) -> SocleRepo
                        minimal[0] if len(minimal) == 1 else None)
 
 
+def _maximal_members(spaces):
+    """The members of ``spaces`` that no other member strictly contains, in
+    their given order.  Visited largest first, a non-maximal member lies in
+    a maximal member of larger dimension that is already kept, so each
+    member is compared with the kept ones only."""
+    kept = []
+    for S in sorted(spaces, key=lambda S: -S.dim):
+        if not any(T.dim > S.dim and T.contains_space(S) for T in kept):
+            kept.append(S)
+    kept = set(kept)
+    return tuple(S for S in spaces if S in kept)
+
+
 @memo
 def maximal_subalgebras(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
     """Maximal proper subalgebras, canonical order."""
-    proper = [S for S in enumerate_spaces(L, "subalgebras", budget)
-              if S.dim < L.dim]
-    out = []
-    for S in proper:
-        if not any(T.dim > S.dim and T.contains_space(S) for T in proper):
-            out.append(S)
-    return tuple(out)
+    return _maximal_members([S for S in enumerate_spaces(L, "subalgebras", budget)
+                             if S.dim < L.dim])
 
 
 @memo

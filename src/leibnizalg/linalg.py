@@ -246,34 +246,18 @@ def is_nilpotent_operator(field, A) -> bool:
     return all(field.is_zero(a) for row in B for a in row)
 
 
-def mat_power(field, A, e: int):
-    if e < 1:
-        raise ShapeMismatch("matrix power needs a positive exponent")
-    result = None
-    base = A
-    while e:
-        if e & 1:
-            result = base if result is None else mat_mul(field, result, base)
-        e >>= 1
-        if e:
-            base = mat_mul(field, base, base)
-    return result
-
-
-def generalized_kernel(field, A, power=None) -> Subspace:
-    """Kernel of A**power; default power is the dimension (Fitting null part)."""
+def generalized_kernel(field, A) -> Subspace:
+    """Kernel of A**n for an n x n matrix A (the Fitting null part)."""
     n = len(A)
     if n == 0:
         return Subspace.zero_space(field, 0)
-    if power is None:
-        # square past the dimension; the kernel chain has stabilized by then
-        B = A
-        k = 1
-        while k < n:
-            B = mat_mul(field, B, B)
-            k *= 2
-        return kernel(field, B)
-    return kernel(field, mat_power(field, A, power))
+    # square past the dimension; the kernel chain has stabilized by then
+    B = A
+    k = 1
+    while k < n:
+        B = mat_mul(field, B, B)
+        k *= 2
+    return kernel(field, B)
 
 
 def restrict_operator(field, A, space: Subspace):

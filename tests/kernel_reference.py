@@ -3,7 +3,8 @@
 ``dense_bracket`` is the definition of the bracket, the sum over every
 pair of coordinates of u_i v_j [e_i, e_j], with no zero skipped.
 ``rank_contains`` decides membership by the dimension of a span, through
-``rref`` and without ``Subspace.reduce``.
+``rref`` and without ``Subspace.reduce``.  ``maximal_by_pairs`` is the
+all-pairs definition of the maximal members of a family of subspaces.
 """
 
 from leibnizalg.linalg import Subspace
@@ -33,3 +34,10 @@ def random_vector(F, n, rng):
     """A vector with about a third of its coordinates zero."""
     return tuple(F.zero if rng.random() < 1 / 3 else F.random_scalar(rng)
                  for _ in range(n))
+
+
+def maximal_by_pairs(spaces):
+    """The members that no other member strictly contains: every member is
+    compared with every other, and containment is decided by rank."""
+    return [S for S in spaces
+            if not any(T.dim > S.dim and T.add(S).dim == T.dim for T in spaces)]

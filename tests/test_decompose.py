@@ -2,12 +2,16 @@ from fractions import Fraction
 
 import pytest
 
+from kernel_reference import maximal_by_pairs
+from leibnizalg.core import LeibnizAlgebra
 from leibnizalg.corpus import fixture
 from leibnizalg.decompose import (ClauseResult, cartan_subalgebra,
                                   enumerated_cartan_subalgebras, fitting,
                                   fitting_family, ideal_decomposition,
                                   max_nilpotent_subalgebras, structure_report,
                                   triangular_decomposition)
+from leibnizalg.enumeration import (enumerate_spaces, maximal_subalgebras,
+                                    total_subspaces)
 from leibnizalg.errors import (CartanSearchFailed, DecompositionFailed,
                                NotSolvable)
 from leibnizalg.fields import QQ, gf
@@ -102,6 +106,38 @@ def test_max_nilpotent_r2_gf2():
 
 def test_max_nilpotent_nilpotent_algebra(h3_gf2):
     assert list(max_nilpotent_subalgebras(h3_gf2)) == [h3_gf2.full_space()]
+
+
+def test_lattice_filters_match_definitions(members):
+    # the maximal-members rule and the Cartan subalgebras read off the
+    # maximal nilpotent ones agree, order included, with the all-pairs
+    # filter and with a self-normalizer test over the whole scan
+    small = [m.algebra for m in members if m.algebra.field.is_finite
+             and total_subspaces(m.algebra.dim, m.algebra.field.size) <= 1000]
+    assert len(small) > 200
+    for L in small:
+        subs = enumerate_spaces(L, "subalgebras")
+        nilp = [S for S in subs if is_nilpotent_space(L, S)]
+        assert list(maximal_subalgebras(L)) == maximal_by_pairs(
+            [S for S in subs if S.dim < L.dim])
+        assert list(max_nilpotent_subalgebras(L)) == maximal_by_pairs(nilp)
+        assert list(enumerated_cartan_subalgebras(L)) == [
+            S for S in nilp if L.normalizer(S) == S]
+
+
+def test_cartans_normalize_only_max_nilpotents(monkeypatch):
+    calls = []
+    normalizer = LeibnizAlgebra.normalizer
+
+    def counted(self, U):
+        calls.append(U)
+        return normalizer(self, U)
+
+    monkeypatch.setattr(LeibnizAlgebra, "normalizer", counted)
+    L = fixture("r2", gf(2))
+    enumerated_cartan_subalgebras(L)
+    assert calls == list(max_nilpotent_subalgebras(L))
+    assert len(calls) == 3
 
 
 # ---------------------------------------------------------------- triangular

@@ -284,6 +284,21 @@ def test_main_stdout_and_output_file(tmp_path, capsys):
     assert json.loads(out.read_text())["leibniz"] is True
 
 
+def test_main_refuses_abbreviated_options(tmp_path, capsys):
+    # main reads --format and --output from argv by their full names, so
+    # the parser must not take abbreviations of them either
+    path = _write(tmp_path, "h3", fixture("H3", QQ))
+    out = tmp_path / "o.txt"
+    for argv in (["check", path, "--fo", "json"],
+                 ["check", path, "--out", str(out)]):
+        doc, code = run_command(argv)
+        assert code == 3
+        assert doc["error"]["type"] == "argument"
+        assert main(argv) == 3
+        assert "unrecognized arguments" in capsys.readouterr().out
+    assert not out.exists()
+
+
 def test_text_render(tmp_path, capsys):
     path = _write(tmp_path, "h3", fixture("H3", QQ))
     assert main(["analyze", path]) == 0

@@ -3,9 +3,11 @@
 ``LeibnizAlgebra.bracket`` walks sparse structure constants and, like
 ``Subspace.reduce``, skips zero scalars by truthiness; both are compared
 with the slow references in ``kernel_reference`` on every fixture over
-every corpus field.
+every corpus field.  Centralizers and normalizers are compared with the
+vectors that satisfy their definitions, over GF(2) and GF(3).
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -14,6 +16,7 @@ import pytest
 from kernel_reference import (dense_bracket, random_vector, rank_contains,
                               unit_vectors)
 from leibnizalg.corpus import FIELDS, FIXTURE_NAMES, fixture
+from leibnizalg.enumeration import iter_subspaces
 from leibnizalg.fields import QQ, gf
 from leibnizalg.linalg import Subspace
 
@@ -31,6 +34,26 @@ def test_bracket_matches_dense_reference(name, F):
         for v in vectors:
             assert L.bracket(u, v) == dense_bracket(L, u, v)
     assert [L.basis_vector(i) for i in range(L.dim)] == unit_vectors(F, L.dim)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_centralizer_normalizer_match_definitions(name, q):
+    L = fixture(name, gf(q))
+    vectors = list(itertools.product(range(q), repeat=L.dim))
+    zero = L.zero_space()
+
+    def stabilizer(U, W):
+        return [x for x in vectors
+                if all(rank_contains(W, dense_bracket(L, x, u))
+                       and rank_contains(W, dense_bracket(L, u, x))
+                       for u in U.basis)]
+
+    for U in iter_subspaces(L):
+        assert [x for x in vectors if L.centralizer(U).contains(x)] == \
+            stabilizer(U, zero)
+        assert [x for x in vectors if L.normalizer(U).contains(x)] == \
+            stabilizer(U, U)
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=FIELD_IDS)

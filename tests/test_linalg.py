@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 from leibnizalg.errors import AmbientMismatch, NoSolution, ShapeMismatch
 from leibnizalg.fields import QQ, gf
 from leibnizalg.linalg import (Subspace, generalized_kernel, identity_matrix,
-                               image, is_nilpotent_operator, kernel, mat_mul,
-                               mat_power, mat_vec, restrict_operator, rref,
-                               solve)
+                               image, is_nilpotent_operator, kernel, mat_vec,
+                               restrict_operator, rref, solve)
 
 F3 = gf(3)
 
@@ -145,16 +144,6 @@ def test_nilpotent_operator():
     assert is_nilpotent_operator(F3, N)
     assert not is_nilpotent_operator(F3, identity_matrix(F3, 3))
     assert is_nilpotent_operator(F3, [[0] * 3 for _ in range(3)])
-
-
-def test_mat_power():
-    N = [[0, 1], [0, 0]]
-    assert mat_power(F3, N, 1) == [[0, 1], [0, 0]]
-    assert mat_power(F3, N, 2) == [[0, 0], [0, 0]]
-    A = [[1, 1], [0, 1]]
-    assert mat_power(F3, A, 3) == mat_mul(F3, A, mat_mul(F3, A, A))
-    with pytest.raises(ShapeMismatch):
-        mat_power(F3, N, 0)
 
 
 def test_generalized_kernel():
