@@ -390,11 +390,13 @@ def _check_left_products(L, ideals) -> ClauseResult:
             left = A
             right = A
             for _ in range(1, n + 2):
-                left = L.span([L.bracket(x, w) for w in left.basis] or [])
+                left = L.span([L.bracket(x, w) for w in left.basis])
                 if not right.contains_space(left):
                     return ClauseResult(clause, True, False,
                                         "left product chain escapes the right chain")
-                right = L.span([L.bracket(w, x) for w in right.basis] or [])
+                if left.is_zero():
+                    break  # every later left term is zero as well
+                right = L.span([L.bracket(w, x) for w in right.basis])
     return ClauseResult(clause, True, True, f"checked {tried} pairs")
 
 

@@ -8,6 +8,9 @@ and witnesses reproducible.
 
 The subspace count is computed up front from Gaussian binomials and
 checked against the caller's budget before any work happens.
+
+Each algebra's subspaces are walked once: the subalgebra scan is memoised,
+and the ideals are read off it, since every ideal is a subalgebra.
 """
 
 from __future__ import annotations
@@ -92,10 +95,7 @@ def iter_subalgebras(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
 
 
 def iter_ideals(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
-    _check_enumerable(L, budget)
-    F, n = L.field, L.dim
-    for rows, pivots in echelon_bases(F, n):
-        S = Subspace(F, n, rows, pivots)
+    for S in enumerate_spaces(L, "subalgebras", budget):
         if L.is_ideal(S):
             yield S
 
@@ -149,14 +149,15 @@ def socle_analysis(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET) -> SocleRepo
                        minimal[0] if len(minimal) == 1 else None)
 
 
-def _maximal_members(spaces):
-    """The members of ``spaces`` that no other member strictly contains, in
-    their given order.  Visited largest first, a non-maximal member lies in
-    a maximal member of larger dimension that is already kept, so each
-    member is compared with the kept ones only."""
+def _maximal_members(spaces, keep):
+    """The members of ``spaces`` passing ``keep`` that no other such member
+    strictly contains, in their given order.  Visited largest first, a
+    non-maximal one lies in a kept member of larger dimension, so each
+    member is compared with the kept ones only, and ``keep`` runs only on
+    the members that no kept one contains."""
     kept = []
     for S in sorted(spaces, key=lambda S: -S.dim):
-        if not any(T.dim > S.dim and T.contains_space(S) for T in kept):
+        if not any(T.dim > S.dim and T.contains_space(S) for T in kept) and keep(S):
             kept.append(S)
     kept = set(kept)
     return tuple(S for S in spaces if S in kept)
@@ -165,8 +166,8 @@ def _maximal_members(spaces):
 @memo
 def maximal_subalgebras(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
     """Maximal proper subalgebras, canonical order."""
-    return _maximal_members([S for S in enumerate_spaces(L, "subalgebras", budget)
-                             if S.dim < L.dim])
+    return _maximal_members(enumerate_spaces(L, "subalgebras", budget),
+                            lambda S: S.dim < L.dim)
 
 
 @memo

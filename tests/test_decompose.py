@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from kernel_reference import maximal_by_pairs
+from leibnizalg import decompose
 from leibnizalg.core import LeibnizAlgebra
 from leibnizalg.corpus import fixture
 from leibnizalg.decompose import (ClauseResult, cartan_subalgebra,
@@ -10,8 +11,8 @@ from leibnizalg.decompose import (ClauseResult, cartan_subalgebra,
                                   fitting_family, ideal_decomposition,
                                   max_nilpotent_subalgebras, structure_report,
                                   triangular_decomposition)
-from leibnizalg.enumeration import (enumerate_spaces, maximal_subalgebras,
-                                    total_subspaces)
+from leibnizalg.enumeration import (enumerate_spaces, iter_subspaces,
+                                    maximal_subalgebras, total_subspaces)
 from leibnizalg.errors import (CartanSearchFailed, DecompositionFailed,
                                NotSolvable)
 from leibnizalg.fields import QQ, gf
@@ -109,9 +110,10 @@ def test_max_nilpotent_nilpotent_algebra(h3_gf2):
 
 
 def test_lattice_filters_match_definitions(members):
-    # the maximal-members rule and the Cartan subalgebras read off the
-    # maximal nilpotent ones agree, order included, with the all-pairs
-    # filter and with a self-normalizer test over the whole scan
+    # the ideals read off the subalgebra scan, the maximal-members rule and
+    # the Cartan subalgebras read off the maximal nilpotent ones agree,
+    # order included, with an ideal test over every subspace, with the
+    # all-pairs filter and with a self-normalizer test over the whole scan
     small = [m.algebra for m in members if m.algebra.field.is_finite
              and total_subspaces(m.algebra.dim, m.algebra.field.size) <= 1000]
     assert len(small) > 200
@@ -123,6 +125,23 @@ def test_lattice_filters_match_definitions(members):
         assert list(max_nilpotent_subalgebras(L)) == maximal_by_pairs(nilp)
         assert list(enumerated_cartan_subalgebras(L)) == [
             S for S in nilp if L.normalizer(S) == S]
+        assert list(enumerate_spaces(L, "ideals")) == [
+            S for S in iter_subspaces(L) if L.is_ideal(S)]
+
+
+def test_max_nilpotent_tests_only_uncovered_members(monkeypatch):
+    # in an abelian algebra the whole algebra is nilpotent, and every other
+    # subalgebra lies inside it, so nilpotency is tested once
+    calls = []
+
+    def counted(L, S):
+        calls.append(S)
+        return is_nilpotent_space(L, S)
+
+    monkeypatch.setattr(decompose, "is_nilpotent_space", counted)
+    L = fixture("A2", gf(3))
+    assert list(max_nilpotent_subalgebras(L)) == [L.full_space()]
+    assert calls == [L.full_space()]
 
 
 def test_cartans_normalize_only_max_nilpotents(monkeypatch):

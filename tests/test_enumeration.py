@@ -1,7 +1,9 @@
 import pytest
 
 from kernel_reference import dense_bracket, rank_contains, unit_vectors
+from leibnizalg import enumeration
 from leibnizalg.corpus import fixture
+from leibnizalg.decompose import max_nilpotent_subalgebras
 from leibnizalg.enumeration import (echelon_bases, enumerate_spaces,
                                     frattini_ideal, gaussian_binomial,
                                     iter_ideals, iter_subalgebras,
@@ -90,6 +92,22 @@ def test_enumerate_spaces_cached(h3_gf2):
     a = enumerate_spaces(h3_gf2, "ideals")
     b = enumerate_spaces(h3_gf2, "ideals")
     assert a is b
+
+
+def test_one_subspace_walk_per_algebra(monkeypatch):
+    walks = []
+
+    def counted(field, n):
+        walks.append(n)
+        return echelon_bases(field, n)
+
+    monkeypatch.setattr(enumeration, "echelon_bases", counted)
+    L = fixture("C3b", gf(3))
+    socle_analysis(L)
+    maximal_subalgebras(L)
+    max_nilpotent_subalgebras(L)
+    frattini_ideal(L)
+    assert walks == [3]
 
 
 def test_budget_exceeded():
