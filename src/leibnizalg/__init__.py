@@ -37,7 +37,7 @@ from .errors import (AmbientMismatch, BadSpec, BudgetExceeded,
                      UnsupportedFactorization, ZeroPolynomial)
 from .fields import (QQ, ExtensionField, PrimeField, Rationals, field_from_doc,
                      field_to_doc, gf, parse_field_name)
-from .linalg import Subspace, generalized_kernel, image, kernel, rref, solve
+from .linalg import Subspace, image, kernel, rref, solve
 from .poly import (Poly, companion_matrix, format_poly, is_irreducible, poly,
                    poly_factor, poly_gcd)
 from .series import (SeriesReport, derived_length, derived_series, hypercentre,

@@ -33,8 +33,7 @@ from .enumeration import (DEFAULT_BUDGET, enumerate_spaces, socle_analysis,
                           total_subspaces)
 from .errors import (BudgetExceeded, InfiniteFieldUnsupported, NoSolution,
                      NotDecomposing)
-from .linalg import (Subspace, generalized_kernel, is_nilpotent_operator,
-                     kernel, restrict_operator)
+from .linalg import Subspace, fitting_power, kernel, restrict_operator
 from .series import (derived_series, is_completely_solvable, is_metabelian,
                      is_nilpotent, is_nilpotent_space, is_solvable,
                      lower_nilpotent_series, nilradical)
@@ -106,9 +105,9 @@ def _witness_candidates(L: LeibnizAlgebra, seed: int):
     for u in singles:
         yield L.closure([u])
     for x in singles[:2 * n]:
-        A = L.right_mult(x)
-        if not is_nilpotent_operator(F, A):
-            yield generalized_kernel(F, A)
+        power = fitting_power(F, L.right_mult(x))
+        if any(map(any, power)):  # x does not act nilpotently
+            yield kernel(F, power)
     ds = derived_series(L)
     for term in ds.terms[1:]:
         yield term

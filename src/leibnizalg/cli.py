@@ -51,7 +51,8 @@ class _ArgumentError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
-        # main reads --format and --output from argv by their full names
+        # main reads --format and --output with a parser of its own, which
+        # must take no abbreviation the subcommand parsers would refuse
         super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
@@ -344,13 +345,23 @@ _COMMANDS = {
 }
 
 
+def _output_parser() -> _Parser:
+    """The --format and --output options, shared by every subcommand."""
+    out = _Parser(add_help=False)
+    out.add_argument("--format", choices=("json", "text"), default="text")
+    out.add_argument("--output", default=None,
+                     help="write the report to this path instead of stdout")
+    return out
+
+
+def _argument_error(exc):
+    return {"error": {"type": "argument", "message": str(exc)}}
+
+
 def _build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "text"), default="text")
+    common = argparse.ArgumentParser(add_help=False, parents=[_output_parser()])
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    common.add_argument("--output", default=None,
-                        help="write the report to this path instead of stdout")
     parser = _Parser(prog="leibnizalg",
                      description="exact analysis of finite-dimensional "
                                  "Leibniz algebras from structure constants")
@@ -383,7 +394,7 @@ def run_command(argv):
     try:
         args = parser.parse_args(argv)
     except _ArgumentError as exc:
-        return {"error": {"type": "argument", "message": str(exc)}}, EXIT_INPUT
+        return _argument_error(exc), EXIT_INPUT
     try:
         return _COMMANDS[args.command](args)
     except NotLeibniz as exc:
@@ -412,21 +423,16 @@ def run_command(argv):
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
+    try:
+        opts, _ = _output_parser().parse_known_args(argv)
+    except _ArgumentError as exc:
+        # with no valid --format or --output, the error goes to stdout as text
+        sys.stdout.write(render(_argument_error(exc), "text"))
+        return EXIT_INPUT
     doc, code = run_command(argv)
-    out_path = None
-    fmt_choice = "text"
-    for i, tok in enumerate(argv):
-        if tok == "--format" and i + 1 < len(argv):
-            fmt_choice = argv[i + 1]
-        elif tok.startswith("--format="):
-            fmt_choice = tok.split("=", 1)[1]
-        elif tok == "--output" and i + 1 < len(argv):
-            out_path = argv[i + 1]
-        elif tok.startswith("--output="):
-            out_path = tok.split("=", 1)[1]
-    text = render(doc, fmt_choice)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+    text = render(doc, opts.format)
+    if opts.output:
+        with open(opts.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -20,8 +20,8 @@ from .enumeration import (DEFAULT_BUDGET, _maximal_members, enumerate_spaces,
                           frattini_ideal, socle_analysis)
 from .errors import (BudgetExceeded, CartanSearchFailed, DecompositionFailed,
                      InfiniteFieldUnsupported, NotDecomposing, NotSolvable)
-from .linalg import (Subspace, generalized_kernel, image, is_nilpotent_operator,
-                     kernel, mat_mul, mat_vec, restrict_operator)
+from .linalg import (Subspace, fitting_power, image, is_nilpotent_operator,
+                     kernel, mat_vec, restrict_operator)
 from .series import (derived_series, is_completely_solvable, is_metabelian,
                      is_nilpotent, is_nilpotent_space, is_solvable, nilradical)
 
@@ -37,18 +37,14 @@ class FittingPair:
 def fitting(L: LeibnizAlgebra, A) -> FittingPair:
     """Fitting decomposition of the space of L under one operator matrix.
 
-    Returns the generalized kernel and the stabilized image, after
+    Returns the kernel and the image of the Fitting power of A, after
     checking that they are complementary, invariant, and that A is
     nilpotent on the first and invertible on the second.
     """
     F, n = L.field, L.dim
-    null = generalized_kernel(F, A)
-    mat = A
-    e = 1
-    while e < max(n, 1):
-        mat = mat_mul(F, mat, mat)
-        e *= 2
-    one = image(F, mat)
+    power = fitting_power(F, A)
+    null = kernel(F, power, ncols=n)
+    one = image(F, power)
     if null.intersect(one).dim != 0 or null.add(one).dim != n:
         raise NotDecomposing("operator Fitting components are not complementary")
     for space, name in ((null, "null"), (one, "one")):
@@ -139,10 +135,10 @@ def _descend_step(K: LeibnizAlgebra, rng: random.Random,
     for phase in _candidate_phases(K, rng, budget):
         best = None
         for x in phase:
-            A = K.right_mult(x)
-            if is_nilpotent_operator(F, A):
+            power = fitting_power(F, K.right_mult(x))
+            if not any(map(any, power)):  # x acts nilpotently
                 continue
-            null = generalized_kernel(F, A)
+            null = kernel(F, power)
             if best is None or null.dim < best.dim:
                 best = null
         if best is not None:

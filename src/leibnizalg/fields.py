@@ -15,18 +15,21 @@ skip zeros by truthiness.
 
 Extension fields with q below a small threshold precompute full q x q
 multiplication/addition tables, which keeps the enumeration-heavy callers
-fast without any compiled dependency.
+fast without any compiled dependency.  This module keeps no polynomial
+arithmetic of its own: an extension field multiplies as ``poly.Poly``
+over GF(p) modulo its modulus, and checks and chooses that modulus with
+``poly.is_irreducible``, so both use ``poly.py``'s one trial division.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import ClassVar
 
 from .errors import BadSpec, FieldParseError, InfiniteFieldUnsupported
+from .poly import Poly, is_irreducible, monic_polys, poly
 
 _TABLE_LIMIT = 512  # build q x q lookup tables when q is at most this
 
@@ -41,63 +44,6 @@ def is_prime(n: int) -> bool:
         d += 1
     return True
 
-
-# ---------------------------------------------------------------------------
-# GF(p)[x] helpers on plain int tuples (ascending coefficients, trimmed).
-# Only what extension-field construction needs; general polynomials over any
-# field live in poly.py.
-
-def _trim(coeffs):
-    c = list(coeffs)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _gfp_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
-
-
-def _gfp_mod(a, m, p):
-    # m must be monic
-    r = list(a)
-    dm = len(m) - 1
-    while len(r) - 1 >= dm and r:
-        lead = r[-1] % p
-        if lead:
-            shift = len(r) - 1 - dm
-            for i, mi in enumerate(m):
-                r[shift + i] = (r[shift + i] - lead * mi) % p
-        while r and r[-1] % p == 0:
-            r.pop()
-    return _trim(x % p for x in r)
-
-
-def _gfp_monic_polys(p, degree):
-    for tail in itertools.product(range(p), repeat=degree):
-        yield tail + (1,)
-
-
-def _gfp_irreducible(m, p):
-    """Trial division by monic polynomials of degree up to deg(m)//2."""
-    dm = len(m) - 1
-    if dm < 1:
-        return False
-    for d in range(1, dm // 2 + 1):
-        for g in _gfp_monic_polys(p, d):
-            if not _gfp_mod(m, g, p):
-                return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Rationals:
@@ -277,9 +223,11 @@ class ExtensionField:
         mod = tuple(int(c) % self.p for c in self.modulus)
         if len(mod) != self.k + 1 or mod[-1] != 1:
             raise BadSpec("modulus must be monic of degree k")
-        if not _gfp_irreducible(mod, self.p):
+        modulus = Poly(PrimeField(self.p), mod)
+        if not is_irreducible(modulus):
             raise BadSpec(f"modulus {mod} is reducible over GF({self.p})")
         object.__setattr__(self, "modulus", mod)
+        object.__setattr__(self, "_modulus_poly", modulus)
         q = self.p ** self.k
         object.__setattr__(self, "_q", q)
         if q <= _TABLE_LIMIT:
@@ -322,10 +270,9 @@ class ExtensionField:
         return self._encode([(-d) % self.p for d in self._decode(a)])
 
     def _mul_slow(self, a, b):
-        prod = _gfp_mul(_trim(self._decode(a)), _trim(self._decode(b)), self.p)
-        rem = _gfp_mod(prod, self.modulus, self.p)
-        digits = list(rem) + [0] * (self.k - len(rem))
-        return self._encode(digits)
+        m = self._modulus_poly
+        prod = poly(m.field, self._decode(a)) * poly(m.field, self._decode(b))
+        return self._encode((prod % m).coeffs)
 
     # field API ----------------------------------------------------------
     @property
@@ -413,10 +360,9 @@ QQ = Rationals()
 @lru_cache(maxsize=None)
 def default_modulus(p: int, k: int):
     """Smallest monic irreducible of degree k over GF(p), ascending-lex."""
-    for tail in itertools.product(range(p), repeat=k):
-        cand = tail + (1,)
-        if _gfp_irreducible(cand, p):
-            return cand
+    for cand in monic_polys(PrimeField(p), k):
+        if is_irreducible(cand):
+            return cand.coeffs
     raise BadSpec(f"no irreducible of degree {k} over GF({p})")  # pragma: no cover
 
 

@@ -231,33 +231,24 @@ def solve(field, rows, b):
     return tuple(x)
 
 
+def fitting_power(field, A):
+    """A**m for the least power of two m >= n of an n x n matrix A.
+
+    By then the kernels and images of the powers of A have stabilized, so
+    this one power gives the Fitting null and one components.  Squaring
+    stops at the first zero power, which is returned as it is.
+    """
+    B = A
+    k = 1
+    while k < len(A) and any(map(any, B)):
+        B = mat_mul(field, B, B)
+        k *= 2
+    return B
+
+
 def is_nilpotent_operator(field, A) -> bool:
     """Whether the n x n matrix A is nilpotent, i.e. A**n = 0."""
-    n = len(A)
-    if n == 0:
-        return True
-    B = A
-    k = 1
-    while k < n:
-        if all(field.is_zero(a) for row in B for a in row):
-            return True
-        B = mat_mul(field, B, B)
-        k *= 2
-    return all(field.is_zero(a) for row in B for a in row)
-
-
-def generalized_kernel(field, A) -> Subspace:
-    """Kernel of A**n for an n x n matrix A (the Fitting null part)."""
-    n = len(A)
-    if n == 0:
-        return Subspace.zero_space(field, 0)
-    # square past the dimension; the kernel chain has stabilized by then
-    B = A
-    k = 1
-    while k < n:
-        B = mat_mul(field, B, B)
-        k *= 2
-    return kernel(field, B)
+    return not any(map(any, fitting_power(field, A)))
 
 
 def restrict_operator(field, A, space: Subspace):

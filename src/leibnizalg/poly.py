@@ -2,10 +2,17 @@
 
 Coefficients are stored ascending with no trailing zeros, so the zero
 polynomial has an empty coefficient tuple.  Factorization is exact and
-deliberately modest: exhaustive trial division over finite fields, and
-degree at most four over the rationals (root search plus the resolvent
-cubic for quartics).  Anything past that raises UnsupportedFactorization
-rather than pretending.
+deliberately modest: trial division over finite fields, and degree at
+most four over the rationals (root search plus the resolvent cubic for
+quartics).  Anything past that raises UnsupportedFactorization rather
+than pretending.
+
+The one trial division, ``_least_factor``, stops at the first monic
+factor it finds.  Factorization peels factors off with it, and
+``is_irreducible`` over a finite field asks whether that factor is the
+polynomial itself.  ``fields.ExtensionField`` multiplies with ``Poly``
+and checks and chooses its modulus with ``is_irreducible``, so GF(p)[x]
+arithmetic exists only here.
 """
 
 from __future__ import annotations
@@ -157,24 +164,25 @@ def monic_polys(field, degree: int):
         yield Poly(field, tuple(tail) + (field.one,))
 
 
-def _factor_finite(f: Poly):
-    rem = f
-    factors = []
-    d = 1
-    while rem.degree >= 1:
-        if d > rem.degree // 2:
-            factors.append(rem)
-            break
-        hit = False
+def _least_factor(f: Poly, d: int) -> Poly:
+    """The least monic factor of the monic f over a finite field: the
+    first in `monic_polys` order of the least degree, or f itself when f
+    is irreducible.  f must have no factor of degree below d.  This is the
+    one trial division, and it stops at the first factor it finds."""
+    while 2 * d <= f.degree:
         for g in monic_polys(f.field, d):
-            q, r = rem.divmod(g)
-            if r.is_zero():
-                factors.append(g)
-                rem = q
-                hit = True
-                break
-        if not hit:
-            d += 1
+            if f.divmod(g)[1].is_zero():
+                return g
+        d += 1
+    return f
+
+
+def _factor_finite(f: Poly):
+    factors = []
+    while f.degree >= 1:
+        g = _least_factor(f, factors[-1].degree if factors else 1)
+        factors.append(g)
+        f = f // g
     return factors
 
 
@@ -330,6 +338,9 @@ def poly_factor(f: Poly):
 def is_irreducible(f: Poly) -> bool:
     if f.degree < 1:
         return False
+    if f.field.is_finite:
+        m = f.monic()
+        return _least_factor(m, 1) == m
     _, factors = poly_factor(f)
     return len(factors) == 1 and factors[0][1] == 1
 

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from leibnizalg import linalg
 from leibnizalg.aalgebra import (_check_abelian_ideals_commute,
                                  _check_quotient_closure, is_a_algebra,
                                  lemma_aa_certificate, theorem_battery,
-                                 verify_witness)
+                                 verify_witness, witness_search)
 from leibnizalg.core import LeibnizAlgebra
 from leibnizalg.corpus import fixture
 from leibnizalg.enumeration import DEFAULT_BUDGET, enumerate_spaces
@@ -104,6 +105,26 @@ def test_verify_witness_rejects_bad(sl2, h3):
 
 
 # --------------------------------------------------------------- lemma gate
+
+def test_witness_search_squares_each_operator_once(monkeypatch):
+    # one Fitting power per candidate: a 3 x 3 operator needs at most two
+    # squarings, whether it is nilpotent or not
+    calls = Counter()
+    mat_mul, right_mult = linalg.mat_mul, LeibnizAlgebra.right_mult
+
+    def counting_mat_mul(*args):
+        calls["mat_mul"] += 1
+        return mat_mul(*args)
+
+    def counting_right_mult(self, x):
+        calls["right_mult"] += 1
+        return right_mult(self, x)
+
+    monkeypatch.setattr(linalg, "mat_mul", counting_mat_mul)
+    monkeypatch.setattr(LeibnizAlgebra, "right_mult", counting_right_mult)
+    witness_search(fixture("sl2", QQ))
+    assert 0 < calls["mat_mul"] <= 2 * calls["right_mult"]
+
 
 def test_lemma_aa_certificate_c2():
     granted, reason = lemma_aa_certificate(fixture("C2", QQ))

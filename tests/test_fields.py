@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kernel_reference import ext_product, first_irreducible
 from leibnizalg.errors import BadSpec, FieldParseError
 from leibnizalg.fields import (QQ, ExtensionField, PrimeField, default_modulus,
                                field_from_doc, field_to_doc, gf,
@@ -130,6 +132,37 @@ def test_large_field_beyond_tables():
     a, b, c = F.from_int(17), F.from_int(123), F.from_int(598)
     assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
     assert F.mul(a, F.inv(a)) == F.one
+
+
+# every q = p**k <= 128 with k >= 2: each has lookup tables
+TABLED_EXTENSIONS = (4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128)
+
+
+@pytest.mark.parametrize("q", TABLED_EXTENSIONS)
+def test_extension_tables_match_schoolbook(q):
+    F = gf(q)
+    assert F.k >= 2 and F._mul_tab is not None
+    for a in range(q):
+        assert F._mul_tab[a] == [ext_product(a, b, F.p, F.modulus)
+                                 for b in range(q)]
+        if a:
+            assert ext_product(a, F._inv_tab[a], F.p, F.modulus) == 1
+
+
+@pytest.mark.parametrize("q", (625, 729))
+def test_untabled_products_match_schoolbook(q):
+    F = gf(q)
+    assert F._mul_tab is None
+    rng = random.Random(f"untabled-{q}")
+    for _ in range(400):
+        a, b = rng.randrange(q), rng.randrange(q)
+        assert F.mul(a, b) == ext_product(a, b, F.p, F.modulus)
+
+
+@pytest.mark.parametrize("p,k", [(p, k) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)
+                                 for k in range(2, 10) if p ** k <= 729])
+def test_default_modulus_is_first_irreducible(p, k):
+    assert default_modulus(p, k) == first_irreducible(p, k)
 
 
 def _digit_neg(F, a):

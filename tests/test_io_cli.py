@@ -285,8 +285,8 @@ def test_main_stdout_and_output_file(tmp_path, capsys):
 
 
 def test_main_refuses_abbreviated_options(tmp_path, capsys):
-    # main reads --format and --output from argv by their full names, so
-    # the parser must not take abbreviations of them either
+    # main reads --format and --output with its own parser, so neither it
+    # nor the subcommand parsers may take abbreviations of them
     path = _write(tmp_path, "h3", fixture("H3", QQ))
     out = tmp_path / "o.txt"
     for argv in (["check", path, "--fo", "json"],
@@ -297,6 +297,18 @@ def test_main_refuses_abbreviated_options(tmp_path, capsys):
         assert main(argv) == 3
         assert "unrecognized arguments" in capsys.readouterr().out
     assert not out.exists()
+
+
+def test_main_output_option_missing_its_value(tmp_path, monkeypatch, capsys):
+    # --output takes no option string as its path: the argument error is
+    # printed as text on stdout and no file named --format is written
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path, "r2", fixture("r2", QQ))
+    assert main(["check", "r2.json", "--output", "--format", "json"]) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r2.json"]
+    out = capsys.readouterr().out
+    assert out.startswith("error:\n  type: argument\n")
+    assert "argument --output: expected one argument" in out
 
 
 def test_text_render(tmp_path, capsys):

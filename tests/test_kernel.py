@@ -4,7 +4,9 @@
 ``Subspace.reduce``, skips zero scalars by truthiness; both are compared
 with the slow references in ``kernel_reference`` on every fixture over
 every corpus field.  Centralizers and normalizers are compared with the
-vectors that satisfy their definitions, over GF(2) and GF(3).
+vectors that satisfy their definitions, over GF(2) and GF(3).  The
+Fitting power, which squares a matrix, is compared with the n-th power by
+n products.
 """
 
 import itertools
@@ -13,12 +15,13 @@ from fractions import Fraction
 
 import pytest
 
-from kernel_reference import (dense_bracket, random_vector, rank_contains,
-                              unit_vectors)
+from kernel_reference import (dense_bracket, plain_power, random_vector,
+                              rank_contains, schoolbook_product, unit_vectors)
 from leibnizalg.corpus import FIELDS, FIXTURE_NAMES, fixture
 from leibnizalg.enumeration import iter_subspaces
 from leibnizalg.fields import QQ, gf
-from leibnizalg.linalg import Subspace
+from leibnizalg.linalg import (Subspace, fitting_power, image,
+                               is_nilpotent_operator, kernel, solve)
 
 FIELD_IDS = [str(F) for F in FIELDS]
 
@@ -102,3 +105,45 @@ def test_zero_is_the_only_falsy_scalar_rational():
     for a in samples:
         assert bool(a) == (not F.is_zero(a))
     assert not F.zero and F.one
+
+
+def _similar(F, A, rng):
+    """P A P^-1 for a random invertible P."""
+    n = len(A)
+    while True:
+        P = [[F.random_scalar(rng) for _ in range(n)] for _ in range(n)]
+        if kernel(F, P, ncols=n).dim == 0:
+            break
+    cols = [solve(F, P, unit) for unit in unit_vectors(F, n)]
+    P_inv = [[cols[j][i] for j in range(n)] for i in range(n)]
+    return schoolbook_product(F, schoolbook_product(F, P, A), P_inv)
+
+
+def _nilpotent_plus_block(F, n, split, rng):
+    """Strictly upper triangular on the first `split` coordinates and
+    random on the others, in a random basis: nilpotent when split == n."""
+    A = [[F.zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i < j < split or i >= split and j >= split:
+                A[i][j] = F.random_scalar(rng)
+    return _similar(F, A, rng)
+
+
+@pytest.mark.parametrize("F", (QQ, gf(2), gf(3), gf(4), gf(9)), ids=str)
+def test_fitting_power_matches_plain_power(F):
+    rng = random.Random(f"fitting-{F}")
+    for n in range(7):
+        randoms = [[[F.random_scalar(rng) for _ in range(n)] for _ in range(n)]
+                   for _ in range(3)]
+        nilpotents = [_nilpotent_plus_block(F, n, n, rng) for _ in range(3)]
+        mixed = [_nilpotent_plus_block(F, n, rng.randrange(n + 1), rng)
+                 for _ in range(3)]
+        for A in randoms + nilpotents + mixed:
+            power, ref = fitting_power(F, A), plain_power(F, A)
+            nil = not any(map(any, ref))
+            assert is_nilpotent_operator(F, A) == nil
+            assert (not any(map(any, power))) == nil
+            assert kernel(F, power, ncols=n) == kernel(F, ref, ncols=n)
+            assert image(F, power) == image(F, ref)
+        assert all(is_nilpotent_operator(F, A) for A in nilpotents)

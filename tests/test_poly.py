@@ -166,6 +166,21 @@ def test_irreducible_counts(q, deg, count):
 
 # ----------------------------------------------------------------- companion
 
+def test_is_irreducible_stops_at_first_factor(monkeypatch):
+    # x^12 + x = x (x^11 + 1): trial division stops at the factor x
+    calls = []
+    divmod_ = Poly.divmod
+
+    def counting_divmod(self, other):
+        calls.append(other)
+        return divmod_(self, other)
+
+    monkeypatch.setattr(Poly, "divmod", counting_divmod)
+    F = gf(2)
+    assert not is_irreducible(poly_from_ints(F, [0, 1] + [0] * 10 + [1]))
+    assert calls == [poly_from_ints(F, [0, 1])]
+
+
 def test_companion_matrix_shape_and_action():
     F = gf(5)
     p = poly_from_ints(F, [2, 3, 0, 1])  # x^3 + 3x + 2
