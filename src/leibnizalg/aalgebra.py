@@ -302,10 +302,7 @@ def _quotient_verdict(L, I, budget, seed, verdict_map) -> AVerdict:
     """The verdict of L/I, decided at most once per ideal of a battery."""
     v = verdict_map.get(I)
     if v is None:
-        if I.dim == 0:
-            v = is_a_algebra(L, budget, seed)
-        else:
-            v = is_a_algebra(L.quotient(I)[0], budget, seed)
+        v = is_a_algebra(L.quotient(I)[0], budget, seed)
         verdict_map[I] = v
     return v
 
@@ -403,19 +400,13 @@ def _check_ideal_centralizer_criterion(L, ideals) -> ClauseResult:
     """B centralizes D iff B cap D is central in both B and D."""
     clause = "ideal_centralizer_criterion"
     pool = ideals[:_PAIR_CAP]
-    cent = {}
-    centres = {}
-    for D in pool:
-        cent[D] = L.centralizer(D)
-        if D.dim:
-            Dalg, Demb = L.restrict(D)
-            centres[D] = Demb.embed_space(Dalg.centre())
-        else:
-            centres[D] = D
+    cent = {D: L.centralizer(D) for D in pool}
     for B, D in itertools.combinations_with_replacement(pool, 2):
         lhs = cent[D].contains_space(B)
+        # I lies in B and in D, so it is central in each exactly when
+        # that one's centralizer contains it
         I = B.intersect(D)
-        rhs = centres[B].contains_space(I) and centres[D].contains_space(I)
+        rhs = cent[B].contains_space(I) and cent[D].contains_space(I)
         if lhs != rhs:
             return ClauseResult(clause, True, False,
                                 f"criterion fails for ideals of dims {B.dim}, {D.dim}")
@@ -438,12 +429,10 @@ def _check_ideal_part_split(L, decomp, ideals) -> ClauseResult:
     """Ideals split over the top part and the sum of the others."""
     clause = "ideal_part_split"
     B = decomp.top
-    C = L.zero_space()
-    for P in decomp.parts[1:]:
-        C = C.add(P)
+    C = L.span([v for P in decomp.parts[1:] for v in P.basis])
     for D in ideals:
-        DB, DC = D.intersect(B), D.intersect(C)
-        if DB.intersect(DC).dim != 0 or DB.add(DC) != D:
+        # B and C are independent, so D cap B and D cap C are as well
+        if D.intersect(B).dim + D.intersect(C).dim != D.dim:
             return ClauseResult(clause, True, False,
                                 f"ideal of dim {D.dim} does not split")
     return ClauseResult(clause, True, True)

@@ -292,13 +292,13 @@ class LeibnizAlgebra:
 
     def centralizer(self, U: Subspace) -> Subspace:
         """{x : [x, u] = 0 = [u, x] for all u in U}."""
-        return self._stabilizer(U, self.zero_space())
+        return self.stabilizer(U, self.zero_space())
 
     def normalizer(self, U: Subspace) -> Subspace:
         """{x : [x, U] + [U, x] contained in U}."""
-        return self._stabilizer(U, U)
+        return self.stabilizer(U, U)
 
-    def _stabilizer(self, U: Subspace, W: Subspace) -> Subspace:
+    def stabilizer(self, U: Subspace, W: Subspace) -> Subspace:
         """{x : [x, U] + [U, x] contained in W}: the kernel of the map
         sending x to its brackets with the basis of U, reduced mod W."""
         F, n = self.field, self.dim
@@ -315,11 +315,15 @@ class LeibnizAlgebra:
 
     # -- derived algebras ----------------------------------------------------
     def quotient(self, I: Subspace):
-        """Quotient algebra and its coordinate map; I must be an ideal."""
+        """Quotient algebra and its coordinate map; I must be an ideal.
+
+        The quotient by zero is L itself, sharing its memo."""
         if not self.is_ideal(I):
             raise NotAnIdeal(f"not an ideal: {I}")
         free = I.free_positions()
         qmap = QuotientMap(I, free)
+        if I.is_zero():
+            return self, qmap
         table = []
         for a in free:
             row = []
@@ -331,10 +335,14 @@ class LeibnizAlgebra:
         return quot, qmap
 
     def restrict(self, U: Subspace):
-        """Subalgebra on the basis of U, with the embedding; U must close."""
+        """Subalgebra on the basis of U, with the embedding; U must close.
+
+        The restriction to the whole space is L itself, sharing its memo."""
         if not self.is_subalgebra(U):
             raise NotASubalgebra(f"not a subalgebra: {U}")
         emb = Embedding(U)
+        if U.dim == self.dim:
+            return self, emb
         table = []
         for u in U.basis:
             row = []

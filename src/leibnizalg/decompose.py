@@ -167,10 +167,8 @@ def cartan_subalgebra(L: LeibnizAlgebra, seed: int = 0,
     result = None
     if K.dim == 0 and L.dim == 0:
         result = K
-    elif K.dim:
-        Kalg, _ = L.restrict(K)
-        if is_nilpotent(Kalg) and L.normalizer(K) == K:
-            result = K
+    elif K.dim and is_nilpotent_space(L, K) and L.normalizer(K) == K:
+        result = K
     if result is None and L.field.is_finite:
         cartans = enumerated_cartan_subalgebras(L, budget)
         if cartans:
@@ -282,11 +280,9 @@ def ideal_decomposition(L: LeibnizAlgebra, decomp: TriangularDecomposition,
                         D: Subspace):
     """Slice an ideal along the parts: D = (D cap A_n) + ... + (D cap A_0)."""
     pieces = [D.intersect(P) for P in decomp.parts]
-    total = L.zero_space()
-    for piece in pieces:
-        if total.intersect(piece).dim != 0:
-            raise DecompositionFailed("ideal slices are not independent")
-        total = total.add(piece)
+    total = L.span([v for piece in pieces for v in piece.basis])
+    if total.dim != sum(piece.dim for piece in pieces):
+        raise DecompositionFailed("ideal slices are not independent")
     if total != D:
         raise DecompositionFailed("ideal is not the sum of its part slices")
     return tuple(pieces)
@@ -328,11 +324,9 @@ def check_nilradical_chain(L, decomp, N) -> ClauseResult:
     if pieces[0] != decomp.top:
         return ClauseResult(clause, True, False,
                             "top part is not inside the nilradical")
-    total = L.zero_space()
-    for piece in pieces:
-        if total.intersect(piece).dim != 0:
-            return ClauseResult(clause, True, False, "slices are not independent")
-        total = total.add(piece)
+    total = L.span([v for piece in pieces for v in piece.basis])
+    if total.dim != sum(piece.dim for piece in pieces):
+        return ClauseResult(clause, True, False, "slices are not independent")
     if total != N:
         return ClauseResult(clause, True, False,
                             "nilradical is not the sum of its slices")
@@ -351,8 +345,7 @@ def check_part_centre_alignment(L, decomp, N) -> ClauseResult:
     n = len(decomp.parts) - 1
     for i in range(n + 1):
         term = ds.terms[i]
-        Talg, Temb = L.restrict(term)
-        Z = Temb.embed_space(Talg.centre())
+        Z = term.intersect(L.centralizer(term))
         expected = N.intersect(decomp.parts[n - i])
         if Z != expected:
             return ClauseResult(clause, True, False,
@@ -620,8 +613,9 @@ def structure_report(L: LeibnizAlgebra, seed: int = 0,
         error = "algebra is not solvable"
     clauses = []
     if decomp is not None:
-        known_ideals = [L.zero_space(), L.derived_space(), L.leib_ideal(),
-                        L.centre(), L.full_space()]
+        known_ideals = list(dict.fromkeys([L.zero_space(), L.derived_space(),
+                                           L.leib_ideal(), L.centre(),
+                                           L.full_space()]))
         minimals = None
         if L.field.is_finite:
             try:

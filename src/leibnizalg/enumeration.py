@@ -141,10 +141,7 @@ def socle_analysis(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET) -> SocleRepo
         if any(M.dim < I.dim and I.contains_space(M) for M in minimal):
             continue
         minimal.append(I)
-    asoc = L.zero_space()
-    for M in minimal:
-        if L.is_abelian_space(M):
-            asoc = asoc.add(M)
+    asoc = L.span([v for M in minimal if L.is_abelian_space(M) for v in M.basis])
     return SocleReport(tuple(minimal), asoc, len(minimal) == 1,
                        minimal[0] if len(minimal) == 1 else None)
 
@@ -186,8 +183,5 @@ def frattini_ideal(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET) -> Subspace:
         inter = inter.intersect(M)
     if L.is_ideal(inter):
         return inter
-    result = L.zero_space()
-    for I in enumerate_spaces(L, "ideals", budget):
-        if inter.contains_space(I):
-            result = result.add(I)
-    return result
+    return L.span([v for I in enumerate_spaces(L, "ideals", budget)
+                   if inter.contains_space(I) for v in I.basis])

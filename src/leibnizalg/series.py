@@ -69,15 +69,13 @@ def lower_central_series(L: LeibnizAlgebra, U: Subspace | None = None) -> Series
 
 @memo
 def upper_central_series(L: LeibnizAlgebra) -> SeriesReport:
+    """Z_0 = 0 and Z_{i+1} = {x : [x, L] + [L, x] in Z_i}, the preimage of
+    the centre of L/Z_i."""
+    full = L.full_space()
     term = L.zero_space()
     terms = [term]
     for _ in range(L.dim + 1):
-        Q, qmap = L.quotient(term)
-        centre_q = Q.centre()
-        if centre_q.dim == 0:
-            break
-        vectors = list(term.basis) + [qmap.lift(v) for v in centre_q.basis]
-        nxt = L.span(vectors)
+        nxt = L.stabilizer(full, term)
         if nxt == term:
             break
         terms.append(nxt)
@@ -172,10 +170,8 @@ def nilradical(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
         except BudgetExceeded:
             pass
         else:
-            total = L.zero_space()
-            for I in ideals:
-                if is_nilpotent_space(L, I):
-                    total = total.add(I)
+            total = L.span([v for I in ideals if is_nilpotent_space(L, I)
+                            for v in I.basis])
             if not is_nilpotent_space(L, total):
                 raise LeibnizError(
                     "sum of nilpotent ideals failed its nilpotency check")
@@ -203,10 +199,8 @@ def radical(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
     if not L.field.is_finite:
         raise InfiniteFieldUnsupported(
             "radical of a non-solvable algebra needs a finite ground field")
-    total = L.zero_space()
-    for I in enumerate_spaces(L, "ideals", budget):
-        if is_solvable_space(L, I):
-            total = total.add(I)
+    total = L.span([v for I in enumerate_spaces(L, "ideals", budget)
+                    if is_solvable_space(L, I) for v in I.basis])
     if not is_solvable_space(L, total):
         raise LeibnizError("sum of solvable ideals failed its solvability check")
     return total, "exact"

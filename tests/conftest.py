@@ -21,6 +21,13 @@ def small_finite_members(members):
     return out
 
 
+@pytest.fixture(scope="session")
+def tiny_finite_members(small_finite_members):
+    from leibnizalg.enumeration import total_subspaces
+    return [m for m in small_finite_members
+            if total_subspaces(m.algebra.dim, m.algebra.field.size) <= 1000]
+
+
 def fx(name, field=QQ):
     return fixture(name, field)
 

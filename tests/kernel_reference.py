@@ -8,11 +8,19 @@ all-pairs definition of the maximal members of a family of subspaces.
 ``plain_power`` is the n-th power of an n x n matrix by n products.
 ``ext_product`` and ``first_irreducible`` are extension-field
 multiplication and the choice of its modulus, on plain int lists.
+``centre_by_products`` is the centre as the joint kernel of the left and
+right multiplications by the basis; ``upper_central_by_quotients`` and
+``centre_by_restriction`` build the upper central series and the centre
+of a subalgebra in quotient and restricted algebras, the way the
+definitions read.  ``ideal_part_split_by_sums``,
+``nilradical_chain_by_sums`` and ``ideal_decomposition_by_sums`` decide
+independence by intersecting with a running sum of ``add`` calls.
 """
 
 import itertools
 
-from leibnizalg.linalg import Subspace
+from leibnizalg.decompose import DecompositionFailed
+from leibnizalg.linalg import Subspace, kernel
 
 
 def dense_bracket(L, u, v):
@@ -104,3 +112,85 @@ def first_irreducible(p, k):
                         prod[i + j] = (prod[i + j] + x * y) % p
                 reducible.add(tuple(prod))
     return next(f for f in monics(k) if f not in reducible)
+
+
+def centre_by_products(L):
+    """{x : [x, e_j] = 0 = [e_j, x] for every j}, as the kernel of the
+    stacked right and left multiplication matrices of the basis."""
+    rows = []
+    for j in range(L.dim):
+        e = L.basis_vector(j)
+        rows += L.right_mult(e) + L.left_mult(e)
+    return kernel(L.field, rows, ncols=L.dim)
+
+
+def upper_central_by_quotients(L):
+    """Z_0 = 0 and Z_{i+1} the span of Z_i and the lifted centre of
+    L/Z_i, until the centre of the quotient is zero."""
+    term = L.zero_space()
+    terms = [term]
+    for _ in range(L.dim + 1):
+        Q, qmap = L.quotient(term)
+        centre_q = centre_by_products(Q)
+        if centre_q.dim == 0:
+            break
+        term = L.span(list(term.basis) + [qmap.lift(v) for v in centre_q.basis])
+        terms.append(term)
+    return tuple(terms)
+
+
+def centre_by_restriction(L, U):
+    """The centre of the subalgebra U, computed in the restricted algebra
+    and embedded back."""
+    S, emb = L.restrict(U)
+    return emb.embed_space(centre_by_products(S))
+
+
+def _sum_by_adds(L, spaces):
+    """(independent, sum): the sum of the spaces built by ``add``, and
+    whether each one meets the sum of those before it in zero."""
+    total = L.zero_space()
+    independent = True
+    for S in spaces:
+        if total.intersect(S).dim != 0:
+            independent = False
+        total = total.add(S)
+    return independent, total
+
+
+def ideal_part_split_by_sums(L, decomp, ideals):
+    """(holds, detail) of the ideal_part_split clause."""
+    _, C = _sum_by_adds(L, decomp.parts[1:])
+    for D in ideals:
+        DB, DC = D.intersect(decomp.top), D.intersect(C)
+        if DB.intersect(DC).dim != 0 or DB.add(DC) != D:
+            return False, f"ideal of dim {D.dim} does not split"
+    return True, ""
+
+
+def nilradical_chain_by_sums(L, decomp, N):
+    """(holds, detail) of the nilradical_chain_splitting clause."""
+    pieces = [N.intersect(P) for P in decomp.parts]
+    if pieces[0] != decomp.top:
+        return False, "top part is not inside the nilradical"
+    independent, total = _sum_by_adds(L, pieces)
+    if not independent:
+        return False, "slices are not independent"
+    if total != N:
+        return False, "nilradical is not the sum of its slices"
+    for i, Pi in enumerate(pieces):
+        for j, Pj in enumerate(pieces):
+            if i != j and L.product(Pi, Pj).dim != 0:
+                return False, f"slices {i} and {j} do not multiply to zero"
+    return True, ""
+
+
+def ideal_decomposition_by_sums(L, decomp, D):
+    """The slices of D along the parts, or DecompositionFailed."""
+    pieces = [D.intersect(P) for P in decomp.parts]
+    independent, total = _sum_by_adds(L, pieces)
+    if not independent:
+        raise DecompositionFailed("ideal slices are not independent")
+    if total != D:
+        raise DecompositionFailed("ideal is not the sum of its part slices")
+    return tuple(pieces)

@@ -11,8 +11,10 @@ from leibnizalg.aalgebra import (_check_abelian_ideals_commute,
                                  verify_witness, witness_search)
 from leibnizalg.core import LeibnizAlgebra
 from leibnizalg.corpus import fixture
+from leibnizalg.decompose import structure_report
 from leibnizalg.enumeration import DEFAULT_BUDGET, enumerate_spaces
 from leibnizalg.fields import QQ, gf
+from leibnizalg.series import upper_central_series
 
 
 # ------------------------------------------------------------------ verdicts
@@ -240,9 +242,10 @@ def test_battery_builds_each_quotient_once(monkeypatch):
     quotient = LeibnizAlgebra.quotient
 
     def counting_quotient(self, I):
-        if self is L:
+        Q, qmap = quotient(self, I)
+        if self is L and Q is not L:
             built[I] += 1
-        return quotient(self, I)
+        return Q, qmap
 
     monkeypatch.setattr(LeibnizAlgebra, "quotient", counting_quotient)
     rep = theorem_battery(L)
@@ -257,3 +260,24 @@ def test_battery_builds_each_quotient_once(monkeypatch):
     _check_quotient_closure(L, ideals, DEFAULT_BUDGET, 0, verdict_map)
     assert set(verdict_map) == {I for I in ideals if I.dim < L.dim}
     assert verdict_map[L.zero_space()] is is_a_algebra(L)
+
+
+@pytest.mark.parametrize("field", [gf(3), QQ], ids=str)
+@pytest.mark.parametrize("name", ["C3b", "r2"])
+def test_no_copy_of_the_algebra_is_built(monkeypatch, name, field):
+    L = fixture(name, field)
+    copies = []
+    init = LeibnizAlgebra.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.table == L.table:
+            copies.append(self)
+
+    monkeypatch.setattr(LeibnizAlgebra, "__init__", counting_init)
+    theorem_battery(L)
+    structure_report(L)
+    upper_central_series(L)
+    assert copies == []
+    assert L.restrict(L.full_space())[0] is L
+    assert L.quotient(L.zero_space())[0] is L

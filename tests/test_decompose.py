@@ -2,11 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from kernel_reference import maximal_by_pairs
+from kernel_reference import (centre_by_restriction, ideal_decomposition_by_sums,
+                              ideal_part_split_by_sums, maximal_by_pairs,
+                              nilradical_chain_by_sums)
 from leibnizalg import decompose
+from leibnizalg.aalgebra import _check_ideal_part_split
 from leibnizalg.core import LeibnizAlgebra
 from leibnizalg.corpus import fixture
-from leibnizalg.decompose import (ClauseResult, cartan_subalgebra,
+from leibnizalg.decompose import (ClauseResult, TriangularDecomposition,
+                                  cartan_subalgebra, check_nilradical_chain,
                                   enumerated_cartan_subalgebras, fitting,
                                   fitting_family, ideal_decomposition,
                                   max_nilpotent_subalgebras, structure_report,
@@ -203,6 +207,49 @@ def test_ideal_decomposition():
     assert [p.dim for p in pieces] == [1, 0]
 
 
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DecompositionFailed as exc:
+        return str(exc)
+
+
+def test_slice_checks_match_running_sums(tiny_finite_members):
+    checked = 0
+    for m in tiny_finite_members:
+        L = m.algebra
+        try:
+            decomp = triangular_decomposition(L)
+        except (DecompositionFailed, NotSolvable):
+            continue
+        checked += 1
+        ideals = enumerate_spaces(L, "ideals")
+        res = _check_ideal_part_split(L, decomp, ideals)
+        assert (res.holds, res.detail) == ideal_part_split_by_sums(L, decomp, ideals)
+        # subalgebras that are not ideals, and a repeated part, which makes
+        # the slices of a space meeting the top part dependent, run the
+        # failure branches as well
+        spaces = enumerate_spaces(L, "subalgebras")
+        for D in spaces:
+            res = _check_ideal_part_split(L, decomp, [D])
+            assert (res.holds, res.detail) == ideal_part_split_by_sums(L, decomp, [D])
+        repeated = TriangularDecomposition((decomp.top,) + decomp.parts)
+        for dec in (decomp, repeated):
+            for D in spaces:
+                res = check_nilradical_chain(L, dec, D)
+                assert (res.holds, res.detail) == nilradical_chain_by_sums(L, dec, D)
+                assert (_outcome(ideal_decomposition, L, dec, D)
+                        == _outcome(ideal_decomposition_by_sums, L, dec, D))
+    assert checked
+
+
+def test_subalgebra_centres_match_restriction(tiny_finite_members):
+    for m in tiny_finite_members:
+        L = m.algebra
+        for U in enumerate_spaces(L, "subalgebras"):
+            assert U.intersect(L.centralizer(U)) == centre_by_restriction(L, U)
+
+
 # ------------------------------------------------------------ whole report
 
 def test_structure_report_c2_gf3():
@@ -217,6 +264,13 @@ def test_structure_report_c2_gf3():
     names = {c.clause for c in rep.clauses}
     assert "ideal_chain_alignment" in names
     assert not any(c.failed for c in rep.clauses)
+
+
+def test_structure_report_lists_each_known_ideal_once(r2):
+    # 0, L^2 and L; Leib(L) and Z(L) are zero
+    rep = structure_report(r2)
+    clause = next(c for c in rep.clauses if c.clause == "ideal_chain_alignment")
+    assert clause.detail == "checked 3 ideals"
 
 
 def test_structure_report_h3_records_failure(h3):

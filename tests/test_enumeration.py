@@ -2,6 +2,7 @@ import pytest
 
 from kernel_reference import dense_bracket, rank_contains, unit_vectors
 from leibnizalg import enumeration
+from leibnizalg.aalgebra import theorem_battery
 from leibnizalg.corpus import fixture
 from leibnizalg.decompose import max_nilpotent_subalgebras
 from leibnizalg.enumeration import (echelon_bases, enumerate_spaces,
@@ -108,6 +109,10 @@ def test_one_subspace_walk_per_algebra(monkeypatch):
     max_nilpotent_subalgebras(L)
     frattini_ideal(L)
     assert walks == [3]
+    # a whole battery walks F^3 once; its quotients walk their own spaces
+    walks.clear()
+    theorem_battery(fixture("C3b", gf(3)))
+    assert walks.count(3) == 1
 
 
 def test_budget_exceeded():

@@ -1,6 +1,7 @@
 import pytest
 
-from leibnizalg.corpus import fixture
+from kernel_reference import upper_central_by_quotients
+from leibnizalg.corpus import FIXTURE_NAMES, fixture
 from leibnizalg.errors import InfiniteFieldUnsupported, LeibnizError
 from leibnizalg.fields import QQ, gf
 from leibnizalg.series import (derived_length, derived_series, hypercentre,
@@ -45,6 +46,14 @@ def test_upper_central_known():
     assert hypercentre(fixture("H3", QQ)).dim == 3
     assert hypercentre(fixture("r2", QQ)).dim == 0
     assert hypercentre(fixture("sl2", QQ)).dim == 0
+
+
+def test_upper_central_matches_quotient_definition(tiny_finite_members):
+    algebras = [fixture(name, F) for F in (QQ, gf(2), gf(3), gf(4))
+                for name in FIXTURE_NAMES]
+    algebras += [m.algebra for m in tiny_finite_members]
+    for L in algebras:
+        assert upper_central_series(L).terms == upper_central_by_quotients(L)
 
 
 def test_lower_nilpotent_series_c2():
