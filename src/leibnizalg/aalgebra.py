@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import LeibnizAlgebra, memo
+from .core import Embedding, LeibnizAlgebra, memo
 from .decompose import (ClauseResult, DecompositionFailed, _na,
                         check_frattini_free_socle, check_ideal_chain_alignment,
                         check_max_nilpotent_cartan_split,
@@ -33,7 +33,8 @@ from .enumeration import (DEFAULT_BUDGET, enumerate_spaces, socle_analysis,
                           total_subspaces)
 from .errors import (BudgetExceeded, InfiniteFieldUnsupported, NoSolution,
                      NotDecomposing)
-from .linalg import Subspace, fitting_power, kernel, restrict_operator
+from .linalg import (Subspace, fitting_power, kernel, restrict_operator,
+                     vec_add, vec_sub)
 from .series import (derived_series, is_completely_solvable, is_metabelian,
                      is_nilpotent, is_nilpotent_space, is_solvable,
                      lower_nilpotent_series, nilradical)
@@ -92,8 +93,8 @@ def _basis_sums_differences(L: LeibnizAlgebra) -> list:
     for i in range(n):
         for j in range(i + 1, n):
             u, v = L.basis_vector(i), L.basis_vector(j)
-            out.append(tuple(F.add(a, b) for a, b in zip(u, v)))
-            out.append(tuple(F.sub(a, b) for a, b in zip(u, v)))
+            out.append(vec_add(F, u, v))
+            out.append(vec_sub(F, u, v))
     return out
 
 
@@ -168,14 +169,11 @@ def lemma_aa_certificate(L: LeibnizAlgebra, seed: int = 0,
         ok = _invertible_on(L, B.basis[0], der)
         return ok, "" if ok else "right multiplication by the complement line degenerates"
     if F.is_finite and F.size ** B.dim <= budget:
+        embedding = Embedding(B)
         for coeffs in itertools.product(F.elements(), repeat=B.dim):
-            if all(F.is_zero(c) for c in coeffs):
+            if not any(coeffs):
                 continue
-            b = [F.zero] * L.dim
-            for c, vec in zip(coeffs, B.basis):
-                if not F.is_zero(c):
-                    b = [F.add(acc, F.mul(c, t)) for acc, t in zip(b, vec)]
-            if not _invertible_on(L, tuple(b), der):
+            if not _invertible_on(L, embedding.embed(coeffs), der):
                 return False, "some complement element degenerates on the derived subalgebra"
         return True, ""
     return False, "complement of dimension >= 2 over an unenumerable field"
@@ -459,10 +457,9 @@ def _check_cartan_complements(L, budget) -> ClauseResult:
         target = Q.span([qmap.push(v) for v in inner_loc.basis])
         try:
             cartans = set(enumerated_cartan_subalgebras(Q, budget))
-            complements = set()
-            for S in enumerate_spaces(Q, "subalgebras", budget):
-                if S.intersect(target).dim == 0 and S.add(target).dim == Q.dim:
-                    complements.add(S)
+            whole = Q.full_space()
+            complements = {S for S in enumerate_spaces(Q, "subalgebras", budget)
+                           if whole.is_direct_sum(S, target)}
         except (InfiniteFieldUnsupported, BudgetExceeded) as exc:
             return _na(clause, str(exc))
         if cartans != complements:
@@ -542,7 +539,7 @@ def theorem_battery(L: LeibnizAlgebra, seed: int = 0,
     verdict = is_a_algebra(L, budget, seed)
     ideals, exhaustive = _known_ideals(L, budget)
     N, nmode = nilradical(L, budget)
-    exact = nmode == "exact"
+    exact = nmode == "exact"  # always so when the ideals are exhaustive
     clauses = []
     verdict_map = {}
 
@@ -567,8 +564,7 @@ def theorem_battery(L: LeibnizAlgebra, seed: int = 0,
             minimals = None
             if exhaustive:
                 minimals = socle_analysis(L, budget).minimal_ideals
-                if exact:
-                    clauses.append(check_minimal_ideal_location(L, decomp, N, minimals))
+                clauses.append(check_minimal_ideal_location(L, decomp, N, minimals))
                 clauses.append(check_minimal_ideal_position(L, decomp, minimals))
                 clauses.append(check_minimal_ideal_centre(L, decomp, minimals))
                 clauses.append(check_minimal_ideal_derived(L, minimals))
@@ -578,7 +574,7 @@ def theorem_battery(L: LeibnizAlgebra, seed: int = 0,
             clauses.append(check_max_nilpotent_cartan_split(L, budget))
             clauses.append(check_max_nilpotent_inventory(L, budget))
             soc = socle_analysis(L, budget)
-            if soc.monolithic and is_solvable(L) and exact:
+            if soc.monolithic and is_solvable(L):
                 W = soc.monolith
                 clauses.append(check_monolith_abelian(L, W))
                 clauses.append(check_monolith_centre_product(L, W))

@@ -20,7 +20,7 @@ import json
 import sys
 
 from .aalgebra import is_a_algebra, theorem_battery
-from .algfile import input_digest, load_algebra_path
+from .algfile import input_digest, loads_algebra
 from .corpus import corpus
 from .cyclic import classify_cyclic
 from .decompose import structure_report
@@ -81,10 +81,9 @@ def _verdict_doc(L, v):
 
 
 def _load(path):
-    L = load_algebra_path(path)
     with open(path, "r", encoding="utf-8") as fh:
-        digest = input_digest(fh.read())
-    return L, digest
+        text = fh.read()
+    return loads_algebra(text), input_digest(text)
 
 
 def _base_doc(command, args, L=None, digest=None):

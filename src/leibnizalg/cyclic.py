@@ -135,7 +135,7 @@ def classify_cyclic(field, alphas, budget: int = DEFAULT_BUDGET,
 
     der = L.derived_space()
     Fb = L.span([b])
-    split = der.intersect(Fb).dim == 0 and der.add(Fb).dim == n
+    split = L.full_space().is_direct_sum(der, Fb)
     ok = split == is_a
     checks.append(ClauseResult("derived_complement_split", True, ok,
                                f"split {split} vs alpha_2 nonzero {is_a}"))

@@ -21,7 +21,7 @@ from .enumeration import (DEFAULT_BUDGET, _maximal_members, enumerate_spaces,
 from .errors import (BudgetExceeded, CartanSearchFailed, DecompositionFailed,
                      InfiniteFieldUnsupported, NotDecomposing, NotSolvable)
 from .linalg import (Subspace, fitting_power, image, is_nilpotent_operator,
-                     kernel, mat_vec, restrict_operator)
+                     kernel, mat_vec, restrict_operator, vec_add)
 from .series import (derived_series, is_completely_solvable, is_metabelian,
                      is_nilpotent, is_nilpotent_space, is_solvable, nilradical)
 
@@ -45,7 +45,7 @@ def fitting(L: LeibnizAlgebra, A) -> FittingPair:
     power = fitting_power(F, A)
     null = kernel(F, power, ncols=n)
     one = image(F, power)
-    if null.intersect(one).dim != 0 or null.add(one).dim != n:
+    if not L.full_space().is_direct_sum(null, one):
         raise NotDecomposing("operator Fitting components are not complementary")
     for space, name in ((null, "null"), (one, "one")):
         for v in space.basis:
@@ -91,7 +91,7 @@ def fitting_family(L: LeibnizAlgebra, C: Subspace) -> FittingPair:
         if nxt == null:
             break
         null = nxt
-    if null.intersect(one).dim != 0 or null.add(one).dim != n:
+    if not L.full_space().is_direct_sum(null, one):
         raise NotDecomposing("joint Fitting components are not complementary")
     if not null.contains_space(C):
         raise NotDecomposing("null component does not contain the acting subalgebra")
@@ -106,24 +106,19 @@ def _candidate_phases(K: LeibnizAlgebra, rng: random.Random, budget: int):
     """Element candidates for the Cartan descent, cheapest first."""
     F, m = K.field, K.dim
     yield [K.basis_vector(i) for i in range(m)]
-    pairs = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            v = list(K.basis_vector(i))
-            w = K.basis_vector(j)
-            pairs.append(tuple(F.add(a, b) for a, b in zip(v, w)))
+    pairs = [vec_add(F, K.basis_vector(i), K.basis_vector(j))
+             for i in range(m) for j in range(i + 1, m)]
     if pairs:
         yield pairs
     randoms = []
     for _ in range(_RANDOM_TRIES):
         v = tuple(F.random_scalar(rng) for _ in range(m))
-        if any(not F.is_zero(x) for x in v):
+        if any(v):
             randoms.append(v)
     if randoms:
         yield randoms
     if F.is_finite and F.size ** m <= budget:
-        sweep = [v for v in itertools.product(F.elements(), repeat=m)
-                 if any(x != F.zero for x in v)]
+        sweep = [v for v in itertools.product(F.elements(), repeat=m) if any(v)]
         yield sweep
 
 
@@ -235,7 +230,7 @@ def _triangular_parts(L: LeibnizAlgebra, seed: int, budget: int):
     if not top.contains_space(one):
         raise DecompositionFailed(
             "iterated product component escapes the last derived term")
-    if B.intersect(top).dim != 0 or B.add(top).dim != L.dim:
+    if not L.full_space().is_direct_sum(B, top):
         raise DecompositionFailed(
             "Fitting null component does not complement the last derived term")
     Balg, Bemb = L.restrict(B)
@@ -254,21 +249,17 @@ def triangular_decomposition(L: LeibnizAlgebra, seed: int = 0,
 
 def _verified_triangular(L, seed, budget):
     parts = _triangular_parts(L, seed, budget)
-    total = L.zero_space()
     for idx, P in enumerate(parts):
         if not L.is_abelian_space(P):
             raise DecompositionFailed(f"part {idx} is not abelian")
-        if total.intersect(P).dim != 0:
-            raise DecompositionFailed("parts are not independent")
-        total = total.add(P)
+    total = L.span([v for P in parts for v in P.basis])
+    if total.dim != sum(P.dim for P in parts):
+        raise DecompositionFailed("parts are not independent")
     if total.dim != L.dim:
         raise DecompositionFailed("parts do not span the algebra")
     ds = derived_series(L)
-    n = len(parts) - 1
-    for i in range(n + 1):
-        partial = L.zero_space()
-        for P in parts[:n - i + 1]:
-            partial = partial.add(P)
+    partials = list(itertools.accumulate(parts, Subspace.add))
+    for i, partial in enumerate(reversed(partials)):
         expected = ds.terms[i] if i < len(ds.terms) else L.zero_space()
         if partial != expected:
             raise DecompositionFailed(
@@ -376,10 +367,10 @@ def check_strong_split(L, decomp, N) -> ClauseResult:
         return ClauseResult(clause, True, False, "derived subalgebra not abelian")
     if not L.is_abelian_space(B):
         return ClauseResult(clause, True, False, "complement not abelian")
-    if der.intersect(B).dim != 0 or der.add(B).dim != L.dim:
+    if not L.full_space().is_direct_sum(der, B):
         return ClauseResult(clause, True, False, "complement does not split")
     Z = L.centre()
-    if der.intersect(Z).dim != 0 or der.add(Z) != N:
+    if not N.is_direct_sum(der, Z):
         return ClauseResult(clause, True, False,
                             "nilradical is not derived-plus-centre")
     return ClauseResult(clause, True, True)
@@ -464,7 +455,7 @@ def check_max_nilpotent_complement(L, U) -> ClauseResult:
     except NotDecomposing as exc:
         return ClauseResult(clause, True, False, str(exc))
     K = pair.one
-    if I.intersect(K).dim != 0 or I.add(K) != der:
+    if not der.is_direct_sum(I, K):
         return ClauseResult(clause, True, False,
                             "derived subalgebra does not split over U cap L^2")
     if not L.is_ideal(K):
@@ -488,13 +479,7 @@ def check_max_nilpotent_cartan_split(L, budget: int = DEFAULT_BUDGET) -> ClauseR
     der = L.derived_space()
     for U in maxes:
         I = U.intersect(der)
-        ok = False
-        for C in cartans:
-            UC = U.intersect(C)
-            if I.intersect(UC).dim == 0 and I.add(UC) == U:
-                ok = True
-                break
-        if not ok:
+        if not any(U.is_direct_sum(I, U.intersect(C)) for C in cartans):
             return ClauseResult(clause, True, False,
                                 f"no Cartan splits a maximal nilpotent of dim {U.dim}")
     return ClauseResult(clause, True, True)

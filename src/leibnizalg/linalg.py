@@ -177,6 +177,21 @@ class Subspace:
         inter = [r[n:] for r in rows if is_zero_vec(F, r[:n])]
         return Subspace.span(F, n, inter)
 
+    def is_direct_sum(self, *parts: "Subspace") -> bool:
+        """Whether this space is the direct sum of the parts.
+
+        The dimensions add up and one span of the bases is this space.
+        That makes the parts independent: a sum has the sum of the parts'
+        dimensions only when it is direct, as dim(X + Y) equals
+        dim X + dim Y - dim(X cap Y).
+        """
+        for P in parts:
+            self._check_compatible(P)
+        if sum(P.dim for P in parts) != self.dim:
+            return False
+        return Subspace.span(self.field, self.ambient,
+                             [v for P in parts for v in P.basis]) == self
+
     def free_positions(self):
         pivset = set(self.pivots)
         return tuple(j for j in range(self.ambient) if j not in pivset)

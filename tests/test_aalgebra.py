@@ -6,6 +6,7 @@ import pytest
 
 from leibnizalg import linalg
 from leibnizalg.aalgebra import (_check_abelian_ideals_commute,
+                                 _check_cartan_complements,
                                  _check_quotient_closure, is_a_algebra,
                                  lemma_aa_certificate, theorem_battery,
                                  verify_witness, witness_search)
@@ -260,6 +261,21 @@ def test_battery_builds_each_quotient_once(monkeypatch):
     _check_quotient_closure(L, ideals, DEFAULT_BUDGET, 0, verdict_map)
     assert set(verdict_map) == {I for I in ideals if I.dim < L.dim}
     assert verdict_map[L.zero_space()] is is_a_algebra(L)
+
+
+def test_cartan_complements_take_no_intersection(monkeypatch):
+    L = fixture("C3b", gf(3))
+    calls = []
+    intersect = linalg.Subspace.intersect
+
+    def counting_intersect(self, other):
+        calls.append(other)
+        return intersect(self, other)
+
+    monkeypatch.setattr(linalg.Subspace, "intersect", counting_intersect)
+    clause = _check_cartan_complements(L, DEFAULT_BUDGET)
+    assert clause.applicable and clause.holds
+    assert calls == []
 
 
 @pytest.mark.parametrize("field", [gf(3), QQ], ids=str)

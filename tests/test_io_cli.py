@@ -1,3 +1,4 @@
+import builtins
 import json
 
 import pytest
@@ -105,6 +106,25 @@ def test_cli_check_ok(tmp_path):
     assert doc["leibniz"] is True
     assert doc["command"] == "check"
     assert len(doc["input_sha256"]) == 64
+
+
+def test_cli_reads_the_input_once(tmp_path, monkeypatch):
+    path = _write(tmp_path, "h3", fixture("H3", QQ))
+    with open(path, encoding="utf-8") as fh:
+        digest = input_digest(fh.read())
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if file == path:
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    doc, code = run_command(["check", path])
+    assert code == 0
+    assert opened == [path]
+    assert doc["input_sha256"] == digest
 
 
 def test_cli_check_violation(tmp_path):

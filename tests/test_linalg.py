@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -109,8 +111,59 @@ def test_subspace_mismatch_errors():
     V = Subspace.span(F3, 4, [(1, 0, 0, 0)])
     with pytest.raises(AmbientMismatch):
         U.add(V)
+    with pytest.raises(AmbientMismatch):
+        U.is_direct_sum(U, V)
     with pytest.raises(ShapeMismatch):
         U.contains((1, 0))
+
+
+def _random_span(F, rng, gens, count):
+    """Span of count random combinations of gens."""
+    vecs = []
+    for _ in range(count):
+        v = (F.zero,) * len(gens[0])
+        for g in gens:
+            c = F.random_scalar(rng)
+            v = tuple(F.add(a, F.mul(c, b)) for a, b in zip(v, g))
+        vecs.append(v)
+    return Subspace.span(F, len(gens[0]), vecs)
+
+
+def _direct_sum_by_intersections(W, parts):
+    total = parts[0]
+    for P in parts[1:]:
+        if total.intersect(P).dim != 0:
+            return False
+        total = total.add(P)
+    return total == W
+
+
+@pytest.mark.parametrize("F", [QQ, gf(2), F3, gf(4)], ids=str)
+def test_is_direct_sum_matches_intersect_and_add(F):
+    rng = random.Random(9)
+    outcomes = Counter()
+    for n in range(1, 6):
+        full = Subspace.full_space(F, n).basis
+        for _ in range(60):
+            W = Subspace.full_space(F, n)
+            if rng.random() < 0.5:
+                W = _random_span(F, rng, full, rng.randint(0, n))
+            k = rng.choice((2, 3))
+            cuts = sorted(rng.randint(0, W.dim) for _ in range(k - 1))
+            dims = [b - a for a, b in zip([0] + cuts, cuts + [W.dim])]
+            gens = W.basis or full
+            parts = [_random_span(F, rng, gens, d) for d in dims]
+            if rng.random() < 0.3 and parts[0].dim and parts[1].dim:
+                # part 1 takes a vector of part 0, so the two meet
+                shared = parts[1].basis[1:] + parts[0].basis[:1]
+                parts[1] = Subspace.span(F, n, shared)
+            if rng.random() < 0.2:
+                parts[-1] = _random_span(F, rng, full, dims[-1])
+            got = W.is_direct_sum(*parts)
+            assert got == _direct_sum_by_intersections(W, parts)
+            adds_up = sum(P.dim for P in parts) == W.dim
+            outcomes[got, adds_up] += 1
+    assert outcomes[True, True] and outcomes[False, True] and outcomes[False, False]
 
 
 def test_reduce_and_free_positions():
