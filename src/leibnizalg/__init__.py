@@ -33,8 +33,7 @@ from .errors import (AmbientMismatch, BadSpec, BudgetExceeded,
                      CartanSearchFailed, DecompositionFailed, FieldParseError,
                      InfiniteFieldUnsupported, LeibnizError, NoSolution,
                      NotAnIdeal, NotASubalgebra, NotDecomposing, NotLeibniz,
-                     NotSolvable, ParseError, ShapeMismatch,
-                     UnsupportedFactorization, ZeroPolynomial)
+                     NotSolvable, ParseError, ShapeMismatch, ZeroPolynomial)
 from .fields import (QQ, ExtensionField, PrimeField, Rationals, field_from_doc,
                      field_to_doc, gf, parse_field_name)
 from .linalg import Subspace, image, kernel, rref, solve

@@ -8,9 +8,9 @@ argument vector, seed and input bytes produce byte-identical output
 Exit codes: 0 success (including a negative A-algebra verdict), 1 a
 checked mathematical property failed (non-Leibniz table, battery hard
 failure, classification cross-check failure), 2 the request is
-unsupported (infinite-field enumeration, factorization beyond the
-implemented range, budget exceeded), 3 bad input (unparseable file or
-arguments).
+unsupported (infinite-field enumeration, budget exceeded), 3 bad input
+(unparseable file or arguments).  Polynomials factor over every field at
+every degree, so no factorization is refused.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from .enumeration import (DEFAULT_BUDGET, enumerate_spaces, frattini_ideal,
 from .errors import (BadSpec, BudgetExceeded, CartanSearchFailed,
                      DecompositionFailed, FieldParseError,
                      InfiniteFieldUnsupported, LeibnizError, NoSolution,
-                     NotDecomposing, NotLeibniz, ParseError,
-                     UnsupportedFactorization)
+                     NotDecomposing, NotLeibniz, ParseError)
 from .fields import parse_field_name
 from .poly import format_poly
 from .series import (derived_length, derived_series, hypercentre,
@@ -401,9 +400,8 @@ def run_command(argv):
         doc = {"error": {"type": "not_leibniz", "message": str(exc),
                          "triple": list(v.triple) if v else None}}
         return doc, EXIT_MATH
-    except (InfiniteFieldUnsupported, UnsupportedFactorization,
-            BudgetExceeded, CartanSearchFailed, DecompositionFailed,
-            NotDecomposing, NoSolution) as exc:
+    except (InfiniteFieldUnsupported, BudgetExceeded, CartanSearchFailed,
+            DecompositionFailed, NotDecomposing, NoSolution) as exc:
         return ({"error": {"type": type(exc).__name__, "message": str(exc)}},
                 EXIT_UNSUPPORTED)
     except (ParseError, FieldParseError, BadSpec) as exc:

@@ -21,10 +21,6 @@ class ZeroPolynomial(LeibnizError, ValueError):
     """The zero polynomial was passed where a nonzero one is required."""
 
 
-class UnsupportedFactorization(LeibnizError):
-    """Factorization outside the supported range (rationals, degree > 4)."""
-
-
 class ShapeMismatch(LeibnizError, ValueError):
     """Vector/matrix dimensions do not line up."""
 

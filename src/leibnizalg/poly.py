@@ -1,18 +1,18 @@
 """Dense univariate polynomials over an exact ground field.
 
 Coefficients are stored ascending with no trailing zeros, so the zero
-polynomial has an empty coefficient tuple.  Factorization is exact and
-deliberately modest: trial division over finite fields, and degree at
-most four over the rationals (root search plus the resolvent cubic for
-quartics).  Anything past that raises UnsupportedFactorization rather
-than pretending.
+polynomial has an empty coefficient tuple.  Factorization is exact over
+every field and at every degree, by trial division: exponential in the
+degree, and meant for the small degrees this library meets.
 
 The one trial division, ``_least_factor``, stops at the first monic
-factor it finds.  Factorization peels factors off with it, and
-``is_irreducible`` over a finite field asks whether that factor is the
-polynomial itself.  ``fields.ExtensionField`` multiplies with ``Poly``
-and checks and chooses its modulus with ``is_irreducible``, so GF(p)[x]
-arithmetic exists only here.
+factor it finds.  Only its candidates depend on the field: every monic
+polynomial over a finite field, and Kronecker's interpolated candidates
+over Q.  Factorization peels factors off with it, and ``is_irreducible``
+asks whether that factor is the polynomial itself.
+``fields.ExtensionField`` multiplies with ``Poly`` and checks and chooses
+its modulus with ``is_irreducible``, so GF(p)[x] arithmetic exists only
+here.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ShapeMismatch, UnsupportedFactorization, ZeroPolynomial
+from .errors import ShapeMismatch, ZeroPolynomial
 
 
 @dataclass(frozen=True)
@@ -89,17 +89,19 @@ class Poly:
         F = self.field
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        r = list(self.coeffs)
         d = other.degree
-        lead_inv = F.inv(other.leading)
+        lead_inv = None if other.is_monic() else F.inv(other.leading)
+        # the leading term cancels exactly, so only the nonzero lower ones act
+        terms = [(i, oc) for i, oc in enumerate(other.coeffs[:-1]) if oc]
+        r = list(self.coeffs)
         q = [F.zero] * max(0, len(r) - d)
-        while len(r) - 1 >= d and r:
-            c = F.mul(r[-1], lead_inv)
-            shift = len(r) - 1 - d
+        while len(r) > d:
+            c = r.pop() if lead_inv is None else F.mul(r.pop(), lead_inv)
+            shift = len(r) - d
             q[shift] = c
-            for i, oc in enumerate(other.coeffs):
+            for i, oc in terms:
                 r[shift + i] = F.sub(r[shift + i], F.mul(c, oc))
-            while r and F.is_zero(r[-1]):
+            while r and not r[-1]:
                 r.pop()
         return poly(F, q), poly(F, r)
 
@@ -164,185 +166,113 @@ def monic_polys(field, degree: int):
         yield Poly(field, tuple(tail) + (field.one,))
 
 
+def _divisors(n: int):
+    """The positive divisors of the nonzero integer n."""
+    out, n, p = [1], abs(n), 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n, e = n // p, e + 1
+        if e:
+            out = [x * p ** i for x in out for i in range(e + 1)]
+        p += 1
+    return out + [x * n for x in out] if n > 1 else out
+
+
+def _monic_interpolant(points, targets):
+    """Ascending coefficients of the monic g of degree len(points) with
+    g(a) = t at each point and target, or None when one is not an integer.
+
+    g is the product of the (x - a) plus the Newton interpolant of the
+    targets.  The Newton basis is monic and integral, so g is integral
+    exactly when every divided difference is an integer."""
+    dd = list(targets)
+    for k in range(1, len(points)):
+        for i in range(len(points) - 1, k - 1, -1):
+            dd[i], r = divmod(dd[i] - dd[i - 1], points[i] - points[i - k])
+            if r:
+                return None
+    g = [1]
+    for a, c in zip(reversed(points), reversed(dd)):  # g = g * (x - a) + c
+        g = ([c - a * g[0]] + [g[k - 1] - a * g[k] for k in range(1, len(g))]
+             + [g[-1]])
+    return g
+
+
+def _kronecker_candidates(f: Poly, d: int):
+    """Kronecker's monic candidates of degree d for a factor of the monic f
+    over Q.
+
+    For the least D that makes F(y) = D^n f(y/D) integral, F is monic, so
+    by Gauss's lemma its monic factors G are integral and G(a) divides F(a)
+    at every integer a.  At the d integers a in [-n, n] whose nonzero values
+    F(a) have the fewest divisors, each choice of G(a) among the signed
+    divisors of F(a) fixes one monic G.  Those with integer coefficients
+    whose values divide F's on all of [-n, n] are scaled back to
+    g(x) = D^-d G(Dx)."""
+    n = f.degree
+    D = min(e for e in _divisors(math.lcm(*(c.denominator for c in f.coeffs)))
+            if all((c * e ** (n - k)).denominator == 1
+                   for k, c in enumerate(f.coeffs)))
+    ints = [int(c * D ** (n - k)) for k, c in enumerate(f.coeffs)]
+    values = {}
+    for a in range(-n, n + 1):
+        value = sum(c * a ** k for k, c in enumerate(ints))
+        if value:
+            values[a] = value
+    divisors = {a: _divisors(v) for a, v in values.items()}
+    points = sorted(values, key=lambda a: (len(divisors[a]), abs(a), a))[:d]
+    signed = [[s * e for e in divisors[a] for s in (1, -1)] for a in points]
+    scale = [D ** (d - k) for k in range(d + 1)]
+    for targets in itertools.product(*signed):
+        g = _monic_interpolant(points, targets)
+        if g is None:
+            continue
+        at = (sum(c * a ** k for k, c in enumerate(g)) for a in values)
+        if all(w and v % w == 0 for w, v in zip(at, values.values())):
+            yield Poly(f.field, tuple(Fraction(c, s) for c, s in zip(g, scale)))
+
+
 def _least_factor(f: Poly, d: int) -> Poly:
-    """The least monic factor of the monic f over a finite field: the
-    first in `monic_polys` order of the least degree, or f itself when f
-    is irreducible.  f must have no factor of degree below d.  This is the
-    one trial division, and it stops at the first factor it finds."""
+    """A monic factor of the monic f of the least degree, or f itself when
+    f is irreducible.  f must have no factor of degree below d, so the
+    factor returned is irreducible.  This is the one trial division, and it
+    stops at the first factor it finds.  Only its candidates depend on the
+    field: every monic polynomial in `monic_polys` order over a finite
+    field, Kronecker's over Q."""
+    finite = f.field.is_finite
     while 2 * d <= f.degree:
-        for g in monic_polys(f.field, d):
+        for g in (monic_polys(f.field, d) if finite
+                  else _kronecker_candidates(f, d)):
             if f.divmod(g)[1].is_zero():
                 return g
         d += 1
     return f
 
 
-def _factor_finite(f: Poly):
-    factors = []
-    while f.degree >= 1:
-        g = _least_factor(f, factors[-1].degree if factors else 1)
-        factors.append(g)
-        f = f // g
-    return factors
-
-
-def _is_rational_square(a: Fraction):
-    """Return sqrt(a) if a is a square in Q, else None."""
-    if a < 0:
-        return None
-    n, d = a.numerator, a.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
-
-
-def _divisors(n: int):
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
-def rational_roots(f: Poly):
-    """All roots in Q of a nonzero polynomial over Q, without multiplicity."""
-    if f.is_zero():
-        raise ZeroPolynomial("root search on the zero polynomial")
-    roots = []
-    coeffs = list(f.coeffs)
-    # strip the root at zero
-    if coeffs and coeffs[0] == 0:
-        roots.append(Fraction(0))
-        while coeffs and coeffs[0] == 0:
-            coeffs.pop(0)
-    if len(coeffs) <= 1:
-        return roots
-    denom_lcm = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * denom_lcm) for c in coeffs]
-    g = math.gcd(*ints)
-    ints = [c // g for c in ints]
-    for p in _divisors(ints[0]):
-        for q in _divisors(ints[-1]):
-            if math.gcd(p, q) != 1:
-                continue
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand not in roots and f.evaluate(cand) == 0:
-                    roots.append(cand)
-    return roots
-
-
-def _factor_rational_irreducibles(f: Poly):
-    """Split a monic polynomial over Q into monic irreducibles (degree <= 4)."""
-    F = f.field
-    n = f.degree
-    if n <= 1:
-        return [f] if n == 1 else []
-    roots = rational_roots(f)
-    if roots:
-        r = roots[0]
-        linear = poly(F, [-r, Fraction(1)])
-        q, rem = f.divmod(linear)
-        assert rem.is_zero()
-        return [linear] + _factor_rational_irreducibles(q)
-    if n == 2:
-        return [f]  # no rational root means irreducible
-    if n == 3:
-        return [f]  # cubic with no rational root is irreducible over Q
-    if n == 4:
-        split = _split_quartic(f)
-        if split is None:
-            return [f]
-        g, h = split
-        return _factor_rational_irreducibles(g) + _factor_rational_irreducibles(h)
-    raise UnsupportedFactorization(
-        f"factorization over Q implemented only up to degree 4, got degree {n}")
-
-
-def _split_quartic(f: Poly):
-    """Split a rootless monic quartic over Q into two quadratics, or None.
-
-    Depress via x = y - a3/4 to y^4 + py^2 + qy + r, then search
-    (y^2 + uy + v)(y^2 - uy + w) with t = u^2 a rational root of the
-    resolvent cubic t^3 + 2pt^2 + (p^2 - 4r)t - q^2.
-    """
-    F = f.field
-    a3, a2, a1, a0 = f.coeffs[3], f.coeffs[2], f.coeffs[1], f.coeffs[0]
-    s = a3 / 4
-    p = a2 - 6 * s * s
-    q = a1 - 2 * a2 * s + 8 * s ** 3
-    r = a0 - a1 * s + a2 * s * s - 3 * s ** 4
-    resolvent = poly(F, [-q * q, p * p - 4 * r, 2 * p, Fraction(1)])
-    for t in rational_roots(resolvent):
-        u = _is_rational_square(t)
-        if u is None:
-            continue
-        if u != 0:
-            w = (p + t + q / u) / 2
-            v = (p + t - q / u) / 2
-        else:
-            if q != 0:
-                continue
-            # biquadratic: v + w = p, vw = r
-            disc = _is_rational_square(p * p - 4 * r)
-            if disc is None:
-                continue
-            v = (p - disc) / 2
-            w = (p + disc) / 2
-        g = poly(F, [v, u, Fraction(1)])
-        h = poly(F, [w, -u, Fraction(1)])
-        if g * h == poly(F, [r, q, p, Fraction(0), Fraction(1)]):
-            # undo the shift y = x + s
-            g_x = poly(F, [g.evaluate(s), u + 2 * s, Fraction(1)])
-            h_x = poly(F, [h.evaluate(s), -u + 2 * s, Fraction(1)])
-            assert g_x * h_x == f, (g_x, h_x, f)
-            return g_x, h_x
-    return None
-
-
 def poly_factor(f: Poly):
     """Factor into monic irreducibles: returns (unit, [(factor, mult), ...]).
 
     The factor list is sorted by degree then coefficient sequence, so equal
-    inputs always produce identical output.  Raises ZeroPolynomial on 0 and
-    UnsupportedFactorization over Q past degree 4.
+    inputs always produce identical output.  Raises ZeroPolynomial on 0.
     """
     if f.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
-    unit = f.leading
-    m = f.monic()
-    if not f.field.is_finite:  # over Q
-        # peel off the power of x first so the root machinery sees a0 != 0
-        val = 0
-        coeffs = list(m.coeffs)
-        while coeffs and f.field.is_zero(coeffs[0]):
-            coeffs.pop(0)
-            val += 1
-        core = poly(f.field, coeffs)
-        irreducibles = [poly(f.field, [Fraction(0), Fraction(1)])] * val
-        irreducibles += _factor_rational_irreducibles(core)
-    else:
-        irreducibles = _factor_finite(m)
+    m, d = f.monic(), 1
     counted = {}
-    for g in irreducibles:
+    while m.degree >= 1:
+        g = _least_factor(m, d)
         counted[g.coeffs] = counted.get(g.coeffs, 0) + 1
+        m, d = m // g, g.degree
     items = sorted(counted.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    return unit, [(Poly(f.field, c), mult) for c, mult in items]
+    return f.leading, [(Poly(f.field, c), mult) for c, mult in items]
 
 
 def is_irreducible(f: Poly) -> bool:
     if f.degree < 1:
         return False
-    if f.field.is_finite:
-        m = f.monic()
-        return _least_factor(m, 1) == m
-    _, factors = poly_factor(f)
-    return len(factors) == 1 and factors[0][1] == 1
+    m = f.monic()
+    return _least_factor(m, 1) == m
 
 
 def companion_matrix(p: Poly):

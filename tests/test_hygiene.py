@@ -1,5 +1,6 @@
-"""Source hygiene: every name a library module imports is used there, and
-every private function, method or class is referenced by the package.
+"""Source hygiene: every name a library module imports is used there,
+every private function, method or class is referenced by the package, and
+every exception class in ``errors.py`` is raised by some library module.
 
 ``__init__.py`` is skipped by the import check, since its imports are the
 package's re-exports.
@@ -87,3 +88,27 @@ def test_scan_finds_unreferenced_private():
     }
     assert _unreferenced_privates(trees) == [
         ("a.py", 2, "_dead"), ("a.py", 3, "_Gone"), ("a.py", 5, "_method")]
+
+
+def _raised(trees):
+    """Names of the exceptions raised, bare or called, under the trees."""
+    out = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    out.add(exc.id)
+    return out
+
+
+def test_every_error_class_is_raised():
+    errors = ast.parse((SRC / "errors.py").read_text())
+    classes = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in MODULES]
+    assert sorted(classes - _raised(trees)) == []
+
+
+def test_scan_finds_raised_errors():
+    tree = ast.parse("raise A\nraise B('x')\ntry:\n    pass\nexcept C:\n    raise\n")
+    assert _raised([tree]) == {"A", "B"}

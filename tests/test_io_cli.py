@@ -215,6 +215,18 @@ def test_cli_cyclic_rational_alphas():
     assert doc["is_a"] is True
 
 
+def test_cli_cyclic_rational_quintic_cofactor():
+    # the cofactor x^5 - x^4 - 1 factors over Q past degree four
+    doc, code = run_command(["cyclic", "--field", "q", "1", "0", "0", "0", "1"])
+    assert code == 0
+    assert doc["cofactor"] == "x^5 - x^4 - 1"
+    assert doc["cofactor_factors"] == [
+        {"poly": "x^2 - x + 1", "multiplicity": 1},
+        {"poly": "x^3 - x - 1", "multiplicity": 1}]
+    assert doc["checks"] and all(c["holds"] for c in doc["checks"])
+    assert doc["ok"] is True
+
+
 def test_cli_frattini(tmp_path):
     path = _write(tmp_path, "h3", fixture("H3", gf(2)))
     doc, code = run_command(["frattini", path])

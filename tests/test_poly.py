@@ -1,16 +1,18 @@
+import hashlib
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leibnizalg.errors import UnsupportedFactorization, ZeroPolynomial
+from leibnizalg.errors import ZeroPolynomial
 from leibnizalg.fields import QQ, gf
 from leibnizalg.linalg import is_nilpotent_operator
 from leibnizalg.poly import (Poly, companion_matrix, format_poly,
                              is_irreducible, poly, poly_factor,
-                             poly_from_ints, poly_gcd, rational_roots,
-                             x_power)
+                             poly_from_ints, poly_gcd, x_power)
 
 
 def gf_poly_simple(q, max_deg=6):
@@ -57,7 +59,7 @@ def test_gcd_divides_both(f, g, h):
     if f.is_zero() or g.is_zero() or h.is_zero():
         return
     d = poly_gcd(f * h, g * h)
-    assert d.is_monic
+    assert d.is_monic()
     assert (f * h % d).is_zero()
     assert (g * h % d).is_zero()
     # the common factor h divides the gcd
@@ -92,7 +94,7 @@ def test_factor_remultiplies_finite(q, data):
     unit, factors = poly_factor(f)
     prod = Poly(F, (unit,))
     for g, mult in factors:
-        assert g.is_monic
+        assert g.is_monic()
         assert is_irreducible(g)
         prod = prod * g ** mult
     assert prod == f
@@ -129,14 +131,17 @@ def test_factor_known_rationals():
     assert sorted(format_poly(p) for p, _ in factors) == ["x + 1", "x - 1", "x^2 + 1"]
 
 
-def test_factor_rational_degree_cap():
-    
+def test_factor_rational_past_degree_four():
     x = x_power(QQ, 1)
-    f = x ** 5 - x - poly(QQ, [Fraction(1)])
-    with pytest.raises(UnsupportedFactorization):
-        poly_factor(f)
-    # but a quintic that splits off rational roots down to degree <= 4 is fine
-    g = (x ** 4 + poly(QQ, [Fraction(1)])) * x
+    one = poly(QQ, [Fraction(1)])
+    f = x ** 5 - x - one
+    assert poly_factor(f) == (1, [(f, 1)])
+    assert is_irreducible(f)
+    _, factors = poly_factor(x ** 6 + one)
+    assert [(format_poly(g), m) for g, m in factors] == [
+        ("x^2 + 1", 1), ("x^4 - x^2 + 1", 1)]
+    # a quintic that splits off rational roots down to degree <= 4
+    g = (x ** 4 + one) * x
     _, factors = poly_factor(g)
     assert len(factors) == 2
 
@@ -147,12 +152,68 @@ def test_factor_zero_raises():
         poly_factor(Poly(QQ, ()))
 
 
-def test_rational_roots():
+def test_factor_rational_roots():
     x = x_power(QQ, 1)
     f = (poly(QQ, [Fraction(-1), Fraction(2)])) * (x + poly(QQ, [Fraction(3)]))
-    roots = rational_roots(f)
-    assert set(roots) == {Fraction(1, 2), Fraction(-3)}
-    assert rational_roots(x * x - poly(QQ, [Fraction(2)])) == []
+    assert poly_factor(f) == (2, [(poly(QQ, [Fraction(-1, 2), Fraction(1)]), 1),
+                                  (poly(QQ, [Fraction(3), Fraction(1)]), 1)])
+    g = x * x - poly(QQ, [Fraction(2)])
+    assert poly_factor(g) == (1, [(g, 1)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(qq_poly(max_deg=6))
+def test_factor_remultiplies_rational(f):
+    if f.is_zero():
+        return
+    unit, factors = poly_factor(f)
+    prod = Poly(QQ, (unit,))
+    for g, mult in factors:
+        assert g.is_monic()
+        assert is_irreducible(g)
+        prod = prod * g ** mult
+    assert prod == f
+
+
+def test_factor_rational_golden_digest():
+    # every monic polynomial of degree <= 4 with coefficients in {-3..3} and
+    # in {-3..3}/2; the digest was recorded from the root-search and
+    # quartic-resolvent factorizer that Kronecker's method replaced
+    lines = []
+    for den in (1, 2):
+        steps = [Fraction(c, den) for c in range(-3, 4)]
+        for deg in range(5):
+            for tail in itertools.product(steps, repeat=deg):
+                f = Poly(QQ, tail + (Fraction(1),))
+                unit, factors = poly_factor(f)
+                lines.append(f"{format_poly(f)}: {unit} " + " ".join(
+                    f"({format_poly(g)})^{m}" for g, m in factors))
+    assert len(lines) == 5602
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "7334e205bc238490f3edbfcefc5e754978fea780de35e8cd23b92535f1b1e8b3")
+
+
+def test_factor_rational_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    X = sympy.Symbol("x")
+    rng = random.Random(5)
+    for _ in range(30):
+        # products of small factors, of degree 5 to 7
+        f = poly(QQ, [Fraction(1)])
+        while f.degree < 5:
+            deg = rng.randint(1, 3)
+            f = f * poly(QQ, [Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                              for _ in range(deg)] + [Fraction(1)])
+        expr = sum(sympy.Rational(c.numerator, c.denominator) * X ** k
+                   for k, c in enumerate(f.coeffs))
+        _, factors = sympy.factor_list(expr, X)
+        expected = []
+        for g, m in factors:
+            coeffs = [Fraction(int(c.p), int(c.q))
+                      for c in reversed(sympy.Poly(g, X).monic().all_coeffs())]
+            expected.append((tuple(coeffs), m))
+        expected.sort(key=lambda kv: (len(kv[0]), kv[0]))
+        assert [(g.coeffs, m) for g, m in poly_factor(f)[1]] == expected
 
 
 @pytest.mark.parametrize("q,deg,count", [(2, 2, 1), (2, 3, 2), (3, 2, 3)])
