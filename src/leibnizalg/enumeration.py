@@ -9,8 +9,13 @@ and witnesses reproducible.
 The subspace count is computed up front from Gaussian binomials and
 checked against the caller's budget before any work happens.
 
-Each algebra's subspaces are walked once: the subalgebra scan is memoised,
-and the ideals are read off it, since every ideal is a subalgebra.
+One walker, ``echelon_bases``, serves both scans.  For the subspaces it
+yields every echelon basis; for the subalgebras it is given the bracket and
+prunes, row by row, every branch whose brackets cannot close, and each
+survivor still gets the closure test.  The survivors come in the order of
+the full walk.  Each algebra's subspaces are walked once: the subalgebra
+scan is memoised, and the ideals are read off it, since every ideal is a
+subalgebra.
 """
 
 from __future__ import annotations
@@ -51,29 +56,86 @@ def _check_enumerable(L: LeibnizAlgebra, budget: int) -> None:
         raise BudgetExceeded(needed, budget)
 
 
-def echelon_bases(field, n: int):
-    """Yield (rows, pivots) for every subspace of F^n in canonical order."""
-    elems = list(field.elements())
+def echelon_bases(field, n: int, bracket=None):
+    """Yield (rows, pivots) for the subspaces of F^n in canonical order:
+    every subspace, or, given an algebra's ``bracket``, the candidates for
+    its subalgebras.
+
+    Each pivot pattern p_1 < ... < p_d is walked depth first, fixing the
+    echelon rows r_1, r_2, ... one at a time (r_t is 1 at p_t, 0 at the
+    other pivots and left of p_t).  Given ``bracket``, the walk keeps the
+    residual of each [r_a, r_b] over the fixed rows, reduces it only by each
+    newly fixed row, and reduces a new row's brackets by all fixed rows.  A
+    subspace is closed exactly when every residual is zero after all d rows.
+
+    - After r_1..r_t, a residual nonzero at a position left of p_{t+1} kills
+      the branch: every later row is zero there, so no choice of them
+      reduces that entry away.
+    - At the last row no bracket is computed.  A nonzero residual rho must
+      be a multiple of r_d, so it forces r_d = rho / rho[p_d], and the branch
+      dies when rho[p_d] = 0.  The pruning before it made rho zero left of
+      p_d and at every fixed pivot, so the forced row has the echelon shape.
+      With every residual zero, r_d takes all its values.
+
+    Only bilinearity is used, so no subalgebra is dropped and a survivor is
+    a candidate: the caller tests its closure.  Given no bracket, nothing is
+    pruned and every subspace is yielded.  Each dimension's yields are
+    sorted by row tuple, so the survivors come in the order of the full
+    walk.
+    """
+    elems = tuple(field.elements())
     zero, one = field.zero, field.one
+
+    def residuals_with(pivots, rows, r, residuals):
+        """The nonzero residuals once r is fixed after ``rows``, or None
+        when one is nonzero left of the next pivot."""
+        t = len(rows)
+        bound = pivots[t + 1]
+        new_row = Subspace(field, n, (r,), (pivots[t],))
+        fixed = Subspace(field, n, rows + (r,), pivots[:t + 1])
+        pairs = [(r, r)] + [pair for a in rows for pair in ((a, r), (r, a))]
+        kept = []
+        for rho in itertools.chain(map(new_row.reduce, residuals),
+                                   (fixed.reduce(bracket(u, v)) for u, v in pairs)):
+            if any(rho[:bound]):
+                return None
+            if any(rho):
+                kept.append(rho)
+        return kept
+
+    def walk(pivots, choices, rows, residuals, out):
+        t = len(rows)
+        if t == len(pivots):
+            out.append((rows, pivots))
+        elif t == len(pivots) - 1:
+            if not residuals:
+                out.extend((rows + (r,), pivots) for r in choices[t])
+            elif residuals[0][pivots[t]]:
+                rho = residuals[0]
+                c = field.inv(rho[pivots[t]])
+                out.append((rows + (tuple(field.mul(c, a) for a in rho),), pivots))
+        else:
+            for r in choices[t]:
+                kept = (residuals if bracket is None
+                        else residuals_with(pivots, rows, r, residuals))
+                if kept is not None:
+                    walk(pivots, choices, rows + (r,), kept, out)
+
     for d in range(n + 1):
         batch = []
         for pivots in itertools.combinations(range(n), d):
-            pivset = set(pivots)
-            free = [(r, j) for r in range(d) for j in range(pivots[r] + 1, n)
-                    if j not in pivset]
-            base_rows = []
-            for r in range(d):
+            choices = []
+            for p in pivots:
+                free = [j for j in range(p + 1, n) if j not in pivots]
                 row = [zero] * n
-                row[pivots[r]] = one
-                base_rows.append(row)
-            if not free:
-                batch.append((tuple(tuple(r) for r in base_rows), pivots))
-                continue
-            for values in itertools.product(elems, repeat=len(free)):
-                rows = [list(r) for r in base_rows]
-                for (r, j), v in zip(free, values):
-                    rows[r][j] = v
-                batch.append((tuple(tuple(r) for r in rows), pivots))
+                row[p] = one
+                rows = []
+                for values in itertools.product(elems, repeat=len(free)):
+                    for j, v in zip(free, values):
+                        row[j] = v
+                    rows.append(tuple(row))
+                choices.append(rows)
+            walk(pivots, choices, (), [], batch)
         batch.sort(key=lambda rp: rp[0])
         yield from batch
 
@@ -88,7 +150,7 @@ def iter_subspaces(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
 def iter_subalgebras(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
     _check_enumerable(L, budget)
     F, n = L.field, L.dim
-    for rows, pivots in echelon_bases(F, n):
+    for rows, pivots in echelon_bases(F, n, L.bracket):
         S = Subspace(F, n, rows, pivots)
         if L.is_subalgebra(S):
             yield S

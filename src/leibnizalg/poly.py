@@ -179,24 +179,37 @@ def _divisors(n: int):
     return out + [x * n for x in out] if n > 1 else out
 
 
-def _monic_interpolant(points, targets):
+def _monic_interpolants(points, signed, row=(), newton=()):
     """Ascending coefficients of the monic g of degree len(points) with
-    g(a) = t at each point and target, or None when one is not an integer.
+    g(a) = t at each point a and its target t, for each target tuple of
+    ``itertools.product(*signed)``, in that order, that makes g integral.
 
     g is the product of the (x - a) plus the Newton interpolant of the
     targets.  The Newton basis is monic and integral, so g is integral
-    exactly when every divided difference is an integer."""
-    dd = list(targets)
-    for k in range(1, len(points)):
-        for i in range(len(points) - 1, k - 1, -1):
-            dd[i], r = divmod(dd[i] - dd[i - 1], points[i] - points[i - k])
+    exactly when every divided difference is an integer.  The targets are
+    fixed depth first, in the nested order of the product.  Of the divided
+    differences t[a_i..a_j] of the k targets fixed so far, ``newton`` holds
+    t[a_0], t[a_0, a_1], ..., t[a_0..a_{k-1}] and ``row`` holds t[a_{k-1}],
+    t[a_{k-2}, a_{k-1}], ..., t[a_0..a_{k-1}].  A prefix with a divided
+    difference that is not an integer is dropped with every tuple extending
+    it, which shares that divided difference."""
+    k = len(newton)
+    if k == len(points):
+        g = [1]
+        for a, c in zip(reversed(points), reversed(newton)):  # g = g * (x - a) + c
+            g = ([c - a * g[0]] + [g[i - 1] - a * g[i] for i in range(1, len(g))]
+                 + [g[-1]])
+        yield g
+        return
+    for t in signed[k]:
+        new = [t]
+        for j, prev in enumerate(row):  # new[j + 1] = t[a_{k-1-j}..a_k]
+            q, r = divmod(new[-1] - prev, points[k] - points[k - 1 - j])
             if r:
-                return None
-    g = [1]
-    for a, c in zip(reversed(points), reversed(dd)):  # g = g * (x - a) + c
-        g = ([c - a * g[0]] + [g[k - 1] - a * g[k] for k in range(1, len(g))]
-             + [g[-1]])
-    return g
+                break
+            new.append(q)
+        else:
+            yield from _monic_interpolants(points, signed, new, newton + (new[-1],))
 
 
 def _kronecker_candidates(f: Poly, d: int):
@@ -224,10 +237,7 @@ def _kronecker_candidates(f: Poly, d: int):
     points = sorted(values, key=lambda a: (len(divisors[a]), abs(a), a))[:d]
     signed = [[s * e for e in divisors[a] for s in (1, -1)] for a in points]
     scale = [D ** (d - k) for k in range(d + 1)]
-    for targets in itertools.product(*signed):
-        g = _monic_interpolant(points, targets)
-        if g is None:
-            continue
+    for g in _monic_interpolants(points, signed):
         at = (sum(c * a ** k for k, c in enumerate(g)) for a in values)
         if all(w and v % w == 0 for w, v in zip(at, values.values())):
             yield Poly(f.field, tuple(Fraction(c, s) for c, s in zip(g, scale)))

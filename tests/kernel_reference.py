@@ -15,12 +15,17 @@ of a subalgebra in quotient and restricted algebras, the way the
 definitions read.  ``ideal_part_split_by_sums``,
 ``nilradical_chain_by_sums`` and ``ideal_decomposition_by_sums`` decide
 independence by intersecting with a running sum of ``add`` calls.
+``kronecker_by_product`` draws Kronecker's candidates from the whole
+product of signed divisors, testing each interpolant afterwards.
 """
 
 import itertools
+import math
+from fractions import Fraction
 
 from leibnizalg.decompose import DecompositionFailed
 from leibnizalg.linalg import Subspace, kernel
+from leibnizalg.poly import Poly, _divisors
 
 
 def dense_bracket(L, u, v):
@@ -194,3 +199,40 @@ def ideal_decomposition_by_sums(L, decomp, D):
     if total != D:
         raise DecompositionFailed("ideal is not the sum of its part slices")
     return tuple(pieces)
+
+
+def kronecker_by_product(f, d):
+    """Kronecker's monic degree-d candidates for a factor of the monic f
+    over Q: every tuple of signed divisors at the chosen points, in
+    ``itertools.product`` order, keeping the integral interpolants whose
+    values divide f's."""
+    n = f.degree
+    D = min(e for e in _divisors(math.lcm(*(c.denominator for c in f.coeffs)))
+            if all((c * e ** (n - k)).denominator == 1
+                   for k, c in enumerate(f.coeffs)))
+    ints = [int(c * D ** (n - k)) for k, c in enumerate(f.coeffs)]
+    values = {}
+    for a in range(-n, n + 1):
+        value = sum(c * a ** k for k, c in enumerate(ints))
+        if value:
+            values[a] = value
+    divisors = {a: _divisors(v) for a, v in values.items()}
+    points = sorted(values, key=lambda a: (len(divisors[a]), abs(a), a))[:d]
+    signed = [[s * e for e in divisors[a] for s in (1, -1)] for a in points]
+    scale = [D ** (d - k) for k in range(d + 1)]
+    for targets in itertools.product(*signed):
+        dd = list(targets)  # divided differences, one order at a time
+        integral = True
+        for k in range(1, d):
+            for i in range(d - 1, k - 1, -1):
+                dd[i], r = divmod(dd[i] - dd[i - 1], points[i] - points[i - k])
+                integral = integral and not r
+        if not integral:
+            continue
+        g = [1]
+        for a, c in zip(reversed(points), reversed(dd)):
+            g = ([c - a * g[0]] + [g[k - 1] - a * g[k] for k in range(1, len(g))]
+                 + [g[-1]])
+        at = (sum(c * a ** k for k, c in enumerate(g)) for a in values)
+        if all(w and v % w == 0 for w, v in zip(at, values.values())):
+            yield Poly(f.field, tuple(Fraction(c, s) for c, s in zip(g, scale)))

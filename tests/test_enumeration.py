@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kernel_reference import dense_bracket, rank_contains, unit_vectors
 from leibnizalg import enumeration
 from leibnizalg.aalgebra import theorem_battery
+from leibnizalg.core import LeibnizAlgebra
 from leibnizalg.corpus import fixture
 from leibnizalg.decompose import max_nilpotent_subalgebras
 from leibnizalg.enumeration import (echelon_bases, enumerate_spaces,
@@ -96,11 +99,13 @@ def test_enumerate_spaces_cached(h3_gf2):
 
 
 def test_one_subspace_walk_per_algebra(monkeypatch):
-    walks = []
+    walks, candidates = [], []
 
-    def counted(field, n):
+    def counted(field, n, bracket=None):
         walks.append(n)
-        return echelon_bases(field, n)
+        bases = list(echelon_bases(field, n, bracket))
+        candidates.append(len(bases))
+        return iter(bases)
 
     monkeypatch.setattr(enumeration, "echelon_bases", counted)
     L = fixture("C3b", gf(3))
@@ -109,10 +114,53 @@ def test_one_subspace_walk_per_algebra(monkeypatch):
     max_nilpotent_subalgebras(L)
     frattini_ideal(L)
     assert walks == [3]
+    # the walk prunes: fewer candidates than the 28 subspaces of GF(3)^3
+    assert candidates[0] < total_subspaces(3, 3)
     # a whole battery walks F^3 once; its quotients walk their own spaces
     walks.clear()
     theorem_battery(fixture("C3b", gf(3)))
     assert walks.count(3) == 1
+
+
+def _closed_by_full_walk(L):
+    """The definition the pruned walk replaces: every subspace, in the
+    order of the unpruned walk, filtered by the closure test."""
+    F, n = L.field, L.dim
+    return [(rows, pivots) for rows, pivots in echelon_bases(F, n)
+            if L.is_subalgebra(Subspace(F, n, rows, pivots))]
+
+
+def _walked_subalgebras(L):
+    return [(S.basis, S.pivots) for S in iter_subalgebras(L)]
+
+
+def test_pruned_walk_matches_full_walk_on_corpus(members):
+    checked = 0
+    for m in members:
+        L = m.algebra
+        F = L.field
+        if F.is_finite and total_subspaces(L.dim, F.size) <= 10 ** 4:
+            assert _walked_subalgebras(L) == _closed_by_full_walk(L), m.label
+            checked += 1
+    assert checked > 300
+
+
+@st.composite
+def structure_tables(draw):
+    """Random structure constants, Leibniz or not: the pruning uses only
+    bilinearity."""
+    q = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(1, 3 if q == 4 else 4))
+    entries = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    table = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                          min_size=n, max_size=n))
+    return LeibnizAlgebra(gf(q), table)
+
+
+@settings(max_examples=120, deadline=None)
+@given(structure_tables())
+def test_pruned_walk_matches_full_walk_on_random_tables(L):
+    assert _walked_subalgebras(L) == _closed_by_full_walk(L)
 
 
 def test_budget_exceeded():

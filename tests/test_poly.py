@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kernel_reference import kronecker_by_product
 from leibnizalg.errors import ZeroPolynomial
 from leibnizalg.fields import QQ, gf
 from leibnizalg.linalg import is_nilpotent_operator
-from leibnizalg.poly import (Poly, companion_matrix, format_poly,
-                             is_irreducible, poly, poly_factor,
+from leibnizalg.poly import (Poly, _kronecker_candidates, companion_matrix,
+                             format_poly, is_irreducible, poly, poly_factor,
                              poly_from_ints, poly_gcd, x_power)
 
 
@@ -173,6 +174,20 @@ def test_factor_remultiplies_rational(f):
         assert is_irreducible(g)
         prod = prod * g ** mult
     assert prod == f
+
+
+def test_kronecker_candidates_match_product_filter():
+    # the depth-first walk prunes prefixes on their divided differences and
+    # must draw the candidates of the whole product filter, in its order
+    rng = random.Random(11)
+    for _ in range(4):
+        f = poly(QQ, [Fraction(1)])
+        while f.degree < 6:
+            f = f * poly(QQ, [Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                              for _ in range(rng.randint(2, 4))] + [Fraction(1)])
+        assert 6 <= f.degree <= 8
+        for d in range(1, f.degree // 2 + 1):
+            assert list(_kronecker_candidates(f, d)) == list(kronecker_by_product(f, d))
 
 
 def test_factor_rational_golden_digest():
