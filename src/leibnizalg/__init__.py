@@ -8,9 +8,9 @@ classifies one-generator algebras, and runs an empirical battery of
 structural statements over a reproducible corpus.
 """
 
-from .aalgebra import (AVerdict, BatteryReport, is_a_algebra,
-                       lemma_aa_certificate, theorem_battery, verify_witness,
-                       witness_search)
+from .aalgebra import (AVerdict, BatteryReport, ClauseResult, StructureReport,
+                       is_a_algebra, lemma_aa_certificate, structure_report,
+                       theorem_battery, verify_witness, witness_search)
 from .algfile import (algebra_from_doc, algebra_to_doc, dumps_algebra,
                       input_digest, load_algebra_path, loads_algebra,
                       save_algebra_path)
@@ -20,11 +20,10 @@ from .corpus import FIELDS, FIXTURE_NAMES, CorpusMember, corpus, fixture
 from .cyclic import (CyclicReport, CyclicSpec, build_cyclic, classify_cyclic,
                      complement_vector, describe_polynomial,
                      generator_cofactor, generator_polynomial)
-from .decompose import (ClauseResult, FittingPair, StructureReport,
-                        TriangularDecomposition, cartan_subalgebra,
+from .decompose import (FittingPair, TriangularDecomposition, cartan_subalgebra,
                         enumerated_cartan_subalgebras, fitting, fitting_family,
                         ideal_decomposition, max_nilpotent_subalgebras,
-                        structure_report, triangular_decomposition)
+                        triangular_decomposition)
 from .enumeration import (DEFAULT_BUDGET, SocleReport, enumerate_spaces,
                           frattini_ideal, gaussian_binomial, iter_ideals,
                           iter_subalgebras, iter_subspaces, maximal_subalgebras,

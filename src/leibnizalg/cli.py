@@ -19,11 +19,10 @@ import argparse
 import json
 import sys
 
-from .aalgebra import is_a_algebra, theorem_battery
+from .aalgebra import is_a_algebra, structure_report, theorem_battery
 from .algfile import input_digest, loads_algebra
 from .corpus import corpus
 from .cyclic import classify_cyclic
-from .decompose import structure_report
 from .enumeration import (DEFAULT_BUDGET, enumerate_spaces, frattini_ideal,
                           maximal_subalgebras, socle_analysis, total_subspaces)
 from .errors import (BadSpec, BudgetExceeded, CartanSearchFailed,

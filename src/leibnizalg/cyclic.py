@@ -22,9 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .aalgebra import is_a_algebra
+from .aalgebra import ClauseResult, is_a_algebra
 from .core import LeibnizAlgebra
-from .decompose import ClauseResult
 from .enumeration import (DEFAULT_BUDGET, frattini_ideal, socle_analysis,
                           total_subspaces)
 from .errors import BadSpec

@@ -16,14 +16,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import LeibnizAlgebra, memo
-from .enumeration import (DEFAULT_BUDGET, _maximal_members, enumerate_spaces,
-                          frattini_ideal, socle_analysis)
-from .errors import (BudgetExceeded, CartanSearchFailed, DecompositionFailed,
-                     InfiniteFieldUnsupported, NotDecomposing, NotSolvable)
+from .enumeration import DEFAULT_BUDGET, _maximal_members, enumerate_spaces
+from .errors import (CartanSearchFailed, DecompositionFailed, NotDecomposing,
+                     NotSolvable)
 from .linalg import (Subspace, fitting_power, image, is_nilpotent_operator,
                      kernel, mat_vec, restrict_operator, vec_add)
-from .series import (derived_series, is_completely_solvable, is_metabelian,
-                     is_nilpotent, is_nilpotent_space, is_solvable, nilradical)
+from .series import derived_series, is_nilpotent_space
 
 _RANDOM_TRIES = 120
 
@@ -277,345 +275,3 @@ def ideal_decomposition(L: LeibnizAlgebra, decomp: TriangularDecomposition,
     if total != D:
         raise DecompositionFailed("ideal is not the sum of its part slices")
     return tuple(pieces)
-
-
-@dataclass(frozen=True)
-class ClauseResult:
-    clause: str
-    applicable: bool
-    holds: Optional[bool]
-    detail: str = ""
-
-    @property
-    def failed(self) -> bool:
-        return self.applicable and self.holds is False
-
-
-def _na(clause: str, detail: str = "") -> ClauseResult:
-    return ClauseResult(clause, False, None, detail)
-
-
-def check_ideal_chain_alignment(L, decomp, ideals) -> ClauseResult:
-    """Every ideal is the direct sum of its intersections with the parts."""
-    clause = "ideal_chain_alignment"
-    ideals = list(ideals)
-    for D in ideals:
-        try:
-            ideal_decomposition(L, decomp, D)
-        except DecompositionFailed:
-            return ClauseResult(clause, True, False,
-                                f"ideal of dim {D.dim} does not align")
-    return ClauseResult(clause, True, True, f"checked {len(ideals)} ideals")
-
-
-def check_nilradical_chain(L, decomp, N) -> ClauseResult:
-    """N = A_n + (N cap A_{n-1}) + ... with pairwise zero products."""
-    clause = "nilradical_chain_splitting"
-    pieces = [N.intersect(P) for P in decomp.parts]
-    if pieces[0] != decomp.top:
-        return ClauseResult(clause, True, False,
-                            "top part is not inside the nilradical")
-    total = L.span([v for piece in pieces for v in piece.basis])
-    if total.dim != sum(piece.dim for piece in pieces):
-        return ClauseResult(clause, True, False, "slices are not independent")
-    if total != N:
-        return ClauseResult(clause, True, False,
-                            "nilradical is not the sum of its slices")
-    for i, Pi in enumerate(pieces):
-        for j, Pj in enumerate(pieces):
-            if i != j and L.product(Pi, Pj).dim != 0:
-                return ClauseResult(clause, True, False,
-                                    f"slices {i} and {j} do not multiply to zero")
-    return ClauseResult(clause, True, True)
-
-
-def check_part_centre_alignment(L, decomp, N) -> ClauseResult:
-    """The centre of the i-th derived term is N cap A_i."""
-    clause = "part_centre_alignment"
-    ds = derived_series(L)
-    n = len(decomp.parts) - 1
-    for i in range(n + 1):
-        term = ds.terms[i]
-        Z = term.intersect(L.centralizer(term))
-        expected = N.intersect(decomp.parts[n - i])
-        if Z != expected:
-            return ClauseResult(clause, True, False,
-                                f"centre of derived term {i} misaligned")
-    return ClauseResult(clause, True, True)
-
-
-def check_minimal_ideal_location(L, decomp, N, minimals) -> ClauseResult:
-    """Each minimal ideal lies in N cap A_i for some i."""
-    clause = "minimal_ideal_location"
-    slices = [N.intersect(P) for P in decomp.parts]
-    for W in minimals:
-        if not any(S.contains_space(W) for S in slices):
-            return ClauseResult(clause, True, False,
-                                f"minimal ideal of dim {W.dim} fits no slice")
-    return ClauseResult(clause, True, True)
-
-
-def check_strong_split(L, decomp, N) -> ClauseResult:
-    """Derived subalgebra abelian with an abelian complement, and the
-    nilradical is the direct sum of the derived subalgebra and centre."""
-    clause = "strong_split"
-    if not is_completely_solvable(L):
-        return _na(clause, "algebra is not completely solvable")
-    der = L.derived_space()
-    B = decomp.bottom
-    if not L.is_abelian_space(der):
-        return ClauseResult(clause, True, False, "derived subalgebra not abelian")
-    if not L.is_abelian_space(B):
-        return ClauseResult(clause, True, False, "complement not abelian")
-    if not L.full_space().is_direct_sum(der, B):
-        return ClauseResult(clause, True, False, "complement does not split")
-    Z = L.centre()
-    if not N.is_direct_sum(der, Z):
-        return ClauseResult(clause, True, False,
-                            "nilradical is not derived-plus-centre")
-    return ClauseResult(clause, True, True)
-
-
-def check_minimal_ideal_position(L, decomp, minimals) -> ClauseResult:
-    """Each minimal ideal lies in the derived subalgebra or the complement."""
-    clause = "minimal_ideal_position"
-    der = L.derived_space()
-    B = decomp.bottom
-    for W in minimals:
-        if not der.contains_space(W) and not B.contains_space(W):
-            return ClauseResult(clause, True, False,
-                                f"minimal ideal of dim {W.dim} straddles the split")
-    return ClauseResult(clause, True, True)
-
-
-def check_minimal_ideal_centre(L, decomp, minimals) -> ClauseResult:
-    """A minimal ideal lies in the complement iff it is central, and then
-    it is one dimensional."""
-    clause = "minimal_ideal_centre"
-    B = decomp.bottom
-    Z = L.centre()
-    for W in minimals:
-        in_B = B.contains_space(W)
-        central = Z.contains_space(W)
-        if in_B != central:
-            return ClauseResult(clause, True, False,
-                                "complement membership disagrees with centrality")
-        if in_B and W.dim != 1:
-            return ClauseResult(clause, True, False,
-                                "central minimal ideal is not a line")
-    return ClauseResult(clause, True, True)
-
-
-def check_minimal_ideal_derived(L, minimals) -> ClauseResult:
-    """A minimal ideal lies in the derived subalgebra iff right products
-    with the whole algebra reproduce it."""
-    clause = "minimal_ideal_derived"
-    der = L.derived_space()
-    full = L.full_space()
-    for W in minimals:
-        if der.contains_space(W) != (L.product(W, full) == W):
-            return ClauseResult(clause, True, False,
-                                "derived membership disagrees with [W,L] = W")
-    return ClauseResult(clause, True, True)
-
-
-def check_frattini_free_socle(L, budget: int = DEFAULT_BUDGET) -> ClauseResult:
-    """Zero Frattini ideal iff the derived subalgebra sits inside the sum
-    of abelian minimal ideals."""
-    clause = "frattini_free_socle"
-    if not is_completely_solvable(L):
-        return _na(clause, "algebra is not completely solvable")
-    try:
-        phi = frattini_ideal(L, budget)
-        soc = socle_analysis(L, budget)
-    except (InfiniteFieldUnsupported, BudgetExceeded) as exc:
-        return _na(clause, str(exc))
-    lhs = phi.dim == 0
-    rhs = soc.asoc.contains_space(L.derived_space())
-    if lhs != rhs:
-        return ClauseResult(clause, True, False,
-                            f"frattini dim {phi.dim}, derived in socle: {rhs}")
-    return ClauseResult(clause, True, True)
-
-
-def check_max_nilpotent_complement(L, U) -> ClauseResult:
-    """For a maximal nilpotent subalgebra U of a metabelian algebra, the
-    derived subalgebra splits as (U cap L^2) + K with K an ideal
-    satisfying [K, U] = K."""
-    clause = "max_nilpotent_complement"
-    if not is_metabelian(L):
-        return _na(clause, "algebra is not metabelian")
-    der = L.derived_space()
-    I = U.intersect(der)
-    if not L.is_abelian_space(I) or not L.is_ideal(I):
-        return ClauseResult(clause, True, False,
-                            "U cap L^2 is not an abelian ideal")
-    try:
-        pair = fitting_family(L, U)
-    except NotDecomposing as exc:
-        return ClauseResult(clause, True, False, str(exc))
-    K = pair.one
-    if not der.is_direct_sum(I, K):
-        return ClauseResult(clause, True, False,
-                            "derived subalgebra does not split over U cap L^2")
-    if not L.is_ideal(K):
-        return ClauseResult(clause, True, False, "complement K is not an ideal")
-    if L.product(K, U) != K:
-        return ClauseResult(clause, True, False, "[K, U] differs from K")
-    return ClauseResult(clause, True, True)
-
-
-def check_max_nilpotent_cartan_split(L, budget: int = DEFAULT_BUDGET) -> ClauseResult:
-    """Each maximal nilpotent subalgebra U splits as
-    (U cap L^2) + (U cap C) for some Cartan subalgebra C."""
-    clause = "max_nilpotent_cartan_split"
-    if not is_completely_solvable(L):
-        return _na(clause, "algebra is not completely solvable")
-    try:
-        maxes = max_nilpotent_subalgebras(L, budget)
-        cartans = enumerated_cartan_subalgebras(L, budget)
-    except (InfiniteFieldUnsupported, BudgetExceeded) as exc:
-        return _na(clause, str(exc))
-    der = L.derived_space()
-    for U in maxes:
-        I = U.intersect(der)
-        if not any(U.is_direct_sum(I, U.intersect(C)) for C in cartans):
-            return ClauseResult(clause, True, False,
-                                f"no Cartan splits a maximal nilpotent of dim {U.dim}")
-    return ClauseResult(clause, True, True)
-
-
-def check_max_nilpotent_inventory(L, budget: int = DEFAULT_BUDGET) -> ClauseResult:
-    """In the monolithic completely solvable case the maximal nilpotent
-    subalgebras are the derived subalgebra together with the Cartan
-    subalgebras; a nilpotent algebra has only itself."""
-    clause = "max_nilpotent_inventory"
-    try:
-        soc = socle_analysis(L, budget)
-        maxes = max_nilpotent_subalgebras(L, budget)
-    except (InfiniteFieldUnsupported, BudgetExceeded) as exc:
-        return _na(clause, str(exc))
-    if not soc.monolithic or not is_completely_solvable(L):
-        return _na(clause, "algebra is not monolithic completely solvable")
-    if is_nilpotent(L):
-        ok = set(maxes) == {L.full_space()}
-        return ClauseResult(clause, True, ok,
-                            "" if ok else "nilpotent algebra has extra maximals")
-    try:
-        cartans = enumerated_cartan_subalgebras(L, budget)
-    except (InfiniteFieldUnsupported, BudgetExceeded) as exc:
-        return _na(clause, str(exc))
-    expected = {L.derived_space()} | set(cartans)
-    if set(maxes) != expected:
-        return ClauseResult(clause, True, False,
-                            f"{len(maxes)} maximals vs {len(expected)} expected")
-    return ClauseResult(clause, True, True)
-
-
-def check_monolith_abelian(L, W) -> ClauseResult:
-    clause = "monolith_abelian"
-    ok = L.is_abelian_space(W)
-    return ClauseResult(clause, True, ok, "" if ok else "monolith not abelian")
-
-
-def check_monolith_centre_product(L, W) -> ClauseResult:
-    """Non-abelian monolithic case: trivial centre and one-sided products
-    with the whole algebra reproduce the monolith."""
-    clause = "monolith_centre_product"
-    if L.is_abelian():
-        return _na(clause, "algebra is abelian")
-    full = L.full_space()
-    if L.centre().dim != 0:
-        return ClauseResult(clause, True, False, "centre is nonzero")
-    if L.product(full, W) != W and L.product(W, full) != W:
-        return ClauseResult(clause, True, False,
-                            "neither one-sided product reproduces the monolith")
-    return ClauseResult(clause, True, True)
-
-
-def check_monolith_nilradical_top(L, decomp, N) -> ClauseResult:
-    """The nilradical is the top part, which is the last derived term."""
-    clause = "monolith_nilradical_top"
-    ds = derived_series(L)
-    last = ds.terms[-2] if ds.reaches_zero and len(ds.terms) >= 2 else ds.terms[-1]
-    if N != decomp.top or N != last:
-        return ClauseResult(clause, True, False,
-                            "nilradical differs from the top part")
-    return ClauseResult(clause, True, True)
-
-
-def check_monolith_centralizer(L, W, N) -> ClauseResult:
-    clause = "monolith_centralizer"
-    ok = L.centralizer(W) == N
-    return ClauseResult(clause, True, ok,
-                        "" if ok else "centralizer of monolith is not the nilradical")
-
-
-def check_monolith_frattini(L, W, N, budget: int = DEFAULT_BUDGET) -> ClauseResult:
-    """Zero Frattini ideal iff the monolith is the whole nilradical."""
-    clause = "monolith_frattini"
-    try:
-        phi = frattini_ideal(L, budget)
-    except (InfiniteFieldUnsupported, BudgetExceeded) as exc:
-        return _na(clause, str(exc))
-    lhs = phi.dim == 0
-    rhs = W == N
-    if lhs != rhs:
-        return ClauseResult(clause, True, False,
-                            f"frattini dim {phi.dim}, monolith equals nilradical: {rhs}")
-    return ClauseResult(clause, True, True)
-
-
-@dataclass(frozen=True)
-class StructureReport:
-    predicates: dict
-    decomposition: Optional[TriangularDecomposition]
-    decomposition_error: Optional[str]
-    nilradical: Subspace
-    nilradical_mode: str
-    clauses: tuple
-
-
-def structure_report(L: LeibnizAlgebra, seed: int = 0,
-                     budget: int = DEFAULT_BUDGET) -> StructureReport:
-    """Decomposition-centric summary used by reporting front ends."""
-    preds = {
-        "abelian": L.is_abelian(),
-        "nilpotent": is_nilpotent(L),
-        "solvable": is_solvable(L),
-        "completely_solvable": is_completely_solvable(L),
-        "metabelian": is_metabelian(L),
-    }
-    N, mode = nilradical(L, budget)
-    decomp = None
-    error = None
-    if preds["solvable"]:
-        try:
-            decomp = triangular_decomposition(L, seed=seed, budget=budget)
-        except DecompositionFailed as exc:
-            error = str(exc)
-    else:
-        error = "algebra is not solvable"
-    clauses = []
-    if decomp is not None:
-        known_ideals = list(dict.fromkeys([L.zero_space(), L.derived_space(),
-                                           L.leib_ideal(), L.centre(),
-                                           L.full_space()]))
-        minimals = None
-        if L.field.is_finite:
-            try:
-                known_ideals = list(enumerate_spaces(L, "ideals", budget))
-                minimals = socle_analysis(L, budget).minimal_ideals
-            except (InfiniteFieldUnsupported, BudgetExceeded):
-                minimals = None
-        clauses.append(check_ideal_chain_alignment(L, decomp, known_ideals))
-        clauses.append(check_nilradical_chain(L, decomp, N))
-        clauses.append(check_part_centre_alignment(L, decomp, N))
-        clauses.append(check_strong_split(L, decomp, N))
-        if minimals is not None:
-            clauses.append(check_minimal_ideal_location(L, decomp, N, minimals))
-            clauses.append(check_minimal_ideal_position(L, decomp, minimals))
-            clauses.append(check_minimal_ideal_centre(L, decomp, minimals))
-            clauses.append(check_minimal_ideal_derived(L, minimals))
-        clauses.append(check_frattini_free_socle(L, budget))
-    return StructureReport(preds, decomp, error, N, mode, tuple(clauses))

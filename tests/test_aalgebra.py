@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from collections import Counter
 from fractions import Fraction
@@ -5,15 +6,16 @@ from fractions import Fraction
 import pytest
 
 from leibnizalg import linalg
-from leibnizalg.aalgebra import (_check_abelian_ideals_commute,
+from leibnizalg.aalgebra import (_BATTERY, _check_abelian_ideals_commute,
                                  _check_cartan_complements,
                                  _check_quotient_closure, is_a_algebra,
-                                 lemma_aa_certificate, theorem_battery,
-                                 verify_witness, witness_search)
+                                 lemma_aa_certificate, structure_report,
+                                 theorem_battery, verify_witness,
+                                 witness_search)
 from leibnizalg.core import LeibnizAlgebra
 from leibnizalg.corpus import fixture
-from leibnizalg.decompose import structure_report
-from leibnizalg.enumeration import DEFAULT_BUDGET, enumerate_spaces
+from leibnizalg.enumeration import (DEFAULT_BUDGET, enumerate_spaces,
+                                    total_subspaces)
 from leibnizalg.fields import QQ, gf
 from leibnizalg.series import upper_central_series
 
@@ -203,7 +205,7 @@ def _commute_by_products(L, B, C):
 def _assert_commute_matches_products(L):
     """The clause and every pair's centralizer test against [B,C] and [C,B]."""
     ideals = list(enumerate_spaces(L, "ideals"))
-    clause = _check_abelian_ideals_commute(L, ideals)
+    outcome = _check_abelian_ideals_commute(L, ideals)
     expected = (True, "")
     if L.is_abelian():
         # every bracket is zero, so every product of subspaces is zero
@@ -216,8 +218,8 @@ def _assert_commute_matches_products(L):
             assert cent[B].contains_space(C) == commute
             if not commute and expected[0]:
                 expected = (False, f"abelian ideals of dims {B.dim}, {C.dim} do not commute")
-    assert (clause.holds, clause.detail) == expected
-    return clause
+    assert outcome == expected
+    return outcome
 
 
 def test_abelian_ideals_commute_matches_products(small_finite_members):
@@ -232,8 +234,8 @@ def test_abelian_ideals_commute_detects_h3_gf2(h3_gf2):
     assert L.is_abelian_space(xz) and L.is_abelian_space(yz)
     assert not L.centralizer(xz).contains_space(yz)
     assert not _commute_by_products(L, xz, yz)
-    clause = _assert_commute_matches_products(L)
-    assert not clause.holds
+    holds, _ = _assert_commute_matches_products(L)
+    assert not holds
 
 
 def test_battery_builds_each_quotient_once(monkeypatch):
@@ -265,6 +267,8 @@ def test_battery_builds_each_quotient_once(monkeypatch):
 
 def test_cartan_complements_take_no_intersection(monkeypatch):
     L = fixture("C3b", gf(3))
+    clause = next(c for c in theorem_battery(L).clauses
+                  if c.clause == "cartan_complements")
     calls = []
     intersect = linalg.Subspace.intersect
 
@@ -273,8 +277,8 @@ def test_cartan_complements_take_no_intersection(monkeypatch):
         return intersect(self, other)
 
     monkeypatch.setattr(linalg.Subspace, "intersect", counting_intersect)
-    clause = _check_cartan_complements(L, DEFAULT_BUDGET)
-    assert clause.applicable and clause.holds
+    outcome = _check_cartan_complements(L, DEFAULT_BUDGET)
+    assert clause.applicable and clause.holds and outcome == (True, "")
     assert calls == []
 
 
@@ -297,3 +301,70 @@ def test_no_copy_of_the_algebra_is_built(monkeypatch, name, field):
     assert copies == []
     assert L.restrict(L.full_space())[0] is L
     assert L.quotient(L.zero_space())[0] is L
+
+
+# ------------------------------------------------------- golden report digest
+
+GOLDEN_SUBSPACE_CAP = 300
+
+
+@pytest.fixture(scope="module")
+def golden_reports(members):
+    """Battery and structure reports of every member over Q and every
+    finite member with at most GOLDEN_SUBSPACE_CAP subspaces."""
+    out = []
+    for m in members:
+        L = m.algebra
+        if L.field.is_finite and total_subspaces(L.dim, L.field.size) > GOLDEN_SUBSPACE_CAP:
+            continue
+        out.append((m, theorem_battery(L), structure_report(L)))
+    return out
+
+
+def _clause_rows(clauses):
+    return [(c.clause, c.applicable, c.holds, c.detail) for c in clauses]
+
+
+def test_battery_and_structure_reports_golden_digest(golden_reports):
+    digest = hashlib.sha256()
+    for m, rep, srep in golden_reports:
+        battery = (m.label, rep.verdict.label, rep.verdict.certificate,
+                   _clause_rows(rep.clauses), list(rep.findings))
+        dec = srep.decomposition
+        structure = (m.label, list(srep.predicates.items()),
+                     None if dec is None else [P.dim for P in dec.parts],
+                     srep.decomposition_error, srep.nilradical.dim,
+                     srep.nilradical_mode, _clause_rows(srep.clauses))
+        digest.update(repr((battery, structure)).encode())
+    assert len(golden_reports) == 231
+    assert digest.hexdigest() == (
+        "e167f5bf66580cab82a5fa14d26cdf6df31a1e003d3b296abcf3e370c457f266")
+
+
+# Clauses whose hypotheses can hold over Q; the others need an enumerated
+# subspace lattice of L or of a section of it.
+RATIONAL_CLAUSES = {
+    "abelian_ideals_commute", "nilradical_maximal_abelian", "quotient_closure",
+    "intersection_quotient", "derived_equals_lower_nilpotent",
+    "centre_derived_intersection", "abelian_chain_decomposition",
+    "ideal_chain_alignment", "ideal_part_split", "nilradical_chain_splitting",
+    "part_centre_alignment", "strong_split", "ideal_centralizer_criterion",
+    "left_products_in_right_chain", "nilradical_centralizer",
+    "abelian_complement_criterion", "derived_length_bound", "char_zero_metabelian",
+}
+LATTICE_HYPOTHESES = {"exhaustive", "enumerable", "finite_field"}
+
+
+def test_every_clause_applies_somewhere(golden_reports):
+    applied = {True: set(), False: set()}
+    for m, rep, _ in golden_reports:
+        applied[m.algebra.field.is_finite] |= {c.clause for c in rep.clauses
+                                                if c.applicable}
+    table = [row.clause for row in _BATTERY]
+    assert len(table) == len(set(table)) == 33
+    assert all(row.check.__name__ == "_check_" + row.clause for row in _BATTERY)
+    assert set(table) == applied[True] | applied[False]
+    assert set(table) - applied[True] == {"char_zero_metabelian"}
+    assert applied[False] == RATIONAL_CLAUSES
+    assert {row.clause for row in _BATTERY
+            if LATTICE_HYPOTHESES.isdisjoint(row.gates + row.needs)} == RATIONAL_CLAUSES

@@ -8,17 +8,16 @@ them changes what the gate certifies.
 import itertools
 import random
 import time
+from collections import Counter
 
-from leibnizalg.aalgebra import is_a_algebra
+from leibnizalg.aalgebra import (_BATTERY, _check_ideal_chain_alignment,
+                                 _check_minimal_ideal_location,
+                                 _check_nilradical_chain_splitting,
+                                 _check_part_centre_alignment, _Facts, _run,
+                                 is_a_algebra)
 from leibnizalg.cyclic import (CyclicSpec, build_cyclic, generator_cofactor,
                                generator_polynomial)
-from leibnizalg.decompose import (check_ideal_chain_alignment,
-                                  check_max_nilpotent_cartan_split,
-                                  check_max_nilpotent_inventory,
-                                  check_minimal_ideal_location,
-                                  check_nilradical_chain,
-                                  check_part_centre_alignment, fitting,
-                                  triangular_decomposition)
+from leibnizalg.decompose import fitting, triangular_decomposition
 from leibnizalg.enumeration import (enumerate_spaces, frattini_ideal,
                                     socle_analysis, total_subspaces)
 from leibnizalg.fields import gf
@@ -155,12 +154,15 @@ def test_criterion_07_certified_triangular_invariants(members):
         ideals = list(enumerate_spaces(L, "ideals", ACCEPTANCE_BUDGET))
         N, mode = nilradical(L, ACCEPTANCE_BUDGET)
         assert mode == "exact", m.label
-        minimals = socle_analysis(L, ACCEPTANCE_BUDGET).minimal_ideals
-        for res in (check_ideal_chain_alignment(L, decomp, ideals),
-                    check_nilradical_chain(L, decomp, N),
-                    check_part_centre_alignment(L, decomp, N),
-                    check_minimal_ideal_location(L, decomp, N, minimals)):
-            assert not res.failed, (m.label, res.clause, res.detail)
+        socle = socle_analysis(L, ACCEPTANCE_BUDGET)
+        outcomes = {
+            "ideal_chain_alignment": _check_ideal_chain_alignment(L, decomp, ideals),
+            "nilradical_chain_splitting": _check_nilradical_chain_splitting(L, decomp, N),
+            "part_centre_alignment": _check_part_centre_alignment(L, decomp, N),
+            "minimal_ideal_location": _check_minimal_ideal_location(decomp, N, socle),
+        }
+        for clause, (holds, detail) in outcomes.items():
+            assert holds is not False, (m.label, clause, detail)
         aligned += 1
     assert decomposed > 100 and aligned > 100
 
@@ -188,23 +190,25 @@ def test_criterion_08_certified_nilradical_is_derived_plus_centre(members):
     assert exact > 200 and bounded > 0
 
 
+MAX_NILPOTENT_ROWS = tuple(row for row in _BATTERY if row.clause in
+                           ("max_nilpotent_cartan_split", "max_nilpotent_inventory"))
+
+
 def test_criterion_09_certified_max_nilpotent_structure(members):
-    split_checked = inventory_checked = 0
+    checked = Counter()
     for m in members:
         L = m.algebra
         if not L.field.is_finite:
             continue
         if not (_verdict(L).is_true and is_completely_solvable(L)):
             continue
-        split = check_max_nilpotent_cartan_split(L, ACCEPTANCE_BUDGET)
-        inventory = check_max_nilpotent_inventory(L, ACCEPTANCE_BUDGET)
-        assert not split.failed, (m.label, split.detail)
-        assert not inventory.failed, (m.label, inventory.detail)
-        if split.applicable:
-            split_checked += 1
-        if inventory.applicable:
-            inventory_checked += 1
-    assert split_checked > 100 and inventory_checked > 50
+        results, _ = _run(MAX_NILPOTENT_ROWS, _Facts(L, SEED, ACCEPTANCE_BUDGET))
+        for res in results:
+            assert not res.failed, (m.label, res.detail)
+            if res.applicable:
+                checked[res.clause] += 1
+    assert checked["max_nilpotent_cartan_split"] > 100
+    assert checked["max_nilpotent_inventory"] > 50
 
 
 def test_criterion_10_shortcut_verdicts_match_enumeration(members):

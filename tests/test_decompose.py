@@ -6,14 +6,15 @@ from kernel_reference import (centre_by_restriction, ideal_decomposition_by_sums
                               ideal_part_split_by_sums, maximal_by_pairs,
                               nilradical_chain_by_sums)
 from leibnizalg import decompose
-from leibnizalg.aalgebra import _check_ideal_part_split
+from leibnizalg.aalgebra import (ClauseResult, _check_ideal_part_split,
+                                 _check_nilradical_chain_splitting,
+                                 structure_report)
 from leibnizalg.core import LeibnizAlgebra
 from leibnizalg.corpus import fixture
-from leibnizalg.decompose import (ClauseResult, TriangularDecomposition,
-                                  cartan_subalgebra, check_nilradical_chain,
+from leibnizalg.decompose import (TriangularDecomposition, cartan_subalgebra,
                                   enumerated_cartan_subalgebras, fitting,
                                   fitting_family, ideal_decomposition,
-                                  max_nilpotent_subalgebras, structure_report,
+                                  max_nilpotent_subalgebras,
                                   triangular_decomposition)
 from leibnizalg.enumeration import (enumerate_spaces, iter_subspaces,
                                     maximal_subalgebras, total_subspaces)
@@ -224,20 +225,20 @@ def test_slice_checks_match_running_sums(tiny_finite_members):
             continue
         checked += 1
         ideals = enumerate_spaces(L, "ideals")
-        res = _check_ideal_part_split(L, decomp, ideals)
-        assert (res.holds, res.detail) == ideal_part_split_by_sums(L, decomp, ideals)
+        assert (_check_ideal_part_split(L, decomp, ideals)
+                == ideal_part_split_by_sums(L, decomp, ideals))
         # subalgebras that are not ideals, and a repeated part, which makes
         # the slices of a space meeting the top part dependent, run the
         # failure branches as well
         spaces = enumerate_spaces(L, "subalgebras")
         for D in spaces:
-            res = _check_ideal_part_split(L, decomp, [D])
-            assert (res.holds, res.detail) == ideal_part_split_by_sums(L, decomp, [D])
+            assert (_check_ideal_part_split(L, decomp, [D])
+                    == ideal_part_split_by_sums(L, decomp, [D]))
         repeated = TriangularDecomposition((decomp.top,) + decomp.parts)
         for dec in (decomp, repeated):
             for D in spaces:
-                res = check_nilradical_chain(L, dec, D)
-                assert (res.holds, res.detail) == nilradical_chain_by_sums(L, dec, D)
+                assert (_check_nilradical_chain_splitting(L, dec, D)
+                        == nilradical_chain_by_sums(L, dec, D))
                 assert (_outcome(ideal_decomposition, L, dec, D)
                         == _outcome(ideal_decomposition_by_sums, L, dec, D))
     assert checked
