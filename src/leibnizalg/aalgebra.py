@@ -28,7 +28,7 @@ from .decompose import (TriangularDecomposition, enumerated_cartan_subalgebras,
                         fitting_family, ideal_decomposition,
                         max_nilpotent_subalgebras, triangular_decomposition)
 from .enumeration import (DEFAULT_BUDGET, _check_enumerable, enumerate_spaces,
-                          frattini_ideal, socle_analysis, total_subspaces)
+                          frattini_ideal, is_enumerable, socle_analysis)
 from .errors import (BudgetExceeded, DecompositionFailed,
                      InfiniteFieldUnsupported, NoSolution, NotDecomposing)
 from .linalg import (Subspace, fitting_power, kernel, restrict_operator,
@@ -200,7 +200,7 @@ def is_a_algebra(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET,
         if L.is_abelian():
             return AVerdict(True, "abelian")
         return _false_verdict(L, L.full_space(), "nilpotent_self")
-    if L.field.is_finite and total_subspaces(L.dim, L.field.size) <= budget:
+    if is_enumerable(L, budget):
         for U in enumerate_spaces(L, "subalgebras", budget):
             if U.dim < 2:
                 continue
@@ -738,8 +738,7 @@ class _Facts:
 
     @property
     def exhaustive(self) -> bool:
-        F = self.L.field
-        return F.is_finite and total_subspaces(self.L.dim, F.size) <= self.budget
+        return is_enumerable(self.L, self.budget)
 
     @property
     def enumerable(self) -> bool:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .core import LeibnizAlgebra, direct_sum
 from .cyclic import build_cyclic
-from .enumeration import enumerate_spaces, total_subspaces
+from .enumeration import enumerate_spaces, is_enumerable
 from .fields import QQ, gf
 
 FIELDS = (QQ, gf(2), gf(3), gf(4), gf(9))
@@ -104,10 +104,7 @@ def corpus(with_quotients: bool = True,
     if with_quotients:
         for member in list(members):
             L = member.algebra
-            F = L.field
-            if not F.is_finite:
-                continue
-            if total_subspaces(L.dim, F.size) > quotient_cap:
+            if not is_enumerable(L, quotient_cap):
                 continue
             for idx, I in enumerate(enumerate_spaces(L, "ideals", quotient_cap)):
                 if I.dim == 0 or I.dim == L.dim:

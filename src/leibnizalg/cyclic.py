@@ -24,8 +24,8 @@ from typing import Optional
 
 from .aalgebra import ClauseResult, is_a_algebra
 from .core import LeibnizAlgebra
-from .enumeration import (DEFAULT_BUDGET, frattini_ideal, socle_analysis,
-                          total_subspaces)
+from .enumeration import (DEFAULT_BUDGET, frattini_ideal, is_enumerable,
+                          socle_analysis)
 from .errors import BadSpec
 from .poly import Poly, companion_matrix, format_poly, poly, poly_factor
 from .series import is_nilpotent
@@ -163,7 +163,7 @@ def classify_cyclic(field, alphas, budget: int = DEFAULT_BUDGET,
                                    "" if ok else "rescaled generator does not satisfy [a^2, a] = a^2"))
         normalization_scalar = mu
 
-    if F.is_finite and total_subspaces(n, F.size) <= budget:
+    if is_enumerable(L, budget):
         soc = socle_analysis(L, budget)
         ok = soc.monolithic == monolithic_claim
         checks.append(ClauseResult("socle_cross_check", True, ok,

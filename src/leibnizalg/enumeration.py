@@ -11,10 +11,10 @@ checked against the caller's budget before any work happens.
 
 One walker, ``echelon_bases``, serves both scans.  For the subspaces it
 yields every echelon basis; for the subalgebras it is given the bracket and
-prunes, row by row, every branch whose brackets cannot close, and each
-survivor still gets the closure test.  The survivors come in the order of
-the full walk.  Each algebra's subspaces are walked once: the subalgebra
-scan is memoised, and the ideals are read off it, since every ideal is a
+prunes, row by row, every branch whose brackets cannot close, so the walk
+itself decides closure and yields the subalgebras in the order of the full
+walk.  Each algebra's subspaces are walked once: the subalgebra scan is
+memoised, and the ideals are read off it, since every ideal is a
 subalgebra.
 """
 
@@ -47,6 +47,11 @@ def total_subspaces(n: int, q: int) -> int:
     return sum(gaussian_binomial(n, d, q) for d in range(n + 1))
 
 
+def is_enumerable(L: LeibnizAlgebra, budget: int) -> bool:
+    """Whether the field is finite and all subspaces fit the budget."""
+    return L.field.is_finite and total_subspaces(L.dim, L.field.size) <= budget
+
+
 def _check_enumerable(L: LeibnizAlgebra, budget: int) -> None:
     if not L.field.is_finite:
         raise InfiniteFieldUnsupported(
@@ -58,45 +63,43 @@ def _check_enumerable(L: LeibnizAlgebra, budget: int) -> None:
 
 def echelon_bases(field, n: int, bracket=None):
     """Yield (rows, pivots) for the subspaces of F^n in canonical order:
-    every subspace, or, given an algebra's ``bracket``, the candidates for
-    its subalgebras.
+    every subspace, or, given an algebra's ``bracket``, exactly its
+    subalgebras.
 
     Each pivot pattern p_1 < ... < p_d is walked depth first, fixing the
     echelon rows r_1, r_2, ... one at a time (r_t is 1 at p_t, 0 at the
     other pivots and left of p_t).  Given ``bracket``, the walk keeps the
-    residual of each [r_a, r_b] over the fixed rows, reduces it only by each
-    newly fixed row, and reduces a new row's brackets by all fixed rows.  A
-    subspace is closed exactly when every residual is zero after all d rows.
+    residual of each [r_a, r_b] over the fixed rows: each time a row is
+    fixed, the old residuals and the new row's brackets are reduced by all
+    fixed rows.  A subspace is closed exactly when every residual is zero
+    after all d rows.
 
-    - After r_1..r_t, a residual nonzero at a position left of p_{t+1} kills
-      the branch: every later row is zero there, so no choice of them
-      reduces that entry away.
-    - At the last row no bracket is computed.  A nonzero residual rho must
-      be a multiple of r_d, so it forces r_d = rho / rho[p_d], and the branch
-      dies when rho[p_d] = 0.  The pruning before it made rho zero left of
-      p_d and at every fixed pivot, so the forced row has the echelon shape.
-      With every residual zero, r_d takes all its values.
+    - After r_1..r_t, a residual nonzero left of p_{t+1} (after r_d:
+      anywhere) kills the branch: every later row is zero there, so no
+      choice of them reduces that entry away.
+    - Before the last row, a nonzero residual rho must become a multiple of
+      r_d, so it forces r_d = rho / rho[p_d], and the branch dies when
+      rho[p_d] = 0.  The pruning made rho zero left of p_d and at every
+      fixed pivot, so the forced row has the echelon shape.  With every
+      residual zero, r_d takes all its values.
 
-    Only bilinearity is used, so no subalgebra is dropped and a survivor is
-    a candidate: the caller tests its closure.  Given no bracket, nothing is
-    pruned and every subspace is yielded.  Each dimension's yields are
-    sorted by row tuple, so the survivors come in the order of the full
-    walk.
+    Given no bracket, every subspace is yielded.  Each dimension's yields
+    are sorted by row tuple, so the subalgebras come in the order of the
+    full walk.
     """
     elems = tuple(field.elements())
     zero, one = field.zero, field.one
 
     def residuals_with(pivots, rows, r, residuals):
         """The nonzero residuals once r is fixed after ``rows``, or None
-        when one is nonzero left of the next pivot."""
+        when one is nonzero left of the next pivot (or n, after the last)."""
         t = len(rows)
-        bound = pivots[t + 1]
-        new_row = Subspace(field, n, (r,), (pivots[t],))
+        bound = pivots[t + 1] if t + 1 < len(pivots) else n
         fixed = Subspace(field, n, rows + (r,), pivots[:t + 1])
         pairs = [(r, r)] + [pair for a in rows for pair in ((a, r), (r, a))]
         kept = []
-        for rho in itertools.chain(map(new_row.reduce, residuals),
-                                   (fixed.reduce(bracket(u, v)) for u, v in pairs)):
+        for rho in map(fixed.reduce, itertools.chain(
+                residuals, (bracket(u, v) for u, v in pairs))):
             if any(rho[:bound]):
                 return None
             if any(rho):
@@ -107,19 +110,19 @@ def echelon_bases(field, n: int, bracket=None):
         t = len(rows)
         if t == len(pivots):
             out.append((rows, pivots))
-        elif t == len(pivots) - 1:
-            if not residuals:
-                out.extend((rows + (r,), pivots) for r in choices[t])
-            elif residuals[0][pivots[t]]:
-                rho = residuals[0]
-                c = field.inv(rho[pivots[t]])
-                out.append((rows + (tuple(field.mul(c, a) for a in rho),), pivots))
-        else:
-            for r in choices[t]:
-                kept = (residuals if bracket is None
-                        else residuals_with(pivots, rows, r, residuals))
-                if kept is not None:
-                    walk(pivots, choices, rows + (r,), kept, out)
+            return
+        candidates = choices[t]
+        if t == len(pivots) - 1 and residuals:
+            c = residuals[0][pivots[t]]
+            if not c:
+                return
+            c = field.inv(c)
+            candidates = (tuple(field.mul(c, a) for a in residuals[0]),)
+        for r in candidates:
+            kept = (residuals if bracket is None
+                    else residuals_with(pivots, rows, r, residuals))
+            if kept is not None:
+                walk(pivots, choices, rows + (r,), kept, out)
 
     for d in range(n + 1):
         batch = []
@@ -151,9 +154,7 @@ def iter_subalgebras(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
     _check_enumerable(L, budget)
     F, n = L.field, L.dim
     for rows, pivots in echelon_bases(F, n, L.bracket):
-        S = Subspace(F, n, rows, pivots)
-        if L.is_subalgebra(S):
-            yield S
+        yield Subspace(F, n, rows, pivots)
 
 
 def iter_ideals(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):

@@ -111,13 +111,6 @@ class Poly:
     def __floordiv__(self, other: "Poly") -> "Poly":
         return self.divmod(other)[0]
 
-    def evaluate(self, x):
-        F = self.field
-        acc = F.zero
-        for c in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, x), c)
-        return acc
-
     def __pow__(self, e: int) -> "Poly":
         result = poly(self.field, [self.field.one])
         base = self
@@ -314,7 +307,7 @@ def format_poly(p: Poly, var: str = "x") -> str:
         if F.is_zero(c):
             continue
         # rational coefficients read better with a subtraction sign
-        neg = isinstance(c, Fraction) and c < 0
+        neg = F.char == 0 and c < 0
         mag = F.neg(c) if neg else c
         if e == 0:
             term = _coef_str(F, mag)

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import LeibnizAlgebra, memo
-from .enumeration import DEFAULT_BUDGET, enumerate_spaces
-from .errors import BudgetExceeded, InfiniteFieldUnsupported, LeibnizError
+from .enumeration import DEFAULT_BUDGET, enumerate_spaces, is_enumerable
+from .errors import InfiniteFieldUnsupported, LeibnizError
 from .linalg import Subspace
 
 
@@ -164,18 +164,13 @@ def nilradical(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
     """
     if is_nilpotent(L):
         return L.full_space(), "exact"
-    if L.field.is_finite:
-        try:
-            ideals = enumerate_spaces(L, "ideals", budget)
-        except BudgetExceeded:
-            pass
-        else:
-            total = L.span([v for I in ideals if is_nilpotent_space(L, I)
-                            for v in I.basis])
-            if not is_nilpotent_space(L, total):
-                raise LeibnizError(
-                    "sum of nilpotent ideals failed its nilpotency check")
-            return total, "exact"
+    if is_enumerable(L, budget):
+        total = L.span([v for I in enumerate_spaces(L, "ideals", budget)
+                        if is_nilpotent_space(L, I) for v in I.basis])
+        if not is_nilpotent_space(L, total):
+            raise LeibnizError(
+                "sum of nilpotent ideals failed its nilpotency check")
+        return total, "exact"
     total = hypercentre(L).add(L.leib_ideal())
     for term in derived_series(L).terms[1:]:
         if is_nilpotent_space(L, term):

@@ -145,6 +145,18 @@ def test_pruned_walk_matches_full_walk_on_corpus(members):
     assert checked > 300
 
 
+@pytest.mark.parametrize("name,q", [("H3", 2), ("C3b", 3), ("sl2", 3)])
+def test_walk_decides_closure_without_closure_test(name, q, monkeypatch):
+    L = fixture(name, gf(q))
+    expected = _closed_by_full_walk(L)
+
+    def refuse(self, S):
+        raise AssertionError("iter_subalgebras ran a closure test")
+
+    monkeypatch.setattr(LeibnizAlgebra, "is_subalgebra", refuse)
+    assert _walked_subalgebras(L) == expected
+
+
 @st.composite
 def structure_tables(draw):
     """Random structure constants, Leibniz or not: the pruning uses only

@@ -112,3 +112,36 @@ def test_every_error_class_is_raised():
 def test_scan_finds_raised_errors():
     tree = ast.parse("raise A\nraise B('x')\ntry:\n    pass\nexcept C:\n    raise\n")
     assert _raised([tree]) == {"A", "B"}
+
+
+FIELD_TYPES = {"Fraction", "Rationals", "PrimeField", "ExtensionField"}
+
+
+def _field_type_tests(tree):
+    """Lines of ``isinstance`` calls that test for a field or scalar type,
+    as (line, type name)."""
+    out = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            types = node.args[1]
+            for t in types.elts if isinstance(types, ast.Tuple) else [types]:
+                name = t.attr if isinstance(t, ast.Attribute) else getattr(t, "id", "")
+                if name in FIELD_TYPES:
+                    out.append((node.lineno, name))
+    return out
+
+
+def test_field_types_tested_only_in_fields():
+    found = {p.name: _field_type_tests(ast.parse(p.read_text(), filename=str(p)))
+             for p in MODULES if p.name != "fields.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_scan_finds_field_type_tests():
+    tree = ast.parse("isinstance(c, Fraction)\n"
+                     "isinstance(F, (int, fields.PrimeField))\n"
+                     "isinstance(x, dict)\n"
+                     "if isinstance(F, ExtensionField): pass\n")
+    assert _field_type_tests(tree) == [(1, "Fraction"), (2, "PrimeField"),
+                                       (4, "ExtensionField")]
