@@ -20,7 +20,7 @@ from typing import Optional
 
 from .errors import (LeibnizError, NotAnIdeal, NotASubalgebra, NotLeibniz,
                      ShapeMismatch)
-from .linalg import Subspace, is_zero_vec, kernel, vec_add, vec_sub, zero_vec
+from .linalg import Subspace, kernel, vec_add, vec_sub, zero_vec
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class Embedding:
         F = self.space.field
         v = zero_vec(F, self.space.ambient)
         for c, row in zip(w, self.space.basis):
-            if not F.is_zero(c):
+            if c:
                 v = vec_add(F, v, tuple(F.mul(c, a) for a in row))
         return v
 
@@ -264,12 +264,10 @@ class LeibnizAlgebra:
         return self.span(vecs)
 
     def is_abelian_space(self, U: Subspace) -> bool:
-        F = self.field
-        return all(is_zero_vec(F, self.bracket(u, v))
-                   for u in U.basis for v in U.basis)
+        return not any(any(self.bracket(u, v)) for u in U.basis for v in U.basis)
 
     def is_abelian(self) -> bool:
-        return all(is_zero_vec(self.field, v) for row in self.table for v in row)
+        return not any(any(v) for row in self.table for v in row)
 
     def is_subalgebra(self, U: Subspace) -> bool:
         return all(U.contains(self.bracket(u, v))

@@ -11,7 +11,8 @@ field-agnostic and exact.
 Every field's zero is ``0`` or ``Fraction(0)``, and ``is_zero`` is
 ``a == 0`` in all three classes, so ``bool(a) == (not F.is_zero(a))`` for
 every scalar.  The inner loops of ``core`` and ``linalg`` rely on this to
-skip zeros by truthiness.
+skip zeros by truthiness: ``LeibnizAlgebra.bracket``, ``Subspace.reduce``
+and ``Subspace.intersect``, ``rref``, ``mat_mul`` and ``mat_vec``.
 
 Extension fields with q below a small threshold precompute full q x q
 multiplication/addition tables, which keeps the enumeration-heavy callers
@@ -53,14 +54,8 @@ class Rationals:
     char: ClassVar[int] = 0
     is_finite: ClassVar[bool] = False
     size: ClassVar[None] = None
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
+    zero: ClassVar[Fraction] = Fraction(0)
+    one: ClassVar[Fraction] = Fraction(1)
 
     def add(self, a, b):
         return a + b

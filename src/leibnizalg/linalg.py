@@ -26,40 +26,41 @@ def vec_sub(field, u, v):
     return tuple(field.sub(a, b) for a, b in zip(u, v))
 
 
-def is_zero_vec(field, v):
-    return not any(v)
-
-
 def identity_matrix(field, n):
     one, zero = field.one, field.zero
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def mat_vec(field, rows, v):
-    """Matrix times column vector."""
+    """Matrix times column vector, over the nonzero entries of v."""
     add, mul, zero = field.add, field.mul, field.zero
+    support = [(j, b) for j, b in enumerate(v) if b]
     out = []
     for row in rows:
         acc = zero
-        for a, b in zip(row, v):
-            acc = add(acc, mul(a, b))
+        for j, b in support:
+            a = row[j]
+            if a:
+                acc = add(acc, mul(a, b))
         out.append(acc)
     return tuple(out)
 
 
 def mat_mul(field, A, B):
+    """A times B, row by row: each nonzero a = A[i][k] adds a * B[k] to
+    row i of the product, over the nonzero entries of B[k]."""
     add, mul, zero = field.add, field.mul, field.zero
     if A and B and len(A[0]) != len(B):
         raise ShapeMismatch(f"cannot multiply {len(A)}x{len(A[0])} by {len(B)}x{len(B[0])}")
-    Bt = list(zip(*B))
+    width = len(B[0]) if B else 0
+    supports = [[(j, b) for j, b in enumerate(row) if b] for row in B]
     out = []
     for row in A:
-        out_row = []
-        for col in Bt:
-            acc = zero
-            for a, b in zip(row, col):
-                acc = add(acc, mul(a, b))
-            out_row.append(acc)
+        out_row = [zero] * width
+        for a, support in zip(row, supports):
+            if a:
+                for j, b in support:
+                    out_row[j] = add(out_row[j], mul(a, b))
         out.append(out_row)
     return out
 
@@ -69,29 +70,37 @@ def rref(field, rows):
 
     Returns (rows, pivots): nonzero rows as tuples with pivot entries 1,
     zeros above and below each pivot, pivot columns strictly increasing.
+    Zero scalars are skipped by truthiness (see ``fields``): entries left
+    of a pivot are zero in every row from it down, so the pivot row is
+    scaled from its pivot on and the other rows are changed only where
+    the pivot row is nonzero.
     """
     work = [list(r) for r in rows]
     if not work:
         return [], ()
+    inv, mul, sub = field.inv, field.mul, field.sub
+    one, zero = field.one, field.zero
     n = len(work[0])
     pivots = []
     r = 0
     for c in range(n):
-        pr = None
-        for i in range(r, len(work)):
-            if not field.is_zero(work[i][c]):
-                pr = i
-                break
+        pr = next((i for i in range(r, len(work)) if work[i][c]), None)
         if pr is None:
             continue
         work[r], work[pr] = work[pr], work[r]
-        inv = field.inv(work[r][c])
-        if inv != field.one:
-            work[r] = [field.mul(inv, a) for a in work[r]]
-        for i in range(len(work)):
-            if i != r and not field.is_zero(work[i][c]):
-                f = work[i][c]
-                work[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(work[i], work[r])]
+        prow = work[r]
+        s = inv(prow[c])
+        if s != one:
+            for j in range(c, n):
+                if prow[j]:
+                    prow[j] = mul(s, prow[j])
+        support = [(j, prow[j]) for j in range(c + 1, n) if prow[j]]
+        for i, row in enumerate(work):
+            f = row[c]
+            if f and i != r:
+                for j, b in support:
+                    row[j] = sub(row[j], mul(f, b))
+                row[c] = zero
         pivots.append(c)
         r += 1
         if r == len(work):
@@ -168,14 +177,21 @@ class Subspace:
         return Subspace.span(self.field, self.ambient, self.basis + other.basis)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus block trick on [u|u] and [w|0] rows."""
+        """Zassenhaus on the rows [other.reduce(u) | u] for u in this basis.
+
+        Their left half is zero exactly when u lies in other, so the rows
+        of their echelon form with pivots right of the left half are the
+        reduced echelon basis of the meet.
+        """
         self._check_compatible(other)
-        F, n = self.field, self.ambient
-        block = [tuple(u) + tuple(u) for u in self.basis]
-        block += [tuple(w) + zero_vec(F, n) for w in other.basis]
-        rows, _ = rref(F, block)
-        inter = [r[n:] for r in rows if is_zero_vec(F, r[:n])]
-        return Subspace.span(F, n, inter)
+        n = self.ambient
+        block = [other.reduce(u) + u for u in self.basis]
+        if not any(any(row[:n]) for row in block):
+            return self
+        rows, pivots = rref(self.field, block)
+        k = sum(p < n for p in pivots)
+        return Subspace(self.field, n, tuple(row[n:] for row in rows[k:]),
+                        tuple(p - n for p in pivots[k:]))
 
     def is_direct_sum(self, *parts: "Subspace") -> bool:
         """Whether this space is the direct sum of the parts.

@@ -17,6 +17,10 @@ definitions read.  ``ideal_part_split_by_sums``,
 independence by intersecting with a running sum of ``add`` calls.
 ``kronecker_by_product`` draws Kronecker's candidates from the whole
 product of signed divisors, testing each interpolant afterwards.
+``dense_rref`` is reduced row echelon form that tests every entry with
+``is_zero`` and scales and eliminates whole rows, zeros included;
+``block_intersect`` is the meet of two spaces by the Zassenhaus block of
+[u|u] and [w|0] rows, echeloned by ``dense_rref`` and spanned again.
 """
 
 import itertools
@@ -62,14 +66,58 @@ def maximal_by_pairs(spaces):
 
 
 def schoolbook_product(F, A, B):
-    """The product of two square matrices of one size, entry by entry."""
-    n = len(A)
-    out = [[F.zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for m in range(n):
+    """The product of an l x m and an m x n matrix, entry by entry."""
+    width = len(B[0]) if B else 0
+    out = [[F.zero] * width for _ in A]
+    for i in range(len(A)):
+        for j in range(width):
+            for m in range(len(B)):
                 out[i][j] = F.add(out[i][j], F.mul(A[i][m], B[m][j]))
     return out
+
+
+def dense_rref(field, rows):
+    """(rows, pivots) of the reduced row echelon form, every entry of
+    every row visited at every pivot."""
+    work = [list(r) for r in rows]
+    if not work:
+        return [], ()
+    n = len(work[0])
+    pivots = []
+    r = 0
+    for c in range(n):
+        pr = None
+        for i in range(r, len(work)):
+            if not field.is_zero(work[i][c]):
+                pr = i
+                break
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        inv = field.inv(work[r][c])
+        if inv != field.one:
+            work[r] = [field.mul(inv, a) for a in work[r]]
+        for i in range(len(work)):
+            if i != r and not field.is_zero(work[i][c]):
+                f = work[i][c]
+                work[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return [tuple(row) for row in work[:r]], tuple(pivots)
+
+
+def block_intersect(B, D):
+    """B cap D: the right halves of the echelon rows of [u|u] (u in B)
+    and [w|0] (w in D) whose left half is zero, spanned again."""
+    F, n = B.field, B.ambient
+    block = [tuple(u) + tuple(u) for u in B.basis]
+    block += [tuple(w) + (F.zero,) * n for w in D.basis]
+    rows, _ = dense_rref(F, block)
+    meet = [r[n:] for r in rows if all(F.is_zero(a) for a in r[:n])]
+    rows, pivots = dense_rref(F, meet)
+    return Subspace(F, n, tuple(rows), pivots)
 
 
 def plain_power(F, A):

@@ -6,22 +6,28 @@ with the slow references in ``kernel_reference`` on every fixture over
 every corpus field.  Centralizers and normalizers are compared with the
 vectors that satisfy their definitions, over GF(2) and GF(3).  The
 Fitting power, which squares a matrix, is compared with the n-th power by
-n products.
+n products.  ``rref``, ``mat_mul``, ``mat_vec`` and ``Subspace.intersect``
+skip zero scalars too; they are compared with ``dense_rref``,
+``schoolbook_product`` and ``block_intersect`` on random matrices with
+about a third of their entries zero, down to the type of every scalar.
 """
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from kernel_reference import (dense_bracket, plain_power, random_vector,
-                              rank_contains, schoolbook_product, unit_vectors)
+from kernel_reference import (block_intersect, dense_bracket, dense_rref,
+                              plain_power, random_vector, rank_contains,
+                              schoolbook_product, unit_vectors)
 from leibnizalg.corpus import FIELDS, FIXTURE_NAMES, fixture
 from leibnizalg.enumeration import iter_subspaces
 from leibnizalg.fields import QQ, gf
 from leibnizalg.linalg import (Subspace, fitting_power, image,
-                               is_nilpotent_operator, kernel, solve)
+                               is_nilpotent_operator, kernel, mat_mul, mat_vec,
+                               rref, solve)
 
 FIELD_IDS = [str(F) for F in FIELDS]
 
@@ -147,3 +153,83 @@ def test_fitting_power_matches_plain_power(F):
             assert kernel(F, power, ncols=n) == kernel(F, ref, ncols=n)
             assert image(F, power) == image(F, ref)
         assert all(is_nilpotent_operator(F, A) for A in nilpotents)
+
+
+def _types(rows):
+    return [[type(a) for a in row] for row in rows]
+
+
+def _random_matrix(F, m, n, rng):
+    """m random rows of length n, some of them combinations of earlier
+    ones, so that the rank falls short of m."""
+    rows = []
+    for _ in range(m):
+        if rows and rng.random() < 0.3:
+            row = (F.zero,) * n
+            for earlier in rng.sample(rows, rng.randint(1, len(rows))):
+                c = F.random_scalar(rng)
+                row = tuple(F.add(x, F.mul(c, y)) for x, y in zip(row, earlier))
+            rows.append(row)
+        else:
+            rows.append(random_vector(F, n, rng))
+    return rows
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=FIELD_IDS)
+def test_rref_matches_dense_rref(F):
+    rng = random.Random(f"rref-{F}")
+    for _ in range(150):
+        rows = _random_matrix(F, rng.randint(0, 7), rng.randint(1, 7), rng)
+        got, pivots = rref(F, rows)
+        ref, ref_pivots = dense_rref(F, rows)
+        assert (got, pivots) == (ref, ref_pivots)
+        assert _types(got) == _types(ref)
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=FIELD_IDS)
+def test_mat_mul_and_mat_vec_match_schoolbook(F):
+    rng = random.Random(f"mat-mul-{F}")
+    shapes = [(n, n, n) for n in range(6)] * 4 + [(2, 5, 3), (4, 1, 6), (3, 4, 0)]
+    for rows, inner, cols in shapes:
+        A = [list(random_vector(F, inner, rng)) for _ in range(rows)]
+        B = [list(random_vector(F, cols, rng)) for _ in range(inner)]
+        got, ref = mat_mul(F, A, B), schoolbook_product(F, A, B)
+        assert got == ref and _types(got) == _types(ref)
+        v = random_vector(F, inner, rng)
+        got = mat_vec(F, A, v)
+        ref = tuple(row[0] for row in schoolbook_product(F, A, [[a] for a in v]))
+        assert got == ref and _types([got]) == _types([ref])
+
+
+def _meet_pairs(F, n, rng):
+    """(B, D) pairs: random, nested both ways, zero, full, meeting in 0
+    and meeting in one line."""
+    full, zero = Subspace.full_space(F, n), Subspace.zero_space(F, n)
+    for _ in range(12):
+        B = Subspace.span(F, n, _random_matrix(F, rng.randint(0, n), n, rng))
+        D = Subspace.span(F, n, _random_matrix(F, rng.randint(0, n), n, rng))
+        yield B, D
+        inner = Subspace.span(F, n, [v for v in B.basis if rng.random() < 0.5])
+        yield B, inner
+        yield inner, B
+        yield B, zero
+        yield zero, B
+        yield B, full
+        yield full, B
+    units = unit_vectors(F, n)
+    for k in range(n + 1):  # coordinate spaces that meet in 0 or in e_k
+        yield Subspace.span(F, n, units[:k]), Subspace.span(F, n, units[k:])
+        yield Subspace.span(F, n, units[:k + 1]), Subspace.span(F, n, units[k:])
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=FIELD_IDS)
+def test_intersect_matches_block_intersect(F):
+    rng = random.Random(f"intersect-{F}")
+    kinds = Counter()
+    for n in range(1, 6):
+        for B, D in _meet_pairs(F, n, rng):
+            got, ref = B.intersect(D), block_intersect(B, D)
+            assert got == ref and _types(got.basis) == _types(ref.basis)
+            kinds[got == B, got == D, got.dim == 0] += 1
+    assert kinds[True, False, False] and kinds[False, True, False]
+    assert kinds[False, False, True] and kinds[False, False, False]
