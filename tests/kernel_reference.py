@@ -21,14 +21,19 @@ product of signed divisors, testing each interpolant afterwards.
 ``is_zero`` and scales and eliminates whole rows, zeros included;
 ``block_intersect`` is the meet of two spaces by the Zassenhaus block of
 [u|u] and [w|0] rows, echeloned by ``dense_rref`` and spanned again.
+``closure_by_rounds`` is the subalgebra generated by some vectors, with
+every pair of the current basis bracketed again in every round.
+``violation_by_triples`` is the first basis triple that breaks the
+Leibniz identity, with three brackets and one ``vec_sub`` per triple.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
+from leibnizalg.core import Violation
 from leibnizalg.decompose import DecompositionFailed
-from leibnizalg.linalg import Subspace, kernel
+from leibnizalg.linalg import Subspace, kernel, vec_sub
 from leibnizalg.poly import Poly, _divisors
 
 
@@ -118,6 +123,34 @@ def block_intersect(B, D):
     meet = [r[n:] for r in rows if all(F.is_zero(a) for a in r[:n])]
     rows, pivots = dense_rref(F, meet)
     return Subspace(F, n, tuple(rows), pivots)
+
+
+def closure_by_rounds(L, vectors):
+    """Smallest subalgebra containing the given vectors."""
+    S = L.span(vectors)
+    while True:
+        prods = [L.bracket(u, v) for u in S.basis for v in S.basis]
+        new = [p for p in prods if not S.contains(p)]
+        if not new:
+            return S
+        S = L.span(list(S.basis) + new)
+
+
+def violation_by_triples(L):
+    """First basis triple breaking [x,[y,z]] = [[x,y],z] - [[x,z],y]."""
+    F = L.field
+    n = L.dim
+    basis = [L.basis_vector(i) for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = L.bracket(basis[i], L.table[j][k])
+                rhs = vec_sub(F,
+                              L.bracket(L.table[i][j], basis[k]),
+                              L.bracket(L.table[i][k], basis[j]))
+                if lhs != rhs:
+                    return Violation((i, j, k), lhs, rhs)
+    return None
 
 
 def plain_power(F, A):

@@ -1,11 +1,16 @@
+import itertools
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kernel_reference import (closure_by_rounds, random_vector, unit_vectors,
+                              violation_by_triples)
 from leibnizalg.core import LeibnizAlgebra, direct_sum, format_vector
-from leibnizalg.corpus import fixture
+from leibnizalg.corpus import FIELDS, FIXTURE_NAMES, fixture
 from leibnizalg.errors import (NotAnIdeal, NotASubalgebra, NotLeibniz,
                                ShapeMismatch)
 from leibnizalg.fields import QQ, gf
@@ -184,6 +189,94 @@ def test_closure(h3):
     assert h3.closure([(1, 0, 0), (0, 1, 0)]).dim == 3
     L = fixture("C3a", QQ)
     assert L.closure([(1, 0, 0)]).dim == 3  # a generates everything
+
+
+def _random_table(F, n, density, rng):
+    """An n x n table, not necessarily Leibniz: each entry is a random
+    vector with probability `density` and zero otherwise."""
+    return tuple(tuple(random_vector(F, n, rng) if rng.random() < density
+                       else (F.zero,) * n for _ in range(n)) for _ in range(n))
+
+
+def _random_algebras(F, rng):
+    return [LeibnizAlgebra(F, _random_table(F, n, density, rng))
+            for n in range(1, 5) for density in (0.15, 0.4, 0.9) for _ in range(4)]
+
+
+def _generator_sets(F, n, rng):
+    """Sets of 0 to 3 vectors: random ones, the zero vector, and
+    combinations of earlier members."""
+    for size in range(4):
+        for _ in range(3):
+            vecs = []
+            for _ in range(size):
+                r = rng.random()
+                if r < 0.15:
+                    vecs.append((F.zero,) * n)
+                elif vecs and r < 0.4:
+                    v = (F.zero,) * n
+                    for w in vecs:
+                        c = F.random_scalar(rng)
+                        v = tuple(F.add(a, F.mul(c, b)) for a, b in zip(v, w))
+                    vecs.append(v)
+                else:
+                    vecs.append(random_vector(F, n, rng))
+            yield vecs
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_closure_matches_rounds(F):
+    rng = random.Random(f"closure-{F}")
+    kinds = Counter()
+    for L in _random_algebras(F, rng):
+        for vecs in _generator_sets(F, L.dim, rng):
+            got = L.closure(vecs)
+            assert got == closure_by_rounds(L, vecs)
+            kinds["zero" if got.dim == 0 else "full" if got.dim == L.dim
+                  else "proper"] += 1
+    assert kinds["zero"] and kinds["proper"] and kinds["full"]
+
+
+@pytest.mark.parametrize("name, F", [("C3a", QQ), ("C3a", F3), ("H3", QQ),
+                                     ("sl2", QQ)], ids=str)
+def test_closure_brackets_each_pair_once(name, F, monkeypatch):
+    L = fixture(name, F)
+    calls = Counter()
+    bracket = LeibnizAlgebra.bracket
+
+    def counted(self, u, v):
+        calls["bracket"] += 1
+        return bracket(self, u, v)
+
+    monkeypatch.setattr(LeibnizAlgebra, "bracket", counted)
+    rng = random.Random(f"closure-count-{name}-{F}")
+    units = unit_vectors(F, L.dim)
+    sets = [[u] for u in units] + [list(p) for p in itertools.combinations(units, 2)]
+    sets += [[random_vector(F, L.dim, rng)] for _ in range(6)]
+    dims = Counter()
+    for vecs in sets:
+        calls.clear()
+        S = L.closure(vecs)
+        assert calls["bracket"] <= S.dim ** 2
+        dims[S.dim] += 1
+    assert dims[L.dim]
+    if name == "C3a":
+        assert L.closure([units[0]]).dim == 3  # a generates everything
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_violation_matches_triples(F):
+    rng = random.Random(f"violation-{F}")
+    for name in FIXTURE_NAMES:
+        L = fixture(name, F)
+        assert L.leibniz_violation() is None and violation_by_triples(L) is None
+    randoms = _random_algebras(F, rng)
+    violated = 0
+    for L in randoms:
+        got = L.leibniz_violation()
+        assert got == violation_by_triples(L)
+        violated += got is not None
+    assert violated > len(randoms) / 2
 
 
 # ------------------------------------------------- quotient and restrict
