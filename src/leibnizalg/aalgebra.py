@@ -24,15 +24,15 @@ from functools import cached_property
 from typing import Callable, Optional
 
 from .core import Embedding, LeibnizAlgebra, memo
-from .decompose import (TriangularDecomposition, enumerated_cartan_subalgebras,
-                        fitting_family, ideal_decomposition,
-                        max_nilpotent_subalgebras, triangular_decomposition)
+from .decompose import (TriangularDecomposition, _fitting_null,
+                        enumerated_cartan_subalgebras, fitting_family,
+                        ideal_decomposition, max_nilpotent_subalgebras,
+                        triangular_decomposition)
 from .enumeration import (DEFAULT_BUDGET, _check_enumerable, enumerate_spaces,
                           frattini_ideal, is_enumerable, socle_analysis)
 from .errors import (BudgetExceeded, DecompositionFailed,
                      InfiniteFieldUnsupported, NoSolution, NotDecomposing)
-from .linalg import (Subspace, fitting_power, kernel, restrict_operator,
-                     vec_add, vec_sub)
+from .linalg import Subspace, kernel, restrict_operator, vec_add, vec_sub
 from .series import (derived_series, is_completely_solvable, is_metabelian,
                      is_nilpotent, is_nilpotent_space, is_solvable,
                      lower_nilpotent_series, nilradical)
@@ -69,9 +69,7 @@ class AVerdict:
 
 def verify_witness(L: LeibnizAlgebra, U: Subspace) -> bool:
     """A valid witness is a nilpotent non-abelian subalgebra."""
-    if U.dim < 2:
-        return False
-    if not U.contains_space(L.product(U, U)):
+    if U.dim < 2 or not L.is_subalgebra(U):
         return False
     if L.is_abelian_space(U):
         return False
@@ -104,9 +102,9 @@ def _witness_candidates(L: LeibnizAlgebra, seed: int):
     for u in singles:
         yield L.closure([u])
     for x in singles[:2 * n]:
-        power = fitting_power(F, L.right_mult(x))
-        if any(map(any, power)):  # x does not act nilpotently
-            yield kernel(F, power)
+        null = _fitting_null(L, x)
+        if null is not None:
+            yield null
     ds = derived_series(L)
     for term in ds.terms[1:]:
         yield term
@@ -178,15 +176,17 @@ def lemma_aa_certificate(L: LeibnizAlgebra, seed: int = 0,
 
 
 def _necessary_condition_violation(L: LeibnizAlgebra) -> Optional[str]:
-    if is_solvable(L):
-        ds = derived_series(L)
-        lns = lower_nilpotent_series(L)
-        if ds.terms != lns.terms:
-            return "derived series differs from the lower nilpotent series"
-        if L.centre().intersect(L.derived_space()).dim != 0:
-            return "centre meets the derived subalgebra"
-        if L.field.char == 0 and not is_metabelian(L):
-            return "characteristic-zero solvable algebra is not metabelian"
+    """The detail of the first battery clause that every solvable A-algebra
+    passes and L, solvable, fails; None when there is none."""
+    if not is_solvable(L):
+        return None
+    checks = [_check_derived_equals_lower_nilpotent, _check_centre_derived_intersection]
+    if L.field.char == 0:
+        checks.append(_check_char_zero_metabelian)
+    for check in checks:
+        holds, detail = check(L)
+        if not holds:
+            return detail
     return None
 
 
@@ -207,27 +207,23 @@ def is_a_algebra(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET,
             if not L.is_abelian_space(U) and is_nilpotent_space(L, U):
                 return _false_verdict(L, U, "exhaustive")
         return AVerdict(True, "exhaustive")
-    reasons = []
     violation = _necessary_condition_violation(L)
-    if violation is not None:
-        w = witness_search(L, seed)
-        if w is not None:
-            return _false_verdict(L, w, "witness")
-        return AVerdict(None, None, None,
-                        (violation + "; witness search found nothing",))
-    granted, why = lemma_aa_certificate(L, seed, budget)
-    if granted:
-        return AVerdict(True, "lemma_aa")
-    reasons.append(f"certificate refused: {why}")
+    if violation is None:
+        granted, why = lemma_aa_certificate(L, seed, budget)
+        if granted:
+            return AVerdict(True, "lemma_aa")
     w = witness_search(L, seed)
     if w is not None:
         return _false_verdict(L, w, "witness")
-    reasons.append("witness search found nothing")
+    if violation is not None:
+        return AVerdict(None, None, None,
+                        (violation + "; witness search found nothing",))
     if not L.field.is_finite:
-        reasons.append("exhaustive check unavailable over an infinite field")
+        unavailable = "exhaustive check unavailable over an infinite field"
     else:
-        reasons.append("subspace count exceeds the enumeration budget")
-    return AVerdict(None, None, None, tuple(reasons))
+        unavailable = "subspace count exceeds the enumeration budget"
+    return AVerdict(None, None, None, (f"certificate refused: {why}",
+                                       "witness search found nothing", unavailable))
 
 
 # ------------------------------------------------------------------ reports
@@ -310,21 +306,19 @@ def _check_nilradical_maximal_abelian(L, ideals, N):
     return True, ""
 
 
-def _quotient_verdict(L, I, budget, seed, verdict_map) -> AVerdict:
-    """The verdict of L/I, decided at most once per ideal of a battery."""
-    v = verdict_map.get(I)
-    if v is None:
-        v = is_a_algebra(L.quotient(I)[0], budget, seed)
-        verdict_map[I] = v
-    return v
+@memo
+def _quotient_verdict(L: LeibnizAlgebra, I: Subspace, budget: int,
+                      seed: int) -> AVerdict:
+    """The verdict of L/I, decided once per ideal, budget and seed."""
+    return is_a_algebra(L.quotient(I)[0], budget, seed)
 
 
-def _check_quotient_closure(L, ideals, budget, seed, verdict_map):
+def _check_quotient_closure(L, ideals, budget, seed):
     skipped = 0
     for I in ideals:
         if I.dim == L.dim:
             continue
-        v = _quotient_verdict(L, I, budget, seed, verdict_map)
+        v = _quotient_verdict(L, I, budget, seed)
         if v.is_false:
             return False, f"quotient by an ideal of dim {I.dim} has a witness"
         if v.is_unknown:
@@ -332,20 +326,22 @@ def _check_quotient_closure(L, ideals, budget, seed, verdict_map):
     return True, f"{skipped} quotient verdicts unknown" if skipped else ""
 
 
-def _check_intersection_quotient(L, ideals, budget, seed, verdict_map):
-    good = [I for I in ideals[:_PAIR_CAP] if verdict_map.get(I, AVerdict(None)).is_true]
+def _check_intersection_quotient(L, ideals, budget, seed):
+    """Runs after quotient_closure, which decided the proper quotients."""
+    good = [I for I in ideals[:_PAIR_CAP]
+            if I.dim < L.dim and _quotient_verdict(L, I, budget, seed).is_true]
     for B, C in itertools.combinations(good, 2):
         D = B.intersect(C)
         if D.dim == L.dim:
             continue
-        if _quotient_verdict(L, D, budget, seed, verdict_map).is_false:
+        if _quotient_verdict(L, D, budget, seed).is_false:
             return False, f"quotient by an intersection of dims {B.dim} cap {C.dim} fails"
     return True, ""
 
 
 def _check_derived_equals_lower_nilpotent(L):
     ok = derived_series(L).terms == lower_nilpotent_series(L).terms
-    return ok, "" if ok else "the two series disagree"
+    return ok, "" if ok else "derived series differs from the lower nilpotent series"
 
 
 def _check_centre_derived_intersection(L):
@@ -652,7 +648,7 @@ def _check_monolithic_strong_certificate(L, verdict, seed, budget):
     if verdict.is_unknown:
         return None, "A-verdict unknown"
     granted, why = lemma_aa_certificate(L, seed, budget)
-    if "unenumerable" in why or "budget" in why:
+    if "unenumerable" in why:
         return None, why
     lhs = verdict.is_true and is_completely_solvable(L)
     ok = lhs == granted
@@ -666,7 +662,7 @@ def _check_derived_length_bound(L):
 
 def _check_char_zero_metabelian(L):
     ok = is_metabelian(L)
-    return ok, "" if ok else "not metabelian"
+    return ok, "" if ok else "characteristic-zero solvable algebra is not metabelian"
 
 
 # ------------------------------------------------------------- clause table
@@ -680,7 +676,6 @@ class _Facts:
                  structural=_series_ideals):
         self.L, self.seed, self.budget = L, seed, budget
         self._structural = structural  # the known ideals without enumeration
-        self.verdict_map = {}  # quotient verdicts, shared by two rows
 
     @cached_property
     def verdict(self) -> AVerdict:

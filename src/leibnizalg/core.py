@@ -43,13 +43,6 @@ class QuotientMap:
         reduced = self.ideal.reduce(v)
         return tuple(reduced[j] for j in self.free)
 
-    def lift(self, w):
-        field = self.ideal.field
-        v = [field.zero] * self.ideal.ambient
-        for j, c in zip(self.free, w):
-            v[j] = c
-        return tuple(v)
-
 
 @dataclass(frozen=True)
 class Embedding:
@@ -99,7 +92,8 @@ def memo(fn):
     defaults are applied, so a result computed under one budget or seed is
     never returned for another.  A ``LeibnizError`` is memoised as well and
     raised again as a fresh copy.  Arguments after the algebra must be
-    hashable; functions of a subspace are not memoised.
+    hashable, as subspaces are: ``aalgebra._quotient_verdict`` is keyed by
+    its ideal.
     """
     sig = inspect.signature(fn)
     name = fn.__qualname__
@@ -195,11 +189,6 @@ class LeibnizAlgebra:
     def right_mult(self, x):
         """Matrix of u -> [u, x] on column vectors."""
         cols = [self.bracket(self.basis_vector(j), x) for j in range(self.dim)]
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
-
-    def left_mult(self, x):
-        """Matrix of u -> [x, u] on column vectors."""
-        cols = [self.bracket(x, self.basis_vector(j)) for j in range(self.dim)]
         return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
 
     # -- identity check ----------------------------------------------------

@@ -72,13 +72,11 @@ class CorpusMember:
 _CORPUS_CACHE = {}
 
 
-def corpus(with_quotients: bool = True,
-           quotient_cap: int = QUOTIENT_SUBSPACE_CAP):
+def corpus(with_quotients: bool = True):
     """The full corpus as a tuple of labeled members, deduplicated by
     structure-constant table."""
-    key = (with_quotients, quotient_cap)
-    if key in _CORPUS_CACHE:
-        return _CORPUS_CACHE[key]
+    if with_quotients in _CORPUS_CACHE:
+        return _CORPUS_CACHE[with_quotients]
     members = []
     seen = set()
 
@@ -104,13 +102,13 @@ def corpus(with_quotients: bool = True,
     if with_quotients:
         for member in list(members):
             L = member.algebra
-            if not is_enumerable(L, quotient_cap):
+            if not is_enumerable(L, QUOTIENT_SUBSPACE_CAP):
                 continue
-            for idx, I in enumerate(enumerate_spaces(L, "ideals", quotient_cap)):
+            for idx, I in enumerate(enumerate_spaces(L, "ideals", QUOTIENT_SUBSPACE_CAP)):
                 if I.dim == 0 or I.dim == L.dim:
                     continue
                 Q, _ = L.quotient(I)
                 push(f"quot({member.label},{idx})", "quotient", Q)
     result = tuple(members)
-    _CORPUS_CACHE[key] = result
+    _CORPUS_CACHE[with_quotients] = result
     return result

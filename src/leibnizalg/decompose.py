@@ -120,22 +120,22 @@ def _candidate_phases(K: LeibnizAlgebra, rng: random.Random, budget: int):
         yield sweep
 
 
+def _fitting_null(L: LeibnizAlgebra, x) -> Optional[Subspace]:
+    """The Fitting null space of right multiplication by x, or None when x
+    acts nilpotently."""
+    power = fitting_power(L.field, L.right_mult(x))
+    return kernel(L.field, power) if any(map(any, power)) else None
+
+
 def _descend_step(K: LeibnizAlgebra, rng: random.Random,
                   budget: int) -> Optional[Subspace]:
-    """Smallest Fitting-null subspace over candidates acting
-    non-nilpotently, or None when no candidate acts non-nilpotently."""
-    F = K.field
+    """Smallest Fitting-null subspace over the first phase of candidates
+    with one acting non-nilpotently (the first wins ties), or None when no
+    candidate acts non-nilpotently."""
     for phase in _candidate_phases(K, rng, budget):
-        best = None
-        for x in phase:
-            power = fitting_power(F, K.right_mult(x))
-            if not any(map(any, power)):  # x acts nilpotently
-                continue
-            null = kernel(F, power)
-            if best is None or null.dim < best.dim:
-                best = null
-        if best is not None:
-            return best
+        nulls = [N for N in (_fitting_null(K, x) for x in phase) if N is not None]
+        if nulls:
+            return min(nulls, key=lambda N: N.dim)
     return None
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import LeibnizAlgebra, memo
-from .errors import BudgetExceeded, InfiniteFieldUnsupported
+from .errors import BudgetExceeded, InfiniteFieldUnsupported, LeibnizError
 from .linalg import Subspace
 
 DEFAULT_BUDGET = 10 ** 6
@@ -223,6 +223,17 @@ def _maximal_members(spaces, keep):
     return tuple(S for S in spaces if S in kept)
 
 
+def _largest_member(spaces, keep):
+    """The member of ``spaces`` passing ``keep`` that contains every other
+    such member: the one maximal member, when ``keep`` holds for a family
+    closed under sums.  Raises when there is not exactly one, which would
+    mean the family is not closed under sums."""
+    top = _maximal_members(spaces, keep)
+    if len(top) != 1:
+        raise LeibnizError(f"{len(top)} maximal members where one largest was expected")
+    return top[0]
+
+
 @memo
 def maximal_subalgebras(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
     """Maximal proper subalgebras, canonical order."""
@@ -234,9 +245,8 @@ def maximal_subalgebras(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
 def frattini_ideal(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET) -> Subspace:
     """Largest ideal inside the intersection of all maximal subalgebras.
 
-    The intersection itself need not be an ideal, so it is not assumed to
-    be one: when the check fails, the result is the sum of all enumerated
-    ideals lying inside the intersection.
+    The intersection itself need not be an ideal, so the result is the
+    largest enumerated ideal lying inside it.
     """
     maxes = maximal_subalgebras(L, budget)
     if not maxes:
@@ -244,7 +254,4 @@ def frattini_ideal(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET) -> Subspace:
     inter = maxes[0]
     for M in maxes[1:]:
         inter = inter.intersect(M)
-    if L.is_ideal(inter):
-        return inter
-    return L.span([v for I in enumerate_spaces(L, "ideals", budget)
-                   if inter.contains_space(I) for v in I.basis])
+    return _largest_member(enumerate_spaces(L, "ideals", budget), inter.contains_space)

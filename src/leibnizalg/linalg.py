@@ -26,11 +26,6 @@ def vec_sub(field, u, v):
     return tuple(field.sub(a, b) for a, b in zip(u, v))
 
 
-def identity_matrix(field, n):
-    one, zero = field.one, field.zero
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
 def mat_vec(field, rows, v):
     """Matrix times column vector, over the nonzero entries of v."""
     add, mul, zero = field.add, field.mul, field.zero

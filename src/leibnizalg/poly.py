@@ -121,9 +121,6 @@ class Poly:
             e >>= 1
         return result
 
-    def serialize(self):
-        return [self.field.serialize_scalar(c) for c in self.coeffs]
-
     def __str__(self):
         return format_poly(self)
 
@@ -134,14 +131,6 @@ def poly(field, coeffs) -> Poly:
     while c and field.is_zero(c[-1]):
         c.pop()
     return Poly(field, tuple(c))
-
-
-def poly_from_ints(field, ints) -> Poly:
-    return poly(field, [field.from_int(m) for m in ints])
-
-
-def x_power(field, e: int) -> Poly:
-    return Poly(field, (field.zero,) * e + (field.one,))
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
@@ -297,7 +286,7 @@ def companion_matrix(p: Poly):
     return rows
 
 
-def format_poly(p: Poly, var: str = "x") -> str:
+def format_poly(p: Poly) -> str:
     if p.is_zero():
         return "0"
     F = p.field
@@ -312,7 +301,7 @@ def format_poly(p: Poly, var: str = "x") -> str:
         if e == 0:
             term = _coef_str(F, mag)
         else:
-            xe = var if e == 1 else f"{var}^{e}"
+            xe = "x" if e == 1 else f"x^{e}"
             term = xe if mag == F.one else f"{_coef_str(F, mag)}*{xe}"
         if not out:
             out = f"-{term}" if neg else term

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import LeibnizAlgebra, memo
-from .enumeration import DEFAULT_BUDGET, enumerate_spaces, is_enumerable
+from .enumeration import (DEFAULT_BUDGET, _largest_member, enumerate_spaces,
+                          is_enumerable)
 from .errors import InfiniteFieldUnsupported, LeibnizError
 from .linalg import Subspace
 
@@ -165,12 +166,8 @@ def nilradical(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
     if is_nilpotent(L):
         return L.full_space(), "exact"
     if is_enumerable(L, budget):
-        total = L.span([v for I in enumerate_spaces(L, "ideals", budget)
-                        if is_nilpotent_space(L, I) for v in I.basis])
-        if not is_nilpotent_space(L, total):
-            raise LeibnizError(
-                "sum of nilpotent ideals failed its nilpotency check")
-        return total, "exact"
+        return _largest_member(enumerate_spaces(L, "ideals", budget),
+                               lambda I: is_nilpotent_space(L, I)), "exact"
     total = hypercentre(L).add(L.leib_ideal())
     for term in derived_series(L).terms[1:]:
         if is_nilpotent_space(L, term):
@@ -194,8 +191,5 @@ def radical(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
     if not L.field.is_finite:
         raise InfiniteFieldUnsupported(
             "radical of a non-solvable algebra needs a finite ground field")
-    total = L.span([v for I in enumerate_spaces(L, "ideals", budget)
-                    if is_solvable_space(L, I) for v in I.basis])
-    if not is_solvable_space(L, total):
-        raise LeibnizError("sum of solvable ideals failed its solvability check")
-    return total, "exact"
+    return _largest_member(enumerate_spaces(L, "ideals", budget),
+                           lambda I: is_solvable_space(L, I)), "exact"

@@ -25,6 +25,13 @@ product of signed divisors, testing each interpolant afterwards.
 every pair of the current basis bracketed again in every round.
 ``violation_by_triples`` is the first basis triple that breaks the
 Leibniz identity, with three brackets and one ``vec_sub`` per triple.
+``nilradical_by_sums``, ``radical_by_sums`` and ``frattini_by_sums`` are
+the largest nilpotent ideal, the largest solvable ideal and the largest
+ideal inside every maximal subalgebra, each as the span of all the
+enumerated ideals with that property.
+``identity_matrix``, ``left_mult``, ``lift``, ``poly_from_ints`` and
+``x_power`` build the matrices, vectors and polynomials the tests state
+their cases with, which the library itself never needs.
 """
 
 import itertools
@@ -33,8 +40,10 @@ from fractions import Fraction
 
 from leibnizalg.core import Violation
 from leibnizalg.decompose import DecompositionFailed
+from leibnizalg.enumeration import enumerate_spaces, maximal_subalgebras
 from leibnizalg.linalg import Subspace, kernel, vec_sub
-from leibnizalg.poly import Poly, _divisors
+from leibnizalg.poly import Poly, _divisors, poly
+from leibnizalg.series import is_nilpotent_space, is_solvable_space
 
 
 def dense_bracket(L, u, v):
@@ -206,7 +215,7 @@ def centre_by_products(L):
     rows = []
     for j in range(L.dim):
         e = L.basis_vector(j)
-        rows += L.right_mult(e) + L.left_mult(e)
+        rows += L.right_mult(e) + left_mult(L, e)
     return kernel(L.field, rows, ncols=L.dim)
 
 
@@ -220,7 +229,7 @@ def upper_central_by_quotients(L):
         centre_q = centre_by_products(Q)
         if centre_q.dim == 0:
             break
-        term = L.span(list(term.basis) + [qmap.lift(v) for v in centre_q.basis])
+        term = L.span(list(term.basis) + [lift(qmap, v) for v in centre_q.basis])
         terms.append(term)
     return tuple(terms)
 
@@ -317,3 +326,51 @@ def kronecker_by_product(f, d):
         at = (sum(c * a ** k for k, c in enumerate(g)) for a in values)
         if all(w and v % w == 0 for w, v in zip(at, values.values())):
             yield Poly(f.field, tuple(Fraction(c, s) for c, s in zip(g, scale)))
+
+
+def nilradical_by_sums(L, budget):
+    """The span of every nilpotent ideal."""
+    return L.span([v for I in enumerate_spaces(L, "ideals", budget)
+                   if is_nilpotent_space(L, I) for v in I.basis])
+
+
+def radical_by_sums(L, budget):
+    """The span of every solvable ideal."""
+    return L.span([v for I in enumerate_spaces(L, "ideals", budget)
+                   if is_solvable_space(L, I) for v in I.basis])
+
+
+def frattini_by_sums(L, budget):
+    """The span of every ideal inside all the maximal subalgebras."""
+    maxes = maximal_subalgebras(L, budget)
+    return L.span([v for I in enumerate_spaces(L, "ideals", budget)
+                   if all(M.contains_space(I) for M in maxes) for v in I.basis])
+
+
+def identity_matrix(field, n):
+    one, zero = field.one, field.zero
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def left_mult(L, x):
+    """Matrix of u -> [x, u] on column vectors."""
+    cols = [L.bracket(x, L.basis_vector(j)) for j in range(L.dim)]
+    return [[cols[j][i] for j in range(L.dim)] for i in range(L.dim)]
+
+
+def lift(qmap, w):
+    """The vector of L with quotient coordinates w at the transversal
+    positions of ``qmap`` and zero elsewhere."""
+    field = qmap.ideal.field
+    v = [field.zero] * qmap.ideal.ambient
+    for j, c in zip(qmap.free, w):
+        v[j] = c
+    return tuple(v)
+
+
+def poly_from_ints(field, ints):
+    return poly(field, [field.from_int(m) for m in ints])
+
+
+def x_power(field, e):
+    return Poly(field, (field.zero,) * e + (field.one,))

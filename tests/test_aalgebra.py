@@ -8,11 +8,12 @@ import pytest
 from leibnizalg import linalg
 from leibnizalg.aalgebra import (_BATTERY, _check_abelian_ideals_commute,
                                  _check_cartan_complements,
-                                 _check_quotient_closure, is_a_algebra,
+                                 _check_quotient_closure,
+                                 _necessary_condition_violation, is_a_algebra,
                                  lemma_aa_certificate, structure_report,
                                  theorem_battery, verify_witness,
                                  witness_search)
-from leibnizalg.core import LeibnizAlgebra
+from leibnizalg.core import LeibnizAlgebra, direct_sum
 from leibnizalg.corpus import fixture
 from leibnizalg.enumeration import (DEFAULT_BUDGET, enumerate_spaces,
                                     total_subspaces)
@@ -58,6 +59,18 @@ def test_sl2_unknown(sl2):
     assert any("metabelian" in r for r in v.reasons)
     assert any("witness" in r for r in v.reasons)
     assert any("infinite field" in r for r in v.reasons)
+
+
+def test_necessary_condition_violation_is_a_battery_detail():
+    # H3 + r2 is solvable; its second derived term also holds the centre of
+    # H3, its second lower nilpotent term is only the derived line of r2
+    L = direct_sum(fixture("H3", QQ), fixture("r2", QQ))
+    assert (_necessary_condition_violation(L)
+            == "derived series differs from the lower nilpotent series")
+    v = is_a_algebra(L)
+    assert v.is_false and v.certificate == "witness"
+    assert _necessary_condition_violation(fixture("r2", QQ)) is None
+    assert _necessary_condition_violation(fixture("sl2", QQ)) is None
 
 
 def test_sl2_finite_decided():
@@ -258,11 +271,12 @@ def test_battery_builds_each_quotient_once(monkeypatch):
     assert built[L.zero_space()] == 0
     assert set(built) <= {I for I in ideals if 0 < I.dim < L.dim}
     assert all(count == 1 for count in built.values())
-    # the verdicts the intersection clause draws on are all recorded
-    verdict_map = {}
-    _check_quotient_closure(L, ideals, DEFAULT_BUDGET, 0, verdict_map)
-    assert set(verdict_map) == {I for I in ideals if I.dim < L.dim}
-    assert verdict_map[L.zero_space()] is is_a_algebra(L)
+    # the verdicts the intersection clause draws on are all memoised
+    _check_quotient_closure(L, ideals, DEFAULT_BUDGET, 0)
+    memoised = {key[1]: v for key, v in L._cache.items()
+                if key[0] == "_quotient_verdict" and key[2:] == (DEFAULT_BUDGET, 0)}
+    assert set(memoised) == {I for I in ideals if I.dim < L.dim}
+    assert memoised[L.zero_space()] is is_a_algebra(L)
 
 
 def test_cartan_complements_take_no_intersection(monkeypatch):

@@ -10,6 +10,7 @@ import random
 import time
 from collections import Counter
 
+from kernel_reference import left_mult
 from leibnizalg.aalgebra import (_BATTERY, _check_ideal_chain_alignment,
                                  _check_minimal_ideal_location,
                                  _check_nilradical_chain_splitting,
@@ -283,7 +284,7 @@ def test_criterion_12_left_powers_stay_in_right_powers(members):
                     continue
                 taken += 1
                 triples += 1
-                Lx, Rx = L.left_mult(x), L.right_mult(x)
+                Lx, Rx = left_mult(L, x), L.right_mult(x)
                 left = A    # becomes L_x^n(A)
                 right = A   # stays one power behind, R_x^{n-1}(A)
                 for n in range(1, L.dim + 1):

@@ -8,12 +8,14 @@ from leibnizalg.aalgebra import theorem_battery
 from leibnizalg.core import LeibnizAlgebra
 from leibnizalg.corpus import fixture
 from leibnizalg.decompose import max_nilpotent_subalgebras
-from leibnizalg.enumeration import (echelon_bases, enumerate_spaces,
-                                    frattini_ideal, gaussian_binomial,
-                                    iter_ideals, iter_subalgebras,
-                                    iter_subspaces, maximal_subalgebras,
-                                    socle_analysis, total_subspaces)
-from leibnizalg.errors import BudgetExceeded, InfiniteFieldUnsupported
+from leibnizalg.enumeration import (_largest_member, echelon_bases,
+                                    enumerate_spaces, frattini_ideal,
+                                    gaussian_binomial, iter_ideals,
+                                    iter_subalgebras, iter_subspaces,
+                                    maximal_subalgebras, socle_analysis,
+                                    total_subspaces)
+from leibnizalg.errors import (BudgetExceeded, InfiniteFieldUnsupported,
+                               LeibnizError)
 from leibnizalg.fields import QQ, gf
 from leibnizalg.linalg import Subspace, rref
 
@@ -237,6 +239,15 @@ def test_frattini_h3(h3_gf2):
 
 def test_frattini_abelian_is_zero():
     assert frattini_ideal(fixture("A2", gf(3))).dim == 0
+
+
+def test_largest_member_needs_one_maximal_member():
+    L = fixture("A2", gf(2))
+    ideals = enumerate_spaces(L, "ideals")
+    assert _largest_member(ideals, lambda S: S.dim <= 2) == L.full_space()
+    # the three lines are maximal among the spaces of dimension at most 1
+    with pytest.raises(LeibnizError, match="3 maximal members"):
+        _largest_member(ideals, lambda S: S.dim <= 1)
 
 
 def test_frattini_is_ideal_everywhere(small_finite_members):

@@ -1,5 +1,6 @@
 """Source hygiene: every name a library module imports is used there,
-every private function, method or class is referenced by the package, and
+every private function, method or class is referenced by the package,
+every public one is referenced by the package or re-exported by it, and
 every exception class in ``errors.py`` is raised by some library module.
 
 ``__init__.py`` is skipped by the import check, since its imports are the
@@ -88,6 +89,73 @@ def test_scan_finds_unreferenced_private():
     }
     assert _unreferenced_privates(trees) == [
         ("a.py", 2, "_dead"), ("a.py", 3, "_Gone"), ("a.py", 5, "_method")]
+
+
+def _unreferenced_publics(trees, exempt=frozenset()):
+    """Public module-level functions and classes, and public methods of
+    public classes, that nothing outside their own body refers to, as
+    (module, line, name).  An import, such as a re-export in
+    ``__init__.py``, counts as a reference.  ``exempt`` holds (class,
+    method) pairs that are never reported."""
+    refs = sum((_references(tree) for tree in trees.values()), Counter())
+    out = []
+
+    def visit(module, body, cls):
+        for node in body:
+            if not isinstance(node, DEFINITIONS) or node.name.startswith("_"):
+                continue
+            if ((cls, node.name) not in exempt
+                    and refs[node.name] == _references(node)[node.name]):
+                out.append((module, node.lineno, node.name))
+            if isinstance(node, ast.ClassDef) and cls is None:
+                visit(module, node.body, node.name)
+
+    for module, tree in trees.items():
+        visit(module, tree.body, None)
+    return sorted(out)
+
+
+FIELD_CLASSES = ("Rationals", "PrimeField", "ExtensionField")
+
+
+def _scalar_interface(tree):
+    """(class, method) for each method that every field class defines: the
+    scalar interface, which callers reach through any field (the benchmark
+    counts ``div`` on each class, though the package never calls it)."""
+    methods = {node.name: {sub.name for sub in node.body if isinstance(sub, DEFINITIONS)}
+               for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name in FIELD_CLASSES}
+    shared = set.intersection(*methods.values())
+    return {(cls, name) for cls in methods for name in shared}
+
+
+def test_no_unreferenced_public_definitions():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p))
+             for p in sorted(SRC.glob("*.py"))}
+    assert _unreferenced_publics(trees, _scalar_interface(trees["fields.py"])) == []
+
+
+def test_scan_finds_unreferenced_public():
+    trees = {
+        "a.py": ast.parse("def used(): pass\n"
+                          "def exported(): pass\n"
+                          "def dead(n): return dead(n - 1)\n"
+                          "class Kept:\n"
+                          "    def run(self): pass\n"
+                          "    def idle(self): pass\n"
+                          "    def spare(self): pass\n"
+                          "class _Hidden:\n"
+                          "    def idle(self): pass\n"),
+        "b.py": ast.parse("from a import used, Kept\nused()\nKept().run()\n"),
+        "__init__.py": ast.parse("from .a import exported\n"),
+    }
+    assert _unreferenced_publics(trees, {("Kept", "spare")}) == [
+        ("a.py", 3, "dead"), ("a.py", 6, "idle")]
+    fields = ast.parse("class Rationals:\n    def add(self): pass\n    def parse(self): pass\n"
+                       "class PrimeField:\n    def add(self): pass\n"
+                       "class ExtensionField:\n    def add(self): pass\n")
+    assert _scalar_interface(fields) == {("Rationals", "add"), ("PrimeField", "add"),
+                                         ("ExtensionField", "add")}
 
 
 def _raised(trees):

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernel_reference import kronecker_by_product
+from kernel_reference import kronecker_by_product, poly_from_ints, x_power
 from leibnizalg.errors import ZeroPolynomial
 from leibnizalg.fields import QQ, gf
 from leibnizalg.linalg import is_nilpotent_operator
 from leibnizalg.poly import (Poly, _kronecker_candidates, companion_matrix,
                              format_poly, is_irreducible, poly, poly_factor,
-                             poly_from_ints, poly_gcd, x_power)
+                             poly_gcd)
 
 
 def gf_poly_simple(q, max_deg=6):

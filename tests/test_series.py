@@ -1,7 +1,9 @@
 import pytest
 
-from kernel_reference import upper_central_by_quotients
+from kernel_reference import (frattini_by_sums, nilradical_by_sums,
+                              radical_by_sums, upper_central_by_quotients)
 from leibnizalg.corpus import FIXTURE_NAMES, fixture
+from leibnizalg.enumeration import DEFAULT_BUDGET, frattini_ideal
 from leibnizalg.errors import InfiniteFieldUnsupported, LeibnizError
 from leibnizalg.fields import QQ, gf
 from leibnizalg.series import (derived_length, derived_series, hypercentre,
@@ -166,6 +168,15 @@ def test_nilradical_propagates_non_budget_errors(monkeypatch):
     monkeypatch.setattr(series, "enumerate_spaces", broken)
     with pytest.raises(LeibnizError, match="ideal scan failed"):
         nilradical(fixture("r2", gf(3)))
+
+
+def test_radicals_match_sums_of_ideals(tiny_finite_members):
+    # each is the one maximal member of its ideals, read off the lattice
+    for m in tiny_finite_members:
+        L = m.algebra
+        assert nilradical(L) == (nilradical_by_sums(L, DEFAULT_BUDGET), "exact"), m.label
+        assert radical(L) == (radical_by_sums(L, DEFAULT_BUDGET), "exact"), m.label
+        assert frattini_ideal(L) == frattini_by_sums(L, DEFAULT_BUDGET), m.label
 
 
 def test_nilradical_contains_hypercentre_and_leib(small_finite_members):
