@@ -19,8 +19,9 @@ from .core import LeibnizAlgebra, memo
 from .enumeration import DEFAULT_BUDGET, _maximal_members, enumerate_spaces
 from .errors import (CartanSearchFailed, DecompositionFailed, NotDecomposing,
                      NotSolvable)
-from .linalg import (Subspace, fitting_power, image, is_nilpotent_operator,
-                     kernel, mat_vec, restrict_operator, vec_add)
+from .linalg import (Subspace, chain, fitting_power, image,
+                     is_nilpotent_operator, kernel, mat_vec, restrict_operator,
+                     vec_add)
 from .series import derived_series, is_nilpotent_space
 
 _RANDOM_TRIES = 120
@@ -70,25 +71,17 @@ def fitting_family(L: LeibnizAlgebra, C: Subspace) -> FittingPair:
     """
     F, n = L.field, L.dim
     mats = [L.right_mult(c) for c in C.basis]
-    one = L.full_space()
-    for _ in range(n + 1):
-        nxt = L.product(one, C)
-        if nxt == one:
-            break
-        one = nxt
-        if one.dim == 0:
-            break
-    null = L.zero_space()
-    for _ in range(n + 1):
+
+    def preimage(W):
+        """{x : [x, C] in W}: the kernel of every right product mod W."""
         stacked = []
         for A in mats:
-            cols = [null.reduce(tuple(row[j] for row in A)) for j in range(n)]
-            for i in range(n):
-                stacked.append(tuple(col[i] for col in cols))
-        nxt = kernel(F, stacked, ncols=n)
-        if nxt == null:
-            break
-        null = nxt
+            cols = [W.reduce(tuple(row[j] for row in A)) for j in range(n)]
+            stacked.extend(tuple(col[i] for col in cols) for i in range(n))
+        return kernel(F, stacked, ncols=n)
+
+    one = chain(L.full_space(), lambda T: L.product(T, C))[-1]
+    null = chain(L.zero_space(), preimage)[-1]
     if not L.full_space().is_direct_sum(null, one):
         raise NotDecomposing("joint Fitting components are not complementary")
     if not null.contains_space(C):
@@ -250,11 +243,8 @@ def _verified_triangular(L, seed, budget):
     for idx, P in enumerate(parts):
         if not L.is_abelian_space(P):
             raise DecompositionFailed(f"part {idx} is not abelian")
-    total = L.span([v for P in parts for v in P.basis])
-    if total.dim != sum(P.dim for P in parts):
-        raise DecompositionFailed("parts are not independent")
-    if total.dim != L.dim:
-        raise DecompositionFailed("parts do not span the algebra")
+    if not L.full_space().is_direct_sum(*parts):
+        raise DecompositionFailed("algebra is not the direct sum of the parts")
     ds = derived_series(L)
     partials = list(itertools.accumulate(parts, Subspace.add))
     for i, partial in enumerate(reversed(partials)):
@@ -269,9 +259,6 @@ def ideal_decomposition(L: LeibnizAlgebra, decomp: TriangularDecomposition,
                         D: Subspace):
     """Slice an ideal along the parts: D = (D cap A_n) + ... + (D cap A_0)."""
     pieces = [D.intersect(P) for P in decomp.parts]
-    total = L.span([v for piece in pieces for v in piece.basis])
-    if total.dim != sum(piece.dim for piece in pieces):
-        raise DecompositionFailed("ideal slices are not independent")
-    if total != D:
-        raise DecompositionFailed("ideal is not the sum of its part slices")
+    if not D.is_direct_sum(*pieces):
+        raise DecompositionFailed("ideal is not the direct sum of its part slices")
     return tuple(pieces)

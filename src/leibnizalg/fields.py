@@ -131,6 +131,9 @@ class PrimeField:
 
     p: int
     kind: ClassVar[str] = "prime_field"
+    is_finite: ClassVar[bool] = True
+    zero: ClassVar[int] = 0
+    one: ClassVar[int] = 1
 
     def __post_init__(self):
         if not is_prime(self.p):
@@ -143,18 +146,6 @@ class PrimeField:
     @property
     def size(self):
         return self.p
-
-    @property
-    def is_finite(self):
-        return True
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -209,6 +200,9 @@ class ExtensionField:
     p: int
     k: int
     modulus: tuple  # ascending coefficients, length k+1, monic
+    is_finite: ClassVar[bool] = True
+    zero: ClassVar[int] = 0
+    one: ClassVar[int] = 1
 
     def __post_init__(self):
         if not is_prime(self.p):
@@ -277,18 +271,6 @@ class ExtensionField:
     @property
     def size(self):
         return self._q
-
-    @property
-    def is_finite(self):
-        return True
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
 
     def add(self, a, b):
         if self._add_tab is not None:
@@ -422,6 +404,8 @@ def parse_field_name(name: str):
             return gf(nums[0])
         if len(nums) == 2:
             p, k = nums
+            if k < 1:
+                raise BadSpec("extension degree must be at least 1")
             if k == 1:
                 return PrimeField(p)
             return ExtensionField(p, k, default_modulus(p, k))

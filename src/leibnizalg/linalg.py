@@ -257,6 +257,23 @@ def solve(field, rows, b):
     return tuple(x)
 
 
+def chain(start: Subspace, step) -> tuple:
+    """start, step(start), ... up to the first term that step leaves fixed.
+
+    A monotone chain in F^n, such as a characteristic series or a Fitting
+    component, settles within n steps.  A step that is not monotone, such
+    as the derived series of a subspace that is not a subalgebra, is cut
+    after 2n + 4 steps.
+    """
+    terms = [start]
+    for _ in range(2 * start.ambient + 4):
+        nxt = step(terms[-1])
+        if nxt == terms[-1]:
+            break
+        terms.append(nxt)
+    return tuple(terms)
+
+
 def fitting_power(field, A):
     """A**m for the least power of two m >= n of an n x n matrix A.
 

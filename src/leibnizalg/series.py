@@ -15,40 +15,23 @@ from .core import LeibnizAlgebra, memo
 from .enumeration import (DEFAULT_BUDGET, _largest_member, enumerate_spaces,
                           is_enumerable)
 from .errors import InfiniteFieldUnsupported, LeibnizError
-from .linalg import Subspace
+from .linalg import Subspace, chain
 
 
 @dataclass(frozen=True)
 class SeriesReport:
-    kind: str
     terms: tuple
-    terminated: bool  # stabilized on its own rather than hitting the step cap
 
     @property
     def reaches_zero(self) -> bool:
         return self.terms[-1].dim == 0
 
 
-def _step_cap(L: LeibnizAlgebra) -> int:
-    return 2 * L.dim + 4
-
-
 def _series(L: LeibnizAlgebra, kind: str, base: Subspace) -> SeriesReport:
     """Derived (T -> [T, T]) or lower central (T -> [T, base]) series."""
-    term = base
-    terms = [term]
-    terminated = False
-    for _ in range(_step_cap(L)):
-        nxt = L.product(term, term if kind == "derived" else base)
-        if nxt == term:
-            terminated = True
-            break
-        terms.append(nxt)
-        term = nxt
-        if term.dim == 0:
-            terminated = True
-            break
-    return SeriesReport(kind, tuple(terms), terminated)
+    if kind == "derived":
+        return SeriesReport(chain(base, lambda T: L.product(T, T)))
+    return SeriesReport(chain(base, lambda T: L.product(T, base)))
 
 
 @memo
@@ -73,15 +56,7 @@ def upper_central_series(L: LeibnizAlgebra) -> SeriesReport:
     """Z_0 = 0 and Z_{i+1} = {x : [x, L] + [L, x] in Z_i}, the preimage of
     the centre of L/Z_i."""
     full = L.full_space()
-    term = L.zero_space()
-    terms = [term]
-    for _ in range(L.dim + 1):
-        nxt = L.stabilizer(full, term)
-        if nxt == term:
-            break
-        terms.append(nxt)
-        term = nxt
-    return SeriesReport("upper_central", tuple(terms), True)
+    return SeriesReport(chain(L.zero_space(), lambda W: L.stabilizer(full, W)))
 
 
 def hypercentre(L: LeibnizAlgebra) -> Subspace:
@@ -98,17 +73,7 @@ def nilpotent_residual(L: LeibnizAlgebra, U: Subspace | None = None) -> Subspace
 def lower_nilpotent_series(L: LeibnizAlgebra) -> SeriesReport:
     """N_0 = L, each next term the nilpotent residual of the previous one,
     taken as an algebra in its own right."""
-    term = L.full_space()
-    terms = [term]
-    for _ in range(L.dim + 1):
-        nxt = nilpotent_residual(L, term)
-        if nxt == term:
-            break
-        terms.append(nxt)
-        term = nxt
-        if term.dim == 0:
-            break
-    return SeriesReport("lower_nilpotent", tuple(terms), True)
+    return SeriesReport(chain(L.full_space(), lambda T: nilpotent_residual(L, T)))
 
 
 def is_nilpotent(L: LeibnizAlgebra) -> bool:

@@ -269,10 +269,8 @@ def nilradical_chain_by_sums(L, decomp, N):
     if pieces[0] != decomp.top:
         return False, "top part is not inside the nilradical"
     independent, total = _sum_by_adds(L, pieces)
-    if not independent:
-        return False, "slices are not independent"
-    if total != N:
-        return False, "nilradical is not the sum of its slices"
+    if not independent or total != N:
+        return False, "nilradical is not the direct sum of its slices"
     for i, Pi in enumerate(pieces):
         for j, Pj in enumerate(pieces):
             if i != j and L.product(Pi, Pj).dim != 0:
@@ -284,10 +282,8 @@ def ideal_decomposition_by_sums(L, decomp, D):
     """The slices of D along the parts, or DecompositionFailed."""
     pieces = [D.intersect(P) for P in decomp.parts]
     independent, total = _sum_by_adds(L, pieces)
-    if not independent:
-        raise DecompositionFailed("ideal slices are not independent")
-    if total != D:
-        raise DecompositionFailed("ideal is not the sum of its part slices")
+    if not independent or total != D:
+        raise DecompositionFailed("ideal is not the direct sum of its part slices")
     return tuple(pieces)
 
 

@@ -161,6 +161,15 @@ def test_lemma_aa_refuses_non_metabelian(sl2):
     assert "metabelian" in reason
 
 
+def test_lemma_aa_enumerates_complements_at_the_exhaustive_budget(tiny_finite_members):
+    # total_subspaces(n, q) is the least budget at which the
+    # monolithic_strong_certificate row runs
+    for m in tiny_finite_members:
+        L = m.algebra
+        _, reason = lemma_aa_certificate(L, 0, total_subspaces(L.dim, L.field.size))
+        assert "unenumerable" not in reason, m.label
+
+
 # ------------------------------------------------------------------- battery
 
 def test_battery_c3b_gf2():

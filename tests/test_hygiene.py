@@ -213,3 +213,32 @@ def test_scan_finds_field_type_tests():
                      "if isinstance(F, ExtensionField): pass\n")
     assert _field_type_tests(tree) == [(1, "Fraction"), (2, "PrimeField"),
                                        (4, "ExtensionField")]
+
+
+# The traced benchmark counts scalar operations by patching
+# ``vars(cls)[method]`` on each field class (``benchmark/tracer.py``), so a
+# method inherited from a shared base class would go uncounted.
+FIELD_CLASSES = ("PrimeField", "ExtensionField", "Rationals")
+SCALAR_METHODS = ("add", "sub", "mul", "neg", "inv", "div", "is_zero")
+
+
+def _scalar_methods_missing(tree):
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name in FIELD_CLASSES:
+            own = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+            out[node.name] = [m for m in SCALAR_METHODS if m not in own]
+    return out
+
+
+def test_field_classes_define_their_scalar_methods():
+    path = SRC / "fields.py"
+    missing = _scalar_methods_missing(ast.parse(path.read_text(), filename=str(path)))
+    assert missing == {name: [] for name in FIELD_CLASSES}
+
+
+def test_scan_finds_inherited_scalar_methods():
+    tree = ast.parse("class PrimeField(Base):\n"
+                     "    def add(self, a, b): pass\n"
+                     "    zero = 0\n")
+    assert _scalar_methods_missing(tree) == {"PrimeField": list(SCALAR_METHODS[1:])}

@@ -283,6 +283,13 @@ def test_cli_bad_field():
     assert doc["error"]["type"] == "BadSpec"
 
 
+@pytest.mark.parametrize("degree", [0, -1])
+def test_cli_bad_extension_degree(degree):
+    doc, code = run_command(["cyclic", "--field", f"gf(2,{degree})", "1"])
+    assert code == 3
+    assert doc["error"]["type"] == "BadSpec"
+
+
 def test_cli_bad_scalar_located(tmp_path):
     base = algebra_to_doc(fixture("A2", gf(2)))
     base["table"][0][1][0] = "zebra"

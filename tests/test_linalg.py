@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from kernel_reference import identity_matrix
 from leibnizalg.errors import AmbientMismatch, NoSolution, ShapeMismatch
 from leibnizalg.fields import QQ, gf
-from leibnizalg.linalg import (Subspace, fitting_power, image,
+from leibnizalg.linalg import (Subspace, chain, fitting_power, image,
                                is_nilpotent_operator, kernel, mat_vec,
                                restrict_operator, rref, solve)
 
@@ -189,6 +189,30 @@ def test_solve_no_solution():
     rows = [(1, 0), (0, 0)]
     with pytest.raises(NoSolution):
         solve(F3, rows, (0, 1))
+
+
+# ------------------------------------------------------------------- chains
+
+def test_chain_of_a_fixed_start_is_the_start():
+    U = Subspace.span(F3, 3, [(1, 2, 0)])
+    assert chain(U, lambda W: W) == (U,)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_chain_cuts_a_cycle_after_2n_plus_4_steps(n):
+    X, Y = Subspace.zero_space(F3, n), Subspace.full_space(F3, n)
+    calls = 0
+
+    def swap(W):
+        nonlocal calls
+        calls += 1
+        if calls > 10 * n:
+            raise AssertionError("chain has no step cap")
+        return Y if W == X else X
+
+    terms = chain(X, swap)
+    assert len(terms) == 2 * n + 5
+    assert terms[0::2] == (X,) * (n + 3) and terms[1::2] == (Y,) * (n + 2)
 
 
 # ---------------------------------------------------------------- operators

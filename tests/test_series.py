@@ -2,6 +2,7 @@ import pytest
 
 from kernel_reference import (frattini_by_sums, nilradical_by_sums,
                               radical_by_sums, upper_central_by_quotients)
+from leibnizalg.core import LeibnizAlgebra
 from leibnizalg.corpus import FIXTURE_NAMES, fixture
 from leibnizalg.enumeration import DEFAULT_BUDGET, frattini_ideal
 from leibnizalg.errors import InfiniteFieldUnsupported, LeibnizError
@@ -29,9 +30,20 @@ def test_derived_series_known():
 
 
 def test_derived_series_sl2_stabilizes():
-    rep = derived_series(fixture("sl2", QQ))
-    assert rep.terms[-1].dim == 3
-    assert rep.terminated
+    L = fixture("sl2", QQ)
+    rep = derived_series(L)
+    assert rep.terms == (L.full_space(),)
+    assert not rep.reaches_zero
+
+
+@pytest.mark.parametrize("F", [QQ, gf(3)], ids=str)
+def test_derived_series_of_a_non_subalgebra_is_cut(F):
+    # [x, x] = y and [y, y] = x: the derived series of the line of x
+    # alternates between the two lines, so only the step cap ends it
+    z, o = F.zero, F.one
+    L = LeibnizAlgebra(F, (((z, o), (z, z)), ((z, z), (o, z))))
+    rep = derived_series(L, L.span([(o, z)]))
+    assert len(rep.terms) == 2 * L.dim + 5
     assert not rep.reaches_zero
 
 
