@@ -9,7 +9,8 @@ Exit codes: 0 success (including a negative A-algebra verdict), 1 a
 checked mathematical property failed (non-Leibniz table, battery hard
 failure, classification cross-check failure), 2 the request is
 unsupported (infinite-field enumeration, budget exceeded), 3 bad input
-(unparseable file or arguments).  Polynomials factor over every field at
+(a file that is missing, unreadable or unparseable, an output path that
+cannot be written, or bad arguments).  Polynomials factor over every field at
 every degree, so no factorization is refused.
 """
 
@@ -25,10 +26,9 @@ from .corpus import corpus
 from .cyclic import classify_cyclic
 from .enumeration import (DEFAULT_BUDGET, enumerate_spaces, frattini_ideal,
                           maximal_subalgebras, socle_analysis, total_subspaces)
-from .errors import (BadSpec, BudgetExceeded, CartanSearchFailed,
-                     DecompositionFailed, FieldParseError,
-                     InfiniteFieldUnsupported, LeibnizError, NoSolution,
-                     NotDecomposing, NotLeibniz, ParseError)
+from .errors import (BadSpec, BudgetExceeded, FieldParseError,
+                     InfiniteFieldUnsupported, LeibnizError, NotLeibniz,
+                     ParseError)
 from .fields import parse_field_name
 from .poly import format_poly
 from .series import (derived_length, derived_series, hypercentre,
@@ -202,8 +202,9 @@ def _cmd_battery(args):
 
 
 def _parse_alpha(F, token):
+    """An int, a JSON digit list such as [0,1], or else the token itself."""
     try:
-        value = int(token)
+        value = json.loads(token) if token.startswith("[") else int(token)
     except ValueError:
         value = token
     return F.parse_scalar(value)
@@ -351,8 +352,15 @@ def _output_parser() -> _Parser:
     return out
 
 
-def _argument_error(exc):
-    return {"error": {"type": "argument", "message": str(exc)}}
+def _error(kind, exc):
+    return {"error": {"type": kind, "message": str(exc)}}
+
+
+def _count(token):
+    value = int(token)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
 
 
 def _build_parser() -> _Parser:
@@ -381,7 +389,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("corpus", parents=[common])
     p.add_argument("--battery", action="store_true",
                    help="run the theorem battery over every member")
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=_count, default=None)
     return parser
 
 
@@ -391,30 +399,25 @@ def run_command(argv):
     try:
         args = parser.parse_args(argv)
     except _ArgumentError as exc:
-        return _argument_error(exc), EXIT_INPUT
+        return _error("argument", exc), EXIT_INPUT
     try:
         return _COMMANDS[args.command](args)
     except NotLeibniz as exc:
         v = getattr(exc, "violation", None)
-        doc = {"error": {"type": "not_leibniz", "message": str(exc),
-                         "triple": list(v.triple) if v else None}}
+        doc = _error("not_leibniz", exc)
+        doc["error"]["triple"] = list(v.triple) if v else None
         return doc, EXIT_MATH
-    except (InfiniteFieldUnsupported, BudgetExceeded, CartanSearchFailed,
-            DecompositionFailed, NotDecomposing, NoSolution) as exc:
-        return ({"error": {"type": type(exc).__name__, "message": str(exc)}},
-                EXIT_UNSUPPORTED)
     except (ParseError, FieldParseError, BadSpec) as exc:
-        where = getattr(exc, "where", None)
-        doc = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        if where:
-            doc["error"]["where"] = where
+        doc = _error(type(exc).__name__, exc)
+        if getattr(exc, "where", None):
+            doc["error"]["where"] = exc.where
         return doc, EXIT_INPUT
     except FileNotFoundError as exc:
-        return ({"error": {"type": "missing_file", "message": str(exc)}},
-                EXIT_INPUT)
+        return _error("missing_file", exc), EXIT_INPUT
+    except (OSError, UnicodeDecodeError) as exc:
+        return _error("unreadable_file", exc), EXIT_INPUT
     except LeibnizError as exc:
-        return ({"error": {"type": type(exc).__name__, "message": str(exc)}},
-                EXIT_UNSUPPORTED)
+        return _error(type(exc).__name__, exc), EXIT_UNSUPPORTED
 
 
 def main(argv=None) -> int:
@@ -423,15 +426,17 @@ def main(argv=None) -> int:
         opts, _ = _output_parser().parse_known_args(argv)
     except _ArgumentError as exc:
         # with no valid --format or --output, the error goes to stdout as text
-        sys.stdout.write(render(_argument_error(exc), "text"))
+        sys.stdout.write(render(_error("argument", exc), "text"))
+        return EXIT_INPUT
+    try:
+        out = open(opts.output, "w", encoding="utf-8") if opts.output else sys.stdout
+    except OSError as exc:
+        sys.stdout.write(render(_error("unwritable_output", exc), opts.format))
         return EXIT_INPUT
     doc, code = run_command(argv)
-    text = render(doc, opts.format)
-    if opts.output:
-        with open(opts.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    out.write(render(doc, opts.format))
+    if out is not sys.stdout:
+        out.close()
     return code
 
 

@@ -18,8 +18,7 @@ import inspect
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import (LeibnizError, NotAnIdeal, NotASubalgebra, NotLeibniz,
-                     ShapeMismatch)
+from .errors import NotAnIdeal, NotASubalgebra, NotLeibniz, ShapeMismatch
 from .linalg import Subspace, kernel, vec_add, vec_sub, zero_vec
 
 
@@ -69,31 +68,16 @@ class Embedding:
 _MISSING = object()
 
 
-class _Failure:
-    """A memoised library error: its type, arguments and attributes, but
-    not its traceback, so the cache keeps no frames alive."""
-
-    __slots__ = ("cls", "args", "attrs")
-
-    def __init__(self, exc: LeibnizError):
-        self.cls, self.args, self.attrs = type(exc), exc.args, dict(vars(exc))
-
-    def fresh(self) -> LeibnizError:
-        exc = self.cls.__new__(self.cls)
-        exc.args = self.args
-        vars(exc).update(self.attrs)
-        return exc
-
-
 def memo(fn):
     """Memoise ``fn(L, ...)`` on ``L._cache``.
 
     The key is the function's qualified name plus every argument after
     defaults are applied, so a result computed under one budget or seed is
-    never returned for another.  A ``LeibnizError`` is memoised as well and
-    raised again as a fresh copy.  Arguments after the algebra must be
-    hashable, as subspaces are: ``aalgebra._quotient_verdict`` is keyed by
-    its ideal.
+    never returned for another.  A call that raises stores nothing, so it
+    runs again and raises afresh: the memoised functions that raise fail at
+    a cheap budget gate, except ``triangular_decomposition``, which a
+    report reads once.  Arguments after the algebra must be hashable, as
+    subspaces are: ``aalgebra._quotient_verdict`` is keyed by its ideal.
     """
     sig = inspect.signature(fn)
     name = fn.__qualname__
@@ -108,14 +92,7 @@ def memo(fn):
         key = (name, *args)
         hit = L._cache.get(key, _MISSING)
         if hit is _MISSING:
-            try:
-                hit = fn(L, *args)
-            except LeibnizError as exc:
-                L._cache[key] = _Failure(exc)
-                raise
-            L._cache[key] = hit
-        if type(hit) is _Failure:
-            raise hit.fresh()
+            hit = L._cache[key] = fn(L, *args)
         return hit
 
     return wrapper
@@ -305,8 +282,6 @@ class LeibnizAlgebra:
         """{x : [x, U] + [U, x] contained in W}: the kernel of the map
         sending x to its brackets with the basis of U, reduced mod W."""
         F, n = self.field, self.dim
-        if U.is_zero() or n == 0:
-            return self.full_space()
         cols = []
         for e in self._basis:
             long = []

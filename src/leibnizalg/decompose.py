@@ -255,8 +255,7 @@ def _verified_triangular(L, seed, budget):
     return TriangularDecomposition(tuple(parts))
 
 
-def ideal_decomposition(L: LeibnizAlgebra, decomp: TriangularDecomposition,
-                        D: Subspace):
+def ideal_decomposition(decomp: TriangularDecomposition, D: Subspace):
     """Slice an ideal along the parts: D = (D cap A_n) + ... + (D cap A_0)."""
     pieces = [D.intersect(P) for P in decomp.parts]
     if not D.is_direct_sum(*pieces):

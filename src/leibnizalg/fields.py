@@ -50,7 +50,6 @@ def is_prime(n: int) -> bool:
 class Rationals:
     """The field of rational numbers; scalars are `fractions.Fraction`."""
 
-    kind: ClassVar[str] = "rationals"
     char: ClassVar[int] = 0
     is_finite: ClassVar[bool] = False
     size: ClassVar[None] = None
@@ -130,7 +129,6 @@ class PrimeField:
     """GF(p); scalars are ints in range(p)."""
 
     p: int
-    kind: ClassVar[str] = "prime_field"
     is_finite: ClassVar[bool] = True
     zero: ClassVar[int] = 0
     one: ClassVar[int] = 1

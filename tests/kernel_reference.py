@@ -29,6 +29,10 @@ Leibniz identity, with three brackets and one ``vec_sub`` per triple.
 the largest nilpotent ideal, the largest solvable ideal and the largest
 ideal inside every maximal subalgebra, each as the span of all the
 enumerated ideals with that property.
+``lemma_aa_by_decomposition`` is the lemma_aa certificate tested on the
+bottom part of a triangular decomposition, the complement of L^2 that a
+seeded Cartan descent and a joint Fitting family find, refused where
+that decomposition fails.
 ``identity_matrix``, ``left_mult``, ``lift``, ``poly_from_ints`` and
 ``x_power`` build the matrices, vectors and polynomials the tests state
 their cases with, which the library itself never needs.
@@ -38,12 +42,13 @@ import itertools
 import math
 from fractions import Fraction
 
-from leibnizalg.core import Violation
-from leibnizalg.decompose import DecompositionFailed
+from leibnizalg.core import Embedding, Violation
+from leibnizalg.decompose import DecompositionFailed, triangular_decomposition
 from leibnizalg.enumeration import enumerate_spaces, maximal_subalgebras
-from leibnizalg.linalg import Subspace, kernel, vec_sub
+from leibnizalg.errors import NoSolution
+from leibnizalg.linalg import Subspace, kernel, restrict_operator, vec_sub
 from leibnizalg.poly import Poly, _divisors, poly
-from leibnizalg.series import is_nilpotent_space, is_solvable_space
+from leibnizalg.series import is_metabelian, is_nilpotent_space, is_solvable_space
 
 
 def dense_bracket(L, u, v):
@@ -341,6 +346,42 @@ def frattini_by_sums(L, budget):
     maxes = maximal_subalgebras(L, budget)
     return L.span([v for I in enumerate_spaces(L, "ideals", budget)
                    if all(M.contains_space(I) for M in maxes) for v in I.basis])
+
+
+def _invertible_on(L, x, space):
+    try:
+        R = restrict_operator(L.field, L.right_mult(x), space)
+    except NoSolution:
+        return False
+    return kernel(L.field, R, ncols=space.dim).dim == 0
+
+
+def lemma_aa_by_decomposition(L, seed, budget):
+    """(granted, reason) of the certificate on the complement of L^2 that
+    the triangular decomposition's bottom part gives."""
+    if not is_metabelian(L):
+        return False, "algebra is not metabelian"
+    der = L.derived_space()
+    if der.dim == 0:
+        return True, "abelian"
+    try:
+        decomp = triangular_decomposition(L, seed=seed, budget=budget)
+    except DecompositionFailed as exc:
+        return False, f"no split over the derived subalgebra: {exc}"
+    B = decomp.bottom
+    F = L.field
+    if B.dim == 1:
+        ok = _invertible_on(L, B.basis[0], der)
+        return ok, "" if ok else "right multiplication by the complement line degenerates"
+    if F.is_finite and F.size ** B.dim <= budget:
+        embedding = Embedding(B)
+        for coeffs in itertools.product(F.elements(), repeat=B.dim):
+            if not any(coeffs):
+                continue
+            if not _invertible_on(L, embedding.embed(coeffs), der):
+                return False, "some complement element degenerates on the derived subalgebra"
+        return True, ""
+    return False, "complement of dimension >= 2 over an unenumerable field"
 
 
 def identity_matrix(field, n):

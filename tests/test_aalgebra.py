@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from leibnizalg import linalg
+from kernel_reference import lemma_aa_by_decomposition
+from leibnizalg import aalgebra, decompose, linalg
 from leibnizalg.aalgebra import (_BATTERY, _check_abelian_ideals_commute,
                                  _check_cartan_complements,
                                  _check_quotient_closure,
@@ -18,7 +19,7 @@ from leibnizalg.corpus import fixture
 from leibnizalg.enumeration import (DEFAULT_BUDGET, enumerate_spaces,
                                     total_subspaces)
 from leibnizalg.fields import QQ, gf
-from leibnizalg.series import upper_central_series
+from leibnizalg.series import is_metabelian, upper_central_series
 
 
 # ------------------------------------------------------------------ verdicts
@@ -166,8 +167,58 @@ def test_lemma_aa_enumerates_complements_at_the_exhaustive_budget(tiny_finite_me
     # monolithic_strong_certificate row runs
     for m in tiny_finite_members:
         L = m.algebra
-        _, reason = lemma_aa_certificate(L, 0, total_subspaces(L.dim, L.field.size))
+        _, reason = lemma_aa_certificate(L, total_subspaces(L.dim, L.field.size))
         assert "unenumerable" not in reason, m.label
+
+
+def test_lemma_aa_matches_the_decomposition_certificate(members):
+    """Where the triangular decomposition exists, its bottom part and the
+    coordinate complement of L^2 decide alike; where it does not, the
+    coordinate complement grants nothing either."""
+    for m in members:
+        for budget in (10 ** 5, 100):
+            granted, reason = lemma_aa_certificate(m.algebra, budget)
+            ref = lemma_aa_by_decomposition(m.algebra, 0, budget)
+            if ref[1].startswith("no split"):
+                assert not granted, (m.label, budget)
+            else:
+                assert (granted, reason) == ref, (m.label, budget)
+
+
+def test_lemma_aa_is_its_definition_on_tiny_metabelian_members(tiny_finite_members):
+    """Granted exactly when R_x is invertible on L^2 for every x outside
+    L^2, wherever the gate lets the certificate decide."""
+    decided = 0
+    for m in tiny_finite_members:
+        L = m.algebra
+        if not is_metabelian(L):
+            continue
+        granted, reason = lemma_aa_certificate(L, DEFAULT_BUDGET)
+        if "unenumerable" in reason:
+            continue
+        decided += 1
+        der = L.derived_space()
+        definition = all(
+            L.span([L.bracket(d, x) for d in der.basis]).dim == der.dim
+            for x in itertools.product(L.field.elements(), repeat=L.dim)
+            if not der.contains(x))
+        assert granted == definition, m.label
+    assert decided > 100
+
+
+def test_lemma_aa_and_verdicts_need_no_decomposition(members, monkeypatch):
+    rational = [m.algebra for m in members if not m.algebra.field.is_finite]
+    expected = [(lemma_aa_certificate(L), is_a_algebra(L)) for L in rational]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a decomposition was computed")
+
+    monkeypatch.setattr(aalgebra, "triangular_decomposition", refuse)
+    monkeypatch.setattr(aalgebra, "fitting_family", refuse)
+    monkeypatch.setattr(decompose, "cartan_subalgebra", refuse)
+    for L, want in zip(rational, expected):
+        fresh = LeibnizAlgebra(L.field, L.table, L.names)
+        assert (lemma_aa_certificate(fresh), is_a_algebra(fresh)) == want, str(L)
 
 
 # ------------------------------------------------------------------- battery
@@ -361,7 +412,7 @@ def test_battery_and_structure_reports_golden_digest(golden_reports):
         digest.update(repr((battery, structure)).encode())
     assert len(golden_reports) == 231
     assert digest.hexdigest() == (
-        "e167f5bf66580cab82a5fa14d26cdf6df31a1e003d3b296abcf3e370c457f266")
+        "8fc2f625bb83defdb924d29c7eb9c9cb78e340f85da745e694f241928b7f20bf")
 
 
 # Clauses whose hypotheses can hold over Q; the others need an enumerated

@@ -157,7 +157,7 @@ def test_criterion_07_certified_triangular_invariants(members):
         assert mode == "exact", m.label
         socle = socle_analysis(L, ACCEPTANCE_BUDGET)
         outcomes = {
-            "ideal_chain_alignment": _check_ideal_chain_alignment(L, decomp, ideals),
+            "ideal_chain_alignment": _check_ideal_chain_alignment(decomp, ideals),
             "nilradical_chain_splitting": _check_nilradical_chain_splitting(L, decomp, N),
             "part_centre_alignment": _check_part_centre_alignment(L, decomp, N),
             "minimal_ideal_location": _check_minimal_ideal_location(decomp, N, socle),

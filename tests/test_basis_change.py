@@ -1,0 +1,98 @@
+"""Basis-change invariance: what the library says about L does not depend
+on the basis its table is written in.
+
+Each pinned member is compared with a copy of itself in the basis of the
+columns of one seeded random invertible P.  The witness search draws its
+candidates from the basis, so an A-verdict may be decided in one basis
+and unknown in the other; such a flip is reported as a finding, and the
+clauses that read the verdict are then not compared.
+"""
+
+import random
+import warnings
+from collections import Counter
+
+from leibnizalg.aalgebra import lemma_aa_certificate, theorem_battery
+from leibnizalg.core import LeibnizAlgebra
+from leibnizalg.enumeration import enumerate_spaces, total_subspaces
+from leibnizalg.errors import BudgetExceeded, InfiniteFieldUnsupported
+from leibnizalg.linalg import kernel, solve
+from leibnizalg.series import nilradical, radical
+
+BASIS_SEED = 18
+BUDGET = 3000
+RATIONAL_SAMPLE = 8
+FINITE_SAMPLE = 16
+FINITE_SUBSPACE_CAP = 300
+
+
+def _random_invertible(F, n, rng):
+    while True:
+        P = [[F.random_scalar(rng) for _ in range(n)] for _ in range(n)]
+        if kernel(F, P, ncols=n).dim == 0:
+            return P
+
+
+def change_basis(L, P):
+    """L in the basis of the columns of P."""
+    F, n = L.field, L.dim
+    cols = [tuple(row[i] for row in P) for i in range(n)]
+    table = [[solve(F, P, L.bracket(u, v)) for v in cols] for u in cols]
+    return LeibnizAlgebra(F, table, L.names)
+
+
+def _radical(L):
+    try:
+        return radical(L, BUDGET)[0].dim
+    except (InfiniteFieldUnsupported, BudgetExceeded) as exc:
+        return type(exc).__name__
+
+
+def _lattice_profile(L):
+    if not L.field.is_finite:
+        return None
+    return tuple(sorted(Counter(U.dim for U in enumerate_spaces(L, kind, BUDGET)).items())
+                 for kind in ("subalgebras", "ideals"))
+
+
+def _invariants(L):
+    """What must not change, and the verdict-dependent part apart."""
+    report = theorem_battery(L, budget=BUDGET)
+    N, mode = nilradical(L, BUDGET)
+    fixed = {
+        "nilradical": (N.dim, mode),
+        "radical": _radical(L),
+        "lattices": _lattice_profile(L),
+        "certificate": lemma_aa_certificate(L, BUDGET),
+    }
+    by_verdict = {
+        "clauses": [(c.clause, c.applicable, c.holds) for c in report.clauses],
+        "hard_failures": len(report.hard_failures),
+    }
+    return report.verdict.label, fixed, by_verdict
+
+
+def _pinned(members):
+    rng = random.Random(BASIS_SEED)
+    rational = [m for m in members if not m.algebra.field.is_finite]
+    finite = [m for m in members if m.algebra.field.is_finite
+              and total_subspaces(m.algebra.dim, m.algebra.field.size) <= FINITE_SUBSPACE_CAP]
+    return rng.sample(rational, RATIONAL_SAMPLE) + rng.sample(finite, FINITE_SAMPLE)
+
+
+def test_answers_do_not_depend_on_the_basis(members):
+    rng = random.Random(BASIS_SEED)
+    flips = []
+    for m in _pinned(members):
+        L = m.algebra
+        M = change_basis(L, _random_invertible(L.field, L.dim, rng))
+        label, fixed, by_verdict = _invariants(L)
+        label_m, fixed_m, by_verdict_m = _invariants(M)
+        assert fixed == fixed_m, m.label
+        if "unknown" in (label, label_m) and label != label_m:
+            flips.append(f"{m.label}: {label} becomes {label_m}")
+            continue
+        assert label == label_m, m.label
+        assert by_verdict == by_verdict_m, m.label
+    for flip in flips:
+        warnings.warn(f"finding: basis change flips an A-verdict, {flip}")

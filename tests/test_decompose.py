@@ -204,7 +204,7 @@ def test_triangular_failure_cached(h3):
 def test_ideal_decomposition():
     R = fixture("r2", QQ)
     dec = triangular_decomposition(R)
-    pieces = ideal_decomposition(R, dec, R.derived_space())
+    pieces = ideal_decomposition(dec, R.derived_space())
     assert [p.dim for p in pieces] == [1, 0]
 
 
@@ -239,7 +239,7 @@ def test_slice_checks_match_running_sums(tiny_finite_members):
             for D in spaces:
                 assert (_check_nilradical_chain_splitting(L, dec, D)
                         == nilradical_chain_by_sums(L, dec, D))
-                assert (_outcome(ideal_decomposition, L, dec, D)
+                assert (_outcome(ideal_decomposition, dec, D)
                         == _outcome(ideal_decomposition_by_sums, L, dec, D))
     assert checked
 

@@ -1,7 +1,8 @@
 """Source hygiene: every name a library module imports is used there,
 every private function, method or class is referenced by the package,
-every public one is referenced by the package or re-exported by it, and
-every exception class in ``errors.py`` is raised by some library module.
+every public one is referenced by the package or re-exported by it,
+every parameter of every function is read in its body, and every
+exception class in ``errors.py`` is raised by some library module.
 
 ``__init__.py`` is skipped by the import check, since its imports are the
 package's re-exports.
@@ -156,6 +157,47 @@ def test_scan_finds_unreferenced_public():
                        "class ExtensionField:\n    def add(self): pass\n")
     assert _scalar_interface(fields) == {("Rationals", "add"), ("PrimeField", "add"),
                                          ("ExtensionField", "add")}
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _unread_parameters(tree):
+    """Parameters that their function's body never reads, as (line,
+    function, parameter); a method need not read ``self`` or ``cls``.  The
+    battery runner passes each check the facts its parameters name, so an
+    unread one is a fact computed for nothing."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, FUNCTIONS):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {sub.id for stmt in body for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        out.extend((node.lineno, getattr(node, "name", "<lambda>"), p.arg) for p in params
+                   if p is not None and p.arg not in read and p.arg not in ("self", "cls"))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _unread_parameters(tree) == []
+
+
+def test_scan_finds_unread_parameters():
+    tree = ast.parse("def f(a, b, *rest, c=1, **extra):\n"
+                     "    return a + c\n"
+                     "def g(x, y):\n"
+                     "    return lambda z: x\n"
+                     "class K:\n"
+                     "    def run(self, n):\n"
+                     "        return n\n")
+    assert _unread_parameters(tree) == [
+        (1, "f", "b"), (1, "f", "extra"), (1, "f", "rest"),
+        (3, "g", "y"), (4, "<lambda>", "z")]
 
 
 def _raised(trees):

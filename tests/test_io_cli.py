@@ -227,6 +227,16 @@ def test_cli_cyclic_rational_quintic_cofactor():
     assert doc["ok"] is True
 
 
+def test_cli_cyclic_extension_field_digit_list():
+    doc, code = run_command(["cyclic", "--field", "gf4", "1", "[0,1]"])
+    assert code == 0
+    assert doc["alphas"] == [[1, 0], [0, 1]]
+    assert doc["ok"] is True and doc["is_a"] is True
+    doc, code = run_command(["cyclic", "--field", "gf4", "[0,"])
+    assert code == 3
+    assert doc["error"]["type"] == "FieldParseError"
+
+
 def test_cli_frattini(tmp_path):
     path = _write(tmp_path, "h3", fixture("H3", gf(2)))
     doc, code = run_command(["frattini", path])
@@ -257,6 +267,13 @@ def test_cli_corpus_limit():
     assert set(row) == {"label", "kind", "field", "dim"}
 
 
+def test_cli_corpus_negative_limit():
+    doc, code = run_command(["corpus", "--limit", "-1"])
+    assert code == 3
+    assert doc["error"]["type"] == "argument"
+    assert "--limit" in doc["error"]["message"]
+
+
 def test_cli_budget_exceeded(tmp_path):
     path = _write(tmp_path, "h3", fixture("H3", gf(2)))
     doc, code = run_command(["enumerate", path, "--budget", "3"])
@@ -275,6 +292,20 @@ def test_cli_missing_file():
     doc, code = run_command(["check", "/nonexistent/x.json"])
     assert code == 3
     assert doc["error"]["type"] == "missing_file"
+
+
+def test_cli_directory_input(tmp_path):
+    doc, code = run_command(["check", str(tmp_path)])
+    assert code == 3
+    assert doc["error"]["type"] == "unreadable_file"
+
+
+def test_cli_non_utf8_input(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"format_version": 1, "basis_names": ["\xe9"]}')
+    doc, code = run_command(["check", str(path)])
+    assert code == 3
+    assert doc["error"]["type"] == "unreadable_file"
 
 
 def test_cli_bad_field():
@@ -321,6 +352,16 @@ def test_main_stdout_and_output_file(tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr().out == ""
     assert json.loads(out.read_text())["leibniz"] is True
+
+
+def test_main_unwritable_output(tmp_path, capsys):
+    path = _write(tmp_path, "h3", fixture("H3", QQ))
+    out = tmp_path / "missing" / "report.json"
+    code = main(["check", path, "--format", "json", "--output", str(out)])
+    assert code == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]["type"] == "unwritable_output"
+    assert not out.parent.exists()
 
 
 def test_main_refuses_abbreviated_options(tmp_path, capsys):

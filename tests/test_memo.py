@@ -65,14 +65,10 @@ def test_budget_gate_runs_after_a_scan():
         enumerate_spaces(L, "ideals", 10)
 
 
-def test_memoised_error_is_raised_again_as_a_fresh_copy():
+def test_a_raising_call_is_not_memoised():
     L = fixture("C3b", gf(3))
-    errors = []
     for _ in range(2):
         with pytest.raises(BudgetExceeded) as info:
             max_nilpotent_subalgebras(L, 10)
-        errors.append(info.value)
-    assert errors[0] is not errors[1]
-    assert str(errors[0]) == str(errors[1])
-    assert (errors[1].needed, errors[1].budget) == (28, 10)
-    assert not any(isinstance(v, BaseException) for v in L._cache.values())
+        assert (info.value.needed, info.value.budget) == (28, 10)
+        assert ("max_nilpotent_subalgebras", 10) not in L._cache
