@@ -22,6 +22,7 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from leibnizalg.aalgebra import theorem_battery
+from leibnizalg.cli import _count
 from leibnizalg.corpus import corpus
 
 DEFAULT_SWEEP_BUDGET = 100_000
@@ -34,8 +35,8 @@ def main(argv=None):
     ap.add_argument("--kind", default=None,
                     choices=("fixture", "cyclic", "sum", "quotient"),
                     help="only members of this kind")
-    ap.add_argument("--limit", type=int, default=None)
-    ap.add_argument("--budget", type=int, default=DEFAULT_SWEEP_BUDGET)
+    ap.add_argument("--limit", type=_count, default=None)
+    ap.add_argument("--budget", type=_count, default=DEFAULT_SWEEP_BUDGET)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--format", choices=("text", "json"), default="text")
     args = ap.parse_args(argv)

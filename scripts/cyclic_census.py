@@ -18,6 +18,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+from leibnizalg.cli import _count
 from leibnizalg.cyclic import classify_cyclic, describe_polynomial
 from leibnizalg.enumeration import DEFAULT_BUDGET
 from leibnizalg.fields import parse_field_name
@@ -60,7 +61,7 @@ def main(argv=None):
                     help="comma-separated field names (default gf2,gf3)")
     ap.add_argument("--max-n", type=int, default=5,
                     help="largest algebra dimension to sweep (default 5)")
-    ap.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    ap.add_argument("--budget", type=_count, default=DEFAULT_BUDGET)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--format", choices=("text", "json"), default="text")
     args = ap.parse_args(argv)

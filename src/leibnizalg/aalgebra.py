@@ -24,18 +24,18 @@ from functools import cached_property
 from typing import Callable, Optional
 
 from .core import LeibnizAlgebra, memo
-from .decompose import (TriangularDecomposition, _fitting_null,
-                        enumerated_cartan_subalgebras, fitting_family,
-                        ideal_decomposition, max_nilpotent_subalgebras,
-                        triangular_decomposition)
+from .decompose import (TriangularDecomposition, _basis_sums_differences,
+                        _fitting_null, enumerated_cartan_subalgebras,
+                        fitting_family, ideal_decomposition,
+                        max_nilpotent_subalgebras, triangular_decomposition)
 from .enumeration import (DEFAULT_BUDGET, _check_enumerable, enumerate_spaces,
                           frattini_ideal, is_enumerable, socle_analysis)
 from .errors import (BudgetExceeded, DecompositionFailed,
                      InfiniteFieldUnsupported, NoSolution, NotDecomposing)
-from .linalg import Subspace, kernel, restrict_operator, vec_add, vec_sub
+from .linalg import Subspace, kernel, restrict_operator
 from .series import (derived_series, is_completely_solvable, is_metabelian,
                      is_nilpotent, is_nilpotent_space, is_solvable,
-                     lower_nilpotent_series, nilradical)
+                     lower_nilpotent_series, nilradical, predicates)
 
 _WITNESS_RANDOM_TRIES = 40
 _PAIR_CAP = 20
@@ -80,18 +80,6 @@ def _false_verdict(L: LeibnizAlgebra, U: Subspace, certificate: str) -> AVerdict
     if not verify_witness(L, U):
         raise NotDecomposing("candidate witness failed re-verification")
     return AVerdict(False, certificate, U)
-
-
-def _basis_sums_differences(L: LeibnizAlgebra) -> list:
-    """The basis vectors, then e_i + e_j and e_i - e_j for each i < j."""
-    F, n = L.field, L.dim
-    out = [L.basis_vector(i) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            u, v = L.basis_vector(i), L.basis_vector(j)
-            out.append(vec_add(F, u, v))
-            out.append(vec_sub(F, u, v))
-    return out
 
 
 def _witness_candidates(L: LeibnizAlgebra, seed: int):
@@ -931,14 +919,7 @@ def structure_report(L: LeibnizAlgebra, seed: int = 0,
                      budget: int = DEFAULT_BUDGET) -> StructureReport:
     """Decomposition-centric summary used by reporting front ends."""
     facts = _Facts(L, seed, budget, _basic_ideals)
-    preds = {
-        "abelian": L.is_abelian(),
-        "nilpotent": is_nilpotent(L),
-        "solvable": facts.solvable,
-        "completely_solvable": facts.completely_solvable,
-        "metabelian": facts.metabelian,
-    }
     N, mode = nilradical(L, budget)
     clauses, _ = _run(_STRUCTURE, facts)
     decomp, error = facts.decomposition
-    return StructureReport(preds, decomp, error, N, mode, clauses)
+    return StructureReport(predicates(L), decomp, error, N, mode, clauses)

@@ -32,10 +32,9 @@ from .errors import (BadSpec, BudgetExceeded, FieldParseError,
 from .fields import parse_field_name
 from .poly import format_poly
 from .series import (derived_length, derived_series, hypercentre,
-                     is_completely_solvable, is_metabelian, is_nilpotent,
-                     is_solvable, lower_central_series, lower_nilpotent_series,
-                     nilpotency_class, nilradical, radical,
-                     upper_central_series)
+                     is_nilpotent, is_solvable, lower_central_series,
+                     lower_nilpotent_series, nilpotency_class, nilradical,
+                     predicates, radical, upper_central_series)
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -120,13 +119,7 @@ def _cmd_analyze(args):
     L.require_leibniz()
     doc = _base_doc("analyze", args, L, digest)
     doc["leibniz"] = True
-    doc["predicates"] = {
-        "abelian": L.is_abelian(),
-        "nilpotent": is_nilpotent(L),
-        "solvable": is_solvable(L),
-        "completely_solvable": is_completely_solvable(L),
-        "metabelian": is_metabelian(L),
-    }
+    doc["predicates"] = predicates(L)
     doc["series"] = {
         "derived": _series_dims(derived_series(L)),
         "lower_central": _series_dims(lower_central_series(L)),
@@ -366,7 +359,7 @@ def _count(token):
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False, parents=[_output_parser()])
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    common.add_argument("--budget", type=_count, default=DEFAULT_BUDGET)
     parser = _Parser(prog="leibnizalg",
                      description="exact analysis of finite-dimensional "
                                  "Leibniz algebras from structure constants")

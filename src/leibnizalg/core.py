@@ -20,6 +20,7 @@ from typing import Optional
 
 from .errors import NotAnIdeal, NotASubalgebra, NotLeibniz, ShapeMismatch
 from .linalg import Subspace, kernel, vec_add, vec_sub, zero_vec
+from .poly import _coef_str
 
 
 @dataclass(frozen=True)
@@ -368,11 +369,7 @@ def format_vector(field, names, v) -> str:
     for c, name in zip(v, names):
         if field.is_zero(c):
             continue
-        s = field.serialize_scalar(c)
-        if isinstance(s, list):
-            s = str(s[0]) if len(s) == 1 else str(s)
-        else:
-            s = str(s)
+        s = _coef_str(field, c)
         if s == "1":
             term = name
         elif s == "-1":

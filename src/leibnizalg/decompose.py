@@ -21,7 +21,7 @@ from .errors import (CartanSearchFailed, DecompositionFailed, NotDecomposing,
                      NotSolvable)
 from .linalg import (Subspace, chain, fitting_power, image,
                      is_nilpotent_operator, kernel, mat_vec, restrict_operator,
-                     vec_add)
+                     vec_add, vec_sub)
 from .series import derived_series, is_nilpotent_space
 
 _RANDOM_TRIES = 120
@@ -93,24 +93,28 @@ def fitting_family(L: LeibnizAlgebra, C: Subspace) -> FittingPair:
     return FittingPair(null, one)
 
 
-def _candidate_phases(K: LeibnizAlgebra, rng: random.Random, budget: int):
-    """Element candidates for the Cartan descent, cheapest first."""
+def _basis_sums_differences(L: LeibnizAlgebra) -> list:
+    """The basis vectors, then e_i + e_j and e_i - e_j for each i < j."""
+    F, n = L.field, L.dim
+    out = [L.basis_vector(i) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            u, v = L.basis_vector(i), L.basis_vector(j)
+            out.append(vec_add(F, u, v))
+            out.append(vec_sub(F, u, v))
+    return out
+
+
+def _candidates(K: LeibnizAlgebra, rng: random.Random, budget: int):
+    """Element candidates for the Cartan descent, cheapest first: the basis
+    sums and differences, random vectors, then every vector of a small
+    enough finite field."""
     F, m = K.field, K.dim
-    yield [K.basis_vector(i) for i in range(m)]
-    pairs = [vec_add(F, K.basis_vector(i), K.basis_vector(j))
-             for i in range(m) for j in range(i + 1, m)]
-    if pairs:
-        yield pairs
-    randoms = []
+    yield from _basis_sums_differences(K)
     for _ in range(_RANDOM_TRIES):
-        v = tuple(F.random_scalar(rng) for _ in range(m))
-        if any(v):
-            randoms.append(v)
-    if randoms:
-        yield randoms
+        yield tuple(F.random_scalar(rng) for _ in range(m))
     if F.is_finite and F.size ** m <= budget:
-        sweep = [v for v in itertools.product(F.elements(), repeat=m) if any(v)]
-        yield sweep
+        yield from itertools.product(F.elements(), repeat=m)
 
 
 def _fitting_null(L: LeibnizAlgebra, x) -> Optional[Subspace]:
@@ -120,49 +124,32 @@ def _fitting_null(L: LeibnizAlgebra, x) -> Optional[Subspace]:
     return kernel(L.field, power) if any(map(any, power)) else None
 
 
-def _descend_step(K: LeibnizAlgebra, rng: random.Random,
-                  budget: int) -> Optional[Subspace]:
-    """Smallest Fitting-null subspace over the first phase of candidates
-    with one acting non-nilpotently (the first wins ties), or None when no
-    candidate acts non-nilpotently."""
-    for phase in _candidate_phases(K, rng, budget):
-        nulls = [N for N in (_fitting_null(K, x) for x in phase) if N is not None]
-        if nulls:
-            return min(nulls, key=lambda N: N.dim)
-    return None
-
-
 @memo
 def cartan_subalgebra(L: LeibnizAlgebra, seed: int = 0,
                       budget: int = DEFAULT_BUDGET) -> Subspace:
     """A nilpotent self-normalizing subalgebra, found by Fitting descent.
 
     Starting from L, repeatedly restrict to the generalized null space of
-    an element acting non-nilpotently, preferring the candidate with the
-    smallest null space.  The final candidate is verified; on failure a
-    finite field falls back to exhaustive search.
+    the first candidate element that acts non-nilpotently.  The final
+    candidate is verified; on failure a finite field falls back to
+    exhaustive search.
     """
     rng = random.Random(seed)
     K = L.full_space()
     while K.dim:
         Kalg, Kemb = L.restrict(K)
-        null_local = _descend_step(Kalg, rng, budget)
+        nulls = (_fitting_null(Kalg, x) for x in _candidates(Kalg, rng, budget))
+        null_local = next((N for N in nulls if N is not None), None)
         if null_local is None:
             break
         K = Kemb.embed_space(null_local)
-    result = None
-    if K.dim == 0 and L.dim == 0:
-        result = K
-    elif K.dim and is_nilpotent_space(L, K) and L.normalizer(K) == K:
-        result = K
-    if result is None and L.field.is_finite:
+    if is_nilpotent_space(L, K) and L.normalizer(K) == K:
+        return K
+    if L.field.is_finite:
         cartans = enumerated_cartan_subalgebras(L, budget)
         if cartans:
-            result = cartans[0]
-    if result is None:
-        raise CartanSearchFailed(
-            "no nilpotent self-normalizing subalgebra found")
-    return result
+            return cartans[0]
+    raise CartanSearchFailed("no nilpotent self-normalizing subalgebra found")
 
 
 @memo

@@ -95,6 +95,17 @@ def is_metabelian(L: LeibnizAlgebra) -> bool:
     return L.is_abelian_space(L.derived_space())
 
 
+def predicates(L: LeibnizAlgebra) -> dict:
+    """The structural predicates of L, in the order the reports list them."""
+    return {
+        "abelian": L.is_abelian(),
+        "nilpotent": is_nilpotent(L),
+        "solvable": is_solvable(L),
+        "completely_solvable": is_completely_solvable(L),
+        "metabelian": is_metabelian(L),
+    }
+
+
 def nilpotency_class(L: LeibnizAlgebra) -> int:
     report = lower_central_series(L)
     if not report.reaches_zero:

@@ -33,6 +33,11 @@ enumerated ideals with that property.
 bottom part of a triangular decomposition, the complement of L^2 that a
 seeded Cartan descent and a joint Fitting family find, refused where
 that decomposition fails.
+``cartan_by_phases`` is the Cartan descent in phases: every candidate of
+the first phase with one acting non-nilpotently gets its Fitting null
+space, and the descent restricts to the smallest (the first wins ties).
+``random_invertible`` and ``change_basis`` rewrite an algebra in the
+basis of the columns of a seeded random invertible matrix.
 ``identity_matrix``, ``left_mult``, ``lift``, ``poly_from_ints`` and
 ``x_power`` build the matrices, vectors and polynomials the tests state
 their cases with, which the library itself never needs.
@@ -40,13 +45,18 @@ their cases with, which the library itself never needs.
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
-from leibnizalg.core import Embedding, Violation
-from leibnizalg.decompose import DecompositionFailed, triangular_decomposition
-from leibnizalg.enumeration import enumerate_spaces, maximal_subalgebras
-from leibnizalg.errors import NoSolution
-from leibnizalg.linalg import Subspace, kernel, restrict_operator, vec_sub
+from leibnizalg.core import Embedding, LeibnizAlgebra, Violation
+from leibnizalg.decompose import (_RANDOM_TRIES, DecompositionFailed,
+                                  _fitting_null, enumerated_cartan_subalgebras,
+                                  triangular_decomposition)
+from leibnizalg.enumeration import (DEFAULT_BUDGET, enumerate_spaces,
+                                    maximal_subalgebras)
+from leibnizalg.errors import CartanSearchFailed, NoSolution
+from leibnizalg.linalg import (Subspace, kernel, restrict_operator, solve, vec_add,
+                               vec_sub)
 from leibnizalg.poly import Poly, _divisors, poly
 from leibnizalg.series import is_metabelian, is_nilpotent_space, is_solvable_space
 
@@ -382,6 +392,74 @@ def lemma_aa_by_decomposition(L, seed, budget):
                 return False, "some complement element degenerates on the derived subalgebra"
         return True, ""
     return False, "complement of dimension >= 2 over an unenumerable field"
+
+
+def _candidate_phases(K, rng, budget):
+    F, m = K.field, K.dim
+    yield [K.basis_vector(i) for i in range(m)]
+    pairs = [vec_add(F, K.basis_vector(i), K.basis_vector(j))
+             for i in range(m) for j in range(i + 1, m)]
+    if pairs:
+        yield pairs
+    randoms = []
+    for _ in range(_RANDOM_TRIES):
+        v = tuple(F.random_scalar(rng) for _ in range(m))
+        if any(v):
+            randoms.append(v)
+    if randoms:
+        yield randoms
+    if F.is_finite and F.size ** m <= budget:
+        sweep = [v for v in itertools.product(F.elements(), repeat=m) if any(v)]
+        yield sweep
+
+
+def _descend_step(K, rng, budget):
+    for phase in _candidate_phases(K, rng, budget):
+        nulls = [N for N in (_fitting_null(K, x) for x in phase) if N is not None]
+        if nulls:
+            return min(nulls, key=lambda N: N.dim)
+    return None
+
+
+def cartan_by_phases(L, seed=0, budget=DEFAULT_BUDGET):
+    """A Cartan subalgebra by the phased descent, verified as
+    ``cartan_subalgebra`` verifies, with the same enumerated fallback."""
+    rng = random.Random(seed)
+    K = L.full_space()
+    while K.dim:
+        Kalg, Kemb = L.restrict(K)
+        null_local = _descend_step(Kalg, rng, budget)
+        if null_local is None:
+            break
+        K = Kemb.embed_space(null_local)
+    result = None
+    if K.dim == 0 and L.dim == 0:
+        result = K
+    elif K.dim and is_nilpotent_space(L, K) and L.normalizer(K) == K:
+        result = K
+    if result is None and L.field.is_finite:
+        cartans = enumerated_cartan_subalgebras(L, budget)
+        if cartans:
+            result = cartans[0]
+    if result is None:
+        raise CartanSearchFailed(
+            "no nilpotent self-normalizing subalgebra found")
+    return result
+
+
+def random_invertible(F, n, rng):
+    while True:
+        P = [[F.random_scalar(rng) for _ in range(n)] for _ in range(n)]
+        if kernel(F, P, ncols=n).dim == 0:
+            return P
+
+
+def change_basis(L, P):
+    """L in the basis of the columns of P."""
+    F, n = L.field, L.dim
+    cols = [tuple(row[i] for row in P) for i in range(n)]
+    table = [[solve(F, P, L.bracket(u, v)) for v in cols] for u in cols]
+    return LeibnizAlgebra(F, table, L.names)
 
 
 def identity_matrix(field, n):

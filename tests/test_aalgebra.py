@@ -19,7 +19,7 @@ from leibnizalg.corpus import fixture
 from leibnizalg.enumeration import (DEFAULT_BUDGET, enumerate_spaces,
                                     total_subspaces)
 from leibnizalg.fields import QQ, gf
-from leibnizalg.series import is_metabelian, upper_central_series
+from leibnizalg.series import SeriesReport, is_metabelian, upper_central_series
 
 
 # ------------------------------------------------------------------ verdicts
@@ -143,6 +143,36 @@ def test_witness_search_squares_each_operator_once(monkeypatch):
     monkeypatch.setattr(LeibnizAlgebra, "right_mult", counting_right_mult)
     witness_search(fixture("sl2", QQ))
     assert 0 < calls["mat_mul"] <= 2 * calls["right_mult"]
+
+
+def _t_semidirect_h3():
+    """span(t) acting on H3 = span(x, y, z): [t,x] = x, [t,y] = y,
+    [t,z] = 2z, [x,y] = z, and the opposite brackets negated."""
+    index = {"t": 0, "x": 1, "y": 2, "z": 3}
+    table = [[(Fraction(0),) * 4 for _ in range(4)] for _ in range(4)]
+    for a, b, c, k in (("t", "x", "x", 1), ("t", "y", "y", 1),
+                       ("t", "z", "z", 2), ("x", "y", "z", 1)):
+        v = [Fraction(0)] * 4
+        v[index[c]] = Fraction(k)
+        table[index[a]][index[b]] = tuple(v)
+        table[index[b]][index[a]] = tuple(-e for e in v)
+    return LeibnizAlgebra(QQ, table, tuple(index))
+
+
+@pytest.mark.parametrize("silenced,found", [
+    ((), True), (("lower_nilpotent_series",), True), (("derived_series",), True),
+    (("derived_series", "lower_nilpotent_series"), False)],
+    ids=["both", "derived", "lower_nilpotent", "neither"])
+def test_witness_search_finds_h3_through_a_series_phase(monkeypatch, silenced, found):
+    # no basis sum or difference, Fitting null or random pair exposes
+    # H3 = L^2 here; the derived and the lower nilpotent series each do
+    L = _t_semidirect_h3()
+    L.require_leibniz()
+    for name in silenced:
+        monkeypatch.setattr(aalgebra, name, lambda L: SeriesReport((L.full_space(),)))
+    for seed in (0, 1):
+        W = witness_search(L, seed)
+        assert W == (L.derived_space() if found else None)
 
 
 def test_lemma_aa_certificate_c2():

@@ -1,10 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from kernel_reference import (centre_by_restriction, ideal_decomposition_by_sums,
+from kernel_reference import (cartan_by_phases, centre_by_restriction,
+                              change_basis, ideal_decomposition_by_sums,
                               ideal_part_split_by_sums, maximal_by_pairs,
-                              nilradical_chain_by_sums)
+                              nilradical_chain_by_sums, random_invertible)
 from leibnizalg import decompose
 from leibnizalg.aalgebra import (ClauseResult, _check_ideal_part_split,
                                  _check_nilradical_chain_splitting,
@@ -92,6 +94,65 @@ def test_cartan_is_nilpotent_self_normalizing(name, q):
 
 def test_cartan_cached(r2):
     assert cartan_subalgebra(r2) is cartan_subalgebra(r2)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_cartan_matches_the_phased_descent(members, tiny_finite_members, seed):
+    # the first candidate that acts non-nilpotently gives the Cartan
+    # subalgebra that the smallest null of the phased descent gives; in a
+    # random basis the two may pick different Cartans, of one dimension
+    rng = random.Random(seed)
+    rational = [m for m in members if not m.algebra.field.is_finite]
+    for m in rational + tiny_finite_members:
+        L = m.algebra
+        assert (_outcome(cartan_subalgebra, L, seed)
+                == _outcome(cartan_by_phases, L, seed)), m.label
+        M = change_basis(L, random_invertible(L.field, L.dim, rng))
+        C = cartan_subalgebra(M, seed=seed)
+        assert is_nilpotent_space(M, C) and M.normalizer(C) == C, m.label
+        assert C.dim == cartan_by_phases(M, seed=seed).dim, m.label
+
+
+def _t_first_r2():
+    """r2 with the acting element first: [x, t] = x = -[t, x]."""
+    z, one = Fraction(0), Fraction(1)
+    table = [[(z, z), (z, -one)], [(z, one), (z, z)]]
+    return LeibnizAlgebra(QQ, table, ("t", "x"))
+
+
+@pytest.mark.parametrize("make,first_step", [(lambda: fixture("r2", QQ), 2),
+                                             (_t_first_r2, 1)],
+                         ids=["r2", "t_first_r2"])
+def test_descent_stops_at_the_first_non_nilpotent_candidate(monkeypatch, make,
+                                                             first_step):
+    calls = []
+    fitting_null = decompose._fitting_null
+
+    def counted(K, x):
+        N = fitting_null(K, x)
+        calls.append((K, N))
+        return N
+
+    monkeypatch.setattr(decompose, "_fitting_null", counted)
+    L = make()
+    C = cartan_subalgebra(L)
+    assert C.dim == 1 and L.normalizer(C) == C
+    steps = []
+    for K, N in calls:
+        if not steps or steps[-1][0] is not K:
+            steps.append((K, []))
+        steps[-1][1].append(N)
+    # one restriction, then the line, on which no candidate acts
+    # non-nilpotently: its one basis vector and every random vector
+    assert [len(nulls) for _, nulls in steps] == [first_step, 1 + decompose._RANDOM_TRIES]
+    first, last = steps[0][1], steps[1][1]
+    assert first[-1] is not None and all(N is None for N in first[:-1])
+    assert all(N is None for N in last)
+
+
+def test_cartan_of_the_zero_algebra_is_zero():
+    L = LeibnizAlgebra(QQ, [], ())
+    assert cartan_subalgebra(L) == L.zero_space()
 
 
 def test_enumerated_cartans_r2_gf2():
@@ -211,7 +272,7 @@ def test_ideal_decomposition():
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except DecompositionFailed as exc:
+    except (CartanSearchFailed, DecompositionFailed) as exc:
         return str(exc)
 
 

@@ -274,6 +274,17 @@ def test_cli_corpus_negative_limit():
     assert "--limit" in doc["error"]["message"]
 
 
+def test_cli_negative_budget(tmp_path):
+    path = _write(tmp_path, "h3", fixture("H3", gf(2)))
+    for argv in (["battery", path], ["enumerate", path], ["corpus", "--limit", "0"]):
+        doc, code = run_command([*argv, "--budget", "-1"])
+        assert code == 3
+        assert doc["error"]["type"] == "argument"
+        assert "--budget" in doc["error"]["message"]
+    doc, code = run_command(["corpus", "--limit", "0", "--budget", "0"])
+    assert code == 0 and doc["budget"] == 0
+
+
 def test_cli_budget_exceeded(tmp_path):
     path = _write(tmp_path, "h3", fixture("H3", gf(2)))
     doc, code = run_command(["enumerate", path, "--budget", "3"])
