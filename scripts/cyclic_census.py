@@ -22,6 +22,7 @@ from leibnizalg.cli import _count
 from leibnizalg.cyclic import classify_cyclic, describe_polynomial
 from leibnizalg.enumeration import DEFAULT_BUDGET
 from leibnizalg.fields import parse_field_name
+from leibnizalg.poly import _coef_str
 
 
 def sweep(fields, max_n, budget, seed):
@@ -69,6 +70,8 @@ def main(argv=None):
     fields = [parse_field_name(tok) for tok in args.fields.split(",")]
     if any(not F.is_finite for F in fields):
         ap.error("the census sweep needs finite fields")
+    if args.max_n < 2:
+        ap.error(f"--max-n must be at least 2: {args.max_n}")
     rows = sweep(fields, args.max_n, args.budget, args.seed)
     summary = summarize(rows)
 
@@ -76,6 +79,7 @@ def main(argv=None):
         print(json.dumps({"summary": summary, "rows": rows},
                          sort_keys=True, indent=2))
     else:
+        by_name = {str(F): F for F in fields}
         for r in rows:
             flags = "".join((
                 "A" if r["is_a"] else ".",
@@ -85,9 +89,8 @@ def main(argv=None):
             ))
             mark = "" if r["cross_checks_ok"] else \
                 f"  CHECK FAILED: {','.join(r['failed_checks'])}"
-            # prime-field scalars serialize as [c]; show the bare digit
-            alphas = ",".join(str(a[0]) if isinstance(a, list) and len(a) == 1
-                              else str(a) for a in r["alphas"])
+            F = by_name[r["field"]]
+            alphas = ",".join(_coef_str(F, F.parse_scalar(a)) for a in r["alphas"])
             print(f"{r['field']:>6}  n={r['n']}  alphas=({alphas})  "
                   f"{flags}  {r['polynomial']}{mark}")
         print()

@@ -663,7 +663,7 @@ class _Facts:
     use: data, named by the checks' parameters, and hypotheses, named by
     the rows."""
 
-    def __init__(self, L: LeibnizAlgebra, seed: int, budget: int,
+    def __init__(self, L: LeibnizAlgebra, seed: Optional[int], budget: int,
                  structural=_series_ideals):
         self.L, self.seed, self.budget = L, seed, budget
         self._structural = structural  # the known ideals without enumeration
@@ -693,7 +693,7 @@ class _Facts:
         if not self.solvable:
             return None, _UNMET["solvable"]
         try:
-            return triangular_decomposition(self.L, self.seed, self.budget), None
+            return triangular_decomposition(self.L, self.budget), None
         except DecompositionFailed as exc:
             return None, str(exc)
 
@@ -915,10 +915,10 @@ def theorem_battery(L: LeibnizAlgebra, seed: int = 0,
     return BatteryReport(facts.verdict, clauses, findings)
 
 
-def structure_report(L: LeibnizAlgebra, seed: int = 0,
+def structure_report(L: LeibnizAlgebra,
                      budget: int = DEFAULT_BUDGET) -> StructureReport:
     """Decomposition-centric summary used by reporting front ends."""
-    facts = _Facts(L, seed, budget, _basic_ideals)
+    facts = _Facts(L, None, budget, _basic_ideals)  # no row reads a verdict
     N, mode = nilradical(L, budget)
     clauses, _ = _run(_STRUCTURE, facts)
     decomp, error = facts.decomposition

@@ -134,23 +134,19 @@ def _cmd_analyze(args):
     }
     doc["nilpotency_class"] = nilpotency_class(L) if is_nilpotent(L) else None
     doc["derived_length"] = derived_length(L) if is_solvable(L) else None
-    try:
-        N, mode = nilradical(L, args.budget)
-        doc["nilradical"] = {"dim": N.dim, "mode": mode}
-    except (InfiniteFieldUnsupported, BudgetExceeded) as exc:
-        doc["nilradical"] = {"error": str(exc)}
-    try:
-        R, mode = radical(L, args.budget)
-        doc["radical"] = {"dim": R.dim, "mode": mode}
-    except (InfiniteFieldUnsupported, BudgetExceeded) as exc:
-        doc["radical"] = {"error": str(exc)}
+    for key, find in (("nilradical", nilradical), ("radical", radical)):
+        try:
+            S, mode = find(L, args.budget)
+            doc[key] = {"dim": S.dim, "mode": mode}
+        except (InfiniteFieldUnsupported, BudgetExceeded) as exc:
+            doc[key] = {"error": str(exc)}
     return doc, EXIT_OK
 
 
 def _cmd_decompose(args):
     L, digest = _load(args.input)
     L.require_leibniz()
-    report = structure_report(L, seed=args.seed, budget=args.budget)
+    report = structure_report(L, args.budget)
     doc = _base_doc("decompose", args, L, digest)
     doc["predicates"] = dict(report.predicates)
     if report.decomposition is not None:

@@ -11,7 +11,6 @@ returning something plausible.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,8 +22,6 @@ from .linalg import (Subspace, chain, fitting_power, image,
                      is_nilpotent_operator, kernel, mat_vec, restrict_operator,
                      vec_add, vec_sub)
 from .series import derived_series, is_nilpotent_space
-
-_RANDOM_TRIES = 120
 
 
 @dataclass(frozen=True)
@@ -105,14 +102,23 @@ def _basis_sums_differences(L: LeibnizAlgebra) -> list:
     return out
 
 
-def _candidates(K: LeibnizAlgebra, rng: random.Random, budget: int):
+def _candidates(K: LeibnizAlgebra, budget: int):
     """Element candidates for the Cartan descent, cheapest first: the basis
-    sums and differences, random vectors, then every vector of a small
-    enough finite field."""
+    sums and differences, then every vector of a small enough finite field.
+
+    In characteristic 0 the basis vectors and their sums contain an element
+    acting non-nilpotently on a non-nilpotent K, by Engel's theorem for
+    Leibniz algebras and R_{[y,z]} = R_z R_y - R_y R_z, which makes R_K a
+    Lie algebra.  If K is solvable, so is R_K, triangular over the closure
+    by Lie's theorem: the nilpotently acting elements are the common kernel
+    of the diagonal weights, a proper subspace, which misses a basis
+    vector.  If not, R_K is not solvable either (ker R is abelian), so by
+    Cartan's criterion tr(R_x R_y) != 0 for some x, y; a symmetric form
+    vanishing on every e_i and e_i + e_j is zero, so some candidate has
+    tr(R_x^2) != 0.
+    """
     F, m = K.field, K.dim
     yield from _basis_sums_differences(K)
-    for _ in range(_RANDOM_TRIES):
-        yield tuple(F.random_scalar(rng) for _ in range(m))
     if F.is_finite and F.size ** m <= budget:
         yield from itertools.product(F.elements(), repeat=m)
 
@@ -125,26 +131,26 @@ def _fitting_null(L: LeibnizAlgebra, x) -> Optional[Subspace]:
 
 
 @memo
-def cartan_subalgebra(L: LeibnizAlgebra, seed: int = 0,
+def cartan_subalgebra(L: LeibnizAlgebra,
                       budget: int = DEFAULT_BUDGET) -> Subspace:
     """A nilpotent self-normalizing subalgebra, found by Fitting descent.
 
-    Starting from L, repeatedly restrict to the generalized null space of
-    the first candidate element that acts non-nilpotently.  The final
-    candidate is verified; on failure a finite field falls back to
-    exhaustive search.
+    While K (at first L) is not nilpotent, restrict it to the generalized
+    null space of the first candidate element that acts non-nilpotently.
+    A nilpotent K is verified self-normalizing; on failure a finite field
+    falls back to exhaustive search.
     """
-    rng = random.Random(seed)
     K = L.full_space()
-    while K.dim:
+    while not is_nilpotent_space(L, K):
         Kalg, Kemb = L.restrict(K)
-        nulls = (_fitting_null(Kalg, x) for x in _candidates(Kalg, rng, budget))
+        nulls = (_fitting_null(Kalg, x) for x in _candidates(Kalg, budget))
         null_local = next((N for N in nulls if N is not None), None)
         if null_local is None:
             break
         K = Kemb.embed_space(null_local)
-    if is_nilpotent_space(L, K) and L.normalizer(K) == K:
-        return K
+    else:
+        if L.normalizer(K) == K:
+            return K
     if L.field.is_finite:
         cartans = enumerated_cartan_subalgebras(L, budget)
         if cartans:
@@ -192,7 +198,7 @@ class TriangularDecomposition:
         return self.parts[-1]
 
 
-def _triangular_parts(L: LeibnizAlgebra, seed: int, budget: int):
+def _triangular_parts(L: LeibnizAlgebra, budget: int):
     ds = derived_series(L)
     if not ds.reaches_zero:
         raise NotSolvable("triangular decomposition needs a solvable algebra")
@@ -202,7 +208,7 @@ def _triangular_parts(L: LeibnizAlgebra, seed: int, budget: int):
     top = ds.terms[d - 1]
     M = ds.terms[d - 2]
     Malg, Memb = L.restrict(M)
-    C = Memb.embed_space(cartan_subalgebra(Malg, seed=seed, budget=budget))
+    C = Memb.embed_space(cartan_subalgebra(Malg, budget))
     pair = fitting_family(L, C)
     B, one = pair.null, pair.one
     if not top.contains_space(one):
@@ -212,21 +218,17 @@ def _triangular_parts(L: LeibnizAlgebra, seed: int, budget: int):
         raise DecompositionFailed(
             "Fitting null component does not complement the last derived term")
     Balg, Bemb = L.restrict(B)
-    sub = _triangular_parts(Balg, seed, budget)
+    sub = _triangular_parts(Balg, budget)
     return [top] + [Bemb.embed_space(P) for P in sub]
 
 
 @memo
-def triangular_decomposition(L: LeibnizAlgebra, seed: int = 0,
+def triangular_decomposition(L: LeibnizAlgebra,
                              budget: int = DEFAULT_BUDGET) -> TriangularDecomposition:
     try:
-        return _verified_triangular(L, seed, budget)
-    except (DecompositionFailed, NotDecomposing, CartanSearchFailed) as exc:
+        parts = _triangular_parts(L, budget)
+    except (NotDecomposing, CartanSearchFailed) as exc:
         raise DecompositionFailed(str(exc)) from exc
-
-
-def _verified_triangular(L, seed, budget):
-    parts = _triangular_parts(L, seed, budget)
     for idx, P in enumerate(parts):
         if not L.is_abelian_space(P):
             raise DecompositionFailed(f"part {idx} is not abelian")

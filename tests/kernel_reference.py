@@ -31,11 +31,12 @@ ideal inside every maximal subalgebra, each as the span of all the
 enumerated ideals with that property.
 ``lemma_aa_by_decomposition`` is the lemma_aa certificate tested on the
 bottom part of a triangular decomposition, the complement of L^2 that a
-seeded Cartan descent and a joint Fitting family find, refused where
+Cartan descent and a joint Fitting family find, refused where
 that decomposition fails.
 ``cartan_by_phases`` is the Cartan descent in phases: every candidate of
 the first phase with one acting non-nilpotently gets its Fitting null
 space, and the descent restricts to the smallest (the first wins ties).
+Its third phase draws ``_RANDOM_TRIES`` seeded random vectors.
 ``random_invertible`` and ``change_basis`` rewrite an algebra in the
 basis of the columns of a seeded random invertible matrix.
 ``identity_matrix``, ``left_mult``, ``lift``, ``poly_from_ints`` and
@@ -49,8 +50,8 @@ import random
 from fractions import Fraction
 
 from leibnizalg.core import Embedding, LeibnizAlgebra, Violation
-from leibnizalg.decompose import (_RANDOM_TRIES, DecompositionFailed,
-                                  _fitting_null, enumerated_cartan_subalgebras,
+from leibnizalg.decompose import (DecompositionFailed, _fitting_null,
+                                  enumerated_cartan_subalgebras,
                                   triangular_decomposition)
 from leibnizalg.enumeration import (DEFAULT_BUDGET, enumerate_spaces,
                                     maximal_subalgebras)
@@ -366,7 +367,7 @@ def _invertible_on(L, x, space):
     return kernel(L.field, R, ncols=space.dim).dim == 0
 
 
-def lemma_aa_by_decomposition(L, seed, budget):
+def lemma_aa_by_decomposition(L, budget):
     """(granted, reason) of the certificate on the complement of L^2 that
     the triangular decomposition's bottom part gives."""
     if not is_metabelian(L):
@@ -375,7 +376,7 @@ def lemma_aa_by_decomposition(L, seed, budget):
     if der.dim == 0:
         return True, "abelian"
     try:
-        decomp = triangular_decomposition(L, seed=seed, budget=budget)
+        decomp = triangular_decomposition(L, budget)
     except DecompositionFailed as exc:
         return False, f"no split over the derived subalgebra: {exc}"
     B = decomp.bottom
@@ -392,6 +393,9 @@ def lemma_aa_by_decomposition(L, seed, budget):
                 return False, "some complement element degenerates on the derived subalgebra"
         return True, ""
     return False, "complement of dimension >= 2 over an unenumerable field"
+
+
+_RANDOM_TRIES = 120
 
 
 def _candidate_phases(K, rng, budget):

@@ -208,7 +208,7 @@ def test_lemma_aa_matches_the_decomposition_certificate(members):
     for m in members:
         for budget in (10 ** 5, 100):
             granted, reason = lemma_aa_certificate(m.algebra, budget)
-            ref = lemma_aa_by_decomposition(m.algebra, 0, budget)
+            ref = lemma_aa_by_decomposition(m.algebra, budget)
             if ref[1].startswith("no split"):
                 assert not granted, (m.label, budget)
             else:

@@ -148,7 +148,7 @@ def test_criterion_07_certified_triangular_invariants(members):
             continue
         if not (_verdict(L).is_true and is_solvable(L)):
             continue
-        decomp = triangular_decomposition(L, SEED, ACCEPTANCE_BUDGET)
+        decomp = triangular_decomposition(L, ACCEPTANCE_BUDGET)
         decomposed += 1
         if not _in_budget(L):
             continue

@@ -24,7 +24,7 @@ from leibnizalg.errors import (CartanSearchFailed, DecompositionFailed,
                                NotSolvable)
 from leibnizalg.fields import QQ, gf
 from leibnizalg.linalg import is_nilpotent_operator, restrict_operator
-from leibnizalg.series import is_nilpotent_space
+from leibnizalg.series import is_nilpotent_space, is_solvable
 
 
 # ------------------------------------------------------------------- fitting
@@ -105,12 +105,34 @@ def test_cartan_matches_the_phased_descent(members, tiny_finite_members, seed):
     rational = [m for m in members if not m.algebra.field.is_finite]
     for m in rational + tiny_finite_members:
         L = m.algebra
-        assert (_outcome(cartan_subalgebra, L, seed)
+        assert (_outcome(cartan_subalgebra, L)
                 == _outcome(cartan_by_phases, L, seed)), m.label
         M = change_basis(L, random_invertible(L.field, L.dim, rng))
-        C = cartan_subalgebra(M, seed=seed)
+        C = cartan_subalgebra(M)
         assert is_nilpotent_space(M, C) and M.normalizer(C) == C, m.label
         assert C.dim == cartan_by_phases(M, seed=seed).dim, m.label
+
+
+def _descent_steps(monkeypatch, L):
+    """The Cartan subalgebra of L, and the Fitting nulls each descent step
+    computed, as (restricted algebra, nulls) pairs in step order."""
+    calls = []
+    fitting_null = decompose._fitting_null
+
+    def counted(K, x):
+        N = fitting_null(K, x)
+        calls.append((K, N))
+        return N
+
+    monkeypatch.setattr(decompose, "_fitting_null", counted)
+    C = cartan_subalgebra(L)
+    monkeypatch.undo()
+    steps = []
+    for K, N in calls:
+        if not steps or steps[-1][0] is not K:
+            steps.append((K, []))
+        steps[-1][1].append(N)
+    return C, steps
 
 
 def _t_first_r2():
@@ -125,29 +147,69 @@ def _t_first_r2():
                          ids=["r2", "t_first_r2"])
 def test_descent_stops_at_the_first_non_nilpotent_candidate(monkeypatch, make,
                                                              first_step):
-    calls = []
-    fitting_null = decompose._fitting_null
-
-    def counted(K, x):
-        N = fitting_null(K, x)
-        calls.append((K, N))
-        return N
-
-    monkeypatch.setattr(decompose, "_fitting_null", counted)
     L = make()
-    C = cartan_subalgebra(L)
+    C, steps = _descent_steps(monkeypatch, L)
     assert C.dim == 1 and L.normalizer(C) == C
-    steps = []
-    for K, N in calls:
-        if not steps or steps[-1][0] is not K:
-            steps.append((K, []))
-        steps[-1][1].append(N)
-    # one restriction, then the line, on which no candidate acts
-    # non-nilpotently: its one basis vector and every random vector
-    assert [len(nulls) for _, nulls in steps] == [first_step, 1 + decompose._RANDOM_TRIES]
-    first, last = steps[0][1], steps[1][1]
+    # one restriction; the line it gives is nilpotent, so no candidate is
+    # tried on it
+    assert [len(nulls) for _, nulls in steps] == [first_step]
+    first = steps[0][1]
     assert first[-1] is not None and all(N is None for N in first[:-1])
-    assert all(N is None for N in last)
+
+
+def test_descent_on_sl2_in_an_ad_nilpotent_basis(monkeypatch):
+    # in the basis (e, f, h + e - f) every basis vector acts nilpotently, so
+    # the first step tries the three of them and then e + f, which is
+    # semisimple; the null of e + f is a line, and no step follows
+    L = change_basis(fixture("sl2", QQ), [[Fraction(c) for c in row] for row in
+                                          ((1, 0, 1), (0, 1, -1), (0, 0, 1))])
+    C, steps = _descent_steps(monkeypatch, L)
+    assert C.dim == 1 and is_nilpotent_space(L, C) and L.normalizer(C) == C
+    assert [len(nulls) for _, nulls in steps] == [4]
+    nulls = steps[0][1]
+    assert all(N is None for N in nulls[:3]) and nulls[3].dim == 1
+
+
+def _t_semidirect(coeffs, lie):
+    """span(t) + Q^k with t acting by the companion matrix A of the monic
+    x^k + c_{k-1} x^{k-1} + ... + c_0: [v, t] = Av, and [t, v] = -Av for
+    the Lie semidirect product or 0 for the hemisemidirect one."""
+    k, z = len(coeffs), Fraction(0)
+    A = [[Fraction(int(i == j + 1)) for j in range(k)] for i in range(k)]
+    for i, c in enumerate(coeffs):
+        A[i][k - 1] = Fraction(-c)
+    table = [[(z,) * (k + 1) for _ in range(k + 1)] for _ in range(k + 1)]
+    for j in range(k):
+        Av = (z,) + tuple(A[i][j] for i in range(k))
+        table[j + 1][0] = Av
+        if lie:
+            table[0][j + 1] = tuple(-c for c in Av)
+    return LeibnizAlgebra(QQ, table, ("t",) + tuple(f"v{i}" for i in range(k)))
+
+
+# x^4 - 1, x^3 + x^2 + x + 1, x^3 - 1, x^2 + 1: eigenvalues off Q
+COMPANION_COEFFS = ((-1, 0, 0, 0), (1, 1, 1), (-1, 0, 0), (1, 0))
+
+
+def test_solvable_descent_steps_take_a_basis_vector(members, monkeypatch):
+    # the solvable case of the _candidates proof: the elements that act
+    # nilpotently form a proper subspace, which misses a basis vector, so
+    # each step succeeds within its first m candidates
+    rng = random.Random(0)
+    bases = [_t_semidirect(c, lie) for c in COMPANION_COEFFS for lie in (True, False)]
+    bases += [LeibnizAlgebra(m.algebra.field, m.algebra.table, m.algebra.names)
+              for m in members if not m.algebra.field.is_finite and is_solvable(m.algebra)]
+    checked = 0
+    for L in bases:
+        assert L.leibniz_violation() is None
+        for M in [L] + [change_basis(L, random_invertible(QQ, L.dim, rng))
+                        for _ in range(5)]:
+            C, steps = _descent_steps(monkeypatch, M)
+            assert is_nilpotent_space(M, C) and M.normalizer(C) == C
+            for K, nulls in steps:
+                assert len(nulls) <= K.dim and nulls[-1] is not None, str(M)
+                checked += 1
+    assert checked > 100
 
 
 def test_cartan_of_the_zero_algebra_is_zero():

@@ -1,8 +1,9 @@
 """Source hygiene: every name a library module imports is used there,
 every private function, method or class is referenced by the package,
 every public one is referenced by the package or re-exported by it,
-every parameter of every function is read in its body, and every
-exception class in ``errors.py`` is raised by some library module.
+every parameter of every function is read in its body, every
+exception class in ``errors.py`` is raised by some library module, and
+only the witness search's module imports ``random``.
 
 ``__init__.py`` is skipped by the import check, since its imports are the
 package's re-exports.
@@ -222,6 +223,34 @@ def test_every_error_class_is_raised():
 def test_scan_finds_raised_errors():
     tree = ast.parse("raise A\nraise B('x')\ntry:\n    pass\nexcept C:\n    raise\n")
     assert _raised([tree]) == {"A", "B"}
+
+
+def _imports_random(tree):
+    """Whether the module imports ``random``, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(
+                alias.name.split(".")[0] == "random" for alias in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "random":
+            return True
+    return False
+
+
+def test_only_the_witness_search_imports_random():
+    # randomness may decide only whether a witness is found; every other
+    # result, decompositions included, depends on the algebra and budget
+    importers = [p.name for p in sorted(SRC.glob("*.py"))
+                 if _imports_random(ast.parse(p.read_text(), filename=str(p)))]
+    assert importers == ["aalgebra.py"]
+
+
+def test_scan_finds_random_imports():
+    assert _imports_random(ast.parse("import random\n"))
+    assert _imports_random(ast.parse("from random import Random\n"))
+    assert _imports_random(ast.parse("def f():\n    import random as r\n"))
+    assert not _imports_random(ast.parse("import randomize\n"
+                                         "from .random import x\n"
+                                         "from .fields import random_scalar\n"))
 
 
 FIELD_TYPES = {"Fraction", "Rationals", "PrimeField", "ExtensionField"}

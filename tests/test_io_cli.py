@@ -1,5 +1,9 @@
 import builtins
 import json
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -283,6 +287,29 @@ def test_cli_negative_budget(tmp_path):
         assert "--budget" in doc["error"]["message"]
     doc, code = run_command(["corpus", "--limit", "0", "--budget", "0"])
     assert code == 0 and doc["budget"] == 0
+
+
+CENSUS = Path(__file__).resolve().parent.parent / "scripts" / "cyclic_census.py"
+
+
+def _census(*argv):
+    return subprocess.run([sys.executable, str(CENSUS), *argv],
+                          capture_output=True, text=True)
+
+
+def test_census_refuses_max_n_below_two():
+    run = _census("--max-n", "1", "--format", "json")
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert "--max-n must be at least 2" in run.stderr
+
+
+def test_census_text_shows_scalars_as_coefficients():
+    # a prime-field scalar shows as its digit, a GF(4) scalar as its digits
+    run = _census("--fields", "gf2,gf4", "--max-n", "2")
+    assert run.returncode == 0
+    assert re.findall(r"alphas=\((.*?)\)  ", run.stdout) == [
+        "0", "1", "[0, 0]", "[1, 0]", "[0, 1]", "[1, 1]"]
 
 
 def test_cli_budget_exceeded(tmp_path):
