@@ -14,8 +14,7 @@ from .aalgebra import (AVerdict, BatteryReport, ClauseResult, StructureReport,
 from .algfile import (algebra_from_doc, algebra_to_doc, dumps_algebra,
                       input_digest, load_algebra_path, loads_algebra,
                       save_algebra_path)
-from .core import (Embedding, LeibnizAlgebra, QuotientMap, Violation,
-                   direct_sum, format_vector)
+from .core import LeibnizAlgebra, Violation, direct_sum, format_vector
 from .corpus import FIELDS, FIXTURE_NAMES, CorpusMember, corpus, fixture
 from .cyclic import (CyclicReport, CyclicSpec, build_cyclic, classify_cyclic,
                      complement_vector, describe_polynomial,
@@ -29,10 +28,10 @@ from .enumeration import (DEFAULT_BUDGET, SocleReport, enumerate_spaces,
                           iter_subalgebras, iter_subspaces, maximal_subalgebras,
                           socle_analysis, total_subspaces)
 from .errors import (AmbientMismatch, BadSpec, BudgetExceeded,
-                     CartanSearchFailed, DecompositionFailed, FieldParseError,
+                     DecompositionFailed, FieldParseError,
                      InfiniteFieldUnsupported, LeibnizError, NoSolution,
-                     NotAnIdeal, NotASubalgebra, NotDecomposing, NotLeibniz,
-                     NotSolvable, ParseError, ShapeMismatch, ZeroPolynomial)
+                     NotAnIdeal, NotASubalgebra, NotLeibniz, ParseError,
+                     ShapeMismatch, ZeroPolynomial)
 from .fields import (QQ, ExtensionField, PrimeField, Rationals, field_from_doc,
                      field_to_doc, gf, parse_field_name)
 from .linalg import Subspace, image, kernel, rref, solve

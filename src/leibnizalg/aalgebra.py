@@ -28,10 +28,10 @@ from .decompose import (TriangularDecomposition, _basis_sums_differences,
                         _fitting_null, enumerated_cartan_subalgebras,
                         fitting_family, ideal_decomposition,
                         max_nilpotent_subalgebras, triangular_decomposition)
-from .enumeration import (DEFAULT_BUDGET, _check_enumerable, enumerate_spaces,
-                          frattini_ideal, is_enumerable, socle_analysis)
+from .enumeration import (DEFAULT_BUDGET, enumerate_spaces, frattini_ideal,
+                          is_enumerable, socle_analysis)
 from .errors import (BudgetExceeded, DecompositionFailed,
-                     InfiniteFieldUnsupported, NoSolution, NotDecomposing)
+                     InfiniteFieldUnsupported, LeibnizError)
 from .linalg import Subspace, kernel, restrict_operator
 from .series import (derived_series, is_completely_solvable, is_metabelian,
                      is_nilpotent, is_nilpotent_space, is_solvable,
@@ -78,7 +78,7 @@ def verify_witness(L: LeibnizAlgebra, U: Subspace) -> bool:
 
 def _false_verdict(L: LeibnizAlgebra, U: Subspace, certificate: str) -> AVerdict:
     if not verify_witness(L, U):
-        raise NotDecomposing("candidate witness failed re-verification")
+        raise LeibnizError("candidate witness failed re-verification")
     return AVerdict(False, certificate, U)
 
 
@@ -118,12 +118,10 @@ def witness_search(L: LeibnizAlgebra, seed: int = 0) -> Optional[Subspace]:
     return None
 
 
-def _invertible_on(L: LeibnizAlgebra, x, space: Subspace) -> bool:
-    try:
-        R = restrict_operator(L.field, L.right_mult(x), space)
-    except NoSolution:
-        return False
-    return kernel(L.field, R, ncols=space.dim).dim == 0
+def _invertible_on(L: LeibnizAlgebra, x, ideal: Subspace) -> bool:
+    """Whether R_x, which preserves the ideal, is invertible on it."""
+    R = restrict_operator(L.field, L.right_mult(x), ideal)
+    return kernel(L.field, R, ncols=ideal.dim).dim == 0
 
 
 @memo
@@ -302,7 +300,7 @@ def _check_nilradical_maximal_abelian(L, ideals, N):
 def _quotient_verdict(L: LeibnizAlgebra, I: Subspace, budget: int,
                       seed: int) -> AVerdict:
     """The verdict of L/I, decided once per ideal, budget and seed."""
-    return is_a_algebra(L.quotient(I)[0], budget, seed)
+    return is_a_algebra(L.quotient(I), budget, seed)
 
 
 def _check_quotient_closure(L, ideals, budget, seed):
@@ -350,11 +348,11 @@ def _check_cartan_complements(L, budget):
         M = ds.terms[i]
         inner = ds.terms[i + 1] if i + 1 < len(ds.terms) else L.zero_space()
         inner2 = ds.terms[i + 2] if i + 2 < len(ds.terms) else L.zero_space()
-        Malg, Memb = L.restrict(M)
-        inner_loc = Malg.span([Memb.coords(v) for v in inner.basis])
-        inner2_loc = Malg.span([Memb.coords(v) for v in inner2.basis])
-        Q, qmap = Malg.quotient(inner2_loc)
-        target = Q.span([qmap.push(v) for v in inner_loc.basis])
+        Malg = L.restrict(M)
+        inner_loc = Malg.span([M.coords_of(v) for v in inner.basis])
+        inner2_loc = Malg.span([M.coords_of(v) for v in inner2.basis])
+        Q = Malg.quotient(inner2_loc)
+        target = Q.span([inner2_loc.quotient_coords(v) for v in inner_loc.basis])
         cartans = set(enumerated_cartan_subalgebras(Q, budget))
         whole = Q.full_space()
         complements = {S for S in enumerate_spaces(Q, "subalgebras", budget)
@@ -576,7 +574,7 @@ def _check_max_nilpotent_complement(L, U):
         return False, "U cap L^2 is not an abelian ideal"
     try:
         K = fitting_family(L, U).one
-    except NotDecomposing as exc:
+    except DecompositionFailed as exc:
         return False, str(exc)
     if not der.is_direct_sum(I, K):
         return False, "derived subalgebra does not split over U cap L^2"
@@ -727,11 +725,6 @@ class _Facts:
         return is_enumerable(self.L, self.budget)
 
     @property
-    def enumerable(self) -> bool:
-        _check_enumerable(self.L, self.budget)  # raises why not
-        return True
-
-    @property
     def finite_field(self) -> bool:
         return self.L.field.is_finite
 
@@ -822,8 +815,7 @@ _BATTERY = (
     _Row("minimal_ideal_position", _check_minimal_ideal_position, _DECOMPOSED + ("exhaustive",)),
     _Row("minimal_ideal_centre", _check_minimal_ideal_centre, _DECOMPOSED + ("exhaustive",)),
     _Row("minimal_ideal_derived", _check_minimal_ideal_derived, _DECOMPOSED + ("exhaustive",)),
-    _Row("frattini_free_socle", _check_frattini_free_socle, _A,
-         ("completely_solvable", "enumerable")),
+    _Row("frattini_free_socle", _check_frattini_free_socle, _A, ("completely_solvable",)),
     _Row("ideal_centralizer_criterion", _check_ideal_centralizer_criterion, _A),
     _Row("max_nilpotent_cartan_split", _check_max_nilpotent_cartan_split, _A + ("exhaustive",),
          ("completely_solvable",)),

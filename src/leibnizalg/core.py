@@ -7,8 +7,10 @@ bracket of basis vectors i and j.  The (right) Leibniz identity reads
 
 and is only verified on demand, so tables that fail it can still be
 loaded, reported on and rejected with a concrete violating triple.
-Derived objects (quotients, subalgebras, direct sums) come with explicit
-coordinate maps instead of implicit conventions.
+A subalgebra or quotient is a new table on a basis read off the echelon
+form of its subspace, whose methods give the coordinate maps:
+``U.coords_of`` and ``U.embed`` pass between L and the subalgebra on U,
+and ``I.quotient_coords`` maps L onto L/I.
 """
 
 from __future__ import annotations
@@ -30,40 +32,6 @@ class Violation:
     triple: tuple  # (i, j, k)
     lhs: tuple     # [b_i, [b_j, b_k]]
     rhs: tuple     # [[b_i, b_j], b_k] - [[b_i, b_k], b_j]
-
-
-@dataclass(frozen=True)
-class QuotientMap:
-    """Coordinates for L/I: transversal positions are the non-pivots of I."""
-
-    ideal: Subspace
-    free: tuple
-
-    def push(self, v):
-        reduced = self.ideal.reduce(v)
-        return tuple(reduced[j] for j in self.free)
-
-
-@dataclass(frozen=True)
-class Embedding:
-    """Coordinates for a subalgebra in its own basis versus the ambient one."""
-
-    space: Subspace
-
-    def embed(self, w):
-        F = self.space.field
-        v = zero_vec(F, self.space.ambient)
-        for c, row in zip(w, self.space.basis):
-            if c:
-                v = vec_add(F, v, tuple(F.mul(c, a) for a in row))
-        return v
-
-    def coords(self, v):
-        return self.space.coords_of(v)
-
-    def embed_space(self, small: Subspace) -> Subspace:
-        return Subspace.span(self.space.field, self.space.ambient,
-                             [self.embed(w) for w in small.basis])
 
 
 _MISSING = object()
@@ -293,43 +261,30 @@ class LeibnizAlgebra:
         return kernel(F, list(zip(*cols)), ncols=n)
 
     # -- derived algebras ----------------------------------------------------
-    def quotient(self, I: Subspace):
-        """Quotient algebra and its coordinate map; I must be an ideal.
+    def quotient(self, I: Subspace) -> "LeibnizAlgebra":
+        """L/I on the basis of the free positions of I; I must be an ideal.
 
-        The quotient by zero is L itself, sharing its memo."""
+        ``I.quotient_coords`` maps L onto it.  The quotient by zero is L
+        itself, sharing its memo."""
         if not self.is_ideal(I):
             raise NotAnIdeal(f"not an ideal: {I}")
-        free = I.free_positions()
-        qmap = QuotientMap(I, free)
         if I.is_zero():
-            return self, qmap
-        table = []
-        for a in free:
-            row = []
-            ea = self.basis_vector(a)
-            for b in free:
-                row.append(qmap.push(self.bracket(ea, self.basis_vector(b))))
-            table.append(row)
-        quot = LeibnizAlgebra(self.field, table)
-        return quot, qmap
+            return self
+        free = [self.basis_vector(a) for a in I.free_positions()]
+        return LeibnizAlgebra(self.field, [[I.quotient_coords(self.bracket(u, v))
+                                            for v in free] for u in free])
 
-    def restrict(self, U: Subspace):
-        """Subalgebra on the basis of U, with the embedding; U must close.
+    def restrict(self, U: Subspace) -> "LeibnizAlgebra":
+        """The subalgebra on the basis of U; U must be closed.
 
-        The restriction to the whole space is L itself, sharing its memo."""
+        ``U.coords_of`` and ``U.embed`` map between it and L.  The
+        restriction to the whole space is L itself, sharing its memo."""
         if not self.is_subalgebra(U):
             raise NotASubalgebra(f"not a subalgebra: {U}")
-        emb = Embedding(U)
         if U.dim == self.dim:
-            return self, emb
-        table = []
-        for u in U.basis:
-            row = []
-            for v in U.basis:
-                row.append(U.coords_of(self.bracket(u, v)))
-            table.append(row)
-        sub = LeibnizAlgebra(self.field, table)
-        return sub, emb
+            return self
+        return LeibnizAlgebra(self.field, [[U.coords_of(self.bracket(u, v))
+                                            for v in U.basis] for u in U.basis])
 
     def __str__(self):
         return f"LeibnizAlgebra(dim={self.dim}, field={self.field})"

@@ -107,8 +107,7 @@ def corpus(with_quotients: bool = True):
             for idx, I in enumerate(enumerate_spaces(L, "ideals", QUOTIENT_SUBSPACE_CAP)):
                 if I.dim == 0 or I.dim == L.dim:
                     continue
-                Q, _ = L.quotient(I)
-                push(f"quot({member.label},{idx})", "quotient", Q)
+                push(f"quot({member.label},{idx})", "quotient", L.quotient(I))
     result = tuple(members)
     _CORPUS_CACHE[with_quotients] = result
     return result

@@ -16,8 +16,7 @@ from typing import Optional
 
 from .core import LeibnizAlgebra, memo
 from .enumeration import DEFAULT_BUDGET, _maximal_members, enumerate_spaces
-from .errors import (CartanSearchFailed, DecompositionFailed, NotDecomposing,
-                     NotSolvable)
+from .errors import BudgetExceeded, DecompositionFailed
 from .linalg import (Subspace, chain, fitting_power, image,
                      is_nilpotent_operator, kernel, mat_vec, restrict_operator,
                      vec_add, vec_sub)
@@ -42,19 +41,19 @@ def fitting(L: LeibnizAlgebra, A) -> FittingPair:
     null = kernel(F, power, ncols=n)
     one = image(F, power)
     if not L.full_space().is_direct_sum(null, one):
-        raise NotDecomposing("operator Fitting components are not complementary")
+        raise DecompositionFailed("operator Fitting components are not complementary")
     for space, name in ((null, "null"), (one, "one")):
         for v in space.basis:
             if not space.contains(mat_vec(F, A, v)):
-                raise NotDecomposing(f"Fitting {name} component is not invariant")
+                raise DecompositionFailed(f"Fitting {name} component is not invariant")
     if one.dim:
         R = restrict_operator(F, A, one)
         if kernel(F, R, ncols=one.dim).dim != 0:
-            raise NotDecomposing("operator is not invertible on its one-component")
+            raise DecompositionFailed("operator is not invertible on its one-component")
     if null.dim:
         R = restrict_operator(F, A, null)
         if not is_nilpotent_operator(F, R):
-            raise NotDecomposing("operator is not nilpotent on its null component")
+            raise DecompositionFailed("operator is not nilpotent on its null component")
     return FittingPair(null, one)
 
 
@@ -80,13 +79,13 @@ def fitting_family(L: LeibnizAlgebra, C: Subspace) -> FittingPair:
     one = chain(L.full_space(), lambda T: L.product(T, C))[-1]
     null = chain(L.zero_space(), preimage)[-1]
     if not L.full_space().is_direct_sum(null, one):
-        raise NotDecomposing("joint Fitting components are not complementary")
+        raise DecompositionFailed("joint Fitting components are not complementary")
     if not null.contains_space(C):
-        raise NotDecomposing("null component does not contain the acting subalgebra")
+        raise DecompositionFailed("null component does not contain the acting subalgebra")
     if not null.contains_space(L.product(null, null)):
-        raise NotDecomposing("null component is not a subalgebra")
+        raise DecompositionFailed("null component is not a subalgebra")
     if not one.contains_space(L.product(one, C)):
-        raise NotDecomposing("one component is not invariant")
+        raise DecompositionFailed("one component is not invariant")
     return FittingPair(null, one)
 
 
@@ -138,24 +137,40 @@ def cartan_subalgebra(L: LeibnizAlgebra,
     While K (at first L) is not nilpotent, restrict it to the generalized
     null space of the first candidate element that acts non-nilpotently.
     A nilpotent K is verified self-normalizing; on failure a finite field
-    falls back to exhaustive search.
+    falls back to exhaustive search, and past the budget the search fails.
+
+    A descent that ends after one step ends self-normalizing.  Write
+    x = x0 + x1 along L_0(x) + L_1(x), with K = L_0(x).  For large m,
+    R_x^m x1 = R_x^m x = R_x^{m-1}(x^2) lies in the ideal Leib(L) of
+    squares, and R_x is invertible on L_1(x), so x1 lies in Leib(L).
+    Right multiplication by Leib(L) is zero, so R_x = R_{x0} with x0 in
+    K, and the Lie argument applies: R_x moves a y normalizing K into K,
+    so it moves the L_1(x) part of y into K cap L_1(x) = 0, and that part
+    is zero.  Two or more steps can fail in characteristic p.  Let
+    r2 = span(a, b), [b, a] = a, act on V = span(v_0, ..., v_{p-1}) over
+    GF(p) by a.v_i = v_{i+1} (indices mod p) and b.v_i = i v_i.  The
+    descent goes from r2 + V to r2 = L_0(a) and then to span(b), which
+    v_0 normalizes.
     """
     K = L.full_space()
     while not is_nilpotent_space(L, K):
-        Kalg, Kemb = L.restrict(K)
+        Kalg = L.restrict(K)
         nulls = (_fitting_null(Kalg, x) for x in _candidates(Kalg, budget))
         null_local = next((N for N in nulls if N is not None), None)
         if null_local is None:
             break
-        K = Kemb.embed_space(null_local)
+        K = K.embed_space(null_local)
     else:
         if L.normalizer(K) == K:
             return K
     if L.field.is_finite:
-        cartans = enumerated_cartan_subalgebras(L, budget)
+        try:
+            cartans = enumerated_cartan_subalgebras(L, budget)
+        except BudgetExceeded as exc:
+            raise DecompositionFailed(str(exc)) from exc
         if cartans:
             return cartans[0]
-    raise CartanSearchFailed("no nilpotent self-normalizing subalgebra found")
+    raise DecompositionFailed("no nilpotent self-normalizing subalgebra found")
 
 
 @memo
@@ -201,14 +216,13 @@ class TriangularDecomposition:
 def _triangular_parts(L: LeibnizAlgebra, budget: int):
     ds = derived_series(L)
     if not ds.reaches_zero:
-        raise NotSolvable("triangular decomposition needs a solvable algebra")
+        raise DecompositionFailed("triangular decomposition needs a solvable algebra")
     d = len(ds.terms) - 1
     if d <= 1:
         return [L.full_space()]
     top = ds.terms[d - 1]
     M = ds.terms[d - 2]
-    Malg, Memb = L.restrict(M)
-    C = Memb.embed_space(cartan_subalgebra(Malg, budget))
+    C = M.embed_space(cartan_subalgebra(L.restrict(M), budget))
     pair = fitting_family(L, C)
     B, one = pair.null, pair.one
     if not top.contains_space(one):
@@ -217,18 +231,14 @@ def _triangular_parts(L: LeibnizAlgebra, budget: int):
     if not L.full_space().is_direct_sum(B, top):
         raise DecompositionFailed(
             "Fitting null component does not complement the last derived term")
-    Balg, Bemb = L.restrict(B)
-    sub = _triangular_parts(Balg, budget)
-    return [top] + [Bemb.embed_space(P) for P in sub]
+    sub = _triangular_parts(L.restrict(B), budget)
+    return [top] + [B.embed_space(P) for P in sub]
 
 
 @memo
 def triangular_decomposition(L: LeibnizAlgebra,
                              budget: int = DEFAULT_BUDGET) -> TriangularDecomposition:
-    try:
-        parts = _triangular_parts(L, budget)
-    except (NotDecomposing, CartanSearchFailed) as exc:
-        raise DecompositionFailed(str(exc)) from exc
+    parts = _triangular_parts(L, budget)
     for idx, P in enumerate(parts):
         if not L.is_abelian_space(P):
             raise DecompositionFailed(f"part {idx} is not abelian")

@@ -49,20 +49,11 @@ class NotAnIdeal(LeibnizError):
     """The subspace is not a two-sided ideal."""
 
 
-class NotSolvable(LeibnizError):
-    """The algebra is not solvable but the operation requires it."""
-
-
-class NotDecomposing(LeibnizError):
-    """A Fitting-style pair fails to decompose the space."""
-
-
 class DecompositionFailed(LeibnizError):
-    """A decomposition was computed but its invariants do not hold."""
-
-
-class CartanSearchFailed(LeibnizError):
-    """No Cartan subalgebra was found within the search budget."""
+    """A Fitting, Cartan, triangular or ideal decomposition is not there
+    or does not verify: the algebra is not solvable, Fitting components
+    fail their checks, no Cartan subalgebra is found within the budget, or
+    the parts or slices found lack their invariants."""
 
 
 class InfiniteFieldUnsupported(LeibnizError):

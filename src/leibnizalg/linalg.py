@@ -167,6 +167,27 @@ class Subspace:
             raise NoSolution("vector outside subspace")
         return coeffs
 
+    def embed(self, w):
+        """The vector with coefficients w in this basis: the inverse of
+        ``coords_of``."""
+        F = self.field
+        v = zero_vec(F, self.ambient)
+        for c, row in zip(w, self.basis):
+            if c:
+                v = vec_add(F, v, tuple(F.mul(c, a) for a in row))
+        return v
+
+    def embed_space(self, small: "Subspace") -> "Subspace":
+        """The subspace whose coefficients in this basis span ``small``."""
+        return Subspace.span(self.field, self.ambient,
+                             [self.embed(w) for w in small.basis])
+
+    def quotient_coords(self, v):
+        """Coordinates of v modulo this space: v reduced by it, read at
+        the free positions."""
+        reduced = self.reduce(v)
+        return tuple(reduced[j] for j in self.free_positions())
+
     def add(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
         return Subspace.span(self.field, self.ambient, self.basis + other.basis)

@@ -49,13 +49,13 @@ import math
 import random
 from fractions import Fraction
 
-from leibnizalg.core import Embedding, LeibnizAlgebra, Violation
+from leibnizalg.core import LeibnizAlgebra, Violation
 from leibnizalg.decompose import (DecompositionFailed, _fitting_null,
                                   enumerated_cartan_subalgebras,
                                   triangular_decomposition)
 from leibnizalg.enumeration import (DEFAULT_BUDGET, enumerate_spaces,
                                     maximal_subalgebras)
-from leibnizalg.errors import CartanSearchFailed, NoSolution
+from leibnizalg.errors import NoSolution
 from leibnizalg.linalg import (Subspace, kernel, restrict_operator, solve, vec_add,
                                vec_sub)
 from leibnizalg.poly import Poly, _divisors, poly
@@ -241,11 +241,10 @@ def upper_central_by_quotients(L):
     term = L.zero_space()
     terms = [term]
     for _ in range(L.dim + 1):
-        Q, qmap = L.quotient(term)
-        centre_q = centre_by_products(Q)
+        centre_q = centre_by_products(L.quotient(term))
         if centre_q.dim == 0:
             break
-        term = L.span(list(term.basis) + [lift(qmap, v) for v in centre_q.basis])
+        term = L.span(list(term.basis) + [lift(term, v) for v in centre_q.basis])
         terms.append(term)
     return tuple(terms)
 
@@ -253,8 +252,7 @@ def upper_central_by_quotients(L):
 def centre_by_restriction(L, U):
     """The centre of the subalgebra U, computed in the restricted algebra
     and embedded back."""
-    S, emb = L.restrict(U)
-    return emb.embed_space(centre_by_products(S))
+    return U.embed_space(centre_by_products(L.restrict(U)))
 
 
 def _sum_by_adds(L, spaces):
@@ -385,11 +383,10 @@ def lemma_aa_by_decomposition(L, budget):
         ok = _invertible_on(L, B.basis[0], der)
         return ok, "" if ok else "right multiplication by the complement line degenerates"
     if F.is_finite and F.size ** B.dim <= budget:
-        embedding = Embedding(B)
         for coeffs in itertools.product(F.elements(), repeat=B.dim):
             if not any(coeffs):
                 continue
-            if not _invertible_on(L, embedding.embed(coeffs), der):
+            if not _invertible_on(L, B.embed(coeffs), der):
                 return False, "some complement element degenerates on the derived subalgebra"
         return True, ""
     return False, "complement of dimension >= 2 over an unenumerable field"
@@ -431,11 +428,10 @@ def cartan_by_phases(L, seed=0, budget=DEFAULT_BUDGET):
     rng = random.Random(seed)
     K = L.full_space()
     while K.dim:
-        Kalg, Kemb = L.restrict(K)
-        null_local = _descend_step(Kalg, rng, budget)
+        null_local = _descend_step(L.restrict(K), rng, budget)
         if null_local is None:
             break
-        K = Kemb.embed_space(null_local)
+        K = K.embed_space(null_local)
     result = None
     if K.dim == 0 and L.dim == 0:
         result = K
@@ -446,7 +442,7 @@ def cartan_by_phases(L, seed=0, budget=DEFAULT_BUDGET):
         if cartans:
             result = cartans[0]
     if result is None:
-        raise CartanSearchFailed(
+        raise DecompositionFailed(
             "no nilpotent self-normalizing subalgebra found")
     return result
 
@@ -477,12 +473,12 @@ def left_mult(L, x):
     return [[cols[j][i] for j in range(L.dim)] for i in range(L.dim)]
 
 
-def lift(qmap, w):
-    """The vector of L with quotient coordinates w at the transversal
-    positions of ``qmap`` and zero elsewhere."""
-    field = qmap.ideal.field
-    v = [field.zero] * qmap.ideal.ambient
-    for j, c in zip(qmap.free, w):
+def lift(ideal, w):
+    """The vector of L with coordinates w in L/ideal at the free positions
+    of ``ideal`` and zero elsewhere."""
+    field = ideal.field
+    v = [field.zero] * ideal.ambient
+    for j, c in zip(ideal.free_positions(), w):
         v[j] = c
     return tuple(v)
 

@@ -11,6 +11,7 @@ from kernel_reference import (closure_by_rounds, left_mult, lift,
                               random_vector, unit_vectors, violation_by_triples)
 from leibnizalg.core import LeibnizAlgebra, direct_sum, format_vector
 from leibnizalg.corpus import FIELDS, FIXTURE_NAMES, fixture
+from leibnizalg.enumeration import iter_subalgebras
 from leibnizalg.errors import (NotAnIdeal, NotASubalgebra, NotLeibniz,
                                ShapeMismatch)
 from leibnizalg.fields import QQ, gf
@@ -131,7 +132,7 @@ def test_leib_ideal(name, dim_leib):
         assert leib.contains(L.bracket(e, e))
     assert L.product(L.full_space(), leib).dim == 0
     # the quotient is a Lie algebra: brackets are antisymmetric
-    Q, pi = L.quotient(leib)
+    Q = L.quotient(leib)
     Q.require_leibniz()
     for i in range(Q.dim):
         for j in range(Q.dim):
@@ -282,12 +283,13 @@ def test_violation_matches_triples(F):
 # ------------------------------------------------- quotient and restrict
 
 def test_quotient_h3_by_centre(h3):
-    Q, pi = h3.quotient(h3.span([(0, 0, 1)]))
+    I = h3.span([(0, 0, 1)])
+    Q = h3.quotient(I)
     assert Q.dim == 2 and Q.is_abelian()
     Q.require_leibniz()
     for j in range(Q.dim):
         w = Q.basis_vector(j)
-        assert pi.push(lift(pi, w)) == w
+        assert I.quotient_coords(lift(I, w)) == w
 
 
 def test_quotient_requires_ideal(h3):
@@ -297,19 +299,36 @@ def test_quotient_requires_ideal(h3):
 
 def test_restrict_round_trip(r2, h3):
     U = r2.span([(0, 1)])
-    S, emb = r2.restrict(U)
+    S = r2.restrict(U)
     S.require_leibniz()
     assert S.dim == 1 and S.is_abelian()
     w = S.basis_vector(0)
-    assert emb.coords(emb.embed(w)) == w
+    assert U.coords_of(U.embed(w)) == w
     with pytest.raises(NotASubalgebra):
         h3.restrict(h3.span([(1, 0, 0), (0, 1, 0)]))
+
+
+@pytest.mark.parametrize("name", ["H3", "C3a", "C3b"])
+def test_section_coordinates_are_homomorphisms(name):
+    # embed carries the bracket of the subalgebra on U to that of L, and
+    # quotient_coords the bracket of L to that of L/U
+    L = fixture(name, F3)
+    for U in iter_subalgebras(L):
+        S = L.restrict(U)
+        for s, t in itertools.product(unit_vectors(F3, S.dim), repeat=2):
+            assert L.bracket(U.embed(s), U.embed(t)) == U.embed(S.bracket(s, t))
+        assert U.embed_space(S.full_space()) == U
+        if L.is_ideal(U):
+            Q = L.quotient(U)
+            for u, v in itertools.product(unit_vectors(F3, L.dim), repeat=2):
+                assert (Q.bracket(U.quotient_coords(u), U.quotient_coords(v))
+                        == U.quotient_coords(L.bracket(u, v)))
 
 
 def test_restrict_keeps_bracket(sl2):
     # span{e3} is a subalgebra with [e3,e3] = 0
     U = sl2.span([(0, 0, 1)])
-    S, emb = sl2.restrict(U)
+    S = sl2.restrict(U)
     assert S.dim == 1
     assert all(QQ.is_zero(c) for c in S.bracket(S.basis_vector(0), S.basis_vector(0)))
 

@@ -271,6 +271,14 @@ def test_cli_corpus_limit():
     assert set(row) == {"label", "kind", "field", "dim"}
 
 
+def test_cli_corpus_battery():
+    doc, code = run_command(["corpus", "--battery", "--limit", "3"])
+    assert code == 0
+    assert doc["battery"]["failed_members"] == []
+    assert len(doc["members"]) == 3
+    assert all(row["verdict"] in {"true", "false", "unknown"} for row in doc["members"])
+
+
 def test_cli_corpus_negative_limit():
     doc, code = run_command(["corpus", "--limit", "-1"])
     assert code == 3
