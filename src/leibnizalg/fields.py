@@ -1,18 +1,23 @@
 """Exact ground-field arithmetic: the rationals and small finite fields.
 
-Scalars are plain Python values.  Over the rationals a scalar is a
-`fractions.Fraction`, which is always reduced with positive denominator.
+Scalars are plain Python values.  Over the rationals a scalar is an
+``int`` when it is whole and a reduced ``fractions.Fraction`` with
+denominator above 1 otherwise; ``Rationals`` returns every result in that
+form, so integral structure constants and brackets never leave Python's
+int arithmetic.  ``int`` and ``Fraction`` compare, hash and print alike,
+so a ``Fraction(3)`` handed in by a caller is still the scalar 3.
 Over a finite field with q = p**k elements a scalar is an int in
 ``range(q)`` encoding the coefficient vector of the element in base p,
 least significant digit first; for a prime field (k = 1) this is just the
 residue.  Field objects supply the operations, so every higher layer stays
 field-agnostic and exact.
 
-Every field's zero is ``0`` or ``Fraction(0)``, and ``is_zero`` is
-``a == 0`` in all three classes, so ``bool(a) == (not F.is_zero(a))`` for
-every scalar.  The inner loops of ``core`` and ``linalg`` rely on this to
-skip zeros by truthiness: ``LeibnizAlgebra.bracket``, ``Subspace.reduce``
-and ``Subspace.intersect``, ``rref``, ``mat_mul`` and ``mat_vec``.
+Every field's zero is ``0`` (a caller's ``Fraction(0)`` is zero too), and
+``is_zero`` is ``a == 0`` in all three classes, so
+``bool(a) == (not F.is_zero(a))`` for every scalar.  The inner loops of
+``core`` and ``linalg`` rely on this to skip zeros by truthiness:
+``LeibnizAlgebra.bracket``, ``Subspace.reduce`` and
+``Subspace.intersect``, ``rref``, ``mat_mul`` and ``mat_vec``.
 
 Extension fields with q below a small threshold precompute full q x q
 multiplication/addition tables, which keeps the enumeration-heavy callers
@@ -46,58 +51,64 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _rational(c):
+    """The rational c as an int when it is whole, else c itself."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
+
+
 @dataclass(frozen=True)
 class Rationals:
-    """The field of rational numbers; scalars are `fractions.Fraction`."""
+    """The field of rational numbers; a scalar is an int when it is whole,
+    else a reduced `fractions.Fraction`."""
 
     char: ClassVar[int] = 0
     is_finite: ClassVar[bool] = False
     size: ClassVar[None] = None
-    zero: ClassVar[Fraction] = Fraction(0)
-    one: ClassVar[Fraction] = Fraction(1)
+    zero: ClassVar[int] = 0
+    one: ClassVar[int] = 1
 
     def add(self, a, b):
-        return a + b
+        return _rational(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _rational(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _rational(a * b)
 
     def neg(self, a):
-        return -a
+        return _rational(-a)
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        return _rational(Fraction(a.denominator, a.numerator))
 
     def div(self, a, b):
         if b == 0:
             raise ZeroDivisionError("division by zero")
-        return a / b
+        return _rational(Fraction(a) / b)
 
     def is_zero(self, a):
         return a == 0
 
     def from_int(self, m: int):
-        return Fraction(m)
+        return m
 
     def elements(self):
         raise InfiniteFieldUnsupported("the rationals are not enumerable")
 
     def random_scalar(self, rng):
-        return Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+        return _rational(Fraction(rng.randint(-6, 6), rng.randint(1, 6)))
 
     def parse_scalar(self, obj):
         if isinstance(obj, bool):
             raise FieldParseError(f"not a rational literal: {obj!r}")
         if isinstance(obj, int):
-            return Fraction(obj)
+            return obj
         if isinstance(obj, str):
             try:
-                return Fraction(obj)
+                return _rational(Fraction(obj))
             except (ValueError, ZeroDivisionError) as exc:
                 raise FieldParseError(f"bad rational literal {obj!r}: {exc}") from None
         raise FieldParseError(f"not a rational literal: {obj!r}")

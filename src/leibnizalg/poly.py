@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ShapeMismatch, ZeroPolynomial
 
@@ -222,7 +221,7 @@ def _kronecker_candidates(f: Poly, d: int):
     for g in _monic_interpolants(points, signed):
         at = (sum(c * a ** k for k, c in enumerate(g)) for a in values)
         if all(w and v % w == 0 for w, v in zip(at, values.values())):
-            yield Poly(f.field, tuple(Fraction(c, s) for c, s in zip(g, scale)))
+            yield Poly(f.field, tuple(f.field.div(c, s) for c, s in zip(g, scale)))
 
 
 def _least_factor(f: Poly, d: int) -> Poly:

@@ -360,3 +360,13 @@ def test_format_vector():
     s = format_vector(QQ, L.names, v)
     assert "a" in s and "a^3" in s
     assert format_vector(QQ, L.names, (0, 0, 0)) == "0"
+
+
+def test_int_structure_constants_stay_exact():
+    # an int table once made Q echelon rows floats: 1 / 2 is 0.5
+    L = LeibnizAlgebra(QQ, [[(0, 0), (0, 0)], [(1, 0), (0, 0)]])
+    basis = L.span([(2, 1)]).basis
+    assert basis == ((1, Fraction(1, 2)),)
+    assert [type(a) for a in basis[0]] == [int, Fraction]
+    bracket = L.bracket((3, Fraction(3, 2)), (Fraction(2, 3), 5))
+    assert bracket == (1, 0) and [type(a) for a in bracket] == [int, int]

@@ -49,6 +49,40 @@ def test_rationals_parse_forms():
         QQ.parse_scalar([1, 2])
 
 
+def _exact(a, value):
+    """Whether a is the rational value as the scalar contract writes it:
+    an int when whole, a Fraction otherwise."""
+    return a == value and type(a) is (int if value == int(value) else Fraction)
+
+
+def test_rationals_scalar_contract():
+    assert _exact(QQ.zero, 0) and _exact(QQ.one, 1)
+    assert _exact(QQ.from_int(-3), -3)
+    assert _exact(QQ.parse_scalar("4/2"), 2)
+    assert _exact(QQ.parse_scalar(5), 5)
+    assert _exact(QQ.div(3, 3), 1)
+    assert _exact(QQ.inv(2), Fraction(1, 2))
+    assert _exact(QQ.inv(Fraction(1, 4)), 4)
+    assert _exact(QQ.mul(Fraction(2, 3), Fraction(3, 2)), 1)
+    rng = random.Random(0)
+    samples = [QQ.random_scalar(rng) for _ in range(50)]
+    assert all(_exact(a, a) for a in samples) and {type(a) for a in samples} == {int, Fraction}
+
+
+rationals = st.one_of(st.integers(-50, 50), st.fractions(max_denominator=50))
+
+
+@given(rationals, rationals)
+def test_rationals_results_are_ints_when_whole(a, b):
+    # never a float, and never a Fraction with denominator 1, whether the
+    # operands are ints, whole Fractions or proper ones
+    results = [QQ.add(a, b), QQ.sub(a, b), QQ.mul(a, b), QQ.neg(a)]
+    if b:
+        results += [QQ.div(a, b), QQ.inv(b)]
+    values = [a + b, a - b, a * b, -a] + ([Fraction(a) / b, 1 / Fraction(b)] if b else [])
+    assert all(_exact(r, v) for r, v in zip(results, values))
+
+
 # ------------------------------------------------------------- finite fields
 
 @pytest.mark.parametrize("q", FINITE_SIZES)

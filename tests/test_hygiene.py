@@ -2,8 +2,9 @@
 every private function, method or class is referenced by the package,
 every public one is referenced by the package or re-exported by it,
 every parameter of every function is read in its body, every
-exception class in ``errors.py`` is raised by some library module, and
-only the witness search's module imports ``random``.
+exception class in ``errors.py`` is raised by some library module,
+only the witness search's module imports ``random``, and only
+``fields.py`` imports ``fractions``.
 
 ``__init__.py`` is skipped by the import check, since its imports are the
 package's re-exports.
@@ -225,32 +226,49 @@ def test_scan_finds_raised_errors():
     assert _raised([tree]) == {"A", "B"}
 
 
-def _imports_random(tree):
-    """Whether the module imports ``random``, at any depth."""
+def _imports(tree, module):
+    """Whether the tree imports the top-level ``module``, at any depth."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import) and any(
-                alias.name.split(".")[0] == "random" for alias in node.names):
+                alias.name.split(".")[0] == module for alias in node.names):
             return True
-        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "random":
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == module:
             return True
     return False
+
+
+def _importers(module):
+    return [p.name for p in sorted(SRC.glob("*.py"))
+            if _imports(ast.parse(p.read_text(), filename=str(p)), module)]
 
 
 def test_only_the_witness_search_imports_random():
     # randomness may decide only whether a witness is found; every other
     # result, decompositions included, depends on the algebra and budget
-    importers = [p.name for p in sorted(SRC.glob("*.py"))
-                 if _imports_random(ast.parse(p.read_text(), filename=str(p)))]
-    assert importers == ["aalgebra.py"]
+    assert _importers("random") == ["aalgebra.py"]
 
 
 def test_scan_finds_random_imports():
-    assert _imports_random(ast.parse("import random\n"))
-    assert _imports_random(ast.parse("from random import Random\n"))
-    assert _imports_random(ast.parse("def f():\n    import random as r\n"))
-    assert not _imports_random(ast.parse("import randomize\n"
-                                         "from .random import x\n"
-                                         "from .fields import random_scalar\n"))
+    assert _imports(ast.parse("import random\n"), "random")
+    assert _imports(ast.parse("from random import Random\n"), "random")
+    assert _imports(ast.parse("def f():\n    import random as r\n"), "random")
+    assert not _imports(ast.parse("import randomize\n"
+                                  "from .random import x\n"
+                                  "from .fields import random_scalar\n"), "random")
+
+
+def test_only_fields_imports_fractions():
+    # Rationals alone decides when a scalar is an int and when a Fraction
+    assert _importers("fractions") == ["fields.py"]
+
+
+def test_scan_finds_fractions_imports():
+    assert _imports(ast.parse("from fractions import Fraction\n"), "fractions")
+    assert _imports(ast.parse("import fractions\n"), "fractions")
+    assert _imports(ast.parse("def f():\n    from fractions import Fraction as F\n"),
+                    "fractions")
+    assert not _imports(ast.parse("from .fields import Fraction\n"
+                                  "import fractionsx\n"), "fractions")
 
 
 FIELD_TYPES = {"Fraction", "Rationals", "PrimeField", "ExtensionField"}

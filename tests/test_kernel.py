@@ -10,6 +10,9 @@ n products.  ``rref``, ``mat_mul``, ``mat_vec`` and ``Subspace.intersect``
 skip zero scalars too; they are compared with ``dense_rref``,
 ``schoolbook_product`` and ``block_intersect`` on random matrices with
 about a third of their entries zero, down to the type of every scalar.
+Over Q every kernel is also run on the same random inputs rebuilt from
+``Fraction`` values, as callers may build them, and must give equal
+results.
 """
 
 import itertools
@@ -22,6 +25,7 @@ import pytest
 from kernel_reference import (block_intersect, dense_bracket, dense_rref,
                               plain_power, random_vector, rank_contains,
                               schoolbook_product, unit_vectors)
+from leibnizalg.core import LeibnizAlgebra
 from leibnizalg.corpus import FIELDS, FIXTURE_NAMES, fixture
 from leibnizalg.enumeration import iter_subspaces
 from leibnizalg.fields import QQ, gf
@@ -107,7 +111,9 @@ def test_zero_is_the_only_falsy_scalar_rational():
     F = QQ
     samples = [Fraction(0), F.zero, F.one, F.from_int(0), F.from_int(-3),
                Fraction(-1, 3), Fraction(5, 7), F.sub(Fraction(2, 3), Fraction(2, 3)),
-               F.mul(F.zero, Fraction(4, 9)), F.add(Fraction(1, 2), Fraction(-1, 2))]
+               F.mul(F.zero, Fraction(4, 9)), F.add(Fraction(1, 2), Fraction(-1, 2)),
+               0, -2, 7, F.sub(3, 3), F.mul(0, Fraction(4, 9)), F.add(Fraction(1, 2), 1),
+               F.mul(Fraction(2, 3), Fraction(3, 2)), F.parse_scalar("0"), F.parse_scalar("6/3")]
     for a in samples:
         assert bool(a) == (not F.is_zero(a))
     assert not F.zero and F.one
@@ -233,3 +239,69 @@ def test_intersect_matches_block_intersect(F):
             kinds[got == B, got == D, got.dim == 0] += 1
     assert kinds[True, False, False] and kinds[False, True, False]
     assert kinds[False, False, True] and kinds[False, False, False]
+
+
+def _as_fractions(x):
+    """x with every scalar rebuilt as a ``Fraction``."""
+    if isinstance(x, (list, tuple)):
+        return type(x)(_as_fractions(a) for a in x)
+    return Fraction(x)
+
+
+def _scalars_in(x):
+    if isinstance(x, Subspace):
+        x = x.basis
+    if isinstance(x, (list, tuple)):
+        return [a for item in x for a in _scalars_in(item)]
+    return [x]
+
+
+def _rational_kernels(table, A, rows, others, v, b):
+    """Every ``linalg`` kernel and the bracket and closure of the table's
+    algebra, on n x n inputs over Q."""
+    n = len(A)
+    L = LeibnizAlgebra(QQ, table)
+    S, T = Subspace.span(QQ, n, rows), Subspace.span(QQ, n, others)
+    return {
+        "rref": rref(QQ, rows),
+        "reduce": S.reduce(v),
+        "intersect": S.intersect(T),
+        "coords_of": [S.coords_of(row) for row in rows],
+        "embed": [S.embed(S.coords_of(row)) for row in rows],
+        "kernel": kernel(QQ, A),
+        "solve": solve(QQ, A, b),
+        "mat_mul": mat_mul(QQ, A, A),
+        "mat_vec": mat_vec(QQ, A, v),
+        "fitting_power": fitting_power(QQ, A),
+        "bracket": [L.bracket(x, y) for x in rows for y in others],
+        "closure": L.closure(rows[:2]),
+    }
+
+
+def _rational_table(n, integral, rng):
+    """An n x n table over Q with about 40% zero entries, the others
+    integers in [-3, 3] or random rationals."""
+    def scalar():
+        if rng.random() < 0.4:
+            return 0
+        return rng.randint(-3, 3) if integral else QQ.random_scalar(rng)
+    return [[tuple(scalar() for _ in range(n)) for _ in range(n)] for _ in range(n)]
+
+
+def test_rational_kernels_agree_on_fraction_built_inputs():
+    # callers may build scalars as Fractions, as the benchmark's cyclic and
+    # generated inputs do; they compare equal to the ints Rationals returns.
+    # The kernels pass untouched entries through, so only the run on
+    # normalized inputs has every whole result as an int
+    rng = random.Random("fraction-built")
+    for n in range(1, 6):
+        for integral in (True, False):
+            A = [list(row) for row in _random_matrix(QQ, n, n, rng)]
+            rows, others = _random_matrix(QQ, n, n, rng), _random_matrix(QQ, n - 1, n, rng)
+            v, x = random_vector(QQ, n, rng), random_vector(QQ, n, rng)
+            inputs = (_rational_table(n, integral, rng), A, rows, others, v, mat_vec(QQ, A, x))
+            got, built = _rational_kernels(*inputs), _rational_kernels(*_as_fractions(inputs))
+            assert got == built
+            assert all(type(a) in (int, Fraction) for a in _scalars_in(list(built.values())))
+            assert all(type(a) is int or type(a) is Fraction and a.denominator != 1
+                       for a in _scalars_in(list(got.values())))
