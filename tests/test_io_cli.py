@@ -1,4 +1,5 @@
 import builtins
+import hashlib
 import json
 import re
 import subprocess
@@ -12,6 +13,7 @@ from leibnizalg.algfile import (algebra_from_doc, algebra_to_doc,
                                 loads_algebra, save_algebra_path)
 from leibnizalg.cli import main, render, run_command
 from leibnizalg.corpus import fixture
+from leibnizalg.enumeration import total_subspaces
 from leibnizalg.errors import ParseError
 from leibnizalg.fields import QQ, gf
 
@@ -443,3 +445,30 @@ def test_text_render(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "nilpotent: True" in text
     assert "derived: [3, 1, 0]" in text
+
+
+# -------------------------------------------------------- CLI golden digest
+
+CLI_GOLDEN_SUBSPACE_CAP = 300
+
+
+def test_cli_analyze_and_decompose_golden_digest(members, tmp_path):
+    """The JSON of `analyze` and `decompose`, which render the series
+    dimensions and the triangular parts, on every member over Q and every
+    finite member with at most CLI_GOLDEN_SUBSPACE_CAP subspaces."""
+    digest = hashlib.sha256()
+    outputs = 0
+    for i, m in enumerate(members):
+        L = m.algebra
+        if L.field.is_finite and total_subspaces(L.dim, L.field.size) > CLI_GOLDEN_SUBSPACE_CAP:
+            continue
+        path = tmp_path / f"member{i}.json"
+        path.write_text(dumps_algebra(L), encoding="utf-8")
+        for command in ("analyze", "decompose"):
+            doc, code = run_command([command, str(path), "--format", "json"])
+            digest.update(f"{m.label} {command} {code}\n".encode())
+            digest.update(render(doc, "json").encode())
+            outputs += 1
+    assert outputs == 462
+    assert digest.hexdigest() == (
+        "35faa9fd3c2a20be5c02010c0572cc85c13b8b4c379860d665cfac81e85eac18")
