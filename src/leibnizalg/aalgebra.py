@@ -24,9 +24,8 @@ from functools import cached_property
 from typing import Callable, Optional
 
 from .core import LeibnizAlgebra, memo
-from .decompose import (TriangularDecomposition, _basis_sums_differences,
-                        _fitting_null, enumerated_cartan_subalgebras,
-                        fitting_family, ideal_decomposition,
+from .decompose import (_basis_sums_differences, _fitting_null,
+                        enumerated_cartan_subalgebras, fitting_family,
                         max_nilpotent_subalgebras, triangular_decomposition)
 from .enumeration import (DEFAULT_BUDGET, enumerate_spaces, frattini_ideal,
                           is_enumerable, socle_analysis)
@@ -93,12 +92,8 @@ def _witness_candidates(L: LeibnizAlgebra, seed: int):
         null = _fitting_null(L, x)
         if null is not None:
             yield null
-    ds = derived_series(L)
-    for term in ds.terms[1:]:
-        yield term
-    lns = lower_nilpotent_series(L)
-    for term in lns.terms[1:]:
-        yield term
+    yield from derived_series(L)[1:]
+    yield from lower_nilpotent_series(L)[1:]
     rng = random.Random(seed)
     for _ in range(_WITNESS_RANDOM_TRIES):
         u = tuple(F.random_scalar(rng) for _ in range(n))
@@ -248,7 +243,7 @@ class BatteryReport:
 @dataclass(frozen=True)
 class StructureReport:
     predicates: dict
-    decomposition: Optional[TriangularDecomposition]
+    decomposition: Optional[tuple]
     decomposition_error: Optional[str]
     nilradical: Subspace
     nilradical_mode: str
@@ -264,7 +259,7 @@ def _basic_ideals(L: LeibnizAlgebra) -> list:
 def _series_ideals(L: LeibnizAlgebra) -> list:
     """The basic ideals and the ideals among the derived and lower
     nilpotent series terms, each once."""
-    known = [*_basic_ideals(L), *derived_series(L).terms, *lower_nilpotent_series(L).terms]
+    known = [*_basic_ideals(L), *derived_series(L), *lower_nilpotent_series(L)]
     return [U for U in dict.fromkeys(known) if L.is_ideal(U)]
 
 
@@ -330,7 +325,7 @@ def _check_intersection_quotient(L, ideals, budget, seed):
 
 
 def _check_derived_equals_lower_nilpotent(L):
-    ok = derived_series(L).terms == lower_nilpotent_series(L).terms
+    ok = derived_series(L) == lower_nilpotent_series(L)
     return ok, "" if ok else "derived series differs from the lower nilpotent series"
 
 
@@ -343,11 +338,11 @@ def _check_cartan_complements(L, budget):
     """In each two-step derived section, Cartan subalgebras coincide with
     the subalgebra complements of the middle term."""
     ds = derived_series(L)
-    d = len(ds.terms) - 1
+    d = len(ds) - 1
     for i in range(max(d - 1, 1)):
-        M = ds.terms[i]
-        inner = ds.terms[i + 1] if i + 1 < len(ds.terms) else L.zero_space()
-        inner2 = ds.terms[i + 2] if i + 2 < len(ds.terms) else L.zero_space()
+        M = ds[i]
+        inner = ds[i + 1] if i + 1 < len(ds) else L.zero_space()
+        inner2 = ds[i + 2] if i + 2 < len(ds) else L.zero_space()
         Malg = L.restrict(M)
         inner_loc = Malg.span([M.coords_of(v) for v in inner.basis])
         inner2_loc = Malg.span([M.coords_of(v) for v in inner2.basis])
@@ -365,23 +360,21 @@ def _check_cartan_complements(L, budget):
 
 def _check_abelian_chain_decomposition(decomposition):
     decomp, error = decomposition
-    return (False, error) if decomp is None else (True, f"{len(decomp.parts)} abelian parts")
+    return (False, error) if decomp is None else (True, f"{len(decomp)} abelian parts")
 
 
 def _check_ideal_chain_alignment(decomp, ideals):
     """Every ideal is the direct sum of its intersections with the parts."""
     for D in ideals:
-        try:
-            ideal_decomposition(decomp, D)
-        except DecompositionFailed:
+        if not D.is_direct_sum(*(D.intersect(P) for P in decomp)):
             return False, f"ideal of dim {D.dim} does not align"
     return True, f"checked {len(ideals)} ideals"
 
 
 def _check_ideal_part_split(L, decomp, ideals):
     """Ideals split over the top part and the sum of the others."""
-    B = decomp.top
-    C = L.span([v for P in decomp.parts[1:] for v in P.basis])
+    B = decomp[0]
+    C = L.span([v for P in decomp[1:] for v in P.basis])
     for D in ideals:
         # B and C are independent, so D cap B and D cap C are as well
         if D.intersect(B).dim + D.intersect(C).dim != D.dim:
@@ -391,8 +384,8 @@ def _check_ideal_part_split(L, decomp, ideals):
 
 def _check_nilradical_chain_splitting(L, decomp, N):
     """N = A_n + (N cap A_{n-1}) + ... with pairwise zero products."""
-    pieces = [N.intersect(P) for P in decomp.parts]
-    if pieces[0] != decomp.top:
+    pieces = [N.intersect(P) for P in decomp]
+    if pieces[0] != decomp[0]:
         return False, "top part is not inside the nilradical"
     if not N.is_direct_sum(*pieces):
         return False, "nilradical is not the direct sum of its slices"
@@ -406,11 +399,11 @@ def _check_nilradical_chain_splitting(L, decomp, N):
 def _check_part_centre_alignment(L, decomp, N):
     """The centre of the i-th derived term is N cap A_i."""
     ds = derived_series(L)
-    n = len(decomp.parts) - 1
+    n = len(decomp) - 1
     for i in range(n + 1):
-        term = ds.terms[i]
+        term = ds[i]
         Z = term.intersect(L.centralizer(term))
-        if Z != N.intersect(decomp.parts[n - i]):
+        if Z != N.intersect(decomp[n - i]):
             return False, f"centre of derived term {i} misaligned"
     return True, ""
 
@@ -419,7 +412,7 @@ def _check_strong_split(L, decomp, N):
     """Derived subalgebra abelian with an abelian complement, and the
     nilradical is the direct sum of the derived subalgebra and centre."""
     der = L.derived_space()
-    B = decomp.bottom
+    B = decomp[-1]
     if not L.is_abelian_space(der):
         return False, "derived subalgebra not abelian"
     if not L.is_abelian_space(B):
@@ -433,7 +426,7 @@ def _check_strong_split(L, decomp, N):
 
 def _check_minimal_ideal_location(decomp, N, socle):
     """Each minimal ideal lies in N cap A_i for some i."""
-    slices = [N.intersect(P) for P in decomp.parts]
+    slices = [N.intersect(P) for P in decomp]
     for W in socle.minimal_ideals:
         if not any(S.contains_space(W) for S in slices):
             return False, f"minimal ideal of dim {W.dim} fits no slice"
@@ -443,7 +436,7 @@ def _check_minimal_ideal_location(decomp, N, socle):
 def _check_minimal_ideal_position(L, decomp, socle):
     """Each minimal ideal lies in the derived subalgebra or the complement."""
     der = L.derived_space()
-    B = decomp.bottom
+    B = decomp[-1]
     for W in socle.minimal_ideals:
         if not der.contains_space(W) and not B.contains_space(W):
             return False, f"minimal ideal of dim {W.dim} straddles the split"
@@ -453,7 +446,7 @@ def _check_minimal_ideal_position(L, decomp, socle):
 def _check_minimal_ideal_centre(L, decomp, socle):
     """A minimal ideal lies in the complement iff it is central, and then
     it is one dimensional."""
-    B = decomp.bottom
+    B = decomp[-1]
     Z = L.centre()
     for W in socle.minimal_ideals:
         in_B = B.contains_space(W)
@@ -546,8 +539,8 @@ def _check_monolith_centre_product(L, socle):
 def _check_monolith_nilradical_top(L, decomp, N):
     """The nilradical is the top part, which is the last derived term."""
     ds = derived_series(L)
-    last = ds.terms[-2] if ds.reaches_zero and len(ds.terms) >= 2 else ds.terms[-1]
-    ok = N == decomp.top and N == last
+    last = ds[-2] if ds[-1].is_zero() and len(ds) >= 2 else ds[-1]
+    ok = N == decomp[0] and N == last
     return ok, "" if ok else "nilradical differs from the top part"
 
 
@@ -645,7 +638,7 @@ def _check_monolithic_strong_certificate(L, verdict, budget):
 
 
 def _check_derived_length_bound(L):
-    d = len(derived_series(L).terms) - 1
+    d = len(derived_series(L)) - 1
     return d <= 3, f"derived length {d}" + (" exceeds 3" if d > 3 else "")
 
 
@@ -696,7 +689,7 @@ class _Facts:
             return None, str(exc)
 
     @property
-    def decomp(self) -> Optional[TriangularDecomposition]:
+    def decomp(self) -> Optional[tuple]:
         return self.decomposition[0]
 
     @property

@@ -98,15 +98,5 @@ def loads_algebra(text: str) -> LeibnizAlgebra:
     return algebra_from_doc(doc)
 
 
-def load_algebra_path(path: str) -> LeibnizAlgebra:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_algebra(fh.read())
-
-
-def save_algebra_path(L: LeibnizAlgebra, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_algebra(L))
-
-
 def input_digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -110,8 +110,8 @@ def _cmd_check(args):
     return doc, EXIT_MATH
 
 
-def _series_dims(report):
-    return [t.dim for t in report.terms]
+def _series_dims(series):
+    return [t.dim for t in series]
 
 
 def _cmd_analyze(args):
@@ -151,8 +151,8 @@ def _cmd_decompose(args):
     doc["predicates"] = dict(report.predicates)
     if report.decomposition is not None:
         doc["decomposition"] = {
-            "parts": [_space_doc(L, P) for P in report.decomposition.parts],
-            "part_dims": [P.dim for P in report.decomposition.parts],
+            "parts": [_space_doc(L, P) for P in report.decomposition],
+            "part_dims": [P.dim for P in report.decomposition],
         }
     else:
         doc["decomposition"] = None

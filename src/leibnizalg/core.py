@@ -20,9 +20,9 @@ import inspect
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import NotAnIdeal, NotASubalgebra, NotLeibniz, ShapeMismatch
+from .errors import (FieldParseError, NotAnIdeal, NotASubalgebra, NotLeibniz,
+                     ShapeMismatch)
 from .linalg import Subspace, kernel, vec_add, vec_sub, zero_vec
-from .poly import _coef_str
 
 
 @dataclass(frozen=True)
@@ -100,10 +100,22 @@ class LeibnizAlgebra:
     @functools.cached_property
     def _terms(self):
         """``_terms[i]``: ``(j, terms)`` for each j with [e_i, e_j] nonzero,
-        where ``terms`` lists the nonzero ``(m, c)`` of [e_i, e_j]."""
-        return tuple(tuple((j, tuple((m, c) for m, c in enumerate(entry) if c))
+        where ``terms`` lists the nonzero ``(m, c)`` of [e_i, e_j], each c
+        in the canonical form ``field.scalar`` gives it.  A scalar it
+        refuses raises ``FieldParseError`` naming the table entry.
+
+        Checking here, where the kernel first reads the table, costs one
+        call per nonzero structure constant; a check in ``__init__`` would
+        visit every scalar of every table built."""
+        def scalar(i, j, m, c):
+            try:
+                return self.field.scalar(c)
+            except FieldParseError as exc:
+                raise FieldParseError(f"table entry [{i}][{j}][{m}]: {exc}") from None
+
+        return tuple(tuple((j, tuple((m, scalar(i, j, m, c)) for m, c in enumerate(entry) if c))
                            for j, entry in enumerate(row) if any(entry))
-                     for row in self.table)
+                     for i, row in enumerate(self.table))
 
     @functools.cached_property
     def _basis(self):
@@ -317,24 +329,3 @@ def direct_sum(A: LeibnizAlgebra, B: LeibnizAlgebra) -> LeibnizAlgebra:
     names = tuple(f"l.{s}" for s in A.names) + tuple(f"r.{s}" for s in B.names)
     return LeibnizAlgebra(F, table, names=names)
 
-
-def format_vector(field, names, v) -> str:
-    """Human form of a coordinate vector, e.g. 'a - 2*a^3'."""
-    parts = []
-    for c, name in zip(v, names):
-        if field.is_zero(c):
-            continue
-        s = _coef_str(field, c)
-        if s == "1":
-            term = name
-        elif s == "-1":
-            term = f"-{name}"
-        else:
-            term = f"{s}*{name}"
-        parts.append(term)
-    if not parts:
-        return "0"
-    out = parts[0]
-    for t in parts[1:]:
-        out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-    return out

@@ -20,7 +20,7 @@ from .errors import BudgetExceeded, DecompositionFailed
 from .linalg import (Subspace, chain, fitting_power, image,
                      is_nilpotent_operator, kernel, mat_vec, restrict_operator,
                      vec_add, vec_sub)
-from .series import derived_series, is_nilpotent_space
+from .series import derived_series, is_nilpotent_space, is_solvable
 
 
 @dataclass(frozen=True)
@@ -197,31 +197,15 @@ def max_nilpotent_subalgebras(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
                             lambda S: is_nilpotent_space(L, S))
 
 
-@dataclass(frozen=True)
-class TriangularDecomposition:
-    """Abelian chain decomposition L = A_n + ... + A_0 (parts listed from
-    A_n down to A_0) with each partial sum A_n + ... + A_i equal to the
-    i-th derived term."""
-    parts: tuple
-
-    @property
-    def top(self) -> Subspace:
-        return self.parts[0]
-
-    @property
-    def bottom(self) -> Subspace:
-        return self.parts[-1]
-
-
 def _triangular_parts(L: LeibnizAlgebra, budget: int):
-    ds = derived_series(L)
-    if not ds.reaches_zero:
+    if not is_solvable(L):
         raise DecompositionFailed("triangular decomposition needs a solvable algebra")
-    d = len(ds.terms) - 1
+    ds = derived_series(L)
+    d = len(ds) - 1
     if d <= 1:
         return [L.full_space()]
-    top = ds.terms[d - 1]
-    M = ds.terms[d - 2]
+    top = ds[d - 1]
+    M = ds[d - 2]
     C = M.embed_space(cartan_subalgebra(L.restrict(M), budget))
     pair = fitting_family(L, C)
     B, one = pair.null, pair.one
@@ -236,8 +220,10 @@ def _triangular_parts(L: LeibnizAlgebra, budget: int):
 
 
 @memo
-def triangular_decomposition(L: LeibnizAlgebra,
-                             budget: int = DEFAULT_BUDGET) -> TriangularDecomposition:
+def triangular_decomposition(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET) -> tuple:
+    """Abelian chain decomposition L = A_n + ... + A_0, returned as the
+    tuple of parts from A_n down to A_0, with each partial sum
+    A_n + ... + A_i equal to the i-th derived term."""
     parts = _triangular_parts(L, budget)
     for idx, P in enumerate(parts):
         if not L.is_abelian_space(P):
@@ -247,16 +233,8 @@ def triangular_decomposition(L: LeibnizAlgebra,
     ds = derived_series(L)
     partials = list(itertools.accumulate(parts, Subspace.add))
     for i, partial in enumerate(reversed(partials)):
-        expected = ds.terms[i] if i < len(ds.terms) else L.zero_space()
+        expected = ds[i] if i < len(ds) else L.zero_space()
         if partial != expected:
             raise DecompositionFailed(
                 f"partial sum of parts does not match derived term {i}")
-    return TriangularDecomposition(tuple(parts))
-
-
-def ideal_decomposition(decomp: TriangularDecomposition, D: Subspace):
-    """Slice an ideal along the parts: D = (D cap A_n) + ... + (D cap A_0)."""
-    pieces = [D.intersect(P) for P in decomp.parts]
-    if not D.is_direct_sum(*pieces):
-        raise DecompositionFailed("ideal is not the direct sum of its part slices")
-    return tuple(pieces)
+    return tuple(parts)

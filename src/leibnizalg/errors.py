@@ -50,10 +50,10 @@ class NotAnIdeal(LeibnizError):
 
 
 class DecompositionFailed(LeibnizError):
-    """A Fitting, Cartan, triangular or ideal decomposition is not there
-    or does not verify: the algebra is not solvable, Fitting components
-    fail their checks, no Cartan subalgebra is found within the budget, or
-    the parts or slices found lack their invariants."""
+    """A Fitting, Cartan or triangular decomposition is not there or does
+    not verify: the algebra is not solvable, Fitting components fail their
+    checks, no Cartan subalgebra is found within the budget, or the parts
+    found lack their invariants."""
 
 
 class InfiniteFieldUnsupported(LeibnizError):

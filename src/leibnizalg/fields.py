@@ -10,7 +10,9 @@ Over a finite field with q = p**k elements a scalar is an int in
 ``range(q)`` encoding the coefficient vector of the element in base p,
 least significant digit first; for a prime field (k = 1) this is just the
 residue.  Field objects supply the operations, so every higher layer stays
-field-agnostic and exact.
+field-agnostic and exact.  A field's ``scalar`` returns a given value in
+this canonical form or raises ``FieldParseError``; ``LeibnizAlgebra``
+passes every nonzero structure constant through it.
 
 Every field's zero is ``0`` (a caller's ``Fraction(0)`` is zero too), and
 ``is_zero`` is ``a == 0`` in all three classes, so
@@ -101,6 +103,12 @@ class Rationals:
     def random_scalar(self, rng):
         return _rational(Fraction(rng.randint(-6, 6), rng.randint(1, 6)))
 
+    def scalar(self, c):
+        """c in canonical form, if it is an int (not a bool) or a Fraction."""
+        if isinstance(c, (int, Fraction)) and not isinstance(c, bool):
+            return _rational(c)
+        raise FieldParseError(f"not a rational scalar: {c!r}")
+
     def parse_scalar(self, obj):
         if isinstance(obj, bool):
             raise FieldParseError(f"not a rational literal: {obj!r}")
@@ -118,6 +126,14 @@ class Rationals:
 
     def __str__(self):
         return "Q"
+
+
+def _element_code(field, c):
+    """c itself if it is an int in range(q), the code of an element of the
+    finite field with q elements."""
+    if isinstance(c, int) and not isinstance(c, bool) and 0 <= c < field.size:
+        return c
+    raise FieldParseError(f"not an element code of {field}: {c!r}")
 
 
 def _check_finite_scalar(obj, p, k):
@@ -187,6 +203,9 @@ class PrimeField:
 
     def random_scalar(self, rng):
         return rng.randrange(self.p)
+
+    def scalar(self, c):
+        return _element_code(self, c)
 
     def parse_scalar(self, obj):
         return _check_finite_scalar(obj, self.p, 1)[0]
@@ -329,6 +348,9 @@ class ExtensionField:
 
     def random_scalar(self, rng):
         return rng.randrange(self._q)
+
+    def scalar(self, c):
+        return _element_code(self, c)
 
     def parse_scalar(self, obj):
         return self._encode(list(_check_finite_scalar(obj, self.p, self.k)))

@@ -132,14 +132,6 @@ def poly(field, coeffs) -> Poly:
     return Poly(field, tuple(c))
 
 
-def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Monic gcd; gcd(0, 0) = 0."""
-    a, b = f, g
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
-
-
 def monic_polys(field, degree: int):
     """All monic polynomials of exactly the given degree (finite fields)."""
     elems = list(field.elements())

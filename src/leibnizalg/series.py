@@ -1,15 +1,15 @@
 """Characteristic series, solvability and nilpotency predicates, radicals.
 
-All series are reported in ambient coordinates as `Subspace` terms, even
-when computed for a proper subalgebra: products of subspaces do not care
-whether the computation happens in a restriction or in the ambient
-algebra.  Full-algebra series and predicates are memoised on the algebra;
-series of a subspace are not.
+A series is a tuple of `Subspace` terms, from the first term to the one
+where it stabilizes, as `linalg.chain` builds it; it reaches zero when its
+last term is zero.  Terms are in ambient coordinates even for the series
+of a proper subalgebra: products of subspaces do not care whether the
+computation happens in a restriction or in the ambient algebra.
+Full-algebra series and predicates are memoised on the algebra; series of
+a subspace are not.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .core import LeibnizAlgebra, memo
 from .enumeration import (DEFAULT_BUDGET, _largest_member, enumerate_spaces,
@@ -18,77 +18,71 @@ from .errors import InfiniteFieldUnsupported, LeibnizError
 from .linalg import Subspace, chain
 
 
-@dataclass(frozen=True)
-class SeriesReport:
-    terms: tuple
-
-    @property
-    def reaches_zero(self) -> bool:
-        return self.terms[-1].dim == 0
+def _derived_chain(L: LeibnizAlgebra, U: Subspace) -> tuple:
+    return chain(U, lambda T: L.product(T, T))
 
 
-def _series(L: LeibnizAlgebra, kind: str, base: Subspace) -> SeriesReport:
-    """Derived (T -> [T, T]) or lower central (T -> [T, base]) series."""
-    if kind == "derived":
-        return SeriesReport(chain(base, lambda T: L.product(T, T)))
-    return SeriesReport(chain(base, lambda T: L.product(T, base)))
+def _lower_central_chain(L: LeibnizAlgebra, U: Subspace) -> tuple:
+    return chain(U, lambda T: L.product(T, U))
 
 
 @memo
-def _algebra_series(L: LeibnizAlgebra, kind: str) -> SeriesReport:
-    return _series(L, kind, L.full_space())
+def _algebra_series(L: LeibnizAlgebra, builder) -> tuple:
+    return builder(L, L.full_space())
 
 
-def derived_series(L: LeibnizAlgebra, U: Subspace | None = None) -> SeriesReport:
+def derived_series(L: LeibnizAlgebra, U: Subspace | None = None) -> tuple:
+    """U (or L), then T -> [T, T]."""
     if U is None:
-        return _algebra_series(L, "derived")
-    return _series(L, "derived", U)
+        return _algebra_series(L, _derived_chain)
+    return _derived_chain(L, U)
 
 
-def lower_central_series(L: LeibnizAlgebra, U: Subspace | None = None) -> SeriesReport:
+def lower_central_series(L: LeibnizAlgebra, U: Subspace | None = None) -> tuple:
+    """U (or L), then T -> [T, U]."""
     if U is None:
-        return _algebra_series(L, "lower_central")
-    return _series(L, "lower_central", U)
+        return _algebra_series(L, _lower_central_chain)
+    return _lower_central_chain(L, U)
 
 
 @memo
-def upper_central_series(L: LeibnizAlgebra) -> SeriesReport:
+def upper_central_series(L: LeibnizAlgebra) -> tuple:
     """Z_0 = 0 and Z_{i+1} = {x : [x, L] + [L, x] in Z_i}, the preimage of
     the centre of L/Z_i."""
     full = L.full_space()
-    return SeriesReport(chain(L.zero_space(), lambda W: L.stabilizer(full, W)))
+    return chain(L.zero_space(), lambda W: L.stabilizer(full, W))
 
 
 def hypercentre(L: LeibnizAlgebra) -> Subspace:
-    return upper_central_series(L).terms[-1]
+    return upper_central_series(L)[-1]
 
 
 def nilpotent_residual(L: LeibnizAlgebra, U: Subspace | None = None) -> Subspace:
     """Stabilized term of the lower central series: smallest term K with
     the quotient (U or L)/K nilpotent."""
-    return lower_central_series(L, U).terms[-1]
+    return lower_central_series(L, U)[-1]
 
 
 @memo
-def lower_nilpotent_series(L: LeibnizAlgebra) -> SeriesReport:
+def lower_nilpotent_series(L: LeibnizAlgebra) -> tuple:
     """N_0 = L, each next term the nilpotent residual of the previous one,
     taken as an algebra in its own right."""
-    return SeriesReport(chain(L.full_space(), lambda T: nilpotent_residual(L, T)))
+    return chain(L.full_space(), lambda T: nilpotent_residual(L, T))
 
 
 def is_nilpotent(L: LeibnizAlgebra) -> bool:
-    return lower_central_series(L).reaches_zero
+    return lower_central_series(L)[-1].is_zero()
 
 
 def is_solvable(L: LeibnizAlgebra) -> bool:
-    return derived_series(L).reaches_zero
+    return derived_series(L)[-1].is_zero()
 
 
 @memo
 def is_completely_solvable(L: LeibnizAlgebra) -> bool:
     """The derived subalgebra is nilpotent (sometimes called strongly
     solvable)."""
-    return lower_central_series(L, L.derived_space()).reaches_zero
+    return lower_central_series(L, L.derived_space())[-1].is_zero()
 
 
 def is_metabelian(L: LeibnizAlgebra) -> bool:
@@ -107,25 +101,23 @@ def predicates(L: LeibnizAlgebra) -> dict:
 
 
 def nilpotency_class(L: LeibnizAlgebra) -> int:
-    report = lower_central_series(L)
-    if not report.reaches_zero:
+    if not is_nilpotent(L):
         raise LeibnizError("nilpotency class undefined: algebra is not nilpotent")
-    return len(report.terms) - 1
+    return len(lower_central_series(L)) - 1
 
 
 def derived_length(L: LeibnizAlgebra) -> int:
-    report = derived_series(L)
-    if not report.reaches_zero:
+    if not is_solvable(L):
         raise LeibnizError("derived length undefined: algebra is not solvable")
-    return len(report.terms) - 1
+    return len(derived_series(L)) - 1
 
 
 def is_nilpotent_space(L: LeibnizAlgebra, U: Subspace) -> bool:
-    return lower_central_series(L, U).reaches_zero
+    return lower_central_series(L, U)[-1].is_zero()
 
 
 def is_solvable_space(L: LeibnizAlgebra, U: Subspace) -> bool:
-    return derived_series(L, U).reaches_zero
+    return derived_series(L, U)[-1].is_zero()
 
 
 @memo
@@ -145,7 +137,7 @@ def nilradical(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
         return _largest_member(enumerate_spaces(L, "ideals", budget),
                                lambda I: is_nilpotent_space(L, I)), "exact"
     total = hypercentre(L).add(L.leib_ideal())
-    for term in derived_series(L).terms[1:]:
+    for term in derived_series(L)[1:]:
         if is_nilpotent_space(L, term):
             total = total.add(term)
             break

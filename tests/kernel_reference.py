@@ -13,7 +13,7 @@ right multiplications by the basis; ``upper_central_by_quotients`` and
 ``centre_by_restriction`` build the upper central series and the centre
 of a subalgebra in quotient and restricted algebras, the way the
 definitions read.  ``ideal_part_split_by_sums``,
-``nilradical_chain_by_sums`` and ``ideal_decomposition_by_sums`` decide
+``nilradical_chain_by_sums`` and ``ideal_chain_alignment_by_sums`` decide
 independence by intersecting with a running sum of ``add`` calls.
 ``kronecker_by_product`` draws Kronecker's candidates from the whole
 product of signed divisors, testing each interpolant afterwards.
@@ -269,9 +269,9 @@ def _sum_by_adds(L, spaces):
 
 def ideal_part_split_by_sums(L, decomp, ideals):
     """(holds, detail) of the ideal_part_split clause."""
-    _, C = _sum_by_adds(L, decomp.parts[1:])
+    _, C = _sum_by_adds(L, decomp[1:])
     for D in ideals:
-        DB, DC = D.intersect(decomp.top), D.intersect(C)
+        DB, DC = D.intersect(decomp[0]), D.intersect(C)
         if DB.intersect(DC).dim != 0 or DB.add(DC) != D:
             return False, f"ideal of dim {D.dim} does not split"
     return True, ""
@@ -279,8 +279,8 @@ def ideal_part_split_by_sums(L, decomp, ideals):
 
 def nilradical_chain_by_sums(L, decomp, N):
     """(holds, detail) of the nilradical_chain_splitting clause."""
-    pieces = [N.intersect(P) for P in decomp.parts]
-    if pieces[0] != decomp.top:
+    pieces = [N.intersect(P) for P in decomp]
+    if pieces[0] != decomp[0]:
         return False, "top part is not inside the nilradical"
     independent, total = _sum_by_adds(L, pieces)
     if not independent or total != N:
@@ -292,13 +292,13 @@ def nilradical_chain_by_sums(L, decomp, N):
     return True, ""
 
 
-def ideal_decomposition_by_sums(L, decomp, D):
-    """The slices of D along the parts, or DecompositionFailed."""
-    pieces = [D.intersect(P) for P in decomp.parts]
-    independent, total = _sum_by_adds(L, pieces)
-    if not independent or total != D:
-        raise DecompositionFailed("ideal is not the direct sum of its part slices")
-    return tuple(pieces)
+def ideal_chain_alignment_by_sums(L, decomp, ideals):
+    """(holds, detail) of the ideal_chain_alignment clause."""
+    for D in ideals:
+        independent, total = _sum_by_adds(L, [D.intersect(P) for P in decomp])
+        if not independent or total != D:
+            return False, f"ideal of dim {D.dim} does not align"
+    return True, f"checked {len(ideals)} ideals"
 
 
 def kronecker_by_product(f, d):
@@ -377,7 +377,7 @@ def lemma_aa_by_decomposition(L, budget):
         decomp = triangular_decomposition(L, budget)
     except DecompositionFailed as exc:
         return False, f"no split over the derived subalgebra: {exc}"
-    B = decomp.bottom
+    B = decomp[-1]
     F = L.field
     if B.dim == 1:
         ok = _invertible_on(L, B.basis[0], der)

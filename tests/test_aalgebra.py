@@ -19,7 +19,7 @@ from leibnizalg.corpus import fixture
 from leibnizalg.enumeration import (DEFAULT_BUDGET, enumerate_spaces,
                                     total_subspaces)
 from leibnizalg.fields import QQ, gf
-from leibnizalg.series import SeriesReport, is_metabelian, upper_central_series
+from leibnizalg.series import is_metabelian, upper_central_series
 
 
 # ------------------------------------------------------------------ verdicts
@@ -168,7 +168,7 @@ def test_witness_search_finds_h3_through_a_series_phase(monkeypatch, silenced, f
     L = _t_semidirect_h3()
     L.require_leibniz()
     for name in silenced:
-        monkeypatch.setattr(aalgebra, name, lambda L: SeriesReport((L.full_space(),)))
+        monkeypatch.setattr(aalgebra, name, lambda L: (L.full_space(),))
     for seed in (0, 1):
         W = witness_search(L, seed)
         assert W == (L.derived_space() if found else None)
@@ -435,7 +435,7 @@ def test_battery_and_structure_reports_golden_digest(golden_reports):
                    _clause_rows(rep.clauses), list(rep.findings))
         dec = srep.decomposition
         structure = (m.label, list(srep.predicates.items()),
-                     None if dec is None else [P.dim for P in dec.parts],
+                     None if dec is None else [P.dim for P in dec],
                      srep.decomposition_error, srep.nilradical.dim,
                      srep.nilradical_mode, _clause_rows(srep.clauses))
         digest.update(repr((battery, structure)).encode())

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -9,11 +10,12 @@ from hypothesis import strategies as st
 
 from kernel_reference import (closure_by_rounds, left_mult, lift,
                               random_vector, unit_vectors, violation_by_triples)
-from leibnizalg.core import LeibnizAlgebra, direct_sum, format_vector
+from leibnizalg.core import LeibnizAlgebra, direct_sum
 from leibnizalg.corpus import FIELDS, FIXTURE_NAMES, fixture
+from leibnizalg.cyclic import build_cyclic
 from leibnizalg.enumeration import iter_subalgebras
-from leibnizalg.errors import (NotAnIdeal, NotASubalgebra, NotLeibniz,
-                               ShapeMismatch)
+from leibnizalg.errors import (FieldParseError, NotAnIdeal, NotASubalgebra,
+                               NotLeibniz, ShapeMismatch)
 from leibnizalg.fields import QQ, gf
 from leibnizalg.linalg import mat_vec
 
@@ -354,14 +356,6 @@ def test_table_key(h3, r2):
     assert h3.table_key() != fixture("H3", gf(3)).table_key()
 
 
-def test_format_vector():
-    L = fixture("C3a", QQ)
-    v = (Fraction(1), Fraction(0), Fraction(-2))
-    s = format_vector(QQ, L.names, v)
-    assert "a" in s and "a^3" in s
-    assert format_vector(QQ, L.names, (0, 0, 0)) == "0"
-
-
 def test_int_structure_constants_stay_exact():
     # an int table once made Q echelon rows floats: 1 / 2 is 0.5
     L = LeibnizAlgebra(QQ, [[(0, 0), (0, 0)], [(1, 0), (0, 0)]])
@@ -370,3 +364,24 @@ def test_int_structure_constants_stay_exact():
     assert [type(a) for a in basis[0]] == [int, Fraction]
     bracket = L.bracket((3, Fraction(3, 2)), (Fraction(2, 3), 5))
     assert bracket == (1, 0) and [type(a) for a in bracket] == [int, int]
+
+
+@pytest.mark.parametrize("F,table,where", [
+    (QQ, [[(0, 0), (0, 0)], [(1.5, 0), (0, 0)]], "[1][0][0]"),
+    (QQ, [[(0, 0), (0, 0)], [(1, 0), (0, 2.0)]], "[1][1][1]"),
+    (QQ, [[(0, True), (0, 0)], [(0, 0), (0, 0)]], "[0][0][1]"),
+    (gf(9), [[(0, 0), (9, 0)], [(0, 0), (0, 0)]], "[0][1][0]"),
+    (gf(3), [[(0, 0), (0, 0)], [(0, -1), (0, 0)]], "[1][0][1]"),
+], ids=["float", "whole-float", "bool", "gf9-code-9", "gf3-negative"])
+def test_table_scalars_are_checked_by_the_kernel(F, table, where):
+    L = LeibnizAlgebra(F, table)
+    with pytest.raises(FieldParseError, match=re.escape(f"table entry {where}: ")):
+        L.bracket((0, 1), (1, 0))
+
+
+def test_whole_fractions_in_a_table_are_ints_in_the_kernel():
+    L = LeibnizAlgebra(QQ, [[(0, 0), (0, 0)], [(Fraction(2), Fraction(1, 2)), (0, 0)]])
+    assert L._terms == ((), ((0, ((0, 2), (1, Fraction(1, 2)))),))
+    assert [type(c) for _, c in L._terms[1][0][1]] == [int, Fraction]
+    C = build_cyclic(QQ, (Fraction(2), Fraction(0), Fraction(-1)))
+    assert {type(c) for row in C._terms for _, terms in row for _, c in terms} == {int}

@@ -4,19 +4,19 @@ from fractions import Fraction
 import pytest
 
 from kernel_reference import (cartan_by_phases, centre_by_restriction,
-                              change_basis, ideal_decomposition_by_sums,
+                              change_basis, ideal_chain_alignment_by_sums,
                               ideal_part_split_by_sums, maximal_by_pairs,
                               nilradical_chain_by_sums, random_invertible)
 from leibnizalg import decompose
-from leibnizalg.aalgebra import (ClauseResult, _check_ideal_part_split,
+from leibnizalg.aalgebra import (ClauseResult, _check_ideal_chain_alignment,
+                                 _check_ideal_part_split,
                                  _check_nilradical_chain_splitting,
                                  structure_report)
 from leibnizalg.core import LeibnizAlgebra
 from leibnizalg.corpus import fixture
-from leibnizalg.decompose import (TriangularDecomposition, cartan_subalgebra,
+from leibnizalg.decompose import (cartan_subalgebra,
                                   enumerated_cartan_subalgebras, fitting,
-                                  fitting_family, ideal_decomposition,
-                                  max_nilpotent_subalgebras,
+                                  fitting_family, max_nilpotent_subalgebras,
                                   triangular_decomposition)
 from leibnizalg.enumeration import (enumerate_spaces, iter_subspaces,
                                     maximal_subalgebras, total_subspaces)
@@ -332,19 +332,19 @@ def test_cartans_normalize_only_max_nilpotents(monkeypatch):
 def test_triangular_c2():
     L = fixture("C2", QQ)
     dec = triangular_decomposition(L)
-    assert [P.dim for P in dec.parts] == [1, 1]
-    assert dec.parts[0] == L.derived_space()
-    assert dec.parts[1] == L.span([(Fraction(1), Fraction(-1))])
+    assert [P.dim for P in dec] == [1, 1]
+    assert dec[0] == L.derived_space()
+    assert dec[1] == L.span([(Fraction(1), Fraction(-1))])
     # partial sums from the bottom re-create the derived series
-    assert dec.parts[0].add(dec.parts[1]).dim == 2
-    for P in dec.parts:
+    assert dec[0].add(dec[1]).dim == 2
+    for P in dec:
         assert L.is_abelian_space(P)
 
 
 def test_triangular_r2(r2):
     dec = triangular_decomposition(r2)
-    assert [P.dim for P in dec.parts] == [1, 1]
-    assert dec.parts[0] == r2.derived_space()
+    assert [P.dim for P in dec] == [1, 1]
+    assert dec[0] == r2.derived_space()
 
 
 def test_triangular_rejects_h3(h3):
@@ -367,8 +367,9 @@ def test_triangular_failure_cached(h3):
 def test_ideal_decomposition():
     R = fixture("r2", QQ)
     dec = triangular_decomposition(R)
-    pieces = ideal_decomposition(dec, R.derived_space())
-    assert [p.dim for p in pieces] == [1, 0]
+    D = R.derived_space()
+    assert [D.intersect(P).dim for P in dec] == [1, 0]
+    assert _check_ideal_chain_alignment(dec, [D]) == (True, "checked 1 ideals")
 
 
 def _outcome(fn, *args):
@@ -397,13 +398,13 @@ def test_slice_checks_match_running_sums(tiny_finite_members):
         for D in spaces:
             assert (_check_ideal_part_split(L, decomp, [D])
                     == ideal_part_split_by_sums(L, decomp, [D]))
-        repeated = TriangularDecomposition((decomp.top,) + decomp.parts)
+        repeated = (decomp[0],) + decomp
         for dec in (decomp, repeated):
             for D in spaces:
                 assert (_check_nilradical_chain_splitting(L, dec, D)
                         == nilradical_chain_by_sums(L, dec, D))
-                assert (_outcome(ideal_decomposition, dec, D)
-                        == _outcome(ideal_decomposition_by_sums, L, dec, D))
+                assert (_check_ideal_chain_alignment(dec, [D])
+                        == ideal_chain_alignment_by_sums(L, dec, [D]))
     assert checked
 
 

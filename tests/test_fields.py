@@ -69,6 +69,26 @@ def test_rationals_scalar_contract():
     assert all(_exact(a, a) for a in samples) and {type(a) for a in samples} == {int, Fraction}
 
 
+def test_rationals_scalar_checks_and_canonicalises():
+    assert _exact(QQ.scalar(Fraction(6, 3)), 2)
+    assert _exact(QQ.scalar(Fraction(-1, 2)), Fraction(-1, 2))
+    assert _exact(QQ.scalar(-7), -7)
+    for bad in (True, False, 1.5, 2.0, "1", None):
+        with pytest.raises(FieldParseError, match="not a rational scalar"):
+            QQ.scalar(bad)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 9))
+def test_finite_scalar_accepts_element_codes_only(q):
+    # scalar takes the internal code; parse_scalar would read an int
+    # literal as a residue mod p, so 5 over GF(9) as 2
+    F = gf(q)
+    assert [F.scalar(c) for c in F.elements()] == list(range(q))
+    for bad in (-1, q, True, 1.0, Fraction(1), "1", [1]):
+        with pytest.raises(FieldParseError, match="not an element code"):
+            F.scalar(bad)
+
+
 rationals = st.one_of(st.integers(-50, 50), st.fractions(max_denominator=50))
 
 

@@ -1,6 +1,7 @@
 """Source hygiene: every name a library module imports is used there,
 every private function, method or class is referenced by the package,
-every public one is referenced by the package or re-exported by it,
+every public one is used by the package, the scripts, the benchmark, the
+acceptance tests or the kernel reference (a re-export is not a use),
 every parameter of every function is read in its body, every
 exception class in ``errors.py`` is raised by some library module,
 only the witness search's module imports ``random``, and only
@@ -16,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "leibnizalg"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "leibnizalg"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -94,13 +96,16 @@ def test_scan_finds_unreferenced_private():
         ("a.py", 2, "_dead"), ("a.py", 3, "_Gone"), ("a.py", 5, "_method")]
 
 
-def _unreferenced_publics(trees, exempt=frozenset()):
+def _unreferenced_publics(trees, users=(), exempt=frozenset()):
     """Public module-level functions and classes, and public methods of
     public classes, that nothing outside their own body refers to, as
-    (module, line, name).  An import, such as a re-export in
-    ``__init__.py``, counts as a reference.  ``exempt`` holds (class,
-    method) pairs that are never reported."""
-    refs = sum((_references(tree) for tree in trees.values()), Counter())
+    (module, line, name).  References count from the package's modules
+    other than ``__init__.py``, whose re-exports are no use, and from the
+    ``users`` trees.  ``exempt`` holds (class, method) pairs that are never
+    reported."""
+    refs = sum((_references(tree) for module, tree in trees.items()
+                if module != "__init__.py"), Counter())
+    refs += sum((_references(tree) for tree in users), Counter())
     out = []
 
     def visit(module, body, cls):
@@ -132,10 +137,16 @@ def _scalar_interface(tree):
     return {(cls, name) for cls in methods for name in shared}
 
 
+# Code outside the package that may be the only user of a public name.
+USERS = (sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "benchmark").glob("*.py"))
+         + [ROOT / "tests" / "test_acceptance.py", ROOT / "tests" / "kernel_reference.py"])
+
+
 def test_no_unreferenced_public_definitions():
     trees = {p.name: ast.parse(p.read_text(), filename=str(p))
              for p in sorted(SRC.glob("*.py"))}
-    assert _unreferenced_publics(trees, _scalar_interface(trees["fields.py"])) == []
+    users = [ast.parse(p.read_text(), filename=str(p)) for p in USERS]
+    assert _unreferenced_publics(trees, users, _scalar_interface(trees["fields.py"])) == []
 
 
 def test_scan_finds_unreferenced_public():
@@ -148,12 +159,14 @@ def test_scan_finds_unreferenced_public():
                           "    def idle(self): pass\n"
                           "    def spare(self): pass\n"
                           "class _Hidden:\n"
-                          "    def idle(self): pass\n"),
+                          "    def idle(self): pass\n"
+                          "def scripted(): pass\n"),
         "b.py": ast.parse("from a import used, Kept\nused()\nKept().run()\n"),
-        "__init__.py": ast.parse("from .a import exported\n"),
+        "__init__.py": ast.parse("from .a import exported, scripted\n"),
     }
-    assert _unreferenced_publics(trees, {("Kept", "spare")}) == [
-        ("a.py", 3, "dead"), ("a.py", 6, "idle")]
+    users = [ast.parse("import pkg\npkg.scripted()\n")]
+    assert _unreferenced_publics(trees, users, {("Kept", "spare")}) == [
+        ("a.py", 2, "exported"), ("a.py", 3, "dead"), ("a.py", 6, "idle")]
     fields = ast.parse("class Rationals:\n    def add(self): pass\n    def parse(self): pass\n"
                        "class PrimeField:\n    def add(self): pass\n"
                        "class ExtensionField:\n    def add(self): pass\n")

@@ -12,8 +12,7 @@ from leibnizalg.errors import ZeroPolynomial
 from leibnizalg.fields import QQ, gf
 from leibnizalg.linalg import is_nilpotent_operator
 from leibnizalg.poly import (Poly, _kronecker_candidates, companion_matrix,
-                             format_poly, is_irreducible, poly, poly_factor,
-                             poly_gcd)
+                             format_poly, is_irreducible, poly, poly_factor)
 
 
 def gf_poly_simple(q, max_deg=6):
@@ -53,25 +52,6 @@ def test_divmod_round_trip_qq(f, g):
         return
     quo, rem = f.divmod(g)
     assert quo * g + rem == f
-
-
-@given(gf_poly_simple(3, 4), gf_poly_simple(3, 4), gf_poly_simple(3, 3))
-def test_gcd_divides_both(f, g, h):
-    if f.is_zero() or g.is_zero() or h.is_zero():
-        return
-    d = poly_gcd(f * h, g * h)
-    assert d.is_monic()
-    assert (f * h % d).is_zero()
-    assert (g * h % d).is_zero()
-    # the common factor h divides the gcd
-    assert (d % h.monic()).is_zero()
-
-
-def test_gcd_zero_inputs():
-    F = gf(3)
-    f = poly_from_ints(F, [1, 1])
-    assert poly_gcd(f, Poly(F, ())) == f.monic()
-    assert poly_gcd(Poly(F, ()), Poly(F, ())).is_zero()
 
 
 def test_pow_matches_repeated_mul():
