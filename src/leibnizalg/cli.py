@@ -5,6 +5,10 @@ frattini, enumerate, corpus.  Reports are deterministic: the same
 argument vector, seed and input bytes produce byte-identical output
 (JSON output uses sorted keys and no timestamps).
 
+Each ``_cmd_*`` imports the library functions it runs, so a process loads
+only its command's modules: ``check`` needs neither the enumeration nor the
+series, decomposition, battery or corpus layers.
+
 Exit codes: 0 success (including a negative A-algebra verdict), 1 a
 checked mathematical property failed (non-Leibniz table, battery hard
 failure, classification cross-check failure), 2 the request is
@@ -20,21 +24,11 @@ import argparse
 import json
 import sys
 
-from .aalgebra import is_a_algebra, structure_report, theorem_battery
 from .algfile import input_digest, loads_algebra
-from .corpus import corpus
-from .cyclic import classify_cyclic
-from .enumeration import (DEFAULT_BUDGET, enumerate_spaces, frattini_ideal,
-                          maximal_subalgebras, socle_analysis, total_subspaces)
+from .core import DEFAULT_BUDGET
 from .errors import (BadSpec, BudgetExceeded, FieldParseError,
                      InfiniteFieldUnsupported, LeibnizError, NotLeibniz,
                      ParseError)
-from .fields import parse_field_name
-from .poly import format_poly
-from .series import (derived_length, derived_series, hypercentre,
-                     is_nilpotent, is_solvable, lower_central_series,
-                     lower_nilpotent_series, nilpotency_class, nilradical,
-                     predicates, radical, upper_central_series)
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -115,6 +109,10 @@ def _series_dims(series):
 
 
 def _cmd_analyze(args):
+    from .series import (derived_length, derived_series, hypercentre,
+                         is_nilpotent, is_solvable, lower_central_series,
+                         lower_nilpotent_series, nilpotency_class, nilradical,
+                         predicates, radical, upper_central_series)
     L, digest = _load(args.input)
     L.require_leibniz()
     doc = _base_doc("analyze", args, L, digest)
@@ -144,6 +142,7 @@ def _cmd_analyze(args):
 
 
 def _cmd_decompose(args):
+    from .aalgebra import structure_report
     L, digest = _load(args.input)
     L.require_leibniz()
     report = structure_report(L, args.budget)
@@ -164,6 +163,7 @@ def _cmd_decompose(args):
 
 
 def _cmd_a_algebra(args):
+    from .aalgebra import is_a_algebra
     L, digest = _load(args.input)
     L.require_leibniz()
     verdict = is_a_algebra(L, args.budget, args.seed)
@@ -173,6 +173,7 @@ def _cmd_a_algebra(args):
 
 
 def _cmd_battery(args):
+    from .aalgebra import theorem_battery
     L, digest = _load(args.input)
     report = theorem_battery(L, seed=args.seed, budget=args.budget)
     doc = _base_doc("battery", args, L, digest)
@@ -200,6 +201,9 @@ def _parse_alpha(F, token):
 
 
 def _cmd_cyclic(args):
+    from .cyclic import classify_cyclic
+    from .fields import parse_field_name
+    from .poly import format_poly
     F = parse_field_name(args.field)
     alphas = [_parse_alpha(F, tok) for tok in args.alphas]
     report = classify_cyclic(F, alphas, budget=args.budget, seed=args.seed)
@@ -223,6 +227,7 @@ def _cmd_cyclic(args):
 
 
 def _cmd_frattini(args):
+    from .enumeration import frattini_ideal, maximal_subalgebras, socle_analysis
     L, digest = _load(args.input)
     L.require_leibniz()
     phi = frattini_ideal(L, args.budget)
@@ -240,6 +245,7 @@ def _cmd_frattini(args):
 
 
 def _cmd_enumerate(args):
+    from .enumeration import enumerate_spaces, total_subspaces
     L, digest = _load(args.input)
     L.require_leibniz()
     spaces = enumerate_spaces(L, args.kind, args.budget)
@@ -257,6 +263,8 @@ def _cmd_enumerate(args):
 
 
 def _cmd_corpus(args):
+    from .aalgebra import theorem_battery
+    from .corpus import corpus
     members = corpus()
     if args.limit is not None:
         members = members[:args.limit]

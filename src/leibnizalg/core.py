@@ -24,6 +24,11 @@ from .errors import (FieldParseError, NotAnIdeal, NotASubalgebra, NotLeibniz,
                      ShapeMismatch)
 from .linalg import Subspace, kernel, vec_add, vec_sub, zero_vec
 
+# The enumeration budget: at most this many subspaces are walked.  It lives
+# here, not in ``enumeration``, so that the CLI can default ``--budget`` to it
+# without importing the enumeration layer.
+DEFAULT_BUDGET = 10 ** 6
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -218,12 +223,13 @@ class LeibnizAlgebra:
         return self.product(full, full)
 
     def leib_ideal(self) -> Subspace:
-        """Span of all squares: generated by the symmetrized table entries."""
-        F = self.field
-        vecs = [self.table[i][i] for i in range(self.dim)]
+        """Span of all squares: generated by [e_i, e_i] and the symmetrized
+        brackets [e_i, e_j] + [e_j, e_i], which read the checked scalars."""
+        F, e, br = self.field, self._basis, self.bracket
+        vecs = [br(e[i], e[i]) for i in range(self.dim)]
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
-                vecs.append(vec_add(F, self.table[i][j], self.table[j][i]))
+                vecs.append(vec_add(F, br(e[i], e[j]), br(e[j], e[i])))
         return self.span(vecs)
 
     def is_abelian_space(self, U: Subspace) -> bool:

@@ -248,22 +248,49 @@ class ExtensionField:
         q = self.p ** self.k
         object.__setattr__(self, "_q", q)
         if q <= _TABLE_LIMIT:
-            mul = [[self._mul_slow(a, b) for b in range(q)] for a in range(q)]
-            add = [[self._add_slow(a, b) for b in range(q)] for a in range(q)]
-            neg = [self._neg_slow(a) for a in range(q)]
-            inv = [0] * q
-            for a in range(1, q):
-                row = mul[a]
-                inv[a] = row.index(1)
-            object.__setattr__(self, "_mul_tab", mul)
-            object.__setattr__(self, "_add_tab", add)
-            object.__setattr__(self, "_neg_tab", neg)
-            object.__setattr__(self, "_inv_tab", inv)
+            self._build_tables(q)
         else:
             object.__setattr__(self, "_mul_tab", None)
             object.__setattr__(self, "_add_tab", None)
             object.__setattr__(self, "_neg_tab", None)
             object.__setattr__(self, "_inv_tab", None)
+
+    def _build_tables(self, q):
+        """The q x q addition and multiplication tables, with about q slow
+        products in all.
+
+        Addition is digit-wise mod p: the table for k digits is built from
+        the one for k - 1, since the sum of a = a0 + p*a1 and b = b0 + p*b1
+        is (a0 + b0) % p + p * (a1 + b1).  Products come from the powers of
+        a primitive element g: a*b = g**(log a + log b).
+        """
+        p = self.p
+        add = [[0]]
+        for _ in range(self.k):
+            add = [[(a0 + b0) % p + p * s for s in add[a1] for b0 in range(p)]
+                   for a1 in range(len(add)) for a0 in range(p)]
+        exp = next(powers for powers in map(self._powers, range(1, q))
+                   if len(powers) == q - 1)
+        log = [0] * q
+        for i, x in enumerate(exp):
+            log[x] = i
+        exp2 = exp + exp
+        nonzero_logs = log[1:]
+        mul = [[0] * q] + [[0] + [exp2[la + lb] for lb in nonzero_logs]
+                           for la in nonzero_logs]
+        inv = [0] + [exp[-la] for la in nonzero_logs]
+        object.__setattr__(self, "_mul_tab", mul)
+        object.__setattr__(self, "_add_tab", add)
+        object.__setattr__(self, "_neg_tab", [self._neg_slow(a) for a in range(q)])
+        object.__setattr__(self, "_inv_tab", inv)
+
+    def _powers(self, g):
+        """[1, g, g**2, ...] up to the last power before 1 recurs."""
+        powers, x = [1], g
+        while x != 1:
+            powers.append(x)
+            x = self._mul_slow(x, g)
+        return powers
 
     # digit codecs -----------------------------------------------------
     def _decode(self, a):

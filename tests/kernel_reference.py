@@ -25,6 +25,8 @@ product of signed divisors, testing each interpolant afterwards.
 every pair of the current basis bracketed again in every round.
 ``violation_by_triples`` is the first basis triple that breaks the
 Leibniz identity, with three brackets and one ``vec_sub`` per triple.
+``leib_ideal_from_table`` is the span of the squares read straight off the
+table entries, with no scalar checked.
 ``nilradical_by_sums``, ``radical_by_sums`` and ``frattini_by_sums`` are
 the largest nilpotent ideal, the largest solvable ideal and the largest
 ideal inside every maximal subalgebra, each as the span of all the
@@ -176,6 +178,13 @@ def violation_by_triples(L):
                 if lhs != rhs:
                     return Violation((i, j, k), lhs, rhs)
     return None
+
+
+def leib_ideal_from_table(L):
+    F, T, n = L.field, L.table, L.dim
+    vecs = [T[i][i] for i in range(n)]
+    vecs += [vec_add(F, T[i][j], T[j][i]) for i in range(n) for j in range(i + 1, n)]
+    return L.span(vecs)
 
 
 def plain_power(F, A):

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kernel_reference import (closure_by_rounds, left_mult, lift,
-                              random_vector, unit_vectors, violation_by_triples)
+from kernel_reference import (closure_by_rounds, left_mult, leib_ideal_from_table,
+                              lift, random_vector, unit_vectors,
+                              violation_by_triples)
 from leibnizalg.core import LeibnizAlgebra, direct_sum
 from leibnizalg.corpus import FIELDS, FIXTURE_NAMES, fixture
 from leibnizalg.cyclic import build_cyclic
@@ -377,6 +378,17 @@ def test_table_scalars_are_checked_by_the_kernel(F, table, where):
     L = LeibnizAlgebra(F, table)
     with pytest.raises(FieldParseError, match=re.escape(f"table entry {where}: ")):
         L.bracket((0, 1), (1, 0))
+
+
+def test_leib_ideal_reads_the_checked_scalars():
+    L = LeibnizAlgebra(QQ, [[(0, 0), (0, 0)], [(1.5, 0), (0, 0)]])
+    with pytest.raises(FieldParseError, match=re.escape("table entry [1][0][0]: ")):
+        L.leib_ideal()
+
+
+def test_leib_ideal_matches_the_table_entries(members):
+    for m in members:
+        assert m.algebra.leib_ideal() == leib_ideal_from_table(m.algebra), m.label
 
 
 def test_whole_fractions_in_a_table_are_ints_in_the_kernel():

@@ -203,6 +203,37 @@ def test_extension_tables_match_schoolbook(q):
             assert ext_product(a, F._inv_tab[a], F.p, F.modulus) == 1
 
 
+# x has order 5 modulo x^4 + x^3 + x^2 + x + 1, so the tables of this GF(16)
+# need a primitive element other than x
+SLOW_CHECKED = [gf(q) for q in TABLED_EXTENSIONS if q <= 64] + [
+    ExtensionField(2, 4, (1, 1, 1, 1, 1))]
+
+
+def _assert_tables_match_slow_operations(F, pairs):
+    for a, b in pairs:
+        assert F.add(a, b) == F._add_slow(a, b), (a, b)
+        assert F.mul(a, b) == F._mul_slow(a, b), (a, b)
+    for a in {a for a, _ in pairs}:
+        assert F.neg(a) == F._neg_slow(a), a
+        if a:
+            assert F._mul_slow(a, F.inv(a)) == 1, a
+
+
+@pytest.mark.parametrize("F", SLOW_CHECKED, ids=lambda F: f"{F}-{F.modulus}")
+def test_tables_match_the_slow_operations(F):
+    q = F.size
+    assert F._mul_tab is not None
+    _assert_tables_match_slow_operations(F, [(a, b) for a in range(q) for b in range(q)])
+
+
+@pytest.mark.parametrize("q", (256, 512))
+def test_large_tables_match_the_slow_operations_on_a_sample(q):
+    F = gf(q)
+    assert F._mul_tab is not None
+    _assert_tables_match_slow_operations(
+        F, [(a, b) for a in range(0, q, 7) for b in range(3, q, 13)])
+
+
 @pytest.mark.parametrize("q", (625, 729))
 def test_untabled_products_match_schoolbook(q):
     F = gf(q)
