@@ -22,7 +22,7 @@ _MODULE_EXPORTS = {
                  "theorem_battery", "verify_witness", "witness_search"),
     "algfile": ("algebra_from_doc", "algebra_to_doc", "dumps_algebra",
                 "input_digest", "loads_algebra"),
-    "core": ("DEFAULT_BUDGET", "LeibnizAlgebra", "Violation", "direct_sum"),
+    "core": ("LeibnizAlgebra", "Violation", "direct_sum"),
     "corpus": ("FIELDS", "FIXTURE_NAMES", "CorpusMember", "corpus", "fixture"),
     "cyclic": ("CyclicReport", "CyclicSpec", "build_cyclic", "classify_cyclic",
                "complement_vector", "describe_polynomial", "generator_cofactor",
@@ -30,10 +30,10 @@ _MODULE_EXPORTS = {
     "decompose": ("FittingPair", "cartan_subalgebra", "enumerated_cartan_subalgebras",
                   "fitting", "fitting_family", "max_nilpotent_subalgebras",
                   "triangular_decomposition"),
-    "enumeration": ("SocleReport", "enumerate_spaces", "frattini_ideal",
-                    "gaussian_binomial", "iter_ideals", "iter_subalgebras",
-                    "iter_subspaces", "maximal_subalgebras", "socle_analysis",
-                    "total_subspaces"),
+    "enumeration": ("DEFAULT_BUDGET", "SocleReport", "enumerate_spaces",
+                    "frattini_ideal", "gaussian_binomial", "iter_ideals",
+                    "iter_subalgebras", "iter_subspaces", "maximal_subalgebras",
+                    "socle_analysis", "total_subspaces"),
     "errors": ("AmbientMismatch", "BadSpec", "BudgetExceeded", "DecompositionFailed",
                "FieldParseError", "InfiniteFieldUnsupported", "LeibnizError",
                "NoSolution", "NotAnIdeal", "NotASubalgebra", "NotLeibniz",

@@ -5,9 +5,10 @@ frattini, enumerate, corpus.  Reports are deterministic: the same
 argument vector, seed and input bytes produce byte-identical output
 (JSON output uses sorted keys and no timestamps).
 
-Each ``_cmd_*`` imports the library functions it runs, so a process loads
-only its command's modules: ``check`` needs neither the enumeration nor the
-series, decomposition, battery or corpus layers.
+Every command but ``check`` runs the enumeration layer, which is imported
+here.  Each ``_cmd_*`` imports the other library functions it runs, so a
+process loads only its command's modules: ``check`` needs neither the series,
+decomposition, battery, cyclic nor corpus layers.
 
 Exit codes: 0 success (including a negative A-algebra verdict), 1 a
 checked mathematical property failed (non-Leibniz table, battery hard
@@ -25,7 +26,8 @@ import json
 import sys
 
 from .algfile import input_digest, loads_algebra
-from .core import DEFAULT_BUDGET
+from .enumeration import (DEFAULT_BUDGET, enumerate_spaces, frattini_ideal,
+                          maximal_subalgebras, socle_analysis, total_subspaces)
 from .errors import (BadSpec, BudgetExceeded, FieldParseError,
                      InfiniteFieldUnsupported, LeibnizError, NotLeibniz,
                      ParseError)
@@ -227,7 +229,6 @@ def _cmd_cyclic(args):
 
 
 def _cmd_frattini(args):
-    from .enumeration import frattini_ideal, maximal_subalgebras, socle_analysis
     L, digest = _load(args.input)
     L.require_leibniz()
     phi = frattini_ideal(L, args.budget)
@@ -245,7 +246,6 @@ def _cmd_frattini(args):
 
 
 def _cmd_enumerate(args):
-    from .enumeration import enumerate_spaces, total_subspaces
     L, digest = _load(args.input)
     L.require_leibniz()
     spaces = enumerate_spaces(L, args.kind, args.budget)

@@ -24,11 +24,6 @@ from .errors import (FieldParseError, NotAnIdeal, NotASubalgebra, NotLeibniz,
                      ShapeMismatch)
 from .linalg import Subspace, kernel, vec_add, vec_sub, zero_vec
 
-# The enumeration budget: at most this many subspaces are walked.  It lives
-# here, not in ``enumeration``, so that the CLI can default ``--budget`` to it
-# without importing the enumeration layer.
-DEFAULT_BUDGET = 10 ** 6
-
 
 @dataclass(frozen=True)
 class Violation:

@@ -25,9 +25,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import DEFAULT_BUDGET, LeibnizAlgebra, memo
+from .core import LeibnizAlgebra, memo
 from .errors import BudgetExceeded, InfiniteFieldUnsupported, LeibnizError
 from .linalg import Subspace
+
+DEFAULT_BUDGET = 10 ** 6
 
 
 def gaussian_binomial(n: int, d: int, q: int) -> int:
