@@ -5,10 +5,10 @@ frattini, enumerate, corpus.  Reports are deterministic: the same
 argument vector, seed and input bytes produce byte-identical output
 (JSON output uses sorted keys and no timestamps).
 
-Every command but ``check`` runs the enumeration layer, which is imported
+Every command but ``check`` runs the enumeration layer, so it is imported
 here.  Each ``_cmd_*`` imports the other library functions it runs, so a
-process loads only its command's modules: ``check`` needs neither the series,
-decomposition, battery, cyclic nor corpus layers.
+``check`` process loads neither the series, decomposition, battery, cyclic
+nor corpus layers.
 
 Exit codes: 0 success (including a negative A-algebra verdict), 1 a
 checked mathematical property failed (non-Leibniz table, battery hard
