@@ -474,3 +474,83 @@ def test_cli_analyze_and_decompose_golden_digest(members, tmp_path):
     assert outputs == 462
     assert digest.hexdigest() == (
         "35faa9fd3c2a20be5c02010c0572cc85c13b8b4c379860d665cfac81e85eac18")
+
+
+def _golden_inputs(tmp_path):
+    """Small algebra files for the report digest below, by name."""
+    paths = {}
+    for name, L in (("h3_gf2", fixture("H3", gf(2))), ("c2_gf3", fixture("C2", gf(3))),
+                    ("c3b_gf2", fixture("C3b", gf(2))), ("c2_q", fixture("C2", QQ)),
+                    ("r2_q", fixture("r2", QQ))):
+        paths[name] = _write(tmp_path, name, L)
+    not_leibniz = tmp_path / "not_leibniz.json"
+    not_leibniz.write_text(json.dumps({"format_version": 1, "field": {"kind": "rationals"},
+                                       "dim": 1, "table": [[["1"]]]}))
+    paths["not_leibniz"] = str(not_leibniz)
+    bad = algebra_to_doc(fixture("A2", gf(2)))
+    bad["table"][0][1][0] = "zebra"
+    bad_scalar = tmp_path / "bad_scalar.json"
+    bad_scalar.write_text(json.dumps(bad))
+    paths["bad_scalar"] = str(bad_scalar)
+    return paths
+
+
+CLI_GOLDEN_CASES = (
+    ("check", "h3_gf2"), ("check", "r2_q"), ("check", "not_leibniz"),
+    ("a-algebra", "h3_gf2"), ("a-algebra", "c2_gf3"), ("a-algebra", "c2_q"),
+    ("battery", "c3b_gf2"), ("battery", "c2_q"),
+    ("frattini", "h3_gf2"), ("frattini", "c2_gf3"),
+    ("enumerate", "h3_gf2", "--kind", "subspaces", "--list"),
+    ("enumerate", "h3_gf2", "--kind", "subalgebras", "--list"),
+    ("enumerate", "c2_gf3", "--kind", "ideals", "--list"),
+    ("cyclic", "--field", "q", "1/2", "-1"),
+    ("cyclic", "--field", "gf2", "1", "0", "1"),
+    ("cyclic", "--field", "gf4", "1", "[0,1]"),
+    ("corpus", "--limit", "4"),
+    ("corpus", "--battery", "--limit", "2"),
+    # error documents
+    ("check", "/nonexistent/x.json"),
+    ("analyze", "not_leibniz"), ("battery", "not_leibniz"),
+    ("check", "bad_scalar"),
+    ("enumerate", "h3_gf2", "--budget", "3"),
+    ("enumerate", "r2_q"),
+    ("cyclic", "--field", "gf6", "1"),
+)
+
+
+CLI_GOLDEN_MEMBER_CAP = 40
+
+
+def test_cli_reports_golden_digest(members, tmp_path):
+    """The reports of the other commands, and the error documents, in both
+    formats: `check`, `a-algebra`, `battery` and `frattini` on every finite
+    member with at most CLI_GOLDEN_MEMBER_CAP subspaces and every member
+    over Q of dimension at most 3, then the cases above."""
+    digest = hashlib.sha256()
+    outputs = 0
+
+    def record(label, argv):
+        nonlocal outputs
+        doc, code = run_command(argv)
+        digest.update(f"{label} {code}\n".encode())
+        for fmt in ("json", "text"):
+            digest.update(render(doc, fmt).encode())
+        outputs += 1
+
+    for i, m in enumerate(members):
+        L = m.algebra
+        finite = L.field.is_finite
+        if (total_subspaces(L.dim, L.field.size) > CLI_GOLDEN_MEMBER_CAP if finite
+                else L.dim > 3):
+            continue
+        path = tmp_path / f"member{i}.json"
+        path.write_text(dumps_algebra(L), encoding="utf-8")
+        commands = ("check", "a-algebra", "battery") + (("frattini",) if finite else ())
+        for command in commands:
+            record(f"{m.label} {command}", [command, str(path)])
+    paths = _golden_inputs(tmp_path)
+    for case in CLI_GOLDEN_CASES:
+        record(" ".join(case), [paths.get(token, token) for token in case])
+    assert outputs == 330
+    assert digest.hexdigest() == (
+        "df6e0f40dde35a03f5d0f49dbb37c19fc35722fc60b1363f458f5db874f89a7d")
