@@ -5,6 +5,10 @@ frattini, enumerate, corpus.  Reports are deterministic: the same
 argument vector, seed and input bytes produce byte-identical output
 (JSON output uses sorted keys and no timestamps).
 
+``run_command`` heads every report with the command, seed and budget,
+reads and checks the input as ``_COMMANDS`` says and adds its field,
+dimension and digest; each handler adds only its command's own fields.
+
 Every command but ``check`` runs the enumeration layer, so it is imported
 here.  Each ``_cmd_*`` imports the other library functions it runs, so a
 ``check`` process loads neither the series, decomposition, battery, cyclic
@@ -79,45 +83,30 @@ def _load(path):
     return loads_algebra(text), input_digest(text)
 
 
-def _base_doc(command, args, L=None, digest=None):
-    doc = {"command": command, "seed": args.seed, "budget": args.budget}
-    if L is not None:
-        doc["field"] = str(L.field)
-        doc["dim"] = L.dim
-    if digest is not None:
-        doc["input_sha256"] = digest
-    return doc
-
-
-def _cmd_check(args):
-    L, digest = _load(args.input)
-    doc = _base_doc("check", args, L, digest)
-    violation = L.leibniz_violation()
+def _cmd_check(args, doc):
+    violation = args.algebra.leibniz_violation()
+    doc["leibniz"] = violation is None
     if violation is None:
-        doc["leibniz"] = True
-        return doc, EXIT_OK
-    F = L.field
-    doc["leibniz"] = False
+        return EXIT_OK
+    F = args.algebra.field
     doc["violation"] = {
         "triple": list(violation.triple),
         "lhs": [F.serialize_scalar(c) for c in violation.lhs],
         "rhs": [F.serialize_scalar(c) for c in violation.rhs],
     }
-    return doc, EXIT_MATH
+    return EXIT_MATH
 
 
 def _series_dims(series):
     return [t.dim for t in series]
 
 
-def _cmd_analyze(args):
+def _cmd_analyze(args, doc):
     from .series import (derived_length, derived_series, hypercentre,
                          is_nilpotent, is_solvable, lower_central_series,
                          lower_nilpotent_series, nilpotency_class, nilradical,
                          predicates, radical, upper_central_series)
-    L, digest = _load(args.input)
-    L.require_leibniz()
-    doc = _base_doc("analyze", args, L, digest)
+    L = args.algebra
     doc["leibniz"] = True
     doc["predicates"] = predicates(L)
     doc["series"] = {
@@ -140,15 +129,13 @@ def _cmd_analyze(args):
             doc[key] = {"dim": S.dim, "mode": mode}
         except (InfiniteFieldUnsupported, BudgetExceeded) as exc:
             doc[key] = {"error": str(exc)}
-    return doc, EXIT_OK
+    return EXIT_OK
 
 
-def _cmd_decompose(args):
+def _cmd_decompose(args, doc):
     from .aalgebra import structure_report
-    L, digest = _load(args.input)
-    L.require_leibniz()
+    L = args.algebra
     report = structure_report(L, args.budget)
-    doc = _base_doc("decompose", args, L, digest)
     doc["predicates"] = dict(report.predicates)
     if report.decomposition is not None:
         doc["decomposition"] = {
@@ -161,24 +148,20 @@ def _cmd_decompose(args):
     doc["nilradical"] = {"dim": report.nilradical.dim,
                          "mode": report.nilradical_mode}
     doc["clauses"] = [_clause_doc(c) for c in report.clauses]
-    return doc, EXIT_OK
+    return EXIT_OK
 
 
-def _cmd_a_algebra(args):
+def _cmd_a_algebra(args, doc):
     from .aalgebra import is_a_algebra
-    L, digest = _load(args.input)
-    L.require_leibniz()
-    verdict = is_a_algebra(L, args.budget, args.seed)
-    doc = _base_doc("a-algebra", args, L, digest)
-    doc.update(_verdict_doc(L, verdict))
-    return doc, EXIT_OK
+    L = args.algebra
+    doc.update(_verdict_doc(L, is_a_algebra(L, args.budget, args.seed)))
+    return EXIT_OK
 
 
-def _cmd_battery(args):
+def _cmd_battery(args, doc):
     from .aalgebra import theorem_battery
-    L, digest = _load(args.input)
+    L = args.algebra
     report = theorem_battery(L, seed=args.seed, budget=args.budget)
-    doc = _base_doc("battery", args, L, digest)
     doc.update(_verdict_doc(L, report.verdict))
     doc["clauses"] = [_clause_doc(c) for c in report.clauses]
     doc["findings"] = list(report.findings)
@@ -190,7 +173,7 @@ def _cmd_battery(args):
         "holds": sum(1 for c in applicable if c.holds),
         "failed": sum(1 for c in applicable if c.holds is False),
     }
-    return doc, EXIT_MATH if report.hard_failures else EXIT_OK
+    return EXIT_MATH if report.hard_failures else EXIT_OK
 
 
 def _parse_alpha(F, token):
@@ -202,14 +185,14 @@ def _parse_alpha(F, token):
     return F.parse_scalar(value)
 
 
-def _cmd_cyclic(args):
+def _cmd_cyclic(args, doc):
     from .cyclic import classify_cyclic
     from .fields import parse_field_name
     from .poly import format_poly
     F = parse_field_name(args.field)
     alphas = [_parse_alpha(F, tok) for tok in args.alphas]
     report = classify_cyclic(F, alphas, budget=args.budget, seed=args.seed)
-    doc = _base_doc("cyclic", args, report.algebra)
+    doc.update(field=str(F), dim=report.algebra.dim)
     doc["alphas"] = [F.serialize_scalar(a) for a in report.spec.alphas]
     doc["polynomial"] = format_poly(report.polynomial)
     doc["cofactor"] = format_poly(report.cofactor)
@@ -225,15 +208,13 @@ def _cmd_cyclic(args):
         if report.normalization_scalar is not None else None)
     doc["checks"] = [_clause_doc(c) for c in report.checks]
     doc["ok"] = report.ok
-    return doc, EXIT_OK if report.ok else EXIT_MATH
+    return EXIT_OK if report.ok else EXIT_MATH
 
 
-def _cmd_frattini(args):
-    L, digest = _load(args.input)
-    L.require_leibniz()
+def _cmd_frattini(args, doc):
+    L = args.algebra
     phi = frattini_ideal(L, args.budget)
     soc = socle_analysis(L, args.budget)
-    doc = _base_doc("frattini", args, L, digest)
     doc["frattini"] = _space_doc(L, phi)
     doc["maximal_subalgebra_count"] = len(maximal_subalgebras(L, args.budget))
     doc["socle"] = {
@@ -242,14 +223,12 @@ def _cmd_frattini(args):
         "monolithic": soc.monolithic,
         "monolith_dim": soc.monolith.dim if soc.monolith is not None else None,
     }
-    return doc, EXIT_OK
+    return EXIT_OK
 
 
-def _cmd_enumerate(args):
-    L, digest = _load(args.input)
-    L.require_leibniz()
+def _cmd_enumerate(args, doc):
+    L = args.algebra
     spaces = enumerate_spaces(L, args.kind, args.budget)
-    doc = _base_doc("enumerate", args, L, digest)
     doc["kind"] = args.kind
     doc["subspace_universe"] = total_subspaces(L.dim, L.field.size)
     doc["total"] = len(spaces)
@@ -259,19 +238,17 @@ def _cmd_enumerate(args):
     doc["by_dimension"] = by_dim
     if args.list:
         doc["bases"] = [_space_doc(L, U)["basis"] for U in spaces]
-    return doc, EXIT_OK
+    return EXIT_OK
 
 
-def _cmd_corpus(args):
+def _cmd_corpus(args, doc):
     from .aalgebra import theorem_battery
     from .corpus import corpus
     members = corpus()
     if args.limit is not None:
         members = members[:args.limit]
-    doc = _base_doc("corpus", args)
     doc["size"] = len(members)
     rows = []
-    exit_code = EXIT_OK
     failed_members = []
     unknown = 0
     for m in members:
@@ -294,9 +271,7 @@ def _cmd_corpus(args):
             "failed_members": failed_members,
             "unknown_verdicts": unknown,
         }
-        if failed_members:
-            exit_code = EXIT_MATH
-    return doc, exit_code
+    return EXIT_MATH if failed_members else EXIT_OK
 
 
 def _render_text(value, key=None, indent=0):
@@ -327,19 +302,6 @@ def render(doc, fmt: str) -> str:
     return "\n".join(_render_text(doc)) + "\n"
 
 
-_COMMANDS = {
-    "check": _cmd_check,
-    "analyze": _cmd_analyze,
-    "decompose": _cmd_decompose,
-    "a-algebra": _cmd_a_algebra,
-    "battery": _cmd_battery,
-    "cyclic": _cmd_cyclic,
-    "frattini": _cmd_frattini,
-    "enumerate": _cmd_enumerate,
-    "corpus": _cmd_corpus,
-}
-
-
 def _output_parser() -> _Parser:
     """The --format and --output options, shared by every subcommand."""
     out = _Parser(add_help=False)
@@ -360,6 +322,36 @@ def _count(token):
     return value
 
 
+def _option(*flags, **kwargs):
+    return flags, kwargs
+
+
+# command -> (handler, what it reads: an algebra file, one that must satisfy
+# the Leibniz identity or nothing, its own options).  A handler takes the
+# arguments, with the algebra read as ``args.algebra``, and the report head;
+# it fills the report and returns the exit code.
+_COMMANDS = {
+    "check": (_cmd_check, "file", ()),
+    "analyze": (_cmd_analyze, "leibniz", ()),
+    "decompose": (_cmd_decompose, "leibniz", ()),
+    "a-algebra": (_cmd_a_algebra, "leibniz", ()),
+    "battery": (_cmd_battery, "leibniz", ()),
+    "frattini": (_cmd_frattini, "leibniz", ()),
+    "cyclic": (_cmd_cyclic, None, (
+        _option("--field", required=True, help="ground field, e.g. q, gf2, gf(3,2)"),
+        _option("alphas", nargs="+", help="alpha_2 ... alpha_n as field literals"))),
+    "enumerate": (_cmd_enumerate, "leibniz", (
+        _option("--kind", choices=("subspaces", "subalgebras", "ideals"),
+                default="subalgebras"),
+        _option("--list", action="store_true",
+                help="include every echelon basis in the report"))),
+    "corpus": (_cmd_corpus, None, (
+        _option("--battery", action="store_true",
+                help="run the theorem battery over every member"),
+        _option("--limit", type=_count, default=None))),
+}
+
+
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False, parents=[_output_parser()])
     common.add_argument("--seed", type=int, default=0)
@@ -368,25 +360,12 @@ def _build_parser() -> _Parser:
                      description="exact analysis of finite-dimensional "
                                  "Leibniz algebras from structure constants")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("check", "analyze", "decompose", "a-algebra", "battery",
-                 "frattini"):
+    for name, (_, reads, options) in _COMMANDS.items():
         p = sub.add_parser(name, parents=[common])
-        p.add_argument("input", help="algebra file (JSON)")
-    p = sub.add_parser("cyclic", parents=[common])
-    p.add_argument("--field", required=True,
-                   help="ground field, e.g. q, gf2, gf(3,2)")
-    p.add_argument("alphas", nargs="+",
-                   help="alpha_2 ... alpha_n as field literals")
-    p = sub.add_parser("enumerate", parents=[common])
-    p.add_argument("input", help="algebra file (JSON)")
-    p.add_argument("--kind", choices=("subspaces", "subalgebras", "ideals"),
-                   default="subalgebras")
-    p.add_argument("--list", action="store_true",
-                   help="include every echelon basis in the report")
-    p = sub.add_parser("corpus", parents=[common])
-    p.add_argument("--battery", action="store_true",
-                   help="run the theorem battery over every member")
-    p.add_argument("--limit", type=_count, default=None)
+        if reads:
+            p.add_argument("input", help="algebra file (JSON)")
+        for flags, kwargs in options:
+            p.add_argument(*flags, **kwargs)
     return parser
 
 
@@ -397,8 +376,16 @@ def run_command(argv):
         args = parser.parse_args(argv)
     except _ArgumentError as exc:
         return _error("argument", exc), EXIT_INPUT
+    handler, reads, _ = _COMMANDS[args.command]
+    doc = {"command": args.command, "seed": args.seed, "budget": args.budget}
     try:
-        return _COMMANDS[args.command](args)
+        if reads:
+            L, digest = _load(args.input)
+            if reads == "leibniz":
+                L.require_leibniz()
+            doc.update(field=str(L.field), dim=L.dim, input_sha256=digest)
+            args.algebra = L
+        return doc, handler(args, doc)
     except NotLeibniz as exc:
         v = getattr(exc, "violation", None)
         doc = _error("not_leibniz", exc)

@@ -150,6 +150,7 @@ class LeibnizAlgebra:
         return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
 
     # -- identity check ----------------------------------------------------
+    @memo
     def leibniz_violation(self) -> Optional[Violation]:
         """First basis triple breaking [x,[y,z]] = [[x,y],z] - [[x,z],y].
 
