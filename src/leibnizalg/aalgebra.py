@@ -595,12 +595,12 @@ def _check_left_products_in_right_chain(L, ideals):
             left = A
             right = A
             for _ in range(1, n + 2):
-                left = L.span([L.bracket(x, w) for w in left.basis])
+                left = Subspace.span(L.field, n, [L.bracket(x, w) for w in left.basis])
                 if not right.contains_space(left):
                     return False, "left product chain escapes the right chain"
                 if left.is_zero():
                     break  # every later left term is zero as well
-                right = L.span([L.bracket(w, x) for w in right.basis])
+                right = Subspace.span(L.field, n, [L.bracket(w, x) for w in right.basis])
     return True, f"checked {tried} pairs"
 
 

@@ -107,15 +107,19 @@ class LeibnizAlgebra:
         Checking here, where the kernel first reads the table, costs one
         call per nonzero structure constant; a check in ``__init__`` would
         visit every scalar of every table built."""
-        def scalar(i, j, m, c):
-            try:
-                return self.field.scalar(c)
-            except FieldParseError as exc:
-                raise FieldParseError(f"table entry [{i}][{j}][{m}]: {exc}") from None
-
-        return tuple(tuple((j, tuple((m, scalar(i, j, m, c)) for m, c in enumerate(entry) if c))
+        where = "table entry [{}][{}][{}]"
+        return tuple(tuple((j, tuple((m, self._scalar(c, where, i, j, m))
+                                     for m, c in enumerate(entry) if c))
                            for j, entry in enumerate(row) if any(entry))
                      for i, row in enumerate(self.table))
+
+    def _scalar(self, c, where, *index):
+        """c in the canonical form ``field.scalar`` gives it; a scalar it
+        refuses raises ``FieldParseError`` naming ``where.format(*index)``."""
+        try:
+            return self.field.scalar(c)
+        except FieldParseError as exc:
+            raise FieldParseError(f"{where.format(*index)}: {exc}") from None
 
     @functools.cached_property
     def _basis(self):
@@ -178,7 +182,12 @@ class LeibnizAlgebra:
 
     # -- subspace helpers --------------------------------------------------
     def span(self, vectors) -> Subspace:
-        return Subspace.span(self.field, self.dim, list(vectors))
+        """Span of the given vectors, each scalar checked by ``field.scalar``
+        (a refused one raises ``FieldParseError`` naming it); the kernel
+        spans the brackets it forms through ``Subspace.span``, unchecked."""
+        return Subspace.span(self.field, self.dim,
+                             [tuple(self._scalar(c, "vector {} entry {}", i, k)
+                                    for k, c in enumerate(v)) for i, v in enumerate(vectors)])
 
     def zero_space(self) -> Subspace:
         return Subspace.zero_space(self.field, self.dim)
@@ -189,7 +198,7 @@ class LeibnizAlgebra:
     def product(self, U: Subspace, V: Subspace) -> Subspace:
         """Span of [u, v] over basis pairs; equals [U, V] by bilinearity."""
         vecs = [self.bracket(u, v) for u in U.basis for v in V.basis]
-        return self.span(vecs)
+        return Subspace.span(self.field, self.dim, vecs)
 
     def closure(self, vectors) -> Subspace:
         """Smallest subalgebra containing the given vectors.
@@ -206,7 +215,7 @@ class LeibnizAlgebra:
         while new and S.dim < self.dim:
             prods = [self.bracket(u, v) for u in old + new for v in new]
             prods += [self.bracket(v, u) for v in new for u in old]
-            T = self.span(list(S.basis) + prods)
+            T = Subspace.span(self.field, self.dim, list(S.basis) + prods)
             known = set(S.pivots)
             old += new
             new = [row for row, p in zip(T.basis, T.pivots) if p not in known]
@@ -226,7 +235,7 @@ class LeibnizAlgebra:
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
                 vecs.append(vec_add(F, br(e[i], e[j]), br(e[j], e[i])))
-        return self.span(vecs)
+        return Subspace.span(F, self.dim, vecs)
 
     def is_abelian_space(self, U: Subspace) -> bool:
         return not any(any(self.bracket(u, v)) for u in U.basis for v in U.basis)

@@ -386,6 +386,28 @@ def test_leib_ideal_reads_the_checked_scalars():
         L.leib_ideal()
 
 
+@pytest.mark.parametrize("F,vector,where", [
+    (F3, (1, 5), "vector 1 entry 1: "),
+    (QQ, (1, 0.5), "vector 1 entry 1: "),
+    (QQ, (2.0, 1), "vector 1 entry 0: "),
+    (QQ, (True, 0), "vector 1 entry 0: "),
+], ids=["gf3-out-of-range", "q-float-entry", "q-float-lead", "q-bool"])
+def test_span_and_closure_check_the_given_scalars(F, vector, where):
+    L = fixture("A2", F)
+    for build in (L.span, L.closure):
+        with pytest.raises(FieldParseError, match=re.escape(where)):
+            build([(0, 1), vector])
+
+
+def test_span_takes_scalars_to_canonical_form():
+    # a whole Fraction is an int in the kernel, as in a table (see below)
+    L = fixture("A2", QQ)
+    for build in (L.span, L.closure):
+        U = build([(1, Fraction(2))])
+        assert U.basis == ((1, 2),)
+        assert [type(c) for c in U.basis[0]] == [int, int]
+
+
 def test_leib_ideal_matches_the_table_entries(members):
     for m in members:
         assert m.algebra.leib_ideal() == leib_ideal_from_table(m.algebra), m.label
