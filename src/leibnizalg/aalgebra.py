@@ -31,7 +31,7 @@ from .enumeration import (DEFAULT_BUDGET, enumerate_spaces, frattini_ideal,
                           is_enumerable, socle_analysis)
 from .errors import (BudgetExceeded, DecompositionFailed,
                      InfiniteFieldUnsupported, LeibnizError)
-from .linalg import Subspace, kernel, restrict_operator
+from .linalg import Subspace
 from .series import (derived_series, is_completely_solvable, is_metabelian,
                      is_nilpotent, is_nilpotent_space, is_solvable,
                      lower_nilpotent_series, nilradical, predicates)
@@ -114,9 +114,9 @@ def witness_search(L: LeibnizAlgebra, seed: int = 0) -> Optional[Subspace]:
 
 
 def _invertible_on(L: LeibnizAlgebra, x, ideal: Subspace) -> bool:
-    """Whether R_x, which preserves the ideal, is invertible on it."""
-    R = restrict_operator(L.field, L.right_mult(x), ideal)
-    return kernel(L.field, R, ncols=ideal.dim).dim == 0
+    """Whether R_x, which preserves the ideal, is invertible on it: exactly
+    when its image [ideal, x] is the whole ideal."""
+    return L.product(ideal, L.span([x])) == ideal
 
 
 @memo
