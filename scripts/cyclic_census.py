@@ -25,12 +25,12 @@ from leibnizalg.fields import parse_field_name
 from leibnizalg.poly import _coef_str
 
 
-def sweep(fields, max_n, budget, seed):
+def sweep(fields, max_n, budget):
     rows = []
     for F in fields:
         for n in range(2, max_n + 1):
             for alphas in itertools.product(range(F.size), repeat=n - 1):
-                rep = classify_cyclic(F, alphas, budget=budget, seed=seed)
+                rep = classify_cyclic(F, alphas, budget=budget)
                 rows.append({
                     "field": str(F),
                     "n": n,
@@ -63,7 +63,6 @@ def main(argv=None):
     ap.add_argument("--max-n", type=int, default=5,
                     help="largest algebra dimension to sweep (default 5)")
     ap.add_argument("--budget", type=_count, default=DEFAULT_BUDGET)
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--format", choices=("text", "json"), default="text")
     args = ap.parse_args(argv)
 
@@ -72,7 +71,7 @@ def main(argv=None):
         ap.error("the census sweep needs finite fields")
     if args.max_n < 2:
         ap.error(f"--max-n must be at least 2: {args.max_n}")
-    rows = sweep(fields, args.max_n, args.budget, args.seed)
+    rows = sweep(fields, args.max_n, args.budget)
     summary = summarize(rows)
 
     if args.format == "json":
