@@ -81,13 +81,40 @@ def _false_verdict(L: LeibnizAlgebra, U: Subspace, certificate: str) -> AVerdict
     return AVerdict(False, certificate, U)
 
 
+def _engel_bounded(L: LeibnizAlgebra, gens) -> bool:
+    """Whether y R_x^n = 0 for every x and y in ``gens``, with n = dim L.
+
+    Each chain y, [y, x], [[y, x], x], ... stops at its first zero, so a
+    check forms at most n brackets per pair.  Every subset of a nilpotent
+    subalgebra passes.  Let U be one, of dimension d <= n, with U^1 = U
+    and U^(k+1) = [U^k, U] (``series._lower_central_chain``).  For x and
+    y in U, y R_x^k lies in U^(k+1), and the series falls strictly until
+    it reaches 0, so U^(d+1) = 0 and y R_x^n = 0.  The closure of a set
+    that fails is therefore not nilpotent, and ``verify_witness`` would
+    reject it: refusing the set before its closure leaves the witness
+    search's result unchanged.
+    """
+    n = L.dim
+    for x in gens:
+        for y in gens:
+            for _ in range(n):
+                y = L.bracket(y, x)
+                if not any(y):
+                    break
+            else:
+                return False
+    return True
+
+
 def _witness_candidates(L: LeibnizAlgebra, seed: int):
     """Deterministic stream of subalgebra candidates likely to expose a
-    nilpotent non-abelian subalgebra."""
+    nilpotent non-abelian subalgebra.  The closures of generators that
+    fail ``_engel_bounded`` are skipped, since none of them is nilpotent."""
     F, n = L.field, L.dim
     singles = _basis_sums_differences(L)
     for u in singles:
-        yield L.closure([u])
+        if _engel_bounded(L, [u]):
+            yield L.closure([u])
     for x in singles[:2 * n]:
         null = _fitting_null(L, x)
         if null is not None:
@@ -98,7 +125,8 @@ def _witness_candidates(L: LeibnizAlgebra, seed: int):
     for _ in range(_WITNESS_RANDOM_TRIES):
         u = tuple(F.random_scalar(rng) for _ in range(n))
         v = tuple(F.random_scalar(rng) for _ in range(n))
-        yield L.closure([u, v])
+        if _engel_bounded(L, [u, v]):
+            yield L.closure([u, v])
 
 
 def witness_search(L: LeibnizAlgebra, seed: int = 0) -> Optional[Subspace]:

@@ -162,14 +162,15 @@ class Subspace:
 
     def coords_of(self, v):
         """Coefficients of v in this basis; NoSolution if v lies outside."""
-        coeffs = tuple(v[p] for p in self.pivots)
         if not self.contains(v):
             raise NoSolution("vector outside subspace")
-        return coeffs
+        return tuple(v[p] for p in self.pivots)
 
     def embed(self, w):
         """The vector with coefficients w in this basis: the inverse of
         ``coords_of``."""
+        if len(w) != self.dim:
+            raise ShapeMismatch(f"{len(w)} coefficients for a basis of {self.dim}")
         F = self.field
         v = zero_vec(F, self.ambient)
         for c, row in zip(w, self.basis):
@@ -179,6 +180,9 @@ class Subspace:
 
     def embed_space(self, small: "Subspace") -> "Subspace":
         """The subspace whose coefficients in this basis span ``small``."""
+        if small.ambient != self.dim:
+            raise ShapeMismatch(f"subspace of F^{small.ambient} as coefficients "
+                                f"for a basis of {self.dim}")
         return Subspace.span(self.field, self.ambient,
                              [self.embed(w) for w in small.basis])
 

@@ -35,6 +35,9 @@ enumerated ideals with that property.
 bottom part of a triangular decomposition, the complement of L^2 that a
 Cartan descent and a joint Fitting family find, refused where
 that decomposition fails.
+``witness_search_without_engel_bound`` is the witness search taking the
+closure of every candidate's generators, with none refused by
+``aalgebra._engel_bounded``.
 ``cartan_by_phases`` is the Cartan descent in phases: every candidate of
 the first phase with one acting non-nilpotently gets its Fitting null
 space, and the descent restricts to the smallest (the first wins ties).
@@ -50,7 +53,9 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
+from leibnizalg import aalgebra
 from leibnizalg.core import LeibnizAlgebra, Violation
 from leibnizalg.decompose import (DecompositionFailed, _fitting_null,
                                   enumerated_cartan_subalgebras,
@@ -399,6 +404,11 @@ def lemma_aa_by_decomposition(L, budget):
                 return False, "some complement element degenerates on the derived subalgebra"
         return True, ""
     return False, "complement of dimension >= 2 over an unenumerable field"
+
+
+def witness_search_without_engel_bound(L, seed):
+    with mock.patch.object(aalgebra, "_engel_bounded", lambda L, gens: True):
+        return aalgebra.witness_search(L, seed)
 
 
 _RANDOM_TRIES = 120

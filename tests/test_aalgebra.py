@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from kernel_reference import lemma_aa_by_decomposition
+from kernel_reference import (lemma_aa_by_decomposition,
+                              witness_search_without_engel_bound)
 from leibnizalg import aalgebra, decompose, linalg
 from leibnizalg.aalgebra import (_BATTERY, _check_abelian_ideals_commute,
+                                 _engel_bounded,
                                  _check_cartan_complements,
                                  _check_quotient_closure,
                                  _necessary_condition_violation, is_a_algebra,
@@ -19,7 +21,8 @@ from leibnizalg.corpus import fixture
 from leibnizalg.enumeration import (DEFAULT_BUDGET, enumerate_spaces,
                                     total_subspaces)
 from leibnizalg.fields import QQ, gf
-from leibnizalg.series import is_metabelian, upper_central_series
+from leibnizalg.series import (is_metabelian, is_nilpotent_space,
+                               upper_central_series)
 
 
 # ------------------------------------------------------------------ verdicts
@@ -142,6 +145,48 @@ def test_witness_search_squares_each_operator_once(monkeypatch):
     monkeypatch.setattr(LeibnizAlgebra, "right_mult", counting_right_mult)
     witness_search(fixture("sl2", QQ))
     assert 0 < calls["mat_mul"] <= 2 * calls["right_mult"]
+
+
+def test_witness_search_takes_no_closure_the_engel_bound_refuses(monkeypatch):
+    # sl2 has no witness: each basis sum or difference generates a line, and
+    # no random pair passes the bound, since [y, h] = 2y repeats for ever
+    generators = []
+    closure = LeibnizAlgebra.closure
+
+    def counting_closure(self, vectors):
+        generators.append(len(vectors))
+        return closure(self, vectors)
+
+    monkeypatch.setattr(LeibnizAlgebra, "closure", counting_closure)
+    assert witness_search(fixture("sl2", QQ)) is None
+    assert 0 < len(generators) <= 9 and set(generators) == {1}
+
+
+def test_engel_bound_passes_every_nilpotent_subalgebra(members):
+    # and refuses some subalgebra that is not nilpotent, or it would gate nothing
+    refused = 0
+    for m in members:
+        L = m.algebra
+        if not L.field.is_finite or total_subspaces(L.dim, L.field.size) > 400:
+            continue
+        for U in enumerate_spaces(L, "subalgebras", 400):
+            if is_nilpotent_space(L, U):
+                assert _engel_bounded(L, U.basis), (m.label, U.basis)
+            else:
+                refused += not _engel_bounded(L, U.basis)
+    assert refused
+
+
+@pytest.mark.parametrize("finite", [False, True], ids=["rational", "finite"])
+def test_engel_bound_changes_no_witness_search(members, finite):
+    # every member, whatever its subspace count: a finite one past the
+    # budget reaches the search through is_a_algebra
+    for m in members:
+        L = m.algebra
+        if L.field.is_finite == finite:
+            for seed in (0, 1):
+                assert (witness_search(L, seed)
+                        == witness_search_without_engel_bound(L, seed)), m.label
 
 
 def _t_semidirect_h3():

@@ -12,8 +12,9 @@ import random
 import warnings
 from collections import Counter
 
-from kernel_reference import change_basis, random_invertible
-from leibnizalg.aalgebra import lemma_aa_certificate, theorem_battery
+from kernel_reference import (change_basis, random_invertible,
+                              witness_search_without_engel_bound)
+from leibnizalg.aalgebra import lemma_aa_certificate, theorem_battery, witness_search
 from leibnizalg.enumeration import enumerate_spaces, total_subspaces
 from leibnizalg.errors import BudgetExceeded, InfiniteFieldUnsupported
 from leibnizalg.series import nilradical, radical
@@ -80,3 +81,13 @@ def test_answers_do_not_depend_on_the_basis(members):
         assert by_verdict == by_verdict_m, m.label
     for flip in flips:
         warnings.warn(f"finding: basis change flips an A-verdict, {flip}")
+
+
+def test_engel_bound_changes_no_witness_search_on_the_copies(members):
+    rng = random.Random(BASIS_SEED)
+    for m in _pinned(members):
+        L = m.algebra
+        M = change_basis(L, random_invertible(L.field, L.dim, rng))
+        for seed in (0, 1):
+            assert (witness_search(M, seed)
+                    == witness_search_without_engel_bound(M, seed)), m.label

@@ -18,7 +18,7 @@ from leibnizalg.enumeration import iter_subalgebras
 from leibnizalg.errors import (FieldParseError, NotAnIdeal, NotASubalgebra,
                                NotLeibniz, ShapeMismatch)
 from leibnizalg.fields import QQ, gf
-from leibnizalg.linalg import mat_vec
+from leibnizalg.linalg import Subspace, mat_vec
 
 F3 = gf(3)
 
@@ -309,6 +309,26 @@ def test_restrict_round_trip(r2, h3):
     assert U.coords_of(U.embed(w)) == w
     with pytest.raises(NotASubalgebra):
         h3.restrict(h3.span([(1, 0, 0), (0, 1, 0)]))
+
+
+_PLANE = Subspace.span(QQ, 3, [(1, 0, 1), (0, 1, 2)])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: _PLANE.embed((1, 2, 3)),
+    lambda: _PLANE.embed((1,)),
+    lambda: _PLANE.embed_space(Subspace.full_space(QQ, 3)),
+    lambda: _PLANE.embed_space(Subspace.zero_space(QQ, 1)),
+    lambda: _PLANE.coords_of((1, 2)),
+    lambda: Subspace.span(QQ, 3, [(0, 0, 1)]).coords_of((5,)),
+    lambda: Subspace.span(QQ, 3, [(0, 0, 1)]).coords_of((0, 0, 5, 0)),
+], ids=["embed-long", "embed-short", "embed-space-full", "embed-space-zero",
+        "coords-short", "coords-past-pivot", "coords-long"])
+def test_section_coordinates_check_shapes(call):
+    # a wrong length raises, as in reduce: embed neither pads nor cuts the
+    # coefficients, and coords_of reads no pivot past the end of v
+    with pytest.raises(ShapeMismatch):
+        call()
 
 
 @pytest.mark.parametrize("name", ["H3", "C3a", "C3b"])
