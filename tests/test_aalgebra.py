@@ -9,9 +9,8 @@ from kernel_reference import (lemma_aa_by_decomposition,
                               witness_search_without_engel_bound)
 from leibnizalg import aalgebra, decompose, linalg
 from leibnizalg.aalgebra import (_BATTERY, _check_abelian_ideals_commute,
-                                 _engel_bounded,
                                  _check_cartan_complements,
-                                 _check_quotient_closure,
+                                 _check_quotient_closure, _engel_bounded,
                                  _necessary_condition_violation, is_a_algebra,
                                  lemma_aa_certificate, structure_report,
                                  theorem_battery, verify_witness,
@@ -149,7 +148,7 @@ def test_witness_search_squares_each_operator_once(monkeypatch):
 
 def test_witness_search_takes_no_closure_the_engel_bound_refuses(monkeypatch):
     # sl2 has no witness: each basis sum or difference generates a line, and
-    # no random pair passes the bound, since [y, h] = 2y repeats for ever
+    # a random element acts non-nilpotently, so no random pair passes the bound
     generators = []
     closure = LeibnizAlgebra.closure
 
