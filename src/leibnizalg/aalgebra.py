@@ -92,7 +92,8 @@ def _engel_bounded(L: LeibnizAlgebra, gens) -> bool:
     it reaches 0, so U^(d+1) = 0 and y R_x^n = 0.  The closure of a set
     that fails is therefore not nilpotent, and ``verify_witness`` would
     reject it: refusing the set before its closure leaves the witness
-    search's result unchanged.
+    search's result unchanged.  Nor does scaling a generator change the
+    answer: (a y) R_{b x}^k = a b^k y R_x^k for nonzero scalars a and b.
     """
     n = L.dim
     for x in gens:
@@ -109,7 +110,9 @@ def _engel_bounded(L: LeibnizAlgebra, gens) -> bool:
 def _witness_candidates(L: LeibnizAlgebra, seed: int):
     """Deterministic stream of subalgebra candidates likely to expose a
     nilpotent non-abelian subalgebra.  The closures of generators that
-    fail ``_engel_bounded`` are skipped, since none of them is nilpotent."""
+    fail ``_engel_bounded`` are skipped, since none of them is nilpotent.
+    The random pairs are drawn by ``random_vector``, whose multiples of
+    the scalar draws leave both that bound and each closure unchanged."""
     F, n = L.field, L.dim
     singles = _basis_sums_differences(L)
     for u in singles:
@@ -123,8 +126,7 @@ def _witness_candidates(L: LeibnizAlgebra, seed: int):
     yield from lower_nilpotent_series(L)[1:]
     rng = random.Random(seed)
     for _ in range(_WITNESS_RANDOM_TRIES):
-        u = tuple(F.random_scalar(rng) for _ in range(n))
-        v = tuple(F.random_scalar(rng) for _ in range(n))
+        u, v = F.random_vector(rng, n), F.random_vector(rng, n)
         if _engel_bounded(L, [u, v]):
             yield L.closure([u, v])
 

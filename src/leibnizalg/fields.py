@@ -21,6 +21,13 @@ Every field's zero is ``0`` (a caller's ``Fraction(0)`` is zero too), and
 ``LeibnizAlgebra.bracket``, ``Subspace.reduce`` and
 ``Subspace.intersect``, ``rref``, ``mat_mul`` and ``mat_vec``.
 
+``random_scalar(rng)`` draws one scalar, and ``random_vector(rng, n)`` a
+nonzero multiple of the vector of n such draws, consuming the same random
+numbers in the same order.  A finite field returns the draws themselves;
+the rationals return 60 times them, which clears every denominator, so a
+random vector over Q is a tuple of ints.  Only the span of a random
+vector is meant to matter to a caller.
+
 Extension fields with q below a small threshold precompute full q x q
 multiplication/addition tables, which keeps the enumeration-heavy callers
 fast without any compiled dependency.  This module keeps no polynomial
@@ -102,6 +109,10 @@ class Rationals:
 
     def random_scalar(self, rng):
         return _rational(Fraction(rng.randint(-6, 6), rng.randint(1, 6)))
+
+    def random_vector(self, rng, n):
+        """60 = lcm(1..6) times n ``random_scalar`` draws: every entry an int."""
+        return tuple(rng.randint(-6, 6) * (60 // rng.randint(1, 6)) for _ in range(n))
 
     def scalar(self, c):
         """c in canonical form, if it is an int (not a bool) or a Fraction."""
@@ -203,6 +214,9 @@ class PrimeField:
 
     def random_scalar(self, rng):
         return rng.randrange(self.p)
+
+    def random_vector(self, rng, n):
+        return tuple(rng.randrange(self.p) for _ in range(n))
 
     def scalar(self, c):
         return _element_code(self, c)
@@ -375,6 +389,9 @@ class ExtensionField:
 
     def random_scalar(self, rng):
         return rng.randrange(self._q)
+
+    def random_vector(self, rng, n):
+        return tuple(rng.randrange(self._q) for _ in range(n))
 
     def scalar(self, c):
         return _element_code(self, c)

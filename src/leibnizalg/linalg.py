@@ -28,6 +28,9 @@ def vec_sub(field, u, v):
 
 def mat_vec(field, rows, v):
     """Matrix times column vector, over the nonzero entries of v."""
+    if rows and len(v) != len(rows[0]):
+        raise ShapeMismatch(f"cannot apply a matrix of width {len(rows[0])} "
+                            f"to a vector of length {len(v)}")
     add, mul, zero = field.add, field.mul, field.zero
     support = [(j, b) for j, b in enumerate(v) if b]
     out = []
@@ -271,6 +274,8 @@ def solve(field, rows, b):
     """One solution of A x = b, or NoSolution."""
     if not rows:
         raise ShapeMismatch("solve needs at least one equation row")
+    if len(b) != len(rows):
+        raise ShapeMismatch(f"{len(b)} right-hand sides for {len(rows)} equations")
     n = len(rows[0])
     aug = [list(r) + [bi] for r, bi in zip(rows, b)]
     red, pivots = rref(field, aug)

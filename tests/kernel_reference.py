@@ -37,7 +37,10 @@ Cartan descent and a joint Fitting family find, refused where
 that decomposition fails.
 ``witness_search_without_engel_bound`` is the witness search taking the
 closure of every candidate's generators, with none refused by
-``aalgebra._engel_bounded``.
+``aalgebra._engel_bounded``.  ``witness_search_by_scalar_draws`` and
+``witness_candidates_by_scalar_draws`` are the witness search and its
+candidate stream with each random vector drawn as the tuple of n
+``random_scalar`` draws, not by the field's ``random_vector``.
 ``cartan_by_phases`` is the Cartan descent in phases: every candidate of
 the first phase with one acting non-nilpotently gets its Fitting null
 space, and the descent restricts to the smallest (the first wins ties).
@@ -409,6 +412,20 @@ def lemma_aa_by_decomposition(L, budget):
 def witness_search_without_engel_bound(L, seed):
     with mock.patch.object(aalgebra, "_engel_bounded", lambda L, gens: True):
         return aalgebra.witness_search(L, seed)
+
+
+def _scalar_draws(F, rng, n):
+    return tuple(F.random_scalar(rng) for _ in range(n))
+
+
+def witness_search_by_scalar_draws(L, seed):
+    with mock.patch.object(type(L.field), "random_vector", _scalar_draws):
+        return aalgebra.witness_search(L, seed)
+
+
+def witness_candidates_by_scalar_draws(L, seed):
+    with mock.patch.object(type(L.field), "random_vector", _scalar_draws):
+        return list(aalgebra._witness_candidates(L, seed))
 
 
 _RANDOM_TRIES = 120

@@ -1,24 +1,28 @@
 import hashlib
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from kernel_reference import (lemma_aa_by_decomposition,
+                              witness_candidates_by_scalar_draws,
+                              witness_search_by_scalar_draws,
                               witness_search_without_engel_bound)
 from leibnizalg import aalgebra, decompose, linalg
 from leibnizalg.aalgebra import (_BATTERY, _check_abelian_ideals_commute,
                                  _check_cartan_complements,
                                  _check_quotient_closure, _engel_bounded,
-                                 _necessary_condition_violation, is_a_algebra,
+                                 _necessary_condition_violation,
+                                 _witness_candidates, is_a_algebra,
                                  lemma_aa_certificate, structure_report,
                                  theorem_battery, verify_witness,
                                  witness_search)
 from leibnizalg.core import LeibnizAlgebra, direct_sum
 from leibnizalg.corpus import fixture
 from leibnizalg.enumeration import (DEFAULT_BUDGET, enumerate_spaces,
-                                    total_subspaces)
+                                    is_enumerable, total_subspaces)
 from leibnizalg.fields import QQ, gf
 from leibnizalg.series import (is_metabelian, is_nilpotent_space,
                                upper_central_series)
@@ -186,6 +190,41 @@ def test_engel_bound_changes_no_witness_search(members, finite):
             for seed in (0, 1):
                 assert (witness_search(L, seed)
                         == witness_search_without_engel_bound(L, seed)), m.label
+
+
+@pytest.mark.parametrize("finite", [False, True], ids=["rational", "finite"])
+def test_vector_draws_change_no_witness_candidate(members, finite):
+    # the whole candidate stream, not just the witness: no corpus verdict
+    # rests on the random phase, so only its closures show a changed draw.
+    # A finite member reaches the search through is_a_algebra when its
+    # lattice is past the budget, here 10^4 subspaces
+    for m in members:
+        L = m.algebra
+        if L.field.is_finite == finite and not is_enumerable(L, 10 ** 4):
+            for seed in (0, 1):
+                assert (list(_witness_candidates(L, seed))
+                        == witness_candidates_by_scalar_draws(L, seed)), m.label
+                assert (witness_search(L, seed)
+                        == witness_search_by_scalar_draws(L, seed)), m.label
+
+
+def test_engel_bound_ignores_nonzero_scalings(members):
+    # (a y) R_{b x}^k = a b^k y R_x^k; the sets span both answers, or the
+    # test would show nothing
+    rng = random.Random(27)
+    answers = Counter()
+    for m in members:
+        L = m.algebra
+        if L.field.is_finite:
+            continue
+        singles = decompose._basis_sums_differences(L)
+        for gens in [[u] for u in singles] + [list(p) for p in zip(singles, singles[1:])]:
+            scalars = [QQ.random_scalar(rng) or 1 for _ in gens]
+            scaled = [tuple(QQ.mul(c, a) for a in g) for c, g in zip(scalars, gens)]
+            bounded = _engel_bounded(L, gens)
+            answers[bounded] += 1
+            assert _engel_bounded(L, scaled) == bounded, (m.label, gens, scalars)
+    assert answers[True] and answers[False]
 
 
 def _t_semidirect_h3():

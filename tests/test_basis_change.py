@@ -13,6 +13,7 @@ import warnings
 from collections import Counter
 
 from kernel_reference import (change_basis, random_invertible,
+                              witness_search_by_scalar_draws,
                               witness_search_without_engel_bound)
 from leibnizalg.aalgebra import lemma_aa_certificate, theorem_battery, witness_search
 from leibnizalg.enumeration import enumerate_spaces, total_subspaces
@@ -91,3 +92,12 @@ def test_engel_bound_changes_no_witness_search_on_the_copies(members):
         for seed in (0, 1):
             assert (witness_search(M, seed)
                     == witness_search_without_engel_bound(M, seed)), m.label
+
+
+def test_vector_draws_change_no_witness_search_on_the_copies(members):
+    rng = random.Random(BASIS_SEED)
+    for m in _pinned(members):
+        L = m.algebra
+        M = change_basis(L, random_invertible(L.field, L.dim, rng))
+        for seed in (0, 1):
+            assert witness_search(M, seed) == witness_search_by_scalar_draws(M, seed), m.label

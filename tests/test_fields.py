@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kernel_reference import ext_product, first_irreducible
+from leibnizalg.corpus import FIELDS
 from leibnizalg.errors import BadSpec, FieldParseError
 from leibnizalg.fields import (QQ, ExtensionField, PrimeField, default_modulus,
                                field_from_doc, field_to_doc, gf,
@@ -67,6 +69,20 @@ def test_rationals_scalar_contract():
     rng = random.Random(0)
     samples = [QQ.random_scalar(rng) for _ in range(50)]
     assert all(_exact(a, a) for a in samples) and {type(a) for a in samples} == {int, Fraction}
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_random_vector_is_a_multiple_of_the_scalar_draws(F):
+    # the same random numbers in the same order, so a caller may switch
+    # from scalar draws to vector draws without moving any later draw
+    scale = 1 if F.is_finite else 60
+    for seed, n in itertools.product(range(4), (0, 1, 3, 6)):
+        r1, r2 = random.Random(seed), random.Random(seed)
+        got = F.random_vector(r1, n)
+        draws = [F.random_scalar(r2) for _ in range(n)]
+        assert type(got) is tuple and list(got) == [scale * c for c in draws]
+        assert all(type(c) is int for c in got)
+        assert r1.getstate() == r2.getstate()
 
 
 def test_rationals_scalar_checks_and_canonicalises():

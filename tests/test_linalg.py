@@ -191,6 +191,18 @@ def test_solve_no_solution():
         solve(F3, rows, (0, 1))
 
 
+@pytest.mark.parametrize("b", [(1,), (1, 0, 2)], ids=["short", "long"])
+def test_solve_refuses_a_right_hand_side_of_another_length(b):
+    with pytest.raises(ShapeMismatch):
+        solve(F3, [(1, 0), (0, 1)], b)
+
+
+@pytest.mark.parametrize("v", [(1,), (1, 0, 2)], ids=["short", "long"])
+def test_mat_vec_refuses_a_vector_of_another_width(v):
+    with pytest.raises(ShapeMismatch):
+        mat_vec(F3, [(1, 2), (0, 1)], v)
+
+
 # ------------------------------------------------------------------- chains
 
 def test_chain_of_a_fixed_start_is_the_start():
