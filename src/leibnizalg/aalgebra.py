@@ -99,7 +99,7 @@ def _engel_bounded(L: LeibnizAlgebra, gens) -> bool:
     for x in gens:
         for y in gens:
             for _ in range(n):
-                y = L.bracket(y, x)
+                y = L._bracket(y, x)
                 if not any(y):
                     break
             else:
@@ -619,18 +619,18 @@ def _check_left_products_in_right_chain(L, ideals):
         for x in xs:
             if tried >= _TRIPLE_CAP:
                 break
-            if not A.contains(L.bracket(x, x)):
+            if not A.contains(L._bracket(x, x)):
                 continue
             tried += 1
             left = A
             right = A
             for _ in range(1, n + 2):
-                left = Subspace.span(L.field, n, [L.bracket(x, w) for w in left.basis])
+                left = Subspace.span(L.field, n, [L._bracket(x, w) for w in left.basis])
                 if not right.contains_space(left):
                     return False, "left product chain escapes the right chain"
                 if left.is_zero():
                     break  # every later left term is zero as well
-                right = Subspace.span(L.field, n, [L.bracket(w, x) for w in right.basis])
+                right = Subspace.span(L.field, n, [L._bracket(w, x) for w in right.basis])
     return True, f"checked {tried} pairs"
 
 

@@ -92,6 +92,7 @@ class LeibnizAlgebra:
             raise ShapeMismatch(f"{len(names)} basis names for dimension {n}")
         self.names = tuple(names)
         self._cache = {}
+        self._products = {}
 
     def table_key(self):
         return (self.field, self.dim, self.table)
@@ -145,6 +146,21 @@ class LeibnizAlgebra:
                             out[m] = add(out[m], mul(c, e))
         return tuple(out)
 
+    def _bracket(self, u, v):
+        """[u, v] for vectors of tuples, memoised in ``_products``.
+
+        The brackets the package forms of vectors it built come through
+        here: the lattice walks and the battery clauses form the same pairs
+        of canonical echelon rows again and again, and a miss costs one
+        ``bracket``.  ``bracket`` and ``right_mult``, which take a caller's
+        vectors, keep no memo: a list is not a key, and over Q a float
+        equals and hashes like an int, so a memoised answer for ``(2.0, 1)``
+        would depend on whether ``(2, 1)`` was asked first."""
+        hit = self._products.get((u, v))
+        if hit is None:
+            hit = self._products[u, v] = self.bracket(u, v)
+        return hit
+
     def basis_vector(self, i):
         return self._basis[i]
 
@@ -165,10 +181,10 @@ class LeibnizAlgebra:
         sub = F.sub
         basis = self._basis
         for i, row in enumerate(self.table):
-            outer = [[self.bracket(entry, e) for e in basis] for entry in row]
+            outer = [[self._bracket(entry, e) for e in basis] for entry in row]
             for j, inner in enumerate(self.table):
                 for k, entry in enumerate(inner):
-                    lhs = self.bracket(basis[i], entry)
+                    lhs = self._bracket(basis[i], entry)
                     plus, minus = outer[j][k], outer[k][j]
                     if any(x != (sub(a, b) if b else a)
                            for x, a, b in zip(lhs, plus, minus)):
@@ -197,7 +213,7 @@ class LeibnizAlgebra:
 
     def product(self, U: Subspace, V: Subspace) -> Subspace:
         """Span of [u, v] over basis pairs; equals [U, V] by bilinearity."""
-        vecs = [self.bracket(u, v) for u in U.basis for v in V.basis]
+        vecs = [self._bracket(u, v) for u in U.basis for v in V.basis]
         return Subspace.span(self.field, self.dim, vecs)
 
     def closure(self, vectors) -> Subspace:
@@ -213,8 +229,8 @@ class LeibnizAlgebra:
         S = self.span(vectors)
         old, new = [], list(S.basis)
         while new and S.dim < self.dim:
-            prods = [self.bracket(u, v) for u in old + new for v in new]
-            prods += [self.bracket(v, u) for v in new for u in old]
+            prods = [self._bracket(u, v) for u in old + new for v in new]
+            prods += [self._bracket(v, u) for v in new for u in old]
             T = Subspace.span(self.field, self.dim, list(S.basis) + prods)
             known = set(S.pivots)
             old += new
@@ -230,7 +246,7 @@ class LeibnizAlgebra:
     def leib_ideal(self) -> Subspace:
         """Span of all squares: generated by [e_i, e_i] and the symmetrized
         brackets [e_i, e_j] + [e_j, e_i], which read the checked scalars."""
-        F, e, br = self.field, self._basis, self.bracket
+        F, e, br = self.field, self._basis, self._bracket
         vecs = [br(e[i], e[i]) for i in range(self.dim)]
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
@@ -238,21 +254,21 @@ class LeibnizAlgebra:
         return Subspace.span(F, self.dim, vecs)
 
     def is_abelian_space(self, U: Subspace) -> bool:
-        return not any(any(self.bracket(u, v)) for u in U.basis for v in U.basis)
+        return not any(any(self._bracket(u, v)) for u in U.basis for v in U.basis)
 
     def is_abelian(self) -> bool:
         return not any(any(v) for row in self.table for v in row)
 
     def is_subalgebra(self, U: Subspace) -> bool:
-        return all(U.contains(self.bracket(u, v))
+        return all(U.contains(self._bracket(u, v))
                    for u in U.basis for v in U.basis)
 
     def is_ideal(self, U: Subspace) -> bool:
         for e in self._basis:
             for u in U.basis:
-                if not U.contains(self.bracket(u, e)):
+                if not U.contains(self._bracket(u, e)):
                     return False
-                if not U.contains(self.bracket(e, u)):
+                if not U.contains(self._bracket(e, u)):
                     return False
         return True
 
@@ -278,8 +294,8 @@ class LeibnizAlgebra:
         for e in self._basis:
             long = []
             for u in U.basis:
-                long.extend(W.reduce(self.bracket(e, u)))
-                long.extend(W.reduce(self.bracket(u, e)))
+                long.extend(W.reduce(self._bracket(e, u)))
+                long.extend(W.reduce(self._bracket(u, e)))
             cols.append(long)
         return kernel(F, list(zip(*cols)), ncols=n)
 
@@ -294,7 +310,7 @@ class LeibnizAlgebra:
         if I.is_zero():
             return self
         free = [self.basis_vector(a) for a in I.free_positions()]
-        return LeibnizAlgebra(self.field, [[I.quotient_coords(self.bracket(u, v))
+        return LeibnizAlgebra(self.field, [[I.quotient_coords(self._bracket(u, v))
                                             for v in free] for u in free])
 
     def restrict(self, U: Subspace) -> "LeibnizAlgebra":
@@ -306,7 +322,7 @@ class LeibnizAlgebra:
             raise NotASubalgebra(f"not a subalgebra: {U}")
         if U.dim == self.dim:
             return self
-        return LeibnizAlgebra(self.field, [[U.coords_of(self.bracket(u, v))
+        return LeibnizAlgebra(self.field, [[U.coords_of(self._bracket(u, v))
                                             for v in U.basis] for u in U.basis])
 
     def __str__(self):

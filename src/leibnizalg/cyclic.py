@@ -128,7 +128,7 @@ def classify_cyclic(field, alphas, budget: int = DEFAULT_BUDGET,
                                "" if ok else "right multiplication is not the companion matrix"))
 
     zero = tuple(F.zero for _ in range(n))
-    ok = L.bracket(b, L.basis_vector(0)) == zero and L.bracket(b, b) == zero
+    ok = L._bracket(b, L.basis_vector(0)) == zero and L._bracket(b, b) == zero
     checks.append(ClauseResult("complement_kernel", True, ok,
                                "" if ok else "complement is not killed by the generator"))
 
@@ -157,8 +157,8 @@ def classify_cyclic(field, alphas, budget: int = DEFAULT_BUDGET,
     if n == 2 and is_a:
         mu = F.inv(alpha2)
         u = tuple([mu] + [F.zero] * (n - 1))
-        usq = L.bracket(u, u)
-        ok = L.bracket(usq, u) == usq
+        usq = L._bracket(u, u)
+        ok = L._bracket(usq, u) == usq
         checks.append(ClauseResult("normalized_generator", True, ok,
                                    "" if ok else "rescaled generator does not satisfy [a^2, a] = a^2"))
         normalization_scalar = mu

@@ -70,9 +70,9 @@ def echelon_bases(field, n: int, bracket=None):
     echelon rows r_1, r_2, ... one at a time (r_t is 1 at p_t, 0 at the
     other pivots and left of p_t).  Given ``bracket``, the walk keeps the
     residual of each [r_a, r_b] over the fixed rows: each time a row is
-    fixed, the old residuals and the new row's brackets are reduced by all
-    fixed rows.  A subspace is closed exactly when every residual is zero
-    after all d rows.
+    fixed, its brackets with itself and the earlier rows are reduced by all
+    fixed rows, and the old residuals by the new row.  A subspace is closed
+    exactly when every residual is zero after all d rows.
 
     - After r_1..r_t, a residual nonzero left of p_{t+1} (after r_d:
       anywhere) kills the branch: every later row is zero there, so no
@@ -89,17 +89,34 @@ def echelon_bases(field, n: int, bracket=None):
     """
     elems = tuple(field.elements())
     zero, one = field.zero, field.one
+    sub, mul = field.sub, field.mul
+
+    def reduced(v, fixed):
+        """v less its projection on the fixed rows, given as (pivot,
+        nonzero entries) pairs: ``Subspace.reduce`` without a subspace."""
+        w = list(v)
+        for p, support in fixed:
+            c = w[p]
+            if c:
+                for m, b in support:
+                    w[m] = sub(w[m], mul(c, b))
+        return w
 
     def residuals_with(pivots, rows, r, residuals):
         """The nonzero residuals once r is fixed after ``rows``, or None
-        when one is nonzero left of the next pivot (or n, after the last)."""
+        when one is nonzero left of the next pivot (or n, after the last).
+
+        The old residuals are zero at the earlier pivots, and so is r, so
+        they are reduced by r alone; the new brackets by every fixed row."""
         t = len(rows)
         bound = pivots[t + 1] if t + 1 < len(pivots) else n
-        fixed = Subspace(field, n, rows + (r,), pivots[:t + 1])
+        fixed = [(p, [(m, b) for m, b in enumerate(row) if b])
+                 for row, p in zip(rows + (r,), pivots)]
+        last = fixed[-1:]
         pairs = [(r, r)] + [pair for a in rows for pair in ((a, r), (r, a))]
         kept = []
-        for rho in map(fixed.reduce, itertools.chain(
-                residuals, (bracket(u, v) for u, v in pairs))):
+        for rho in itertools.chain((reduced(rho, last) for rho in residuals),
+                                   (reduced(bracket(u, v), fixed) for u, v in pairs)):
             if any(rho[:bound]):
                 return None
             if any(rho):
@@ -153,7 +170,7 @@ def iter_subspaces(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
 def iter_subalgebras(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
     _check_enumerable(L, budget)
     F, n = L.field, L.dim
-    for rows, pivots in echelon_bases(F, n, L.bracket):
+    for rows, pivots in echelon_bases(F, n, L._bracket):
         yield Subspace(F, n, rows, pivots)
 
 

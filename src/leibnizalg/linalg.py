@@ -26,9 +26,18 @@ def vec_sub(field, u, v):
     return tuple(field.sub(a, b) for a, b in zip(u, v))
 
 
+def _width(rows):
+    """The common length of the rows of a matrix; ShapeMismatch when the
+    matrix is ragged."""
+    widths = set(map(len, rows))
+    if len(widths) > 1:
+        raise ShapeMismatch(f"ragged matrix with rows of lengths {sorted(widths)}")
+    return len(rows[0])
+
+
 def mat_vec(field, rows, v):
     """Matrix times column vector, over the nonzero entries of v."""
-    if rows and len(v) != len(rows[0]):
+    if rows and len(v) != _width(rows):
         raise ShapeMismatch(f"cannot apply a matrix of width {len(rows[0])} "
                             f"to a vector of length {len(v)}")
     add, mul, zero = field.add, field.mul, field.zero
@@ -48,9 +57,9 @@ def mat_mul(field, A, B):
     """A times B, row by row: each nonzero a = A[i][k] adds a * B[k] to
     row i of the product, over the nonzero entries of B[k]."""
     add, mul, zero = field.add, field.mul, field.zero
-    if A and B and len(A[0]) != len(B):
-        raise ShapeMismatch(f"cannot multiply {len(A)}x{len(A[0])} by {len(B)}x{len(B[0])}")
-    width = len(B[0]) if B else 0
+    width = _width(B) if B else 0
+    if A and B and _width(A) != len(B):
+        raise ShapeMismatch(f"cannot multiply {len(A)}x{len(A[0])} by {len(B)}x{width}")
     supports = [[(j, b) for j, b in enumerate(row) if b] for row in B]
     out = []
     for row in A:
@@ -71,14 +80,14 @@ def rref(field, rows):
     Zero scalars are skipped by truthiness (see ``fields``): entries left
     of a pivot are zero in every row from it down, so the pivot row is
     scaled from its pivot on and the other rows are changed only where
-    the pivot row is nonzero.
+    the pivot row is nonzero.  A ragged matrix raises ShapeMismatch.
     """
     work = [list(r) for r in rows]
     if not work:
         return [], ()
     inv, mul, sub = field.inv, field.mul, field.sub
     one, zero = field.one, field.zero
-    n = len(work[0])
+    n = _width(work)
     pivots = []
     r = 0
     for c in range(n):
@@ -267,6 +276,7 @@ def image(field, rows) -> Subspace:
     """Column space of a matrix acting on column vectors."""
     if not rows:
         return Subspace.zero_space(field, 0)
+    _width(rows)
     return Subspace.span(field, len(rows), list(zip(*rows)))
 
 
@@ -276,7 +286,7 @@ def solve(field, rows, b):
         raise ShapeMismatch("solve needs at least one equation row")
     if len(b) != len(rows):
         raise ShapeMismatch(f"{len(b)} right-hand sides for {len(rows)} equations")
-    n = len(rows[0])
+    n = _width(rows)
     aug = [list(r) + [bi] for r, bi in zip(rows, b)]
     red, pivots = rref(field, aug)
     x = [field.zero] * n

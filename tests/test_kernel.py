@@ -3,7 +3,8 @@
 ``LeibnizAlgebra.bracket`` walks sparse structure constants and, like
 ``Subspace.reduce``, skips zero scalars by truthiness; both are compared
 with the slow references in ``kernel_reference`` on every fixture over
-every corpus field.  Centralizers and normalizers are compared with the
+every corpus field, the bracket also through its per-algebra memo, on a
+miss and on a hit.  Centralizers and normalizers are compared with the
 vectors that satisfy their definitions, over GF(2) and GF(3).  The
 Fitting power, which squares a matrix, is compared with the n-th power by
 n products.  ``rref``, ``mat_mul``, ``mat_vec`` and ``Subspace.intersect``
@@ -39,13 +40,21 @@ FIELD_IDS = [str(F) for F in FIELDS]
 @pytest.mark.parametrize("F", FIELDS, ids=FIELD_IDS)
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_bracket_matches_dense_reference(name, F):
+    """The public bracket, and the memoised ``_bracket`` the package calls,
+    on a fresh algebra: each pair is asked of the memo twice, every pair
+    once forward and then again in reverse order, so the second round reads
+    only stored answers."""
     L = fixture(name, F)
+    assert L._products == {}
     rng = random.Random(f"bracket-{name}-{F}")
     vectors = unit_vectors(F, L.dim)
     vectors += [random_vector(F, L.dim, rng) for _ in range(6)]
-    for u in vectors:
-        for v in vectors:
-            assert L.bracket(u, v) == dense_bracket(L, u, v)
+    pairs = [(u, v) for u in vectors for v in vectors]
+    for u, v in pairs:
+        assert L.bracket(u, v) == dense_bracket(L, u, v)
+    for u, v in pairs + pairs[::-1]:
+        assert L._bracket(u, v) == dense_bracket(L, u, v)
+    assert len(L._products) == len(set(pairs))
     assert [L.basis_vector(i) for i in range(L.dim)] == unit_vectors(F, L.dim)
 
 

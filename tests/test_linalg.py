@@ -10,7 +10,7 @@ from kernel_reference import identity_matrix
 from leibnizalg.errors import AmbientMismatch, NoSolution, ShapeMismatch
 from leibnizalg.fields import QQ, gf
 from leibnizalg.linalg import (Subspace, chain, fitting_power, image,
-                               is_nilpotent_operator, kernel, mat_vec,
+                               is_nilpotent_operator, kernel, mat_mul, mat_vec,
                                restrict_operator, rref, solve)
 
 F3 = gf(3)
@@ -201,6 +201,27 @@ def test_solve_refuses_a_right_hand_side_of_another_length(b):
 def test_mat_vec_refuses_a_vector_of_another_width(v):
     with pytest.raises(ShapeMismatch):
         mat_vec(F3, [(1, 2), (0, 1)], v)
+
+
+RAGGED_CALLS = {
+    "rref": lambda A: rref(F3, A),
+    "kernel": lambda A: kernel(F3, A),
+    "image": lambda A: image(F3, A),
+    "solve": lambda A: solve(F3, A, (1,) * len(A)),
+    "mat_mul-left": lambda A: mat_mul(F3, A, [(1, 0), (0, 1)]),
+    "mat_mul-right": lambda A: mat_mul(F3, [(1, 0), (0, 1)], A),
+    "mat_vec": lambda A: mat_vec(F3, A, (1, 1)),
+}
+
+
+@pytest.mark.parametrize("rows", [[(1, 0), (0, 1, 1)], [(1, 0, 0), (0, 1)]],
+                         ids=["long-second", "short-second"])
+@pytest.mark.parametrize("call", RAGGED_CALLS.values(), ids=RAGGED_CALLS.keys())
+def test_ragged_matrices_are_refused(call, rows):
+    """A matrix whose rows differ in length raises ShapeMismatch, whichever
+    row is the odd one; none is truncated, padded or read past its end."""
+    with pytest.raises(ShapeMismatch):
+        call(rows)
 
 
 # ------------------------------------------------------------------- chains

@@ -2,6 +2,9 @@
 
 A memoised call is keyed by every argument, budget and seed included, so
 what was computed on an algebra before cannot change a later answer.
+The products the package forms are memoised on the algebra too, and the
+public ``bracket`` keeps no memo, so its answers do not depend on which
+brackets were asked before.
 """
 
 import random
@@ -14,7 +17,7 @@ from leibnizalg.corpus import fixture
 from leibnizalg.decompose import max_nilpotent_subalgebras
 from leibnizalg.enumeration import enumerate_spaces, total_subspaces
 from leibnizalg.errors import BudgetExceeded, LeibnizError
-from leibnizalg.fields import gf
+from leibnizalg.fields import QQ, gf
 from leibnizalg.series import nilradical, radical
 
 PURITY_SAMPLE = 12
@@ -72,3 +75,40 @@ def test_a_raising_call_is_not_memoised():
             max_nilpotent_subalgebras(L, 10)
         assert (info.value.needed, info.value.budget) == (28, 10)
         assert ("max_nilpotent_subalgebras", 10) not in L._cache
+
+
+def _bracket_outcome(L, u, v):
+    try:
+        return "ok", L.bracket(u, v)
+    except Exception as exc:  # the failure itself is compared
+        return "raised", type(exc).__name__, str(exc)
+
+
+def test_public_bracket_answers_do_not_depend_on_call_history():
+    """Over Q the float 2.0 equals and hashes like the int 2, so a memo in
+    the public bracket would answer ``(2.0, 1)`` from a stored ``(2, 1)``;
+    it fails in the same way on a fresh algebra and on a warm one."""
+    e2 = (0, 1)
+    warm = fixture("r2", QQ)
+    warm.bracket((2, 1), e2)
+    warm._bracket((2, 1), e2)
+    warm.closure([(2, 1), e2])
+    outcomes = []
+    for L in (fixture("r2", QQ), warm):
+        assert L.bracket([2, 1], [0, 1]) == L.bracket((2, 1), e2) == (2, 0)
+        assert type(L.bracket([2, 1], [0, 1])) is tuple
+        outcomes.append(_bracket_outcome(L, (2.0, 1), e2))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][:2] == ("raised", "AttributeError")
+
+
+def test_product_memo_belongs_to_one_algebra():
+    """An algebra built from another's table starts with an empty product
+    memo: no product is shared between algebras or kept process-wide."""
+    L = fixture("H3", gf(3))
+    theorem_battery(L, budget=10 ** 6)
+    assert L._products
+    copy = _copy(L)
+    assert copy._products == {}
+    assert theorem_battery(copy, budget=10 ** 6) == theorem_battery(L, budget=10 ** 6)
+    assert copy._products == L._products and copy._products is not L._products
