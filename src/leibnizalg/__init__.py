@@ -27,8 +27,8 @@ _MODULE_EXPORTS = {
     "cyclic": ("CyclicReport", "CyclicSpec", "build_cyclic", "classify_cyclic",
                "complement_vector", "describe_polynomial", "generator_cofactor",
                "generator_polynomial"),
-    "decompose": ("FittingPair", "cartan_subalgebra", "enumerated_cartan_subalgebras",
-                  "fitting", "fitting_family", "max_nilpotent_subalgebras",
+    "decompose": ("cartan_subalgebra", "enumerated_cartan_subalgebras", "fitting",
+                  "fitting_family", "max_nilpotent_subalgebras",
                   "triangular_decomposition"),
     "enumeration": ("DEFAULT_BUDGET", "SocleReport", "enumerate_spaces",
                     "frattini_ideal", "gaussian_binomial", "iter_ideals",

@@ -596,7 +596,7 @@ def _check_max_nilpotent_complement(L, U):
     if not L.is_abelian_space(I) or not L.is_ideal(I):
         return False, "U cap L^2 is not an abelian ideal"
     try:
-        K = fitting_family(L, U).one
+        _, K = fitting_family(L, U)
     except DecompositionFailed as exc:
         return False, str(exc)
     if not der.is_direct_sum(I, K):

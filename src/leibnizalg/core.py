@@ -174,18 +174,17 @@ class LeibnizAlgebra:
     def leibniz_violation(self) -> Optional[Violation]:
         """First basis triple breaking [x,[y,z]] = [[x,y],z] - [[x,z],y].
 
-        For each i the outer brackets [[b_i, b_j], b_k] are formed once,
-        since the triples (i, j, k) and (i, k, j) both read them.
+        The triples (i, j, k) and (i, k, j) both read the outer brackets
+        [[b_i, b_j], b_k], which the product memo forms once.
         """
         F = self.field
-        sub = F.sub
+        sub, br = F.sub, self._bracket
         basis = self._basis
         for i, row in enumerate(self.table):
-            outer = [[self._bracket(entry, e) for e in basis] for entry in row]
             for j, inner in enumerate(self.table):
                 for k, entry in enumerate(inner):
-                    lhs = self._bracket(basis[i], entry)
-                    plus, minus = outer[j][k], outer[k][j]
+                    lhs = br(basis[i], entry)
+                    plus, minus = br(row[j], basis[k]), br(row[k], basis[j])
                     if any(x != (sub(a, b) if b else a)
                            for x, a, b in zip(lhs, plus, minus)):
                         return Violation((i, j, k), lhs, vec_sub(F, plus, minus))
@@ -287,17 +286,18 @@ class LeibnizAlgebra:
         return self.stabilizer(U, U)
 
     def stabilizer(self, U: Subspace, W: Subspace) -> Subspace:
-        """{x : [x, U] + [U, x] contained in W}: the kernel of the map
-        sending x to its brackets with the basis of U, reduced mod W."""
-        F, n = self.field, self.dim
-        cols = []
-        for e in self._basis:
-            long = []
-            for u in U.basis:
-                long.extend(W.reduce(self._bracket(e, u)))
-                long.extend(W.reduce(self._bracket(u, e)))
-            cols.append(long)
-        return kernel(F, list(zip(*cols)), ncols=n)
+        """{x : [x, U] + [U, x] contained in W}."""
+        br = self._bracket
+        return self._kernel_mod(W, lambda e: [p for u in U.basis
+                                              for p in (br(e, u), br(u, e))])
+
+    def _kernel_mod(self, W: Subspace, products) -> Subspace:
+        """{x : products(x) contained in W} for a ``products`` linear in x:
+        the kernel of the map sending each basis vector to its products,
+        reduced mod W.  Stabilizers and the Fitting null chains of
+        ``decompose.fitting_family`` are built here."""
+        cols = [[c for p in products(e) for c in W.reduce(p)] for e in self._basis]
+        return kernel(self.field, list(zip(*cols)), ncols=self.dim)
 
     # -- derived algebras ----------------------------------------------------
     def quotient(self, I: Subspace) -> "LeibnizAlgebra":

@@ -1,17 +1,19 @@
 """Fitting decompositions, Cartan subalgebras, triangular decompositions.
 
-Every construction here re-verifies its own output before returning it:
-Fitting pairs check directness, invariance and the nilpotent/invertible
-split; Cartan candidates are accepted only after a nilpotency and
-self-normalizer check; triangular decompositions confirm abelian parts
-and alignment with the derived series.  Failures raise rather than
-returning something plausible.
+Fitting components are (null, one) tuples of subspaces; the null
+component under a subalgebra comes from ``LeibnizAlgebra._kernel_mod``,
+the kernel builder that stabilizers use.  Every construction here
+re-verifies its own output before returning it: Fitting components check
+directness, invariance and the nilpotent/invertible split; Cartan
+candidates are accepted only after a nilpotency and self-normalizer
+check; triangular decompositions confirm abelian parts and alignment
+with the derived series.  Failures raise rather than returning something
+plausible.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional
 
 from .core import LeibnizAlgebra, memo
@@ -23,18 +25,12 @@ from .linalg import (Subspace, chain, fitting_power, image,
 from .series import derived_series, is_nilpotent_space, is_solvable
 
 
-@dataclass(frozen=True)
-class FittingPair:
-    null: Subspace
-    one: Subspace
-
-
-def fitting(L: LeibnizAlgebra, A) -> FittingPair:
+def fitting(L: LeibnizAlgebra, A) -> tuple:
     """Fitting decomposition of the space of L under one operator matrix.
 
-    Returns the kernel and the image of the Fitting power of A, after
-    checking that they are complementary, invariant, and that A is
-    nilpotent on the first and invertible on the second.
+    Returns (null, one), the kernel and the image of the Fitting power of
+    A, after checking that they are complementary, invariant, and that A
+    is nilpotent on the first and invertible on the second.
     """
     F, n = L.field, L.dim
     power = fitting_power(F, A)
@@ -54,30 +50,21 @@ def fitting(L: LeibnizAlgebra, A) -> FittingPair:
         R = restrict_operator(F, A, null)
         if not is_nilpotent_operator(F, R):
             raise DecompositionFailed("operator is not nilpotent on its null component")
-    return FittingPair(null, one)
+    return null, one
 
 
-def fitting_family(L: LeibnizAlgebra, C: Subspace) -> FittingPair:
-    """Joint Fitting decomposition of L under right multiplication by a
-    nilpotent subalgebra C.
+def fitting_family(L: LeibnizAlgebra, C: Subspace) -> tuple:
+    """Joint Fitting decomposition (null, one) of L under right
+    multiplication by a nilpotent subalgebra C.
 
     null  = vectors killed by every long enough chain of right products
-            with C,
+            with C: the limit of W -> {x : [x, C] in W} from 0,
     one   = stabilized span of iterated products [.. [L, C], C] .. .
     """
-    F, n = L.field, L.dim
-    mats = [L.right_mult(c) for c in C.basis]
-
-    def preimage(W):
-        """{x : [x, C] in W}: the kernel of every right product mod W."""
-        stacked = []
-        for A in mats:
-            cols = [W.reduce(tuple(row[j] for row in A)) for j in range(n)]
-            stacked.extend(tuple(col[i] for col in cols) for i in range(n))
-        return kernel(F, stacked, ncols=n)
-
+    br = L._bracket
     one = chain(L.full_space(), lambda T: L.product(T, C))[-1]
-    null = chain(L.zero_space(), preimage)[-1]
+    null = chain(L.zero_space(), lambda W: L._kernel_mod(
+        W, lambda e: [br(e, c) for c in C.basis]))[-1]
     if not L.full_space().is_direct_sum(null, one):
         raise DecompositionFailed("joint Fitting components are not complementary")
     if not null.contains_space(C):
@@ -86,7 +73,7 @@ def fitting_family(L: LeibnizAlgebra, C: Subspace) -> FittingPair:
         raise DecompositionFailed("null component is not a subalgebra")
     if not one.contains_space(L.product(one, C)):
         raise DecompositionFailed("one component is not invariant")
-    return FittingPair(null, one)
+    return null, one
 
 
 def _basis_sums_differences(L: LeibnizAlgebra) -> list:
@@ -207,8 +194,7 @@ def _triangular_parts(L: LeibnizAlgebra, budget: int):
     top = ds[d - 1]
     M = ds[d - 2]
     C = M.embed_space(cartan_subalgebra(L.restrict(M), budget))
-    pair = fitting_family(L, C)
-    B, one = pair.null, pair.one
+    B, one = fitting_family(L, C)
     if not top.contains_space(one):
         raise DecompositionFailed(
             "iterated product component escapes the last derived term")

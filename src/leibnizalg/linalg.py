@@ -58,7 +58,7 @@ def mat_mul(field, A, B):
     row i of the product, over the nonzero entries of B[k]."""
     add, mul, zero = field.add, field.mul, field.zero
     width = _width(B) if B else 0
-    if A and B and _width(A) != len(B):
+    if A and _width(A) != len(B):
         raise ShapeMismatch(f"cannot multiply {len(A)}x{len(A[0])} by {len(B)}x{width}")
     supports = [[(j, b) for j, b in enumerate(row) if b] for row in B]
     out = []
@@ -253,12 +253,17 @@ class Subspace:
 
 
 def kernel(field, rows, ncols=None) -> Subspace:
-    """Null space {x : A x = 0} of a matrix acting on column vectors."""
+    """Null space {x : A x = 0} of a matrix acting on column vectors.
+
+    A matrix with no rows needs ``ncols``; a given ``ncols`` must be the
+    width of the rows."""
     if not rows:
         if ncols is None:
             raise ShapeMismatch("kernel of a matrix with no rows needs ncols")
         return Subspace.full_space(field, ncols)
     n = len(rows[0])
+    if ncols is not None and ncols != n:
+        raise ShapeMismatch(f"kernel of a matrix of width {n} asked for in F^{ncols}")
     red, pivots = rref(field, rows)
     pivset = set(pivots)
     free = [j for j in range(n) if j not in pivset]

@@ -35,6 +35,10 @@ enumerated ideals with that property.
 bottom part of a triangular decomposition, the complement of L^2 that a
 Cartan descent and a joint Fitting family find, refused where
 that decomposition fails.
+``fitting_family_by_matrices`` is the joint Fitting decomposition (null,
+one) under a subalgebra C with the null chain built from the matrices of
+right multiplication by the basis of C: each step is the kernel of the
+stacked matrices whose columns are reduced mod the previous term.
 ``witness_search_without_engel_bound`` is the witness search taking the
 closure of every candidate's generators, with none refused by
 ``aalgebra._engel_bounded``.  ``witness_search_by_scalar_draws`` and
@@ -66,8 +70,8 @@ from leibnizalg.decompose import (DecompositionFailed, _fitting_null,
 from leibnizalg.enumeration import (DEFAULT_BUDGET, enumerate_spaces,
                                     maximal_subalgebras)
 from leibnizalg.errors import NoSolution
-from leibnizalg.linalg import (Subspace, kernel, restrict_operator, solve, vec_add,
-                               vec_sub)
+from leibnizalg.linalg import (Subspace, chain, kernel, restrict_operator, solve,
+                               vec_add, vec_sub)
 from leibnizalg.poly import Poly, _divisors, poly
 from leibnizalg.series import is_metabelian, is_nilpotent_space, is_solvable_space
 
@@ -407,6 +411,22 @@ def lemma_aa_by_decomposition(L, budget):
                 return False, "some complement element degenerates on the derived subalgebra"
         return True, ""
     return False, "complement of dimension >= 2 over an unenumerable field"
+
+
+def fitting_family_by_matrices(L, C):
+    F, n = L.field, L.dim
+    mats = [L.right_mult(c) for c in C.basis]
+
+    def preimage(W):
+        stacked = []
+        for A in mats:
+            cols = [W.reduce(tuple(row[j] for row in A)) for j in range(n)]
+            stacked.extend(tuple(col[i] for col in cols) for i in range(n))
+        return kernel(F, stacked, ncols=n)
+
+    one = chain(L.full_space(), lambda T: L.product(T, C))[-1]
+    null = chain(L.zero_space(), preimage)[-1]
+    return null, one
 
 
 def witness_search_without_engel_bound(L, seed):

@@ -238,8 +238,7 @@ def test_criterion_11_fitting_random_pairs(members):
         F = L.field
         x = tuple(F.random_scalar(rng) for _ in range(L.dim))
         A = L.right_mult(x)
-        pair = fitting(L, A)
-        null, one = pair.null, pair.one
+        null, one = fitting(L, A)
         assert null.intersect(one).dim == 0
         assert null.add(one).dim == L.dim
         for v in null.basis:

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from kernel_reference import (cartan_by_phases, centre_by_restriction,
-                              change_basis, ideal_chain_alignment_by_sums,
+                              change_basis, fitting_family_by_matrices,
+                              ideal_chain_alignment_by_sums,
                               ideal_part_split_by_sums, maximal_by_pairs,
                               nilradical_chain_by_sums, random_invertible)
 from leibnizalg import decompose
@@ -29,35 +30,47 @@ from leibnizalg.series import is_nilpotent_space, is_solvable
 # ------------------------------------------------------------------- fitting
 
 def test_fitting_split(r2):
-    pair = fitting(r2, r2.right_mult((0, 1)))
-    assert pair.null.dim == 1 and pair.null.contains((0, 1))
-    assert pair.one.dim == 1 and pair.one.contains((1, 0))
+    null, one = fitting(r2, r2.right_mult((0, 1)))
+    assert null.dim == 1 and null.contains((0, 1))
+    assert one.dim == 1 and one.contains((1, 0))
     # verify the defining properties independently
     A = r2.right_mult((0, 1))
-    assert is_nilpotent_operator(QQ, restrict_operator(QQ, A, pair.null))
-    R1 = restrict_operator(QQ, A, pair.one)
+    assert is_nilpotent_operator(QQ, restrict_operator(QQ, A, null))
+    R1 = restrict_operator(QQ, A, one)
     from leibnizalg.linalg import kernel
-    assert kernel(QQ, R1, ncols=pair.one.dim).dim == 0
+    assert kernel(QQ, R1, ncols=one.dim).dim == 0
 
 
 def test_fitting_nilpotent_operator(h3):
-    pair = fitting(h3, h3.right_mult((1, 0, 0)))
-    assert pair.null.dim == 3 and pair.one.dim == 0
+    null, one = fitting(h3, h3.right_mult((1, 0, 0)))
+    assert null.dim == 3 and one.dim == 0
 
 
 def test_fitting_family(r2):
     C = r2.span([(0, 1)])
-    pair = fitting_family(r2, C)
-    assert pair.null == C
-    assert pair.one == r2.span([(1, 0)])
+    assert fitting_family(r2, C) == (C, r2.span([(1, 0)]))
 
 
 def test_fitting_family_cyclic():
     L = fixture("C2", QQ)
     C = L.span([(Fraction(1), Fraction(-1))])
-    pair = fitting_family(L, C)
-    assert pair.null == C
-    assert pair.one == L.derived_space()
+    assert fitting_family(L, C) == (C, L.derived_space())
+
+
+def test_fitting_family_matches_the_matrix_null_chain(members, small_finite_members):
+    # the Cartan subalgebra and every maximal nilpotent subalgebra of the
+    # small finite members, and the Cartan subalgebra of each Q member
+    cases = [(m, [cartan_subalgebra(m.algebra)]) for m in members
+             if not m.algebra.field.is_finite]
+    cases += [(m, {cartan_subalgebra(m.algebra), *max_nilpotent_subalgebras(m.algebra)})
+              for m in small_finite_members]
+    compared = 0
+    for m, spaces in cases:
+        for C in spaces:
+            assert (fitting_family(m.algebra, C)
+                    == fitting_family_by_matrices(m.algebra, C)), m.label
+            compared += 1
+    assert compared > 1000
 
 
 # -------------------------------------------------------------------- cartan

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from leibnizalg.aalgebra import theorem_battery
 from leibnizalg.algfile import (algebra_from_doc, algebra_to_doc,
                                 dumps_algebra, input_digest, loads_algebra)
 from leibnizalg.cli import _load, main, render, run_command
@@ -322,6 +323,35 @@ def test_census_text_shows_scalars_as_coefficients():
     assert run.returncode == 0
     assert re.findall(r"alphas=\((.*?)\)  ", run.stdout) == [
         "0", "1", "[0, 0]", "[1, 0]", "[0, 1]", "[1, 1]"]
+
+
+SWEEP = CENSUS.parent / "corpus_battery_sweep.py"
+
+
+def test_sweep_rows_match_the_battery_in_process(members):
+    # the script's rows are the battery at its 100k budget, seed 0, on the
+    # filtered slice, and its summary counts those rows
+    run = subprocess.run([sys.executable, str(SWEEP), "--field", "GF(2)",
+                          "--kind", "fixture", "--format", "json"],
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    doc = json.loads(run.stdout)
+    rows = doc["rows"]
+    chosen = [m for m in members
+              if str(m.algebra.field) == "GF(2)" and m.kind == "fixture"]
+    assert [row["label"] for row in rows] == [m.label for m in chosen]
+    for row, m in zip(rows, chosen):
+        rep = theorem_battery(m.algebra, seed=0, budget=100_000)
+        assert ((row["dim"], row["verdict"], row["hard_failures"], row["findings"],
+                 row["clauses"])
+                == (m.algebra.dim, rep.verdict.label, list(rep.hard_failures),
+                    list(rep.findings), len(rep.clauses))), m.label
+    summary = doc["summary"]
+    assert summary["members"] == len(rows) > 0
+    assert summary["failed_members"] == [row["label"] for row in rows
+                                         if row["hard_failures"]]
+    assert summary["unknown_verdicts"] == sum(row["verdict"] == "unknown"
+                                              for row in rows)
 
 
 def test_cli_budget_exceeded(tmp_path):

@@ -69,6 +69,14 @@ def test_kernel_of_empty_matrix():
     assert ker.dim == 3
 
 
+@pytest.mark.parametrize("ncols", [1, 3], ids=["narrow", "wide"])
+def test_kernel_refuses_ncols_other_than_the_width(ncols):
+    # the kernel of a 1 x 2 matrix lies in F^2, whatever ncols asks
+    with pytest.raises(ShapeMismatch):
+        kernel(F3, [(1, 0)], ncols=ncols)
+    assert kernel(F3, [(1, 0)], ncols=2) == Subspace.span(F3, 2, [(0, 1)])
+
+
 # ---------------------------------------------------------------- subspaces
 
 @given(gf3_vectors(4, 3), gf3_vectors(4, 3))
@@ -201,6 +209,13 @@ def test_solve_refuses_a_right_hand_side_of_another_length(b):
 def test_mat_vec_refuses_a_vector_of_another_width(v):
     with pytest.raises(ShapeMismatch):
         mat_vec(F3, [(1, 2), (0, 1)], v)
+
+
+def test_mat_mul_refuses_an_empty_right_factor():
+    # a 1 x 1 matrix needs a right factor with one row; a 1 x 0 one takes none
+    with pytest.raises(ShapeMismatch):
+        mat_mul(F3, [(1,)], [])
+    assert mat_mul(F3, [()], []) == [[]]
 
 
 RAGGED_CALLS = {
