@@ -41,7 +41,8 @@ def main(argv=None):
     ap.add_argument("--format", choices=("text", "json"), default="text")
     args = ap.parse_args(argv)
 
-    members = corpus()
+    # quotients come last in the corpus, so leaving them out changes no other member
+    members = corpus(with_quotients=args.kind in (None, "quotient"))
     if args.field is not None:
         members = [m for m in members if str(m.algebra.field) == args.field]
     if args.kind is not None:

@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import Callable, Optional
 
 from .core import LeibnizAlgebra, memo
-from .decompose import (_basis_sums_differences, _fitting_null,
+from .decompose import (_fitting_null, _sums_differences,
                         enumerated_cartan_subalgebras, fitting_family,
                         max_nilpotent_subalgebras, triangular_decomposition)
 from .enumeration import (DEFAULT_BUDGET, enumerate_spaces, frattini_ideal,
@@ -113,13 +113,13 @@ def _witness_candidates(L: LeibnizAlgebra, seed: int):
     fail ``_engel_bounded`` are skipped, since none of them is nilpotent.
     The random pairs are drawn by ``random_vector``, whose multiples of
     the scalar draws leave both that bound and each closure unchanged."""
-    F, n = L.field, L.dim
-    singles = _basis_sums_differences(L)
+    F, n, full = L.field, L.dim, L.full_space()
+    singles = _sums_differences(F, full.basis)
     for u in singles:
         if _engel_bounded(L, [u]):
             yield L.closure([u])
     for x in singles[:2 * n]:
-        null = _fitting_null(L, x)
+        null = _fitting_null(L, full, x)
         if null is not None:
             yield null
     yield from derived_series(L)[1:]
@@ -612,7 +612,7 @@ def _check_left_products_in_right_chain(L, ideals):
     """For an abelian ideal A and x with x^2 in A, iterated left products
     of x into A stay inside the span of one fewer iterated right products."""
     n = L.dim
-    xs = _basis_sums_differences(L)
+    xs = _sums_differences(L.field, L._basis)
     abelian = [A for A in ideals if L.is_abelian_space(A) and A.dim > 0]
     tried = 0
     for A in abelian:

@@ -52,7 +52,7 @@ def algebra_from_doc(doc) -> LeibnizAlgebra:
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if not isinstance(version, int) or isinstance(version, bool) or version != FORMAT_VERSION:
         raise ParseError(f"unsupported format_version {version!r}")
     if "field" not in doc:
         raise ParseError("missing field description", "field")

@@ -20,8 +20,8 @@ import inspect
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import (FieldParseError, NotAnIdeal, NotASubalgebra, NotLeibniz,
-                     ShapeMismatch)
+from .errors import (AmbientMismatch, FieldParseError, NotAnIdeal,
+                     NotASubalgebra, NotLeibniz, ShapeMismatch)
 from .linalg import Subspace, kernel, vec_add, vec_sub, zero_vec
 
 
@@ -131,11 +131,16 @@ class LeibnizAlgebra:
     def bracket(self, u, v):
         """[u, v] from the structure constants; the one arithmetic kernel.
 
-        Zero scalars are skipped by truthiness (see ``fields``).
+        Zero scalars are skipped by truthiness (see ``fields``).  A vector
+        of another length raises ShapeMismatch.
         """
+        n = self.dim
+        if len(u) != n or len(v) != n:
+            raise ShapeMismatch(f"bracket of vectors of lengths {len(u)} and {len(v)} "
+                                f"in dimension {n}")
         F = self.field
         add, mul = F.add, F.mul
-        out = [F.zero] * self.dim
+        out = [F.zero] * n
         for a, row in zip(u, self._terms):
             if a:
                 for j, terms in row:
@@ -165,7 +170,11 @@ class LeibnizAlgebra:
         return self._basis[i]
 
     def right_mult(self, x):
-        """Matrix of u -> [u, x] on column vectors."""
+        """Matrix of u -> [u, x] on column vectors.  An x of another length
+        raises ShapeMismatch, also in dimension 0, where no bracket runs."""
+        if len(x) != self.dim:
+            raise ShapeMismatch(f"right multiplication by a vector of length {len(x)} "
+                                f"in dimension {self.dim}")
         cols = [self.bracket(self.basis_vector(j), x) for j in range(self.dim)]
         return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
 
@@ -210,8 +219,17 @@ class LeibnizAlgebra:
     def full_space(self) -> Subspace:
         return Subspace.full_space(self.field, self.dim)
 
+    def _own(self, *spaces):
+        """AmbientMismatch unless every space lies in this algebra's F^dim.
+        Fields are compared by identity first: ``gf`` gives one object per
+        field, and a dataclass ``!=`` would cost more than the check."""
+        for U in spaces:
+            if U.ambient != self.dim or U.field is not self.field and U.field != self.field:
+                raise AmbientMismatch(f"{U} over {U.field} is not a subspace of {self}")
+
     def product(self, U: Subspace, V: Subspace) -> Subspace:
         """Span of [u, v] over basis pairs; equals [U, V] by bilinearity."""
+        self._own(U, V)
         vecs = [self._bracket(u, v) for u in U.basis for v in V.basis]
         return Subspace.span(self.field, self.dim, vecs)
 
@@ -253,6 +271,7 @@ class LeibnizAlgebra:
         return Subspace.span(F, self.dim, vecs)
 
     def is_abelian_space(self, U: Subspace) -> bool:
+        self._own(U)
         return not any(any(self._bracket(u, v)) for u in U.basis for v in U.basis)
 
     def is_abelian(self) -> bool:
@@ -287,6 +306,7 @@ class LeibnizAlgebra:
 
     def stabilizer(self, U: Subspace, W: Subspace) -> Subspace:
         """{x : [x, U] + [U, x] contained in W}."""
+        self._own(U, W)
         br = self._bracket
         return self._kernel_mod(W, lambda e: [p for u in U.basis
                                               for p in (br(e, u), br(u, e))])

@@ -2,7 +2,9 @@
 
 Fitting components are (null, one) tuples of subspaces; the null
 component under a subalgebra comes from ``LeibnizAlgebra._kernel_mod``,
-the kernel builder that stabilizers use.  Every construction here
+the kernel builder that stabilizers use.  The Cartan descent and the
+triangular decomposition work in L's coordinates, each step meeting its
+subalgebra K or B with a null space in L.  Every construction here
 re-verifies its own output before returning it: Fitting components check
 directness, invariance and the nilpotent/invertible split; Cartan
 candidates are accepted only after a nilpotency and self-normalizer
@@ -76,21 +78,15 @@ def fitting_family(L: LeibnizAlgebra, C: Subspace) -> tuple:
     return null, one
 
 
-def _basis_sums_differences(L: LeibnizAlgebra) -> list:
-    """The basis vectors, then e_i + e_j and e_i - e_j for each i < j."""
-    F, n = L.field, L.dim
-    out = [L.basis_vector(i) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            u, v = L.basis_vector(i), L.basis_vector(j)
-            out.append(vec_add(F, u, v))
-            out.append(vec_sub(F, u, v))
-    return out
+def _sums_differences(F, basis) -> list:
+    """The basis vectors, then u + v and u - v for each earlier u and later v."""
+    return list(basis) + [w for u, v in itertools.combinations(basis, 2)
+                          for w in (vec_add(F, u, v), vec_sub(F, u, v))]
 
 
-def _candidates(K: LeibnizAlgebra, budget: int):
-    """Element candidates for the Cartan descent, cheapest first: the basis
-    sums and differences, then every vector of a small enough finite field.
+def _candidates(K: Subspace, budget: int):
+    """Candidates x in K for the Cartan descent, cheapest first: K's echelon
+    basis with its sums and differences, then all of K over a small field.
 
     In characteristic 0 the basis vectors and their sums contain an element
     acting non-nilpotently on a non-nilpotent K, by Engel's theorem for
@@ -104,16 +100,17 @@ def _candidates(K: LeibnizAlgebra, budget: int):
     tr(R_x^2) != 0.
     """
     F, m = K.field, K.dim
-    yield from _basis_sums_differences(K)
+    yield from _sums_differences(F, K.basis)
     if F.is_finite and F.size ** m <= budget:
-        yield from itertools.product(F.elements(), repeat=m)
+        yield from map(K.embed, itertools.product(F.elements(), repeat=m))
 
 
-def _fitting_null(L: LeibnizAlgebra, x) -> Optional[Subspace]:
-    """The Fitting null space of right multiplication by x, or None when x
-    acts nilpotently."""
+def _fitting_null(L: LeibnizAlgebra, K: Subspace, x) -> Optional[Subspace]:
+    """The Fitting null space K cap L_0(x) of R_x on the subalgebra K, which
+    R_x preserves for x in K, or None when x acts nilpotently on K."""
     power = fitting_power(L.field, L.right_mult(x))
-    return kernel(L.field, power) if any(map(any, power)) else None
+    null = kernel(L.field, power).intersect(K) if any(map(any, power)) else K
+    return None if null.dim == K.dim else null
 
 
 @memo
@@ -121,8 +118,8 @@ def cartan_subalgebra(L: LeibnizAlgebra,
                       budget: int = DEFAULT_BUDGET) -> Subspace:
     """A nilpotent self-normalizing subalgebra, found by Fitting descent.
 
-    While K (at first L) is not nilpotent, restrict it to the generalized
-    null space of the first candidate element that acts non-nilpotently.
+    While K (at first L) is not nilpotent, meet it with L_0(x) for the
+    first candidate x that acts non-nilpotently on K.
     A nilpotent K is verified self-normalizing; on failure a finite field
     falls back to exhaustive search, and past the budget the search fails.
 
@@ -141,12 +138,10 @@ def cartan_subalgebra(L: LeibnizAlgebra,
     """
     K = L.full_space()
     while not is_nilpotent_space(L, K):
-        Kalg = L.restrict(K)
-        nulls = (_fitting_null(Kalg, x) for x in _candidates(Kalg, budget))
-        null_local = next((N for N in nulls if N is not None), None)
-        if null_local is None:
+        nulls = (_fitting_null(L, K, x) for x in _candidates(K, budget))
+        K = next((N for N in nulls if N is not None), None)
+        if K is None:
             break
-        K = K.embed_space(null_local)
     else:
         if L.normalizer(K) == K:
             return K
@@ -184,33 +179,36 @@ def max_nilpotent_subalgebras(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
                             lambda S: is_nilpotent_space(L, S))
 
 
-def _triangular_parts(L: LeibnizAlgebra, budget: int):
-    if not is_solvable(L):
-        raise DecompositionFailed("triangular decomposition needs a solvable algebra")
-    ds = derived_series(L)
-    d = len(ds) - 1
-    if d <= 1:
-        return [L.full_space()]
-    top = ds[d - 1]
-    M = ds[d - 2]
-    C = M.embed_space(cartan_subalgebra(L.restrict(M), budget))
-    B, one = fitting_family(L, C)
-    if not top.contains_space(one):
-        raise DecompositionFailed(
-            "iterated product component escapes the last derived term")
-    if not L.full_space().is_direct_sum(B, top):
-        raise DecompositionFailed(
-            "Fitting null component does not complement the last derived term")
-    sub = _triangular_parts(L.restrict(B), budget)
-    return [top] + [B.embed_space(P) for P in sub]
-
-
 @memo
 def triangular_decomposition(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET) -> tuple:
     """Abelian chain decomposition L = A_n + ... + A_0, returned as the
     tuple of parts from A_n down to A_0, with each partial sum
-    A_n + ... + A_i equal to the i-th derived term."""
-    parts = _triangular_parts(L, budget)
+    A_n + ... + A_i equal to the i-th derived term.
+
+    B starts as L.  While B is not abelian, its last nonzero derived term
+    is the next part, and B becomes B cap null for the Fitting components
+    (null, one) of L under a Cartan subalgebra C of the term before that.
+    C lies in B, so B is R_C-invariant and its own components under C are
+    B cap null, by definition, and B cap one, which contains B's one
+    component and meets B cap null in 0.
+    """
+    if not is_solvable(L):
+        raise DecompositionFailed("triangular decomposition needs a solvable algebra")
+    parts, B = [], L.full_space()
+    while len(ds := derived_series(L, B)) > 2:
+        top, M = ds[-2], ds[-3]
+        C = M.embed_space(cartan_subalgebra(L.restrict(M), budget))
+        null, one = fitting_family(L, C)
+        if not top.contains_space(one.intersect(B)):
+            raise DecompositionFailed(
+                "iterated product component escapes the last derived term")
+        N = null.intersect(B)
+        if not B.is_direct_sum(N, top):
+            raise DecompositionFailed(
+                "Fitting null component does not complement the last derived term")
+        parts.append(top)
+        B = N
+    parts.append(B)
     for idx, P in enumerate(parts):
         if not L.is_abelian_space(P):
             raise DecompositionFailed(f"part {idx} is not abelian")

@@ -446,6 +446,14 @@ def field_to_doc(field) -> dict:
     raise BadSpec(f"not a field: {field!r}")
 
 
+def _doc_int(obj):
+    """obj itself if it is an int and not a bool; a float or a string in a
+    field descriptor is refused, not rounded or parsed."""
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return obj
+    raise FieldParseError(f"not an integer: {obj!r}")
+
+
 def field_from_doc(doc) -> object:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise FieldParseError(f"bad field descriptor: {doc!r}")
@@ -454,10 +462,10 @@ def field_from_doc(doc) -> object:
         if kind == "rationals":
             return QQ
         if kind == "prime_field":
-            return PrimeField(int(doc["p"]))
+            return PrimeField(_doc_int(doc["p"]))
         if kind == "extension_field":
-            return ExtensionField(int(doc["p"]), int(doc["k"]),
-                                  tuple(int(c) for c in doc["modulus"]))
+            return ExtensionField(_doc_int(doc["p"]), _doc_int(doc["k"]),
+                                  tuple(map(_doc_int, doc["modulus"])))
     except (KeyError, TypeError, ValueError, BadSpec) as exc:
         raise FieldParseError(f"bad field descriptor {doc!r}: {exc}") from None
     raise FieldParseError(f"unknown field kind {kind!r}")

@@ -213,10 +213,13 @@ class Subspace:
 
         Their left half is zero exactly when u lies in other, so the rows
         of their echelon form with pivots right of the left half are the
-        reduced echelon basis of the meet.
+        reduced echelon basis of the meet.  The meet with the whole space
+        is this space, with nothing reduced.
         """
         self._check_compatible(other)
         n = self.ambient
+        if other.dim == n:
+            return self
         block = [other.reduce(u) + u for u in self.basis]
         if not any(any(row[:n]) for row in block):
             return self

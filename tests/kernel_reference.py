@@ -47,8 +47,14 @@ candidate stream with each random vector drawn as the tuple of n
 ``random_scalar`` draws, not by the field's ``random_vector``.
 ``cartan_by_phases`` is the Cartan descent in phases: every candidate of
 the first phase with one acting non-nilpotently gets its Fitting null
-space, and the descent restricts to the smallest (the first wins ties).
-Its third phase draws ``_RANDOM_TRIES`` seeded random vectors.
+space, computed in the restricted algebra, and the descent restricts to
+the smallest (the first wins ties).  Its third phase draws
+``_RANDOM_TRIES`` seeded random vectors.
+``candidates_by_restriction`` is the Cartan descent's candidate stream
+on a subalgebra K, drawn in the restricted algebra on K and embedded in
+L.  ``triangular_by_restriction`` is the triangular decomposition by
+recursion on the restricted algebra of each Fitting null component, with
+every part embedded back.
 ``random_invertible`` and ``change_basis`` rewrite an algebra in the
 basis of the columns of a seeded random invertible matrix.
 ``identity_matrix``, ``left_mult``, ``lift``, ``poly_from_ints`` and
@@ -64,16 +70,18 @@ from unittest import mock
 
 from leibnizalg import aalgebra
 from leibnizalg.core import LeibnizAlgebra, Violation
-from leibnizalg.decompose import (DecompositionFailed, _fitting_null,
+from leibnizalg.decompose import (DecompositionFailed,
+                                  cartan_subalgebra,
                                   enumerated_cartan_subalgebras,
-                                  triangular_decomposition)
+                                  fitting_family, triangular_decomposition)
 from leibnizalg.enumeration import (DEFAULT_BUDGET, enumerate_spaces,
                                     maximal_subalgebras)
 from leibnizalg.errors import NoSolution
-from leibnizalg.linalg import (Subspace, chain, kernel, restrict_operator, solve,
-                               vec_add, vec_sub)
+from leibnizalg.linalg import (Subspace, chain, fitting_power, kernel,
+                               restrict_operator, solve, vec_add, vec_sub)
 from leibnizalg.poly import Poly, _divisors, poly
-from leibnizalg.series import is_metabelian, is_nilpotent_space, is_solvable_space
+from leibnizalg.series import (derived_series, is_metabelian, is_nilpotent_space,
+                               is_solvable, is_solvable_space)
 
 
 def dense_bracket(L, u, v):
@@ -470,9 +478,14 @@ def _candidate_phases(K, rng, budget):
         yield sweep
 
 
+def _fitting_null_local(K, x):
+    power = fitting_power(K.field, K.right_mult(x))
+    return kernel(K.field, power) if any(map(any, power)) else None
+
+
 def _descend_step(K, rng, budget):
     for phase in _candidate_phases(K, rng, budget):
-        nulls = [N for N in (_fitting_null(K, x) for x in phase) if N is not None]
+        nulls = [N for N in (_fitting_null_local(K, x) for x in phase) if N is not None]
         if nulls:
             return min(nulls, key=lambda N: N.dim)
     return None
@@ -501,6 +514,59 @@ def cartan_by_phases(L, seed=0, budget=DEFAULT_BUDGET):
         raise DecompositionFailed(
             "no nilpotent self-normalizing subalgebra found")
     return result
+
+
+def candidates_by_restriction(L, K, budget):
+    Kalg = L.restrict(K)
+    F, m = Kalg.field, Kalg.dim
+    local = [Kalg.basis_vector(i) for i in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            u, v = Kalg.basis_vector(i), Kalg.basis_vector(j)
+            local += [vec_add(F, u, v), vec_sub(F, u, v)]
+    if F.is_finite and F.size ** m <= budget:
+        local += itertools.product(F.elements(), repeat=m)
+    return [K.embed(w) for w in local]
+
+
+def _triangular_parts(L, budget):
+    if not is_solvable(L):
+        raise DecompositionFailed("triangular decomposition needs a solvable algebra")
+    ds = derived_series(L)
+    d = len(ds) - 1
+    if d <= 1:
+        return [L.full_space()]
+    top = ds[d - 1]
+    M = ds[d - 2]
+    C = M.embed_space(cartan_subalgebra(L.restrict(M), budget))
+    B, one = fitting_family(L, C)
+    if not top.contains_space(one):
+        raise DecompositionFailed(
+            "iterated product component escapes the last derived term")
+    if not L.full_space().is_direct_sum(B, top):
+        raise DecompositionFailed(
+            "Fitting null component does not complement the last derived term")
+    sub = _triangular_parts(L.restrict(B), budget)
+    return [top] + [B.embed_space(P) for P in sub]
+
+
+def triangular_by_restriction(L, budget=DEFAULT_BUDGET):
+    """The parts of the recursive construction, checked as
+    ``triangular_decomposition`` checks them."""
+    parts = _triangular_parts(L, budget)
+    for idx, P in enumerate(parts):
+        if not L.is_abelian_space(P):
+            raise DecompositionFailed(f"part {idx} is not abelian")
+    if not L.full_space().is_direct_sum(*parts):
+        raise DecompositionFailed("algebra is not the direct sum of the parts")
+    ds = derived_series(L)
+    partials = list(itertools.accumulate(parts, Subspace.add))
+    for i, partial in enumerate(reversed(partials)):
+        expected = ds[i] if i < len(ds) else L.zero_space()
+        if partial != expected:
+            raise DecompositionFailed(
+                f"partial sum of parts does not match derived term {i}")
+    return tuple(parts)
 
 
 def random_invertible(F, n, rng):

@@ -217,7 +217,7 @@ def test_engel_bound_ignores_nonzero_scalings(members):
         L = m.algebra
         if L.field.is_finite:
             continue
-        singles = decompose._basis_sums_differences(L)
+        singles = decompose._sums_differences(L.field, L.full_space().basis)
         for gens in [[u] for u in singles] + [list(p) for p in zip(singles, singles[1:])]:
             scalars = [QQ.random_scalar(rng) or 1 for _ in gens]
             scaled = [tuple(QQ.mul(c, a) for a in g) for c, g in zip(scalars, gens)]

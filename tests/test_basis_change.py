@@ -13,11 +13,15 @@ import warnings
 from collections import Counter
 
 from kernel_reference import (change_basis, random_invertible,
+                              triangular_by_restriction,
                               witness_search_by_scalar_draws,
                               witness_search_without_engel_bound)
 from leibnizalg.aalgebra import lemma_aa_certificate, theorem_battery, witness_search
+from leibnizalg.core import LeibnizAlgebra
+from leibnizalg.decompose import triangular_decomposition
 from leibnizalg.enumeration import enumerate_spaces, total_subspaces
-from leibnizalg.errors import BudgetExceeded, InfiniteFieldUnsupported
+from leibnizalg.errors import (BudgetExceeded, DecompositionFailed,
+                               InfiniteFieldUnsupported)
 from leibnizalg.series import nilradical, radical
 
 BASIS_SEED = 18
@@ -101,3 +105,20 @@ def test_vector_draws_change_no_witness_search_on_the_copies(members):
         M = change_basis(L, random_invertible(L.field, L.dim, rng))
         for seed in (0, 1):
             assert witness_search(M, seed) == witness_search_by_scalar_draws(M, seed), m.label
+
+
+def _triangular_outcome(fn, L):
+    try:
+        return fn(L, BUDGET)
+    except DecompositionFailed as exc:
+        return str(exc)
+
+
+def test_triangular_parts_match_the_recursion_on_the_copies(members):
+    rng = random.Random(BASIS_SEED)
+    for m in _pinned(members):
+        L = m.algebra
+        M = change_basis(L, random_invertible(L.field, L.dim, rng))
+        copy = LeibnizAlgebra(M.field, M.table, M.names)
+        assert (_triangular_outcome(triangular_decomposition, M)
+                == _triangular_outcome(triangular_by_restriction, copy)), m.label

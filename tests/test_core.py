@@ -15,10 +15,11 @@ from leibnizalg.core import LeibnizAlgebra, direct_sum
 from leibnizalg.corpus import FIELDS, FIXTURE_NAMES, fixture
 from leibnizalg.cyclic import build_cyclic
 from leibnizalg.enumeration import iter_subalgebras
-from leibnizalg.errors import (FieldParseError, NotAnIdeal, NotASubalgebra,
-                               NotLeibniz, ShapeMismatch)
+from leibnizalg.errors import (AmbientMismatch, FieldParseError, NotAnIdeal,
+                               NotASubalgebra, NotLeibniz, ShapeMismatch)
 from leibnizalg.fields import QQ, gf
 from leibnizalg.linalg import Subspace, mat_vec
+from leibnizalg.series import is_nilpotent_space
 
 F3 = gf(3)
 
@@ -329,6 +330,40 @@ def test_section_coordinates_check_shapes(call):
     # coefficients, and coords_of reads no pivot past the end of v
     with pytest.raises(ShapeMismatch):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda L: L.bracket((1, 0, 0), (0, 1)),
+    lambda L: L.bracket((1, 0), (0, 1, 0)),
+    lambda L: L.bracket((1,), (0, 1)),
+    lambda L: L.right_mult((0, 1, 0)),
+    lambda L: L.right_mult((1,)),
+    lambda L: LeibnizAlgebra(L.field, [], ()).right_mult((1,)),
+], ids=["bracket-long-left", "bracket-long-right", "bracket-short-left",
+        "right-mult-long", "right-mult-short", "right-mult-zero-algebra"])
+def test_bracket_refuses_vectors_of_another_length(call):
+    # the kernel neither cuts nor pads: r2 over GF(3) gave [(1, 0, 0), (0, 1)]
+    # as (1, 0), and the zero algebra's right_mult((1,)) was []
+    with pytest.raises(ShapeMismatch):
+        call(fixture("r2", gf(3)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda L, S: L.product(L.full_space(), S),
+    lambda L, S: L.product(S, L.full_space()),
+    lambda L, S: L.centralizer(S),
+    lambda L, S: L.normalizer(S),
+    lambda L, S: L.is_abelian_space(S),
+    lambda L, S: is_nilpotent_space(L, S),
+], ids=["product-right", "product-left", "centralizer", "normalizer",
+        "is-abelian-space", "is-nilpotent-space"])
+@pytest.mark.parametrize("space", [Subspace.span(gf(3), 3, [(1, 0, 0)]),
+                                   Subspace.full_space(gf(2), 2)],
+                         ids=["line-in-F3^3", "plane-over-GF2"])
+def test_subspace_operations_refuse_another_ambient(call, space):
+    # over r2/GF(3) the line in F^3 was nilpotent and its centralizer 0
+    with pytest.raises(AmbientMismatch):
+        call(fixture("r2", gf(3)), space)
 
 
 @pytest.mark.parametrize("name", ["H3", "C3a", "C3b"])

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from kernel_reference import (cartan_by_phases, centre_by_restriction,
-                              change_basis, fitting_family_by_matrices,
+from kernel_reference import (candidates_by_restriction, cartan_by_phases,
+                              centre_by_restriction, change_basis,
+                              fitting_family_by_matrices,
                               ideal_chain_alignment_by_sums,
                               ideal_part_split_by_sums, maximal_by_pairs,
-                              nilradical_chain_by_sums, random_invertible)
+                              nilradical_chain_by_sums, random_invertible,
+                              triangular_by_restriction)
 from leibnizalg import decompose
 from leibnizalg.aalgebra import (ClauseResult, _check_ideal_chain_alignment,
                                  _check_ideal_part_split,
@@ -127,12 +129,12 @@ def test_cartan_matches_the_phased_descent(members, tiny_finite_members, seed):
 
 def _descent_steps(monkeypatch, L):
     """The Cartan subalgebra of L, and the Fitting nulls each descent step
-    computed, as (restricted algebra, nulls) pairs in step order."""
+    computed, as (subalgebra, nulls) pairs in step order."""
     calls = []
     fitting_null = decompose._fitting_null
 
-    def counted(K, x):
-        N = fitting_null(K, x)
+    def counted(L, K, x):
+        N = fitting_null(L, K, x)
         calls.append((K, N))
         return N
 
@@ -141,7 +143,7 @@ def _descent_steps(monkeypatch, L):
     monkeypatch.undo()
     steps = []
     for K, N in calls:
-        if not steps or steps[-1][0] is not K:
+        if not steps or steps[-1][0] != K:
             steps.append((K, []))
         steps[-1][1].append(N)
     return C, steps
@@ -162,7 +164,7 @@ def test_descent_stops_at_the_first_non_nilpotent_candidate(monkeypatch, make,
     L = make()
     C, steps = _descent_steps(monkeypatch, L)
     assert C.dim == 1 and L.normalizer(C) == C
-    # one restriction; the line it gives is nilpotent, so no candidate is
+    # one step; the line it gives is nilpotent, so no candidate is
     # tried on it
     assert [len(nulls) for _, nulls in steps] == [first_step]
     first = steps[0][1]
@@ -208,8 +210,8 @@ def test_cartan_fallback_after_a_two_step_descent(monkeypatch, p):
     # a acts invertibly on V, so the first step gives r2 = span(a, b); there
     # a acts nilpotently and b does not, and the second step gives span(b)
     (K0, nulls0), (K1, nulls1) = steps
-    assert K0 is L and nulls0 == [L.span([L.basis_vector(0), L.basis_vector(1)])]
-    assert K1.dim == 2 and nulls1 == [None, K1.span([K1.basis_vector(1)])]
+    assert K0 == L.full_space() and nulls0 == [L.span([L.basis_vector(0), L.basis_vector(1)])]
+    assert K1.dim == 2 and nulls1 == [None, L.span([L.basis_vector(1)])]
     # span(b) is nilpotent, but v_0 normalizes it, so the enumerated
     # search gives the answer
     line = L.span([L.basis_vector(1)])
@@ -390,6 +392,36 @@ def _outcome(fn, *args):
         return fn(*args)
     except DecompositionFailed as exc:
         return str(exc)
+
+
+def test_triangular_parts_match_the_recursion(members):
+    # the loop in L's coordinates against the recursion on restricted
+    # algebras: the same parts, or the same refusal; the decompositions of
+    # the corpus have at most two parts, those of r2 on V_p three
+    solvable = [m.algebra for m in members if is_solvable(m.algebra)]
+    assert len(solvable) > 300
+    extra = [r2_on_cyclic_module(p) for p in (2, 3, 5)]
+    assert [len(triangular_decomposition(L)) for L in extra] == [3] * 3
+    for L in solvable + extra:
+        M = LeibnizAlgebra(L.field, L.table, L.names)
+        assert (_outcome(triangular_decomposition, M)
+                == _outcome(triangular_by_restriction, L)), str(L)
+
+
+def test_candidates_match_the_restricted_stream(tiny_finite_members):
+    # every subalgebra of the members up to dimension 3, with a budget that
+    # keeps the finite-field sweep and with one that drops it past a point
+    checked = 0
+    for m in tiny_finite_members:
+        L = m.algebra
+        if L.dim > 3:
+            continue
+        for K in enumerate_spaces(L, "subalgebras"):
+            for budget in (8, 10 ** 6):
+                assert (list(decompose._candidates(K, budget))
+                        == candidates_by_restriction(L, K, budget)), m.label
+                checked += 1
+    assert checked > 1000
 
 
 def test_slice_checks_match_running_sums(tiny_finite_members):

@@ -343,3 +343,24 @@ def test_field_doc_round_trip(q):
 def test_field_doc_rejects_garbage():
     with pytest.raises(FieldParseError):
         field_from_doc({"kind": "quaternions"})
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "prime_field", "p": 3.9},
+    {"kind": "prime_field", "p": "3"},
+    {"kind": "prime_field", "p": True},
+    {"kind": "extension_field", "p": 2.0, "k": 2, "modulus": [1, 1, 1]},
+    {"kind": "extension_field", "p": 2, "k": 2.7, "modulus": [1, 1, 1]},
+    {"kind": "extension_field", "p": 2, "k": 2, "modulus": [1, 1.5, 1]},
+    {"kind": "extension_field", "p": 2, "k": 2, "modulus": [1, True, 1]},
+], ids=["p-float", "p-string", "p-bool", "ext-p-float", "k-float",
+        "modulus-float", "modulus-bool"])
+def test_field_doc_refuses_integers_that_are_not_ints(doc):
+    # each was read as GF(3) or GF(4), rounded, cut or parsed by int()
+    with pytest.raises(FieldParseError, match="not an integer"):
+        field_from_doc(doc)
+
+
+def test_field_doc_reads_int_modulus_entries_mod_p():
+    doc = {"kind": "extension_field", "p": 2, "k": 2, "modulus": [3, -1, 5]}
+    assert field_from_doc(doc) == gf(4)

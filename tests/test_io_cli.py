@@ -61,6 +61,10 @@ def test_parse_errors():
     with pytest.raises(ParseError, match="format_version"):
         algebra_from_doc(bad)
 
+    for version in (True, 1.0, "1"):
+        with pytest.raises(ParseError, match="format_version"):
+            algebra_from_doc(dict(base, format_version=version))
+
     bad = dict(base)
     del bad["field"]
     with pytest.raises(ParseError, match="field"):
@@ -410,6 +414,19 @@ def test_cli_bad_scalar_located(tmp_path):
     assert code == 3
     assert doc["error"]["type"] == "ParseError"
     assert doc["error"]["where"] == "table[0][1][0]"
+
+
+@pytest.mark.parametrize("key,value,error", [
+    ("field", {"kind": "prime_field", "p": 2.5}, "FieldParseError"),
+    ("format_version", True, "ParseError"),
+], ids=["float-p", "bool-version"])
+def test_cli_refuses_a_file_with_a_non_int_entry(tmp_path, key, value, error):
+    base = algebra_to_doc(fixture("A2", gf(2)))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(base, **{key: value})))
+    doc, code = run_command(["check", str(path)])
+    assert code == 3
+    assert doc["error"]["type"] == error
 
 
 def test_json_output_deterministic(tmp_path):
