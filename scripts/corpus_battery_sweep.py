@@ -9,6 +9,9 @@ GF(4) dimension-6 members sit at 565,723 subspaces (total_subspaces(6, 4))
 and take several minutes each at --budget 1000000, which is the only
 reason the default here is lower than the library default.
 
+The sweep is ``leibnizalg corpus --battery`` at that budget, which takes the
+same arguments; this script lays its report out as a table or as JSON.
+
 Usage:
     python3 scripts/corpus_battery_sweep.py --field GF(3) --limit 50
 """
@@ -21,81 +24,46 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from leibnizalg.aalgebra import theorem_battery
-from leibnizalg.cli import _count
-from leibnizalg.corpus import corpus
+from leibnizalg.cli import run_command
 
 DEFAULT_SWEEP_BUDGET = 100_000
+PROG = pathlib.Path(__file__).name
+ROW_KEYS = ("label", "dim", "verdict", "hard_failures", "findings", "clauses")
 
 
 def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--field", default=None,
-                    help="only members over this field, e.g. GF(3) or Q")
-    ap.add_argument("--kind", default=None,
-                    choices=("fixture", "cyclic", "sum", "quotient"),
-                    help="only members of this kind")
-    ap.add_argument("--limit", type=_count, default=None)
-    ap.add_argument("--budget", type=_count, default=DEFAULT_SWEEP_BUDGET)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--format", choices=("text", "json"), default="text")
-    args = ap.parse_args(argv)
-
-    # quotients come last in the corpus, so leaving them out changes no other member
-    members = corpus(with_quotients=args.kind in (None, "quotient"))
-    if args.field is not None:
-        members = [m for m in members if str(m.algebra.field) == args.field]
-    if args.kind is not None:
-        members = [m for m in members if m.kind == args.kind]
-    if args.limit is not None:
-        members = members[:args.limit]
-
-    rows = []
-    failed = []
-    unknown = 0
+    argv = sys.argv[1:] if argv is None else list(argv)
+    reader = argparse.ArgumentParser(prog=PROG, add_help=False)
+    reader.add_argument("--format", default="text")  # the runner checks its value
+    fmt = reader.parse_known_args(argv)[0].format
     start = time.perf_counter()
-    for m in members:
-        t0 = time.perf_counter()
-        rep = theorem_battery(m.algebra, seed=args.seed, budget=args.budget)
-        dt = time.perf_counter() - t0
-        row = {
-            "label": m.label,
-            "dim": m.algebra.dim,
-            "verdict": rep.verdict.label,
-            "hard_failures": list(rep.hard_failures),
-            "findings": list(rep.findings),
-            "clauses": len(rep.clauses),
-            "seconds": round(dt, 2),
-        }
-        rows.append(row)
-        if rep.hard_failures:
-            failed.append(m.label)
-        if rep.verdict.is_unknown:
-            unknown += 1
-        if args.format == "text":
-            status = "FAIL " + ",".join(rep.hard_failures) if rep.hard_failures else "ok"
-            extra = f"  findings: {'; '.join(rep.findings)}" if rep.findings else ""
-            print(f"{m.label:<44} dim={m.algebra.dim}  "
-                  f"verdict={rep.verdict.label:<7} {dt:6.2f}s  {status}{extra}")
-            sys.stdout.flush()
-    total = time.perf_counter() - start
-
-    summary = {
-        "members": len(rows),
-        "failed_members": failed,
-        "unknown_verdicts": unknown,
-        "seconds": round(total, 1),
-    }
-    if args.format == "json":
-        print(json.dumps({"summary": summary, "rows": rows},
-                         sort_keys=True, indent=2))
+    if any(tok.split("=")[0] == "--output" for tok in argv):
+        doc = {"error": {"message": "--output is not supported; redirect stdout"}}
     else:
-        print()
-        print(f"{len(rows)} members in {total:.1f}s, "
-              f"{unknown} unknown verdicts, {len(failed)} with failures")
-        for label in failed:
-            print(f"  FAILED: {label}")
-    return 1 if failed else 0
+        # a --budget among the arguments comes later, so it wins
+        doc, code = run_command(["corpus", "--battery",
+                                 "--budget", str(DEFAULT_SWEEP_BUDGET), *argv])
+    total = time.perf_counter() - start
+    if "error" in doc:
+        print(f"{PROG}: error: {doc['error']['message']}", file=sys.stderr)
+        return 2
+    rows = [{key: member[key] for key in ROW_KEYS} for member in doc["members"]]
+    failed, unknown = doc["battery"]["failed_members"], doc["battery"]["unknown_verdicts"]
+    if fmt == "json":
+        summary = {"members": len(rows), "failed_members": failed,
+                   "unknown_verdicts": unknown, "seconds": round(total, 1)}
+        print(json.dumps({"summary": summary, "rows": rows}, sort_keys=True, indent=2))
+        return code
+    for r in rows:
+        status = "FAIL " + ",".join(r["hard_failures"]) if r["hard_failures"] else "ok"
+        extra = f"  findings: {'; '.join(r['findings'])}" if r["findings"] else ""
+        print(f"{r['label']:<44} dim={r['dim']}  verdict={r['verdict']:<7}  {status}{extra}")
+    print()
+    print(f"{len(rows)} members in {total:.1f}s, "
+          f"{unknown} unknown verdicts, {len(failed)} with failures")
+    for label in failed:
+        print(f"  FAILED: {label}")
+    return code
 
 
 if __name__ == "__main__":

@@ -6,102 +6,69 @@ A-algebras, nilpotent, monolithic, and Frattini-free.  Every claim is
 cross-checked against subspace enumeration where that fits the budget;
 any disagreement is reported and makes the script exit nonzero.
 
+The sweep is ``leibnizalg census``, which takes the same arguments; this
+script lays its report out as a table or as JSON.
+
 Usage:
     python3 scripts/cyclic_census.py --fields gf2,gf3 --max-n 5
 """
 
 import argparse
-import itertools
 import json
 import pathlib
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from leibnizalg.cli import _count
-from leibnizalg.cyclic import classify_cyclic, describe_polynomial
-from leibnizalg.enumeration import DEFAULT_BUDGET
-from leibnizalg.fields import parse_field_name
-from leibnizalg.poly import _coef_str
+from leibnizalg.cli import run_command
+
+PROG = pathlib.Path(__file__).name
+FLAGS = (("A", "is_a"), ("N", "nilpotent"), ("M", "monolithic"), ("F", "frattini_free"))
 
 
-def sweep(fields, max_n, budget):
-    rows = []
-    for F in fields:
-        for n in range(2, max_n + 1):
-            for alphas in itertools.product(range(F.size), repeat=n - 1):
-                rep = classify_cyclic(F, alphas, budget=budget)
-                rows.append({
-                    "field": str(F),
-                    "n": n,
-                    "alphas": [F.serialize_scalar(a) for a in alphas],
-                    "polynomial": describe_polynomial(rep),
-                    "is_a": rep.is_a,
-                    "nilpotent": rep.nilpotent,
-                    "monolithic": rep.monolithic_claim,
-                    "frattini_free": rep.frattini_free_claim,
-                    "cross_checks_ok": rep.ok,
-                    "failed_checks": [c.clause for c in rep.checks if c.failed],
-                })
-    return rows
-
-
-def summarize(rows):
-    keys = ("is_a", "nilpotent", "monolithic", "frattini_free")
-    summary = {"total": len(rows)}
-    for key in keys:
-        summary[key] = sum(1 for r in rows if r[key])
-    summary["cross_check_failures"] = sum(1 for r in rows
-                                          if not r["cross_checks_ok"])
-    return summary
+def census_row(row):
+    """A census report row in this script's keys, with p = (x) * (f)^m ..."""
+    factors = [f"({f['poly']})" + (f"^{f['multiplicity']}" if f["multiplicity"] > 1 else "")
+               for f in row["cofactor_factors"]]
+    return {"field": row["field"], "n": row["dim"], "alphas": row["alphas"],
+            "polynomial": f"{row['polynomial']} = " + " * ".join(["(x)", *factors]),
+            "is_a": row["is_a"], "nilpotent": row["nilpotent"],
+            "monolithic": row["monolithic_claim"], "frattini_free": row["frattini_free_claim"],
+            "cross_checks_ok": row["ok"],
+            "failed_checks": [c["clause"] for c in row["checks"]
+                              if c["applicable"] and c["holds"] is False]}
 
 
 def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--fields", default="gf2,gf3",
-                    help="comma-separated field names (default gf2,gf3)")
-    ap.add_argument("--max-n", type=int, default=5,
-                    help="largest algebra dimension to sweep (default 5)")
-    ap.add_argument("--budget", type=_count, default=DEFAULT_BUDGET)
-    ap.add_argument("--format", choices=("text", "json"), default="text")
-    args = ap.parse_args(argv)
-
-    fields = [parse_field_name(tok) for tok in args.fields.split(",")]
-    if any(not F.is_finite for F in fields):
-        ap.error("the census sweep needs finite fields")
-    if args.max_n < 2:
-        ap.error(f"--max-n must be at least 2: {args.max_n}")
-    rows = sweep(fields, args.max_n, args.budget)
-    summary = summarize(rows)
-
-    if args.format == "json":
-        print(json.dumps({"summary": summary, "rows": rows},
-                         sort_keys=True, indent=2))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    reader = argparse.ArgumentParser(prog=PROG, add_help=False)
+    reader.add_argument("--format", default="text")  # the runner checks its value
+    fmt = reader.parse_known_args(argv)[0].format
+    if any(tok.split("=")[0] == "--output" for tok in argv):
+        doc = {"error": {"message": "--output is not supported; redirect stdout"}}
     else:
-        by_name = {str(F): F for F in fields}
-        for r in rows:
-            flags = "".join((
-                "A" if r["is_a"] else ".",
-                "N" if r["nilpotent"] else ".",
-                "M" if r["monolithic"] else ".",
-                "F" if r["frattini_free"] else ".",
-            ))
-            mark = "" if r["cross_checks_ok"] else \
-                f"  CHECK FAILED: {','.join(r['failed_checks'])}"
-            F = by_name[r["field"]]
-            alphas = ",".join(_coef_str(F, F.parse_scalar(a)) for a in r["alphas"])
-            print(f"{r['field']:>6}  n={r['n']}  alphas=({alphas})  "
-                  f"{flags}  {r['polynomial']}{mark}")
-        print()
-        print(f"total {summary['total']}: "
-              f"{summary['is_a']} A-algebras, "
-              f"{summary['nilpotent']} nilpotent, "
-              f"{summary['monolithic']} monolithic, "
-              f"{summary['frattini_free']} frattini-free "
-              f"(flags A/N/M/F per row)")
-        if summary["cross_check_failures"]:
-            print(f"cross-check failures: {summary['cross_check_failures']}")
-    return 1 if summary["cross_check_failures"] else 0
+        doc, code = run_command(["census", *argv])
+    if "error" in doc:
+        print(f"{PROG}: error: {doc['error']['message']}", file=sys.stderr)
+        return 2
+    rows = [census_row(row) for row in doc["rows"]]
+    summary = doc["summary"]
+    if fmt == "json":
+        print(json.dumps({"summary": summary, "rows": rows}, sort_keys=True, indent=2))
+        return code
+    for r in rows:
+        flags = "".join(flag if r[key] else "." for flag, key in FLAGS)
+        mark = "" if r["cross_checks_ok"] else f"  CHECK FAILED: {','.join(r['failed_checks'])}"
+        # each scalar as format_poly writes a coefficient: [c] as c
+        alphas = ",".join(str(a[0]) if len(a) == 1 else str(a) for a in r["alphas"])
+        print(f"{r['field']:>6}  n={r['n']}  alphas=({alphas})  {flags}  {r['polynomial']}{mark}")
+    print()
+    print(f"total {summary['total']}: {summary['is_a']} A-algebras, "
+          f"{summary['nilpotent']} nilpotent, {summary['monolithic']} monolithic, "
+          f"{summary['frattini_free']} frattini-free (flags A/N/M/F per row)")
+    if summary["cross_check_failures"]:
+        print(f"cross-check failures: {summary['cross_check_failures']}")
+    return code
 
 
 if __name__ == "__main__":

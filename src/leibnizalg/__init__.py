@@ -25,8 +25,7 @@ _MODULE_EXPORTS = {
     "core": ("LeibnizAlgebra", "Violation", "direct_sum"),
     "corpus": ("FIELDS", "FIXTURE_NAMES", "CorpusMember", "corpus", "fixture"),
     "cyclic": ("CyclicReport", "CyclicSpec", "build_cyclic", "classify_cyclic",
-               "complement_vector", "describe_polynomial", "generator_cofactor",
-               "generator_polynomial"),
+               "complement_vector", "generator_cofactor", "generator_polynomial"),
     "decompose": ("cartan_subalgebra", "enumerated_cartan_subalgebras", "fitting",
                   "fitting_family", "max_nilpotent_subalgebras",
                   "triangular_decomposition"),

@@ -1,7 +1,7 @@
 """Command line front end.
 
 Subcommands: check, analyze, decompose, a-algebra, battery, cyclic,
-frattini, enumerate, corpus.  Reports are deterministic: the same
+census, frattini, enumerate, corpus.  Reports are deterministic: the same
 argument vector, seed and input bytes produce byte-identical output
 (JSON output uses sorted keys and no timestamps).
 
@@ -26,6 +26,7 @@ every degree, so no factorization is refused.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -185,30 +186,58 @@ def _parse_alpha(F, token):
     return F.parse_scalar(value)
 
 
+def _cyclic_doc(report):
+    """The fields of a ``cyclic`` report after its head; one ``census`` row."""
+    from .poly import format_poly
+    F = report.spec.field
+    mu = report.normalization_scalar
+    return {
+        "field": str(F), "dim": report.algebra.dim,
+        "alphas": [F.serialize_scalar(a) for a in report.spec.alphas],
+        "polynomial": format_poly(report.polynomial), "cofactor": format_poly(report.cofactor),
+        "cofactor_factors": [{"poly": format_poly(f), "multiplicity": m}
+                             for f, m in report.factors],
+        "is_a": report.is_a, "nilpotent": report.nilpotent,
+        "monolithic_claim": report.monolithic_claim,
+        "frattini_free_claim": report.frattini_free_claim,
+        "complement": [F.serialize_scalar(c) for c in report.complement],
+        "normalization_scalar": F.serialize_scalar(mu) if mu is not None else None,
+        "checks": [_clause_doc(c) for c in report.checks], "ok": report.ok}
+
+
 def _cmd_cyclic(args, doc):
     from .cyclic import classify_cyclic
     from .fields import parse_field_name
-    from .poly import format_poly
     F = parse_field_name(args.field)
     alphas = [_parse_alpha(F, tok) for tok in args.alphas]
     report = classify_cyclic(F, alphas, budget=args.budget, seed=args.seed)
-    doc.update(field=str(F), dim=report.algebra.dim)
-    doc["alphas"] = [F.serialize_scalar(a) for a in report.spec.alphas]
-    doc["polynomial"] = format_poly(report.polynomial)
-    doc["cofactor"] = format_poly(report.cofactor)
-    doc["cofactor_factors"] = [{"poly": format_poly(f), "multiplicity": m}
-                               for f, m in report.factors]
-    doc["is_a"] = report.is_a
-    doc["nilpotent"] = report.nilpotent
-    doc["monolithic_claim"] = report.monolithic_claim
-    doc["frattini_free_claim"] = report.frattini_free_claim
-    doc["complement"] = [F.serialize_scalar(c) for c in report.complement]
-    doc["normalization_scalar"] = (
-        F.serialize_scalar(report.normalization_scalar)
-        if report.normalization_scalar is not None else None)
-    doc["checks"] = [_clause_doc(c) for c in report.checks]
-    doc["ok"] = report.ok
+    doc.update(_cyclic_doc(report))
     return EXIT_OK if report.ok else EXIT_MATH
+
+
+def _cmd_census(args, doc):
+    """``cyclic`` on every alpha tuple over each field, dimensions 2 to
+    --max-n, with the count of rows that have each flag."""
+    from .cyclic import classify_cyclic
+    from .fields import parse_field_name
+    fields = [parse_field_name(tok) for tok in args.fields.split(",")]
+    if any(not F.is_finite for F in fields):
+        raise BadSpec("the census sweep needs finite fields")
+    if args.max_n < 2:
+        raise BadSpec(f"--max-n must be at least 2: {args.max_n}")
+    rows = [_cyclic_doc(classify_cyclic(F, alphas, budget=args.budget, seed=args.seed))
+            for F in fields for n in range(2, args.max_n + 1)
+            for alphas in itertools.product(range(F.size), repeat=n - 1)]
+
+    def count(key):
+        return sum(1 for row in rows if row[key])
+
+    doc["rows"] = rows
+    doc["summary"] = {"total": len(rows), "is_a": count("is_a"), "nilpotent": count("nilpotent"),
+                      "monolithic": count("monolithic_claim"),
+                      "frattini_free": count("frattini_free_claim"),
+                      "cross_check_failures": len(rows) - count("ok")}
+    return EXIT_OK if count("ok") == len(rows) else EXIT_MATH
 
 
 def _cmd_frattini(args, doc):
@@ -244,7 +273,11 @@ def _cmd_enumerate(args, doc):
 def _cmd_corpus(args, doc):
     from .aalgebra import theorem_battery
     from .corpus import corpus
-    members = corpus()
+    from .fields import parse_field_name
+    F = parse_field_name(args.field) if args.field is not None else None
+    # quotients come last in the corpus, so leaving them out changes no other member
+    members = [m for m in corpus(with_quotients=args.kind in (None, "quotient"))
+               if (F is None or m.algebra.field == F) and args.kind in (None, m.kind)]
     if args.limit is not None:
         members = members[:args.limit]
     doc["size"] = len(members)
@@ -260,6 +293,7 @@ def _cmd_corpus(args, doc):
             row["verdict"] = report.verdict.label
             row["hard_failures"] = list(report.hard_failures)
             row["findings"] = list(report.findings)
+            row["clauses"] = len(report.clauses)
             if report.verdict.is_unknown:
                 unknown += 1
             if report.hard_failures:
@@ -340,6 +374,9 @@ _COMMANDS = {
     "cyclic": (_cmd_cyclic, None, (
         _option("--field", required=True, help="ground field, e.g. q, gf2, gf(3,2)"),
         _option("alphas", nargs="+", help="alpha_2 ... alpha_n as field literals"))),
+    "census": (_cmd_census, None, (
+        _option("--fields", default="gf2,gf3", help="comma-separated finite fields"),
+        _option("--max-n", type=int, default=5, help="largest dimension to sweep"))),
     "enumerate": (_cmd_enumerate, "leibniz", (
         _option("--kind", choices=("subspaces", "subalgebras", "ideals"),
                 default="subalgebras"),
@@ -348,6 +385,9 @@ _COMMANDS = {
     "corpus": (_cmd_corpus, None, (
         _option("--battery", action="store_true",
                 help="run the theorem battery over every member"),
+        _option("--field", default=None, help="only members over this field, e.g. GF(3) or q"),
+        _option("--kind", choices=("fixture", "cyclic", "sum", "quotient"), default=None,
+                help="only members of this kind"),
         _option("--limit", type=_count, default=None))),
 }
 

@@ -220,11 +220,9 @@ class LeibnizAlgebra:
         return Subspace.full_space(self.field, self.dim)
 
     def _own(self, *spaces):
-        """AmbientMismatch unless every space lies in this algebra's F^dim.
-        Fields are compared by identity first: ``gf`` gives one object per
-        field, and a dataclass ``!=`` would cost more than the check."""
+        """AmbientMismatch unless every space lies in this algebra's F^dim."""
         for U in spaces:
-            if U.ambient != self.dim or U.field is not self.field and U.field != self.field:
+            if not U._lies_in(self.field, self.dim):
                 raise AmbientMismatch(f"{U} over {U.field} is not a subspace of {self}")
 
     def product(self, U: Subspace, V: Subspace) -> Subspace:

@@ -27,7 +27,7 @@ from .core import LeibnizAlgebra
 from .enumeration import (DEFAULT_BUDGET, frattini_ideal, is_enumerable,
                           socle_analysis)
 from .errors import BadSpec
-from .poly import Poly, companion_matrix, format_poly, poly, poly_factor
+from .poly import Poly, companion_matrix, poly, poly_factor
 from .series import is_nilpotent
 
 
@@ -184,10 +184,3 @@ def classify_cyclic(field, alphas, budget: int = DEFAULT_BUDGET,
     return CyclicReport(spec, L, p, q, is_a, nilpotent_claim, b,
                         tuple(factors), monolithic_claim, frattini_free_claim,
                         normalization_scalar, tuple(checks))
-
-
-def describe_polynomial(report: CyclicReport) -> str:
-    parts = ["(x)"]
-    parts += [f"({format_poly(f)})^{m}" if m > 1 else f"({format_poly(f)})"
-              for f, m in report.factors]
-    return f"{format_poly(report.polynomial)} = " + " * ".join(parts)

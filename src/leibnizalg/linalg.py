@@ -247,8 +247,14 @@ class Subspace:
         pivset = set(self.pivots)
         return tuple(j for j in range(self.ambient) if j not in pivset)
 
+    def _lies_in(self, field, ambient) -> bool:
+        """Whether this space lies in field^ambient.  Fields are compared by
+        identity first: ``gf`` gives one object per field, and a dataclass
+        ``!=`` would cost more than the check."""
+        return self.ambient == ambient and (self.field is field or self.field == field)
+
     def _check_compatible(self, other: "Subspace"):
-        if self.field != other.field or self.ambient != other.ambient:
+        if not other._lies_in(self.field, self.ambient):
             raise AmbientMismatch("subspaces live in different ambient spaces")
 
     def __str__(self):

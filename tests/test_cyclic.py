@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leibnizalg.cyclic import (CyclicSpec, build_cyclic, classify_cyclic,
-                               complement_vector, describe_polynomial,
-                               generator_cofactor, generator_polynomial)
+                               complement_vector, generator_cofactor,
+                               generator_polynomial)
 from leibnizalg.errors import BadSpec
 from leibnizalg.fields import QQ, gf
 from leibnizalg.poly import companion_matrix, format_poly
@@ -119,13 +119,6 @@ def test_monolithic_frozen_cases():
     rep = classify_cyclic(gf(2), (1, 0, 1))
     assert rep.monolithic_claim and rep.frattini_free_claim and rep.is_a
     assert rep.ok
-
-
-def test_describe_polynomial():
-    rep = classify_cyclic(gf(2), (1, 0, 1))
-    assert describe_polynomial(rep) == "x^4 + x^3 + x = (x) * (x^3 + x^2 + 1)"
-    rep = classify_cyclic(gf(3), (0, 0))
-    assert describe_polynomial(rep) == "x^3 = (x) * (x)^2"
 
 
 def test_normalization_scalar():

@@ -4,8 +4,9 @@ every public one is used by the package, the scripts, the benchmark, the
 acceptance tests or the kernel reference (a re-export is not a use),
 every parameter of every function is read in its body, every
 exception class in ``errors.py`` is raised by some library module,
-only the witness search's module imports ``random``, and only
-``fields.py`` imports ``fractions``.
+only the witness search's module imports ``random``, only
+``fields.py`` imports ``fractions``, and no script imports a private name
+of the package.
 
 ``__init__.py`` is skipped by the import check, since its imports are the
 package's re-exports.
@@ -282,6 +283,44 @@ def test_scan_finds_fractions_imports():
                     "fractions")
     assert not _imports(ast.parse("from .fields import Fraction\n"
                                   "import fractionsx\n"), "fractions")
+
+
+def _private_imports(tree):
+    """Underscore-prefixed names imported from ``leibnizalg``, or from one of
+    its modules, as (line, name)."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            path = node.module.split(".")
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            path, names = [], [alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            parts = path + name.split(".")
+            if parts[0] == "leibnizalg" and any(p.startswith("_") for p in parts[1:]):
+                out.append((node.lineno, name))
+    return out
+
+
+def test_scripts_import_no_private_names():
+    # the scripts lay out CLI reports, through the package's public names
+    found = {p.name: _private_imports(ast.parse(p.read_text(), filename=str(p)))
+             for p in sorted((ROOT / "scripts").glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_scan_finds_private_imports():
+    tree = ast.parse("from leibnizalg.cli import _count, run_command\n"
+                     "from leibnizalg import _internal\n"
+                     "import leibnizalg._private.x\n"
+                     "from leibnizalg.poly import format_poly\n"
+                     "from other import _hidden\n"
+                     "from .local import _near\n"
+                     "import leibnizalg.cli\n")
+    assert _private_imports(tree) == [(1, "_count"), (2, "_internal"),
+                                      (3, "leibnizalg._private.x")]
 
 
 FIELD_TYPES = {"Fraction", "Rationals", "PrimeField", "ExtensionField"}

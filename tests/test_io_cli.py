@@ -306,6 +306,66 @@ def test_cli_negative_budget(tmp_path):
     assert code == 0 and doc["budget"] == 0
 
 
+def test_cli_corpus_filters_by_field_and_kind(members):
+    # the field is parsed, so every spelling of GF(2) picks the same members
+    docs = [run_command(["corpus", "--battery", "--field", name, "--kind", "fixture"])
+            for name in ("gf2", "GF(2)")]
+    assert [code for _, code in docs] == [0, 0]
+    rows = docs[0][0]["members"]
+    assert docs[1][0]["members"] == rows
+    chosen = [m for m in members if m.algebra.field == gf(2) and m.kind == "fixture"]
+    assert [row["label"] for row in rows] == [m.label for m in chosen]
+    for row, m in zip(rows, chosen):
+        rep = theorem_battery(m.algebra)
+        assert ((row["verdict"], row["hard_failures"], row["findings"], row["clauses"])
+                == (rep.verdict.label, list(rep.hard_failures), list(rep.findings),
+                    len(rep.clauses))), m.label
+
+
+def test_cli_corpus_refuses_an_unknown_field():
+    doc, code = run_command(["corpus", "--field", "nonsense"])
+    assert code == 3
+    assert doc["error"]["type"] == "BadSpec"
+    assert "nonsense" in doc["error"]["message"]
+
+
+def test_cli_corpus_lists_quotients():
+    doc, code = run_command(["corpus", "--kind", "quotient", "--limit", "1"])
+    assert code == 0
+    assert [row["kind"] for row in doc["members"]] == ["quotient"]
+
+
+def test_cli_census_rows_are_cyclic_reports():
+    doc, code = run_command(["census", "--fields", "gf2,gf3", "--max-n", "3"])
+    assert code == 0
+    rows = doc["rows"]
+    assert len(rows) == (2 + 4) + (3 + 9)
+    head = {"command", "seed", "budget"}
+    for row in rows:
+        field = "gf2" if row["field"] == "GF(2)" else "gf3"
+        report, code = run_command(["cyclic", "--field", field,
+                                    *(str(a[0]) for a in row["alphas"])])
+        assert code == 0
+        assert row == {k: v for k, v in report.items() if k not in head}
+    assert doc["summary"] == {
+        "total": len(rows),
+        "is_a": sum(row["is_a"] for row in rows),
+        "nilpotent": sum(row["nilpotent"] for row in rows),
+        "monolithic": sum(row["monolithic_claim"] for row in rows),
+        "frattini_free": sum(row["frattini_free_claim"] for row in rows),
+        "cross_check_failures": 0}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--max-n", "1"], "--max-n must be at least 2: 1"),
+    (["--fields", "q"], "the census sweep needs finite fields"),
+], ids=["max-n-1", "rationals"])
+def test_cli_census_refuses_bad_sweeps(argv, message):
+    doc, code = run_command(["census", *argv])
+    assert code == 3
+    assert doc["error"] == {"type": "BadSpec", "message": message}
+
+
 CENSUS = Path(__file__).resolve().parent.parent / "scripts" / "cyclic_census.py"
 
 
@@ -327,6 +387,22 @@ def test_census_text_shows_scalars_as_coefficients():
     assert run.returncode == 0
     assert re.findall(r"alphas=\((.*?)\)  ", run.stdout) == [
         "0", "1", "[0, 0]", "[1, 0]", "[0, 1]", "[1, 1]"]
+
+
+def test_census_text_shows_the_factored_polynomial():
+    run = _census("--fields", "gf2,gf3", "--max-n", "4")
+    assert run.returncode == 0
+    lines = run.stdout.splitlines()
+    assert any(line.endswith("x^4 + x^3 + x = (x) * (x^3 + x^2 + 1)")
+               and "GF(2)  n=4  alphas=(1,0,1)" in line for line in lines)
+    assert any(line.endswith("x^3 = (x) * (x)^2")
+               and "GF(3)  n=3  alphas=(0,0)" in line for line in lines)
+
+
+def test_census_refuses_output():
+    run = _census("--max-n", "2", "--output", "census.txt")
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr == "cyclic_census.py: error: --output is not supported; redirect stdout\n"
 
 
 SWEEP = CENSUS.parent / "corpus_battery_sweep.py"
@@ -600,4 +676,4 @@ def test_cli_reports_golden_digest(members, tmp_path):
         record(" ".join(case), [paths.get(token, token) for token in case])
     assert outputs == 330
     assert digest.hexdigest() == (
-        "df6e0f40dde35a03f5d0f49dbb37c19fc35722fc60b1363f458f5db874f89a7d")
+        "2ebd1b0198b09b0d1eaf7436c639b879e98240500f85c820fc5ffd871fea0dda")

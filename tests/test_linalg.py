@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from kernel_reference import identity_matrix
 from leibnizalg.errors import AmbientMismatch, NoSolution, ShapeMismatch
-from leibnizalg.fields import QQ, gf
+from leibnizalg.fields import QQ, PrimeField, gf
 from leibnizalg.linalg import (Subspace, chain, fitting_power, image,
                                is_nilpotent_operator, kernel, mat_mul, mat_vec,
                                restrict_operator, rref, solve)
@@ -117,13 +117,24 @@ def test_coords_of_round_trip():
 
 def test_subspace_mismatch_errors():
     U = Subspace.span(F3, 3, [(1, 0, 0)])
-    V = Subspace.span(F3, 4, [(1, 0, 0, 0)])
-    with pytest.raises(AmbientMismatch):
-        U.add(V)
-    with pytest.raises(AmbientMismatch):
-        U.is_direct_sum(U, V)
+    for V in (Subspace.span(F3, 4, [(1, 0, 0, 0)]), Subspace.span(gf(2), 3, [(0, 1, 0)]),
+              Subspace.span(QQ, 3, [(0, 1, 0)])):
+        for call in (U.add, U.intersect, lambda W: U.is_direct_sum(U, W)):
+            with pytest.raises(AmbientMismatch):
+                call(V)
     with pytest.raises(ShapeMismatch):
         U.contains((1, 0))
+
+
+def test_subspaces_over_equal_fields_combine():
+    # a field equal to gf(3) but not the same object is the same ambient
+    other = PrimeField(3)
+    assert other is not F3 and other == F3
+    U = Subspace.span(F3, 3, [(1, 0, 0)])
+    V = Subspace.span(other, 3, [(0, 1, 0)])
+    assert U.add(V) == Subspace.span(F3, 3, [(1, 0, 0), (0, 1, 0)])
+    assert U.intersect(V).dim == 0
+    assert U.add(V).is_direct_sum(U, V)
 
 
 def _random_span(F, rng, gens, count):
