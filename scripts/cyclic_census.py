@@ -41,7 +41,10 @@ def census_row(row):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    reader = argparse.ArgumentParser(prog=PROG, add_help=False)
+    reader = argparse.ArgumentParser(
+        prog=PROG, description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter,
+        allow_abbrev=False,  # as in leibnizalg.cli.main: the runner takes no abbreviation
+        epilog="Every other argument is one of `leibnizalg census`'s; --output is refused.")
     reader.add_argument("--format", default="text")  # the runner checks its value
     fmt = reader.parse_known_args(argv)[0].format
     if any(tok.split("=")[0] == "--output" for tok in argv):

@@ -173,18 +173,13 @@ def lemma_aa_certificate(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
     der = L.derived_space()
     if der.dim == 0:
         return True, "abelian"
-    F, free = L.field, der.free_positions()
-    if len(free) == 1:
-        ok = _invertible_on(L, L.basis_vector(free[0]), der)
+    F, B = L.field, L.span([L.basis_vector(j) for j in der.free_positions()])
+    if B.dim == 1:
+        ok = _invertible_on(L, B.basis[0], der)
         return ok, "" if ok else "right multiplication by the complement line degenerates"
-    if F.is_finite and F.size ** len(free) <= budget:
-        for coeffs in itertools.product(F.elements(), repeat=len(free)):
-            if not any(coeffs):
-                continue
-            x = [F.zero] * L.dim
-            for j, c in zip(free, coeffs):
-                x[j] = c
-            if not _invertible_on(L, tuple(x), der):
+    if F.is_finite and F.size ** B.dim <= budget:
+        for coeffs in itertools.product(F.elements(), repeat=B.dim):
+            if any(coeffs) and not _invertible_on(L, B.embed(coeffs), der):
                 return False, "some complement element degenerates on the derived subalgebra"
         return True, ""
     return False, "complement of dimension >= 2 over an unenumerable field"

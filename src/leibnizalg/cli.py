@@ -47,6 +47,10 @@ class _ArgumentError(Exception):
     pass
 
 
+class _Help(Exception):
+    """A --help request, carrying the text argparse would print."""
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         # main reads --format and --output with a parser of its own, which
@@ -55,6 +59,11 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _ArgumentError(message)
+
+    def print_help(self):
+        # argparse's --help action calls this and then exits; raising the
+        # text instead lets run_command return it
+        raise _Help(self.format_help())
 
 
 def _space_doc(L, U):
@@ -227,7 +236,7 @@ def _cmd_census(args, doc):
         raise BadSpec(f"--max-n must be at least 2: {args.max_n}")
     rows = [_cyclic_doc(classify_cyclic(F, alphas, budget=args.budget, seed=args.seed))
             for F in fields for n in range(2, args.max_n + 1)
-            for alphas in itertools.product(range(F.size), repeat=n - 1)]
+            for alphas in itertools.product(F.elements(), repeat=n - 1)]
 
     def count(key):
         return sum(1 for row in rows if row[key])
@@ -410,12 +419,15 @@ def _build_parser() -> _Parser:
 
 
 def run_command(argv):
-    """Parse argv and run the subcommand; returns (report dict, exit code)."""
+    """Parse argv and run the subcommand; returns (report dict, exit code).
+    On --help the report is ``{"help": text}``, with exit code 0."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except _ArgumentError as exc:
         return _error("argument", exc), EXIT_INPUT
+    except _Help as exc:
+        return {"help": str(exc)}, EXIT_OK
     handler, reads, _ = _COMMANDS[args.command]
     doc = {"command": args.command, "seed": args.seed, "budget": args.budget}
     try:
@@ -458,7 +470,7 @@ def main(argv=None) -> int:
         sys.stdout.write(render(_error("unwritable_output", exc), opts.format))
         return EXIT_INPUT
     doc, code = run_command(argv)
-    out.write(render(doc, opts.format))
+    out.write(doc["help"] if "help" in doc else render(doc, opts.format))
     if out is not sys.stdout:
         out.close()
     return code

@@ -63,9 +63,8 @@ def build_cyclic(field, alphas) -> LeibnizAlgebra:
 
 
 def generator_polynomial(spec: CyclicSpec) -> Poly:
-    F = spec.field
-    coeffs = [F.zero] + [F.neg(a) for a in spec.alphas] + [F.one]
-    return poly(F, coeffs)
+    """p = x * q: the cofactor's coefficients shifted up one degree."""
+    return Poly(spec.field, (spec.field.zero,) + generator_cofactor(spec).coeffs)
 
 
 def generator_cofactor(spec: CyclicSpec) -> Poly:
@@ -77,13 +76,9 @@ def generator_cofactor(spec: CyclicSpec) -> Poly:
 
 def complement_vector(spec: CyclicSpec):
     """b = a^n - alpha_n a^{n-1} - ... - alpha_2 a, the canonical
-    complement generator; [b, a] = 0 and b^2 = 0."""
-    F, n = spec.field, spec.dim
-    coords = [F.zero] * n
-    coords[n - 1] = F.one
-    for k in range(2, n + 1):
-        coords[k - 2] = F.sub(coords[k - 2], spec.alphas[k - 2])
-    return tuple(coords)
+    complement generator; [b, a] = 0 and b^2 = 0.  Its coordinates on
+    a, ..., a^n are the coefficients of the monic cofactor q."""
+    return generator_cofactor(spec).coeffs
 
 
 @dataclass(frozen=True)
@@ -127,8 +122,7 @@ def classify_cyclic(field, alphas, budget: int = DEFAULT_BUDGET,
     checks.append(ClauseResult("companion_match", True, ok,
                                "" if ok else "right multiplication is not the companion matrix"))
 
-    zero = tuple(F.zero for _ in range(n))
-    ok = L._bracket(b, L.basis_vector(0)) == zero and L._bracket(b, b) == zero
+    ok = not any(L._bracket(b, L.basis_vector(0))) and not any(L._bracket(b, b))
     checks.append(ClauseResult("complement_kernel", True, ok,
                                "" if ok else "complement is not killed by the generator"))
 

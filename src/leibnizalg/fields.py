@@ -139,6 +139,14 @@ class Rationals:
         return "Q"
 
 
+def _int_param(name, value):
+    """value itself if it is an int and not a bool: a field's p, k, q or
+    modulus entry is refused, not rounded or read through ``int()``."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise BadSpec(f"{name} is not an integer: {value!r}")
+
+
 def _element_code(field, c):
     """c itself if it is an int in range(q), the code of an element of the
     finite field with q elements."""
@@ -172,7 +180,7 @@ class PrimeField:
     one: ClassVar[int] = 1
 
     def __post_init__(self):
-        if not is_prime(self.p):
+        if not is_prime(_int_param("p", self.p)):
             raise BadSpec(f"{self.p} is not prime")
 
     @property
@@ -245,13 +253,14 @@ class ExtensionField:
     is_finite: ClassVar[bool] = True
     zero: ClassVar[int] = 0
     one: ClassVar[int] = 1
+    _mul_tab = _add_tab = _neg_tab = _inv_tab = None  # set when q <= _TABLE_LIMIT
 
     def __post_init__(self):
-        if not is_prime(self.p):
+        if not is_prime(_int_param("p", self.p)):
             raise BadSpec(f"{self.p} is not prime")
-        if self.k < 1:
+        if _int_param("k", self.k) < 1:
             raise BadSpec("extension degree must be at least 1")
-        mod = tuple(int(c) % self.p for c in self.modulus)
+        mod = tuple(_int_param("modulus entry", c) % self.p for c in self.modulus)
         if len(mod) != self.k + 1 or mod[-1] != 1:
             raise BadSpec("modulus must be monic of degree k")
         modulus = Poly(PrimeField(self.p), mod)
@@ -263,11 +272,6 @@ class ExtensionField:
         object.__setattr__(self, "_q", q)
         if q <= _TABLE_LIMIT:
             self._build_tables(q)
-        else:
-            object.__setattr__(self, "_mul_tab", None)
-            object.__setattr__(self, "_add_tab", None)
-            object.__setattr__(self, "_neg_tab", None)
-            object.__setattr__(self, "_inv_tab", None)
 
     def _build_tables(self, q):
         """The q x q addition and multiplication tables, with about q slow
@@ -418,10 +422,11 @@ def default_modulus(p: int, k: int):
     raise BadSpec(f"no irreducible of degree {k} over GF({p})")  # pragma: no cover
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def gf(q: int):
-    """The finite field with q elements (default modulus when q = p**k, k > 1)."""
-    if q < 2:
+    """The finite field with q elements (default modulus when q = p**k, k > 1).
+    The cache is typed, so gf(9.0) is refused even after gf(9)."""
+    if _int_param("q", q) < 2:
         raise BadSpec(f"no field with {q} elements")
     p = next(d for d in range(2, q + 1) if q % d == 0)
     k, m = 0, q
@@ -446,14 +451,6 @@ def field_to_doc(field) -> dict:
     raise BadSpec(f"not a field: {field!r}")
 
 
-def _doc_int(obj):
-    """obj itself if it is an int and not a bool; a float or a string in a
-    field descriptor is refused, not rounded or parsed."""
-    if isinstance(obj, int) and not isinstance(obj, bool):
-        return obj
-    raise FieldParseError(f"not an integer: {obj!r}")
-
-
 def field_from_doc(doc) -> object:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise FieldParseError(f"bad field descriptor: {doc!r}")
@@ -462,10 +459,9 @@ def field_from_doc(doc) -> object:
         if kind == "rationals":
             return QQ
         if kind == "prime_field":
-            return PrimeField(_doc_int(doc["p"]))
+            return PrimeField(doc["p"])
         if kind == "extension_field":
-            return ExtensionField(_doc_int(doc["p"]), _doc_int(doc["k"]),
-                                  tuple(map(_doc_int, doc["modulus"])))
+            return ExtensionField(doc["p"], doc["k"], doc["modulus"])
     except (KeyError, TypeError, ValueError, BadSpec) as exc:
         raise FieldParseError(f"bad field descriptor {doc!r}: {exc}") from None
     raise FieldParseError(f"unknown field kind {kind!r}")
@@ -489,9 +485,9 @@ def parse_field_name(name: str):
             p, k = nums
             if k < 1:
                 raise BadSpec("extension degree must be at least 1")
-            if k == 1:
-                return PrimeField(p)
-            return ExtensionField(p, k, default_modulus(p, k))
+            if not is_prime(p):
+                raise BadSpec(f"{p} is not prime")
+            return gf(p ** k)
         raise BadSpec(f"bad field name {name!r}")
     if s.startswith("gf"):
         try:

@@ -55,6 +55,9 @@ on a subalgebra K, drawn in the restricted algebra on K and embedded in
 L.  ``triangular_by_restriction`` is the triangular decomposition by
 recursion on the restricted algebra of each Fitting null component, with
 every part embedded back.
+``generator_polynomial_by_alphas`` and ``complement_by_alphas`` are a
+cyclic algebra's generator polynomial p and complement vector b written
+out from the negated alphas, without the cofactor q.
 ``random_invertible`` and ``change_basis`` rewrite an algebra in the
 basis of the columns of a seeded random invertible matrix.
 ``identity_matrix``, ``left_mult``, ``lift``, ``poly_from_ints`` and
@@ -567,6 +570,22 @@ def triangular_by_restriction(L, budget=DEFAULT_BUDGET):
             raise DecompositionFailed(
                 f"partial sum of parts does not match derived term {i}")
     return tuple(parts)
+
+
+def generator_polynomial_by_alphas(spec):
+    """p = x^n - alpha_n x^{n-1} - ... - alpha_2 x."""
+    F = spec.field
+    return poly(F, [F.zero] + [F.neg(a) for a in spec.alphas] + [F.one])
+
+
+def complement_by_alphas(spec):
+    """b = a^n - alpha_n a^{n-1} - ... - alpha_2 a, coordinate by coordinate."""
+    F, n = spec.field, spec.dim
+    coords = [F.zero] * n
+    coords[n - 1] = F.one
+    for k in range(2, n + 1):
+        coords[k - 2] = F.sub(coords[k - 2], spec.alphas[k - 2])
+    return tuple(coords)
 
 
 def random_invertible(F, n, rng):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kernel_reference import complement_by_alphas, generator_polynomial_by_alphas
 from leibnizalg.cyclic import (CyclicSpec, build_cyclic, classify_cyclic,
                                complement_vector, generator_cofactor,
                                generator_polynomial)
@@ -82,6 +83,34 @@ def test_complement_vector_kernel():
     zero = (Fraction(0),) * 4
     assert L.bracket(b, L.basis_vector(0)) == zero
     assert L.bracket(b, b) == zero
+
+
+def _alpha_tuples():
+    """Every alpha tuple over GF(2), GF(3), GF(4) and GF(5) with n <= 4, and
+    the rational workload's tuples from (-1, 0, 1, 2) with n <= 5."""
+    for q in (2, 3, 4, 5):
+        F = gf(q)
+        for n in range(2, 5):
+            for alphas in product(F.elements(), repeat=n - 1):
+                yield F, alphas
+    for n in range(2, 6):
+        for ints in product((-1, 0, 1, 2), repeat=n - 1):
+            yield QQ, tuple(Fraction(a) for a in ints)
+
+
+def test_p_and_b_from_the_cofactor_match_the_alpha_formulas():
+    def typed(coeffs):
+        return [(type(c), c) for c in coeffs]
+
+    count = 0
+    for F, alphas in _alpha_tuples():
+        spec = CyclicSpec(F, alphas)
+        p, p_ref = generator_polynomial(spec), generator_polynomial_by_alphas(spec)
+        assert p == p_ref and typed(p.coeffs) == typed(p_ref.coeffs), (str(F), alphas)
+        b, b_ref = complement_vector(spec), complement_by_alphas(spec)
+        assert type(b) is tuple and typed(b) == typed(b_ref), (str(F), alphas)
+        count += 1
+    assert count == 14 + 39 + 84 + 155 + 340
 
 
 def test_sweep_all_checks_pass():

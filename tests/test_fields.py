@@ -323,12 +323,37 @@ def test_parse_field_name():
     assert parse_field_name("rationals") is QQ
     assert parse_field_name("gf4") is gf(4)
     assert parse_field_name("GF(9)") is gf(9)
-    assert parse_field_name("gf(3,2)") == gf(9)
+    assert parse_field_name("gf(3,2)") is gf(9)
+    assert parse_field_name("gf(5,1)") is gf(5)
     assert parse_field_name("gf2") is gf(2)
     with pytest.raises(BadSpec):
         parse_field_name("gf6")
     with pytest.raises(BadSpec):
         parse_field_name("octonions")
+    with pytest.raises(BadSpec, match="^4 is not prime$"):
+        parse_field_name("gf(4,2)")
+    with pytest.raises(BadSpec, match="^extension degree must be at least 1$"):
+        parse_field_name("gf(3,0)")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PrimeField(3.0),
+    lambda: PrimeField(True),
+    lambda: ExtensionField(3.0, 2, (2, 2, 1)),
+    lambda: ExtensionField(3, True, (2, 1)),
+    lambda: ExtensionField(3, 2.0, (2, 2, 1)),
+    lambda: ExtensionField(3, 2, ("2", 2, 1)),
+    lambda: ExtensionField(3, 2, (1.5, 0, 1)),
+    lambda: ExtensionField(3, 2, (2, False, True)),
+    lambda: gf(9.0),
+    lambda: gf(True),
+], ids=["prime-float", "prime-bool", "ext-p-float", "ext-k-bool", "ext-k-float",
+        "modulus-string", "modulus-float", "modulus-bool", "gf-float", "gf-bool"])
+def test_field_constructors_refuse_parameters_that_are_not_ints(build):
+    # each built a field on the value, read it through int(), or raised TypeError
+    gf(9)  # with gf(9) cached, gf(9.0) must still be refused
+    with pytest.raises(BadSpec, match="is not an integer"):
+        build()
 
 
 @pytest.mark.parametrize("q", (None, 2, 3, 4, 9, 25))

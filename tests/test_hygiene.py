@@ -5,8 +5,8 @@ acceptance tests or the kernel reference (a re-export is not a use),
 every parameter of every function is read in its body, every
 exception class in ``errors.py`` is raised by some library module,
 only the witness search's module imports ``random``, only
-``fields.py`` imports ``fractions``, and no script imports a private name
-of the package.
+``fields.py`` imports ``fractions`` or calls ``range`` on a field's
+``.size``, and no script imports a private name of the package.
 
 ``__init__.py`` is skipped by the import check, since its imports are the
 package's re-exports.
@@ -383,3 +383,31 @@ def test_scan_finds_inherited_scalar_methods():
                      "    def add(self, a, b): pass\n"
                      "    zero = 0\n")
     assert _scalar_methods_missing(tree) == {"PrimeField": list(SCALAR_METHODS[1:])}
+
+
+def _size_ranges(tree):
+    """Lines of ``range`` calls over a ``.size``: the scalars of a finite
+    field spelt as the ints below its size."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "range"
+                  and any(isinstance(sub, ast.Attribute) and sub.attr == "size"
+                          for arg in node.args for sub in ast.walk(arg)))
+
+
+def test_field_scalars_listed_only_in_fields():
+    # a finite field's scalars are F.elements(); only fields.py knows they
+    # are range(q)
+    found = {p.name: _size_ranges(ast.parse(p.read_text(), filename=str(p)))
+             for p in MODULES if p.name != "fields.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_scan_finds_size_ranges():
+    tree = ast.parse("range(F.size)\n"
+                     "product(range(L.field.size), repeat=2)\n"
+                     "range(1, F.size - 1)\n"
+                     "range(len(size))\n"
+                     "F.elements()\n"
+                     "range(n)\n")
+    assert _size_ranges(tree) == [1, 2, 3]

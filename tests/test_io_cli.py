@@ -11,7 +11,7 @@ import pytest
 from leibnizalg.aalgebra import theorem_battery
 from leibnizalg.algfile import (algebra_from_doc, algebra_to_doc,
                                 dumps_algebra, input_digest, loads_algebra)
-from leibnizalg.cli import _load, main, render, run_command
+from leibnizalg.cli import _COMMANDS, _load, main, render, run_command
 from leibnizalg.corpus import fixture
 from leibnizalg.enumeration import total_subspaces
 from leibnizalg.errors import ParseError
@@ -406,6 +406,30 @@ def test_census_refuses_output():
 
 
 SWEEP = CENSUS.parent / "corpus_battery_sweep.py"
+
+
+@pytest.mark.parametrize("command", [None, *_COMMANDS])
+def test_help_returns_through_the_runner(command, capsys):
+    argv = ["--help"] if command is None else [command, "--help"]
+    doc, code = run_command(argv)
+    assert (list(doc), code) == (["help"], 0)
+    prog = "leibnizalg" if command is None else f"leibnizalg {command}"
+    assert doc["help"].startswith(f"usage: {prog} ")
+    for flags, _ in () if command is None else _COMMANDS[command][2]:
+        assert flags[0] in doc["help"]
+    assert capsys.readouterr().out == ""
+    assert main(argv) == 0
+    assert capsys.readouterr().out == doc["help"]
+
+
+@pytest.mark.parametrize("script", [CENSUS, SWEEP], ids=lambda p: p.name)
+def test_script_help_names_the_script(script):
+    run = subprocess.run([sys.executable, str(script), "--help"],
+                         capture_output=True, text=True)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.startswith(f"usage: {script.name} ")
+    assert "[--output" not in run.stdout
+    assert not any(line.lstrip().startswith("--output") for line in run.stdout.splitlines())
 
 
 def test_sweep_rows_match_the_battery_in_process(members):
