@@ -70,9 +70,12 @@ def echelon_bases(field, n: int, bracket=None):
     echelon rows r_1, r_2, ... one at a time (r_t is 1 at p_t, 0 at the
     other pivots and left of p_t).  Given ``bracket``, the walk keeps the
     residual of each [r_a, r_b] over the fixed rows: each time a row is
-    fixed, its brackets with itself and the earlier rows are reduced by all
-    fixed rows, and the old residuals by the new row.  A subspace is closed
-    exactly when every residual is zero after all d rows.
+    fixed, the old residuals are reduced by the new row and checked first,
+    and only then are its brackets with itself and the earlier rows formed
+    and reduced by all fixed rows.  Each fixed row's support, as a (pivot,
+    nonzero entries) pair, is computed once and carried down the recursion.
+    A subspace is closed exactly when every residual is zero after all d
+    rows.
 
     - After r_1..r_t, a residual nonzero left of p_{t+1} (after r_d:
       anywhere) kills the branch: every later row is zero there, so no
@@ -102,28 +105,32 @@ def echelon_bases(field, n: int, bracket=None):
                     w[m] = sub(w[m], mul(c, b))
         return w
 
-    def residuals_with(pivots, rows, r, residuals):
-        """The nonzero residuals once r is fixed after ``rows``, or None
-        when one is nonzero left of the next pivot (or n, after the last).
+    def residuals_with(bound, rows, fixed, r, residuals):
+        """The nonzero residuals once r is fixed after ``rows``, whose
+        (pivot, nonzero entries) pairs ``fixed`` ends with r's, or None when
+        one is nonzero left of ``bound``.
 
         The old residuals are zero at the earlier pivots, and so is r, so
-        they are reduced by r alone; the new brackets by every fixed row."""
-        t = len(rows)
-        bound = pivots[t + 1] if t + 1 < len(pivots) else n
-        fixed = [(p, [(m, b) for m, b in enumerate(row) if b])
-                 for row, p in zip(rows + (r,), pivots)]
+        they are reduced by r alone, and checked before any new bracket is
+        formed; the new brackets are reduced by every fixed row."""
         last = fixed[-1:]
-        pairs = [(r, r)] + [pair for a in rows for pair in ((a, r), (r, a))]
         kept = []
-        for rho in itertools.chain((reduced(rho, last) for rho in residuals),
-                                   (reduced(bracket(u, v), fixed) for u, v in pairs)):
+        for rho in residuals:
+            rho = reduced(rho, last)
+            if any(rho[:bound]):
+                return None
+            if any(rho):
+                kept.append(rho)
+        pairs = [(r, r)] + [pair for a in rows for pair in ((a, r), (r, a))]
+        for u, v in pairs:
+            rho = reduced(bracket(u, v), fixed)
             if any(rho[:bound]):
                 return None
             if any(rho):
                 kept.append(rho)
         return kept
 
-    def walk(pivots, choices, rows, residuals, out):
+    def walk(pivots, choices, rows, fixed, residuals, out):
         t = len(rows)
         if t == len(pivots):
             out.append((rows, pivots))
@@ -135,11 +142,17 @@ def echelon_bases(field, n: int, bracket=None):
                 return
             c = field.inv(c)
             candidates = (tuple(field.mul(c, a) for a in residuals[0]),)
+        if bracket is None:
+            for r in candidates:
+                walk(pivots, choices, rows + (r,), fixed, residuals, out)
+            return
+        p = pivots[t]
+        bound = pivots[t + 1] if t + 1 < len(pivots) else n
         for r in candidates:
-            kept = (residuals if bracket is None
-                    else residuals_with(pivots, rows, r, residuals))
+            step = fixed + ((p, [(m, b) for m, b in enumerate(r) if b]),)
+            kept = residuals_with(bound, rows, step, r, residuals)
             if kept is not None:
-                walk(pivots, choices, rows + (r,), kept, out)
+                walk(pivots, choices, rows + (r,), step, kept, out)
 
     for d in range(n + 1):
         batch = []
@@ -155,7 +168,7 @@ def echelon_bases(field, n: int, bracket=None):
                         row[j] = v
                     rows.append(tuple(row))
                 choices.append(rows)
-            walk(pivots, choices, (), [], batch)
+            walk(pivots, choices, (), (), [], batch)
         batch.sort(key=lambda rp: rp[0])
         yield from batch
 

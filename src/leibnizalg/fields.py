@@ -260,6 +260,8 @@ class ExtensionField:
             raise BadSpec(f"{self.p} is not prime")
         if _int_param("k", self.k) < 1:
             raise BadSpec("extension degree must be at least 1")
+        if not isinstance(self.modulus, (list, tuple)):
+            raise BadSpec(f"modulus is not a list of integers: {self.modulus!r}")
         mod = tuple(_int_param("modulus entry", c) % self.p for c in self.modulus)
         if len(mod) != self.k + 1 or mod[-1] != 1:
             raise BadSpec("modulus must be monic of degree k")

@@ -7,6 +7,7 @@ from leibnizalg import enumeration
 from leibnizalg.aalgebra import theorem_battery
 from leibnizalg.core import LeibnizAlgebra
 from leibnizalg.corpus import fixture
+from leibnizalg.cyclic import build_cyclic
 from leibnizalg.decompose import max_nilpotent_subalgebras
 from leibnizalg.enumeration import (_largest_member, echelon_bases,
                                     enumerate_spaces, frattini_ideal,
@@ -159,12 +160,34 @@ def test_walk_decides_closure_without_closure_test(name, q, monkeypatch):
     assert _walked_subalgebras(L) == expected
 
 
+@pytest.mark.parametrize("build,calls,subalgebras", [
+    (lambda: fixture("H3", gf(2)), 38, 12),
+    (lambda: fixture("C3b", gf(3)), 47, 10),
+    (lambda: fixture("sl2", gf(3)), 59, 19),
+    # old residuals refuse rows only from dimension 4 on; checked after the
+    # new brackets instead of before, they would let this walk form 151
+    (lambda: build_cyclic(gf(2), (1, 0, 0)), 140, 20),
+], ids=["H3-gf2", "C3b-gf3", "sl2-gf3", "cyclic-100-gf2"])
+def test_walk_bracket_calls_are_pinned(build, calls, subalgebras):
+    # the number of brackets the pruned walk forms; a change to the pruning
+    # rules or to the order of the checks moves it and must update it here
+    L = build()
+    pairs = []
+
+    def counting_bracket(u, v):
+        pairs.append((u, v))
+        return L._bracket(u, v)
+
+    assert len(list(echelon_bases(L.field, L.dim, counting_bracket))) == subalgebras
+    assert len(pairs) == calls
+
+
 @st.composite
-def structure_tables(draw):
-    """Random structure constants, Leibniz or not: the pruning uses only
-    bilinearity."""
-    q = draw(st.sampled_from([2, 3, 4]))
-    n = draw(st.integers(1, 3 if q == 4 else 4))
+def structure_tables(draw, max_dims):
+    """Random structure constants over GF(q) in dimension n <= max_dims[q],
+    Leibniz or not: the pruning uses only bilinearity."""
+    q = draw(st.sampled_from(sorted(max_dims)))
+    n = draw(st.integers(1, max_dims[q]))
     entries = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
     table = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
                           min_size=n, max_size=n))
@@ -172,8 +195,16 @@ def structure_tables(draw):
 
 
 @settings(max_examples=120, deadline=None)
-@given(structure_tables())
+@given(structure_tables({2: 4, 3: 4, 4: 3}))
 def test_pruned_walk_matches_full_walk_on_random_tables(L):
+    assert _walked_subalgebras(L) == _closed_by_full_walk(L)
+
+
+@settings(max_examples=120, deadline=None)
+@given(structure_tables({5: 3, 9: 2}))
+def test_pruned_walk_matches_full_walk_over_larger_fields(L):
+    # the forced last row divides by a residual entry: prime inverses
+    # beyond GF(3) and extension inverses beyond GF(4)
     assert _walked_subalgebras(L) == _closed_by_full_walk(L)
 
 

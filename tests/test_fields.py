@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -384,6 +385,18 @@ def test_field_doc_refuses_integers_that_are_not_ints(doc):
     # each was read as GF(3) or GF(4), rounded, cut or parsed by int()
     with pytest.raises(FieldParseError, match="not an integer"):
         field_from_doc(doc)
+
+
+@pytest.mark.parametrize("modulus", [5, "111"], ids=["int", "string"])
+def test_field_doc_refuses_a_modulus_that_is_not_a_list(modulus):
+    # an int raised Python's "'int' object is not iterable"; a string was
+    # read character by character and refused at its first character
+    doc = {"kind": "extension_field", "p": 2, "k": 2, "modulus": modulus}
+    expected = f"modulus is not a list of integers: {modulus!r}"
+    with pytest.raises(FieldParseError, match=re.escape(expected)):
+        field_from_doc(doc)
+    with pytest.raises(BadSpec, match=re.escape(expected)):
+        ExtensionField(2, 2, modulus)
 
 
 def test_field_doc_reads_int_modulus_entries_mod_p():
