@@ -929,7 +929,7 @@ def structure_report(L: LeibnizAlgebra,
                      budget: int = DEFAULT_BUDGET) -> StructureReport:
     """Decomposition-centric summary used by reporting front ends."""
     facts = _Facts(L, None, budget, _basic_ideals)  # no row reads a verdict
-    N, mode = nilradical(L, budget)
+    N, mode = facts._nilradical
     clauses, _ = _run(_STRUCTURE, facts)
     decomp, error = facts.decomposition
     return StructureReport(predicates(L), decomp, error, N, mode, clauses)

@@ -44,9 +44,9 @@ def memo(fn):
     defaults are applied, so a result computed under one budget or seed is
     never returned for another.  A call that raises stores nothing, so it
     runs again and raises afresh: the memoised functions that raise fail at
-    a cheap budget gate, except ``triangular_decomposition``, which a
-    report reads once.  Arguments after the algebra must be hashable, as
-    subspaces are: ``aalgebra._quotient_verdict`` is keyed by its ideal.
+    a cheap budget gate.  Only what the package rereads is memoised.
+    Arguments after the algebra must be hashable, as subspaces are:
+    ``aalgebra._quotient_verdict`` is keyed by its ideal.
     """
     sig = inspect.signature(fn)
     name = fn.__qualname__
@@ -276,10 +276,12 @@ class LeibnizAlgebra:
         return not any(any(v) for row in self.table for v in row)
 
     def is_subalgebra(self, U: Subspace) -> bool:
+        self._own(U)
         return all(U.contains(self._bracket(u, v))
                    for u in U.basis for v in U.basis)
 
     def is_ideal(self, U: Subspace) -> bool:
+        self._own(U)
         for e in self._basis:
             for u in U.basis:
                 if not U.contains(self._bracket(u, e)):

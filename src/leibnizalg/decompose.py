@@ -113,7 +113,6 @@ def _fitting_null(L: LeibnizAlgebra, K: Subspace, x) -> Optional[Subspace]:
     return None if null.dim == K.dim else null
 
 
-@memo
 def cartan_subalgebra(L: LeibnizAlgebra,
                       budget: int = DEFAULT_BUDGET) -> Subspace:
     """A nilpotent self-normalizing subalgebra, found by Fitting descent.
@@ -179,7 +178,6 @@ def max_nilpotent_subalgebras(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
                             lambda S: is_nilpotent_space(L, S))
 
 
-@memo
 def triangular_decomposition(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET) -> tuple:
     """Abelian chain decomposition L = A_n + ... + A_0, returned as the
     tuple of parts from A_n down to A_0, with each partial sum

@@ -38,6 +38,7 @@ over GF(p) modulo its modulus, and checks and chooses that modulus with
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -430,7 +431,7 @@ def gf(q: int):
     The cache is typed, so gf(9.0) is refused even after gf(9)."""
     if _int_param("q", q) < 2:
         raise BadSpec(f"no field with {q} elements")
-    p = next(d for d in range(2, q + 1) if q % d == 0)
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
     k, m = 0, q
     while m % p == 0:
         m //= p

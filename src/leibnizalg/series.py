@@ -6,7 +6,7 @@ last term is zero.  Terms are in ambient coordinates even for the series
 of a proper subalgebra: products of subspaces do not care whether the
 computation happens in a restriction or in the ambient algebra.
 Full-algebra series and predicates are memoised on the algebra; series of
-a subspace are not.
+a subspace and the radicals, which a report reads once, are not.
 """
 
 from __future__ import annotations
@@ -120,7 +120,6 @@ def is_solvable_space(L: LeibnizAlgebra, U: Subspace) -> bool:
     return derived_series(L, U)[-1].is_zero()
 
 
-@memo
 def nilradical(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
     """Largest nilpotent ideal when computable exactly.
 
@@ -146,7 +145,6 @@ def nilradical(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
     return total, "lower_bound"
 
 
-@memo
 def radical(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
     """Largest solvable ideal; exact or it refuses.
 

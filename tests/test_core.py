@@ -355,13 +355,20 @@ def test_bracket_refuses_vectors_of_another_length(call):
     lambda L, S: L.normalizer(S),
     lambda L, S: L.is_abelian_space(S),
     lambda L, S: is_nilpotent_space(L, S),
+    lambda L, S: L.is_subalgebra(S),
+    lambda L, S: L.is_ideal(S),
+    lambda L, S: L.restrict(S),
+    lambda L, S: L.quotient(S),
 ], ids=["product-right", "product-left", "centralizer", "normalizer",
-        "is-abelian-space", "is-nilpotent-space"])
+        "is-abelian-space", "is-nilpotent-space", "is-subalgebra", "is-ideal",
+        "restrict", "quotient"])
 @pytest.mark.parametrize("space", [Subspace.span(gf(3), 3, [(1, 0, 0)]),
-                                   Subspace.full_space(gf(2), 2)],
-                         ids=["line-in-F3^3", "plane-over-GF2"])
+                                   Subspace.full_space(gf(2), 2),
+                                   Subspace.span(QQ, 2, [(1, 0)])],
+                         ids=["line-in-F3^3", "plane-over-GF2", "line-over-Q"])
 def test_subspace_operations_refuse_another_ambient(call, space):
-    # over r2/GF(3) the line in F^3 was nilpotent and its centralizer 0
+    # over r2/GF(3) the line in F^3 was nilpotent and its centralizer 0; the
+    # line over Q passed as an ideal, and its quotient was a GF(3) algebra
     with pytest.raises(AmbientMismatch):
         call(fixture("r2", gf(3)), space)
 

@@ -189,6 +189,17 @@ def test_gf_cached_identity():
     assert gf(3) is gf(3)
 
 
+def test_gf_of_a_large_prime_is_its_prime_field():
+    # the search for p stops at isqrt(q), so this takes no 2**31 divisions
+    q = 2 ** 31 - 1
+    assert gf(q) == PrimeField(q)
+    assert gf(q) is gf(q)
+    # the divisors at the square root are still found
+    assert (gf(49).p, gf(49).k) == (7, 2)
+    with pytest.raises(BadSpec):
+        gf(101 * 103)
+
+
 def test_gf_rejects_non_prime_power():
     with pytest.raises(BadSpec):
         gf(6)

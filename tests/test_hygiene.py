@@ -6,7 +6,9 @@ every parameter of every function is read in its body, every
 exception class in ``errors.py`` is raised by some library module,
 only the witness search's module imports ``random``, only
 ``fields.py`` imports ``fractions`` or calls ``range`` on a field's
-``.size``, and no script imports a private name of the package.
+``.size``, no script imports a private name of the package, and every
+public ``LeibnizAlgebra`` method checks its subspace arguments with
+``_own``.
 
 ``__init__.py`` is skipped by the import check, since its imports are the
 package's re-exports.
@@ -354,6 +356,66 @@ def test_scan_finds_field_type_tests():
                      "if isinstance(F, ExtensionField): pass\n")
     assert _field_type_tests(tree) == [(1, "Fraction"), (2, "PrimeField"),
                                        (4, "ExtensionField")]
+
+
+def _unowned_subspaces(tree, cls="LeibnizAlgebra"):
+    """(method, parameter) for each parameter annotated ``Subspace`` of a
+    public method of ``cls`` that reaches no ``self._own``: the method
+    neither passes it to ``self._own`` nor, in a position the callee owns,
+    to another method of ``cls``.  Only positional arguments count."""
+    methods = {f.name: f for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == cls
+               for f in node.body if isinstance(f, ast.FunctionDef)}
+    params = {name: [a.arg for a in f.args.args[1:]] for name, f in methods.items()}
+    owned, grew = set(), True  # (method, parameter position)
+    while grew:
+        grew = False
+        for name, f in methods.items():
+            for call in ast.walk(f):
+                if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                        and isinstance(call.func.value, ast.Name)
+                        and call.func.value.id == "self"):
+                    continue
+                for pos, arg in enumerate(call.args):
+                    if (isinstance(arg, ast.Name) and arg.id in params[name]
+                            and (call.func.attr == "_own" or (call.func.attr, pos) in owned)):
+                        key = (name, params[name].index(arg.id))
+                        grew |= key not in owned
+                        owned.add(key)
+    return sorted((name, a.arg) for name, f in methods.items() if not name.startswith("_")
+                  for pos, a in enumerate(f.args.args[1:])
+                  if a.annotation is not None and (name, pos) not in owned
+                  and any(isinstance(sub, ast.Name) and sub.id == "Subspace"
+                          for sub in ast.walk(a.annotation)))
+
+
+def test_subspace_arguments_are_owned():
+    # a space over another field or ambient must raise AmbientMismatch, not
+    # pass as a subalgebra or fail deep in the bracket
+    path = SRC / "core.py"
+    assert _unowned_subspaces(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_scan_finds_unowned_subspaces():
+    tree = ast.parse("class LeibnizAlgebra:\n"
+                     "    def own(self, U: Subspace, n: int):\n"
+                     "        self._own(U)\n"
+                     "    def passes(self, n, U: Subspace):\n"
+                     "        return self.own(U, n)\n"
+                     "    def wrong_slot(self, U: Subspace, V: Subspace):\n"
+                     "        return self.own(V, U)\n"
+                     "    def bare(self, U: Optional[Subspace]):\n"
+                     "        return U.dim\n"
+                     "    def later(self, U: Subspace):\n"
+                     "        return self.chained(U)\n"
+                     "    def chained(self, U: Subspace):\n"
+                     "        return self.passes(0, U)\n"
+                     "    def _private(self, U: Subspace):\n"
+                     "        return U\n"
+                     "class Other:\n"
+                     "    def bare(self, U: Subspace):\n"
+                     "        return U\n")
+    assert _unowned_subspaces(tree) == [("bare", "U"), ("wrong_slot", "U")]
 
 
 # The traced benchmark counts scalar operations by patching

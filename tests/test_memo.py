@@ -2,16 +2,20 @@
 
 A memoised call is keyed by every argument, budget and seed included, so
 what was computed on an algebra before cannot change a later answer.
+What a report reads once is not memoised, and it is computed once.
 The products the package forms are memoised on the algebra too, and the
 public ``bracket`` keeps no memo, so its answers do not depend on which
 brackets were asked before.
 """
 
 import random
+import sys
+from collections import Counter
 
 import pytest
 
-from leibnizalg.aalgebra import theorem_battery
+from leibnizalg import decompose, series
+from leibnizalg.aalgebra import structure_report, theorem_battery
 from leibnizalg.core import LeibnizAlgebra
 from leibnizalg.corpus import fixture
 from leibnizalg.decompose import max_nilpotent_subalgebras
@@ -112,3 +116,41 @@ def test_product_memo_belongs_to_one_algebra():
     assert copy._products == {}
     assert theorem_battery(copy, budget=10 ** 6) == theorem_battery(L, budget=10 ** 6)
     assert copy._products == L._products and copy._products is not L._products
+
+
+READ_ONCE = (series.nilradical, series.radical, decompose.cartan_subalgebra,
+             decompose.triangular_decomposition)
+# (corpus label, budget): enumerable, past the budget, and over Q
+REPORT_CASES = (("r2/GF(3)", 10 ** 6), ("C3b/GF(3)", 10 ** 6),
+                ("sum(r2,sl2)/GF(3)", 10 ** 6), ("sum(r2,C3b)/GF(3)", 100),
+                ("sum(H3,C3a)/GF(2)", 100), ("sum(r2,C3b)/Q", 10 ** 6))
+
+
+def _count_calls(monkeypatch):
+    """Wrap the read-once functions wherever the package binds them; the
+    counter is keyed by (function, algebra), the algebras kept alive."""
+    calls, seen = Counter(), []
+    for fn in READ_ONCE:
+        def counted(L, *args, fn=fn, **kwargs):
+            seen.append(L)
+            calls[fn.__name__, id(L)] += 1
+            return fn(L, *args, **kwargs)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("leibnizalg") and vars(module).get(fn.__name__) is fn:
+                monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
+
+
+@pytest.mark.parametrize("report", [
+    lambda L, budget: theorem_battery(L, budget=budget),
+    lambda L, budget: structure_report(L, budget),
+], ids=["theorem_battery", "structure_report"])
+def test_reports_compute_each_unmemoised_structure_once(members, monkeypatch, report):
+    by_label = {m.label: m.algebra for m in members}
+    calls, called = _count_calls(monkeypatch), set()
+    for label, budget in REPORT_CASES:
+        calls.clear()
+        report(_copy(by_label[label]), budget)
+        assert max(calls.values()) == 1, (label, calls)
+        called.update(name for name, _ in calls)
+    assert called == {"nilradical", "cartan_subalgebra", "triangular_decomposition"}
