@@ -181,22 +181,50 @@ class LeibnizAlgebra:
     # -- identity check ----------------------------------------------------
     @memo
     def leibniz_violation(self) -> Optional[Violation]:
-        """First basis triple breaking [x,[y,z]] = [[x,y],z] - [[x,z],y].
+        """First basis triple (i, j, k) in loop order breaking
+        [x,[y,z]] = [[x,y],z] - [[x,z],y].
 
-        The triples (i, j, k) and (i, k, j) both read the outer brackets
-        [[b_i, b_j], b_k], which the product memo forms once.
+        For each i in order it accumulates the defects
+        D_i(j, k) = [e_i,[e_j,e_k]] - [[e_i,e_j],e_k] + [[e_i,e_k],e_j]
+        as sparse vectors, from the nonzero structure constants alone:
+        each c^m_{jk} adds c [e_i, e_m] at (j, k), and each c^m_{ij}
+        subtracts c [e_m, e_k] at (j, k) and adds it at (k, j).  A triple
+        breaks the identity exactly when its defect is nonzero, so the
+        least (j, k) with a nonzero D_i, at the least such i, is the
+        first triple of the loop over all (i, j, k).  Only its ``lhs``
+        and ``rhs`` are formed by brackets: an identity that holds costs
+        none.
         """
         F = self.field
-        sub, br = F.sub, self._bracket
-        basis = self._basis
-        for i, row in enumerate(self.table):
-            for j, inner in enumerate(self.table):
-                for k, entry in enumerate(inner):
-                    lhs = br(basis[i], entry)
-                    plus, minus = br(row[j], basis[k]), br(row[k], basis[j])
-                    if any(x != (sub(a, b) if b else a)
-                           for x, a, b in zip(lhs, plus, minus)):
-                        return Violation((i, j, k), lhs, vec_sub(F, plus, minus))
+        add, sub, mul, zero = F.add, F.sub, F.mul, F.zero
+        terms = self._terms
+        for i, row in enumerate(terms):
+            if not row:
+                continue
+            row_i = dict(row)
+            defect = {}
+            for j, row_j in enumerate(terms):
+                for k, jk in row_j:
+                    acc = defect.setdefault((j, k), {})
+                    for m, c in jk:
+                        for t, d in row_i.get(m, ()):
+                            acc[t] = add(acc.get(t, zero), mul(c, d))
+            for j, ij in row:
+                for m, c in ij:
+                    for k, mk in terms[m]:
+                        at_jk = defect.setdefault((j, k), {})
+                        at_kj = defect.setdefault((k, j), {})
+                        for t, d in mk:
+                            cd = mul(c, d)
+                            at_jk[t] = sub(at_jk.get(t, zero), cd)
+                            at_kj[t] = add(at_kj.get(t, zero), cd)
+            bad = [jk for jk, acc in defect.items() if any(acc.values())]
+            if bad:
+                j, k = min(bad)
+                br, basis, T = self._bracket, self._basis, self.table
+                plus, minus = br(T[i][j], basis[k]), br(T[i][k], basis[j])
+                return Violation((i, j, k), br(basis[i], T[j][k]),
+                                 vec_sub(F, plus, minus))
         return None
 
     def require_leibniz(self):

@@ -19,7 +19,8 @@ Every field's zero is ``0`` (a caller's ``Fraction(0)`` is zero too), and
 ``bool(a) == (not F.is_zero(a))`` for every scalar.  The inner loops of
 ``core`` and ``linalg`` rely on this to skip zeros by truthiness:
 ``LeibnizAlgebra.bracket``, ``Subspace.reduce`` and
-``Subspace.intersect``, ``rref``, ``mat_mul`` and ``mat_vec``.
+``Subspace.intersect``, ``rref``, ``mat_mul`` and ``mat_vec``.  ``rref``
+also drops the zero rows it is given by truthiness, before elimination.
 
 ``random_scalar(rng)`` draws one scalar, and ``random_vector(rng, n)`` a
 nonzero multiple of the vector of n such draws, consuming the same random
@@ -50,15 +51,43 @@ from .poly import Poly, is_irreducible, monic_polys, poly
 _TABLE_LIMIT = 512  # build q x q lookup tables when q is at most this
 
 
+# Miller-Rabin on the primes up to 37 decides every n below this bound
+# (Sorenson and Webster, 2015); above it a passing n is trial-divided.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_EXACT_BELOW = 318665857834031151167461
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
-    return True
+    return n < _MR_EXACT_BELOW or all(n % d for d in range(41, math.isqrt(n) + 1, 2))
+
+
+def _iroot(q, k):
+    """The integer k-th root of q >= 1, rounded down (Newton from above)."""
+    r = 1 << -(-q.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + q // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def _rational(c):
@@ -431,16 +460,13 @@ def gf(q: int):
     The cache is typed, so gf(9.0) is refused even after gf(9)."""
     if _int_param("q", q) < 2:
         raise BadSpec(f"no field with {q} elements")
-    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
-    k, m = 0, q
-    while m % p == 0:
-        m //= p
-        k += 1
-    if m != 1:
-        raise BadSpec(f"{q} is not a prime power")
-    if k == 1:
-        return PrimeField(p)
-    return ExtensionField(p, k, default_modulus(p, k))
+    if is_prime(q):
+        return PrimeField(q)
+    for k in range(2, q.bit_length()):
+        p = _iroot(q, k)
+        if p ** k == q and is_prime(p):
+            return ExtensionField(p, k, default_modulus(p, k))
+    raise BadSpec(f"{q} is not a prime power")
 
 
 def field_to_doc(field) -> dict:

@@ -80,17 +80,22 @@ def rref(field, rows):
     Zero scalars are skipped by truthiness (see ``fields``): entries left
     of a pivot are zero in every row from it down, so the pivot row is
     scaled from its pivot on and the other rows are changed only where
-    the pivot row is nonzero.  A ragged matrix raises ShapeMismatch.
+    the pivot row is nonzero.  A ragged matrix raises ShapeMismatch, zero
+    rows included.  The zero rows are then dropped before elimination:
+    they hold no pivot and change no other row, and the reduced echelon
+    form of a matrix is unique, so the result is the same without them.
     """
-    work = [list(r) for r in rows]
-    if not work:
+    if not rows:
         return [], ()
+    n = _width(rows)
+    work = [list(r) for r in rows if any(r)]
     inv, mul, sub = field.inv, field.mul, field.sub
     one, zero = field.one, field.zero
-    n = _width(work)
     pivots = []
     r = 0
     for c in range(n):
+        if r == len(work):
+            break
         pr = next((i for i in range(r, len(work)) if work[i][c]), None)
         if pr is None:
             continue
@@ -110,8 +115,6 @@ def rref(field, rows):
                 row[c] = zero
         pivots.append(c)
         r += 1
-        if r == len(work):
-            break
     return [tuple(row) for row in work[:r]], tuple(pivots)
 
 

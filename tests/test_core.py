@@ -269,11 +269,23 @@ def test_closure_brackets_each_pair_once(name, F, monkeypatch):
         assert L.closure([units[0]]).dim == 3  # a generates everything
 
 
+def _sparse_leibniz_algebras(F, rng):
+    """Random cyclic algebras and direct sums of fixtures and cyclic
+    algebras: sparse tables that satisfy the identity."""
+    cyclics = [build_cyclic(F, [F.random_scalar(rng) for _ in range(rng.randint(1, 6))])
+               for _ in range(8)]
+    parts = [fixture(name, F) for name in FIXTURE_NAMES] + cyclics
+    sums = [direct_sum(*rng.sample(parts, 2)) for _ in range(8)]
+    sums += [direct_sum(direct_sum(*rng.sample(parts, 2)), rng.choice(parts))
+             for _ in range(4)]
+    return cyclics + sums
+
+
 @pytest.mark.parametrize("F", FIELDS, ids=str)
 def test_violation_matches_triples(F):
     rng = random.Random(f"violation-{F}")
-    for name in FIXTURE_NAMES:
-        L = fixture(name, F)
+    holds = [fixture(name, F) for name in FIXTURE_NAMES]
+    for L in holds + _sparse_leibniz_algebras(F, random.Random(f"sparse-{F}")):
         assert L.leibniz_violation() is None and violation_by_triples(L) is None
     randoms = _random_algebras(F, rng)
     violated = 0
@@ -282,6 +294,78 @@ def test_violation_matches_triples(F):
         assert got == violation_by_triples(L)
         violated += got is not None
     assert violated > len(randoms) / 2
+
+
+def _types(violation):
+    return [type(a) for a in violation.lhs + violation.rhs]
+
+
+def _perturbed(L, rng):
+    """L's table with one seeded structure constant changed by a nonzero
+    scalar, which is most often a table that breaks the identity only at
+    some later triple."""
+    F = L.field
+    table = [[list(entry) for entry in row] for row in L.table]
+    i, j, m = (rng.randrange(L.dim) for _ in range(3))
+    c = F.zero
+    while not c:
+        c = F.random_scalar(rng)
+    table[i][j][m] = F.add(table[i][j][m], c)
+    return LeibnizAlgebra(F, table)
+
+
+@pytest.mark.parametrize("F", [gf(2), gf(3), gf(4), QQ], ids=str)
+def test_violation_matches_triples_on_perturbed_corpus(F, members):
+    rng = random.Random(f"perturbed-{F}")
+    algebras = [m.algebra for m in members if m.algebra.field == F and m.algebra.dim <= 6]
+    assert len(algebras) >= 25
+    found = Counter()
+    for L in algebras:
+        for _ in range(2):
+            P = _perturbed(L, rng)
+            got = P.leibniz_violation()
+            ref = violation_by_triples(LeibnizAlgebra(F, P.table))
+            assert got == ref
+            if got is not None:
+                assert _types(got) == _types(ref)
+                found["late" if got.triple[0] else "first row"] += 1
+    # the first violation is not always at i = 0
+    assert found["late"] > len(algebras) / 4 and found["first row"]
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_identity_check_forms_only_the_reported_brackets(F, monkeypatch):
+    """The identity check works on the structure constants: an identity
+    that holds costs no bracket, and a violated one the three brackets
+    of its reported triple."""
+    pairs = []
+    bracket = LeibnizAlgebra.bracket
+
+    def counted(self, u, v):
+        pairs.append((tuple(u), tuple(v)))
+        return bracket(self, u, v)
+
+    monkeypatch.setattr(LeibnizAlgebra, "bracket", counted)
+    rng = random.Random(f"identity-cost-{F}")
+    holds = [fixture(name, F) for name in FIXTURE_NAMES]
+    holds += [build_cyclic(F, [F.random_scalar(rng) for _ in range(n)]) for n in range(1, 6)]
+    for L in holds:
+        assert L.leibniz_violation() is None
+        assert pairs == []
+    violated = 0
+    for L in holds:
+        P = _perturbed(L, rng)
+        pairs.clear()
+        v = P.leibniz_violation()
+        if v is None:
+            assert pairs == []
+            continue
+        violated += 1
+        i, j, k = v.triple
+        e, T = P._basis, P.table
+        assert len(pairs) <= 3
+        assert set(pairs) <= {(e[i], T[j][k]), (T[i][j], e[k]), (T[i][k], e[j])}
+    assert violated >= len(holds) // 2
 
 
 # ------------------------------------------------- quotient and restrict

@@ -1,6 +1,8 @@
 import itertools
+import math
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,10 +10,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kernel_reference import ext_product, first_irreducible
+from leibnizalg import fields
 from leibnizalg.corpus import FIELDS
 from leibnizalg.errors import BadSpec, FieldParseError
 from leibnizalg.fields import (QQ, ExtensionField, PrimeField, default_modulus,
-                               field_from_doc, field_to_doc, gf,
+                               field_from_doc, field_to_doc, gf, is_prime,
                                parse_field_name)
 
 FINITE_SIZES = (2, 3, 4, 5, 7, 8, 9, 25, 27)
@@ -190,14 +193,57 @@ def test_gf_cached_identity():
 
 
 def test_gf_of_a_large_prime_is_its_prime_field():
-    # the search for p stops at isqrt(q), so this takes no 2**31 divisions
-    q = 2 ** 31 - 1
+    # primality is decided by Miller-Rabin, so neither gf nor PrimeField
+    # runs a trial division up to the square root
+    q = 2 ** 61 - 1
+    start = time.perf_counter()
     assert gf(q) == PrimeField(q)
+    assert time.perf_counter() - start < 1
     assert gf(q) is gf(q)
-    # the divisors at the square root are still found
+    assert gf(2 ** 31 - 1) == PrimeField(2 ** 31 - 1)
+    # p is the prime integer root of q
     assert (gf(49).p, gf(49).k) == (7, 2)
     with pytest.raises(BadSpec):
         gf(101 * 103)
+
+
+def _prime_by_trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(20000) if is_prime(n)] == \
+        [n for n in range(20000) if _prime_by_trial_division(n)]
+
+
+def test_is_prime_above_the_miller_rabin_bound_trial_divides(monkeypatch):
+    monkeypatch.setattr(fields, "_MR_EXACT_BELOW", 100)
+    assert [n for n in range(5000) if is_prime(n)] == \
+        [n for n in range(5000) if _prime_by_trial_division(n)]
+
+
+@pytest.mark.parametrize("n, prime", [
+    (561, False),                        # a Carmichael number
+    (2047, False),                       # a strong pseudoprime to base 2
+    (3215031751, False),                 # ... to bases 2, 3, 5 and 7
+    (2 ** 61 - 1, True),
+    ((2 ** 61 - 1) * (2 ** 13 - 1), False),
+    ((2 ** 61 - 1) ** 2, False),         # above the Miller-Rabin bound
+])
+def test_is_prime_on_pseudoprimes_and_large_numbers(n, prime):
+    assert is_prime(n) is prime
+
+
+def test_gf_finds_every_prime_power():
+    for q in range(2, 300):
+        factors = [d for d in range(2, q + 1) if q % d == 0 and _prime_by_trial_division(d)]
+        if len(factors) > 1:
+            with pytest.raises(BadSpec):
+                gf(q)
+            continue
+        p = factors[0]
+        F = gf(q)
+        assert (F.char, F.size) == (p, q)
 
 
 def test_gf_rejects_non_prime_power():

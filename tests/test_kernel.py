@@ -10,7 +10,8 @@ Fitting power, which squares a matrix, is compared with the n-th power by
 n products.  ``rref``, ``mat_mul``, ``mat_vec`` and ``Subspace.intersect``
 skip zero scalars too; they are compared with ``dense_rref``,
 ``schoolbook_product`` and ``block_intersect`` on random matrices with
-about a third of their entries zero, down to the type of every scalar.
+about a third of their entries zero, down to the type of every scalar;
+``rref``'s matrices also have whole zero rows, which it drops.
 Over Q every kernel is also run on the same random inputs rebuilt from
 ``Fraction`` values, as callers may build them, and must give equal
 results.
@@ -190,15 +191,30 @@ def _random_matrix(F, m, n, rng):
     return rows
 
 
+def _with_zero_rows(F, rows, n, rng):
+    """rows with one to three whole zero rows put in at random positions."""
+    rows = list(rows)
+    for _ in range(rng.randint(1, 3)):
+        rows.insert(rng.randint(0, len(rows)), (F.zero,) * n)
+    return rows
+
+
 @pytest.mark.parametrize("F", FIELDS, ids=FIELD_IDS)
 def test_rref_matches_dense_rref(F):
+    # every third matrix has zero rows in it, and every 25th and every
+    # empty draw only zero rows
     rng = random.Random(f"rref-{F}")
-    for _ in range(150):
-        rows = _random_matrix(F, rng.randint(0, 7), rng.randint(1, 7), rng)
+    for t in range(150):
+        n = rng.randint(1, 7)
+        rows = [] if t % 25 == 0 else _random_matrix(F, rng.randint(0, 7), n, rng)
+        if t % 3 == 0 or not rows:
+            rows = _with_zero_rows(F, rows, n, rng)
         got, pivots = rref(F, rows)
         ref, ref_pivots = dense_rref(F, rows)
         assert (got, pivots) == (ref, ref_pivots)
         assert _types(got) == _types(ref)
+    zero = (F.zero,) * 3
+    assert rref(F, [zero, zero]) == ([], ())
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=FIELD_IDS)

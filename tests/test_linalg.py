@@ -240,12 +240,14 @@ RAGGED_CALLS = {
 }
 
 
-@pytest.mark.parametrize("rows", [[(1, 0), (0, 1, 1)], [(1, 0, 0), (0, 1)]],
-                         ids=["long-second", "short-second"])
+@pytest.mark.parametrize("rows", [[(1, 0), (0, 1, 1)], [(1, 0, 0), (0, 1)],
+                                  [(1, 0), ()], [(0, 0), (0,)]],
+                         ids=["long-second", "short-second", "short-zero", "all-zero"])
 @pytest.mark.parametrize("call", RAGGED_CALLS.values(), ids=RAGGED_CALLS.keys())
 def test_ragged_matrices_are_refused(call, rows):
     """A matrix whose rows differ in length raises ShapeMismatch, whichever
-    row is the odd one; none is truncated, padded or read past its end."""
+    row is the odd one, also when it is a zero row, which ``rref`` drops;
+    none is truncated, padded or read past its end."""
     with pytest.raises(ShapeMismatch):
         call(rows)
 
