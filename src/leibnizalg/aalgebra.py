@@ -112,13 +112,28 @@ def _witness_candidates(L: LeibnizAlgebra, seed: int):
     nilpotent non-abelian subalgebra.  The closures of generators that
     fail ``_engel_bounded`` are skipped, since none of them is nilpotent.
     The random pairs are drawn by ``random_vector``, whose multiples of
-    the scalar draws leave both that bound and each closure unchanged."""
+    the scalar draws leave both that bound and each closure unchanged.
+
+    Two more skips leave the search's first witness unchanged, because
+    ``witness_search`` passes over repeats and lines.  A single u with
+    u^2 = 0 generates the line Fu, as [a u, b u] = a b u^2 = 0, and a
+    line is no witness; so only a u with u^2 != 0 takes the bound and its
+    closure.  And ``_fitting_null(L, full, x)`` reads x only through R_x.
+    R_x = R_y exactly when [L, x - y] = 0, that is when x - y lies in
+    ann = {z : [L, z] = 0}, so x and y with one remainder mod ann give
+    one null: each remainder is handled once."""
     F, n, full = L.field, L.dim, L.full_space()
     singles = _sums_differences(F, full.basis)
     for u in singles:
-        if _engel_bounded(L, [u]):
+        if any(L._bracket(u, u)) and _engel_bounded(L, [u]):
             yield L.closure([u])
+    ann = L._kernel_mod(L.zero_space(), lambda z: [L._bracket(e, z) for e in L._basis])
+    operators = set()
     for x in singles[:2 * n]:
+        key = ann.reduce(x)
+        if key in operators:
+            continue
+        operators.add(key)
         null = _fitting_null(L, full, x)
         if null is not None:
             yield null
@@ -605,18 +620,35 @@ def _check_max_nilpotent_complement(L, U):
 
 def _check_left_products_in_right_chain(L, ideals):
     """For an abelian ideal A and x with x^2 in A, iterated left products
-    of x into A stay inside the span of one fewer iterated right products."""
+    of x into A stay inside the span of one fewer iterated right products.
+
+    Both chains stay in the ideal A, so they read x only through
+    lx = ([x, w] for w in A.basis) and rx = ([w, x] for w in A.basis),
+    which fix L_x and R_x on A.  A pair with lx = 0 passes at once: its
+    first left term is zero.  A pair with the key (A, lx, rx) of an
+    earlier pair repeats that pair's chains, which passed, or the check
+    would have returned; so it is skipped, and the first failing pair is
+    unchanged.  Skipped pairs still count towards ``tried`` and the cap,
+    so the detail and the pairs reached are the same as without skips."""
     n = L.dim
     xs = _sums_differences(L.field, L._basis)
     abelian = [A for A in ideals if L.is_abelian_space(A) and A.dim > 0]
     tried = 0
     for A in abelian:
+        chains = set()
         for x in xs:
             if tried >= _TRIPLE_CAP:
                 break
             if not A.contains(L._bracket(x, x)):
                 continue
             tried += 1
+            lx = tuple(L._bracket(x, w) for w in A.basis)
+            if not any(map(any, lx)):
+                continue
+            key = (lx, tuple(L._bracket(w, x) for w in A.basis))
+            if key in chains:
+                continue
+            chains.add(key)
             left = A
             right = A
             for _ in range(1, n + 2):

@@ -45,6 +45,14 @@ closure of every candidate's generators, with none refused by
 ``witness_candidates_by_scalar_draws`` are the witness search and its
 candidate stream with each random vector drawn as the tuple of n
 ``random_scalar`` draws, not by the field's ``random_vector``.
+``witness_candidates_by_every_operator`` and
+``witness_search_by_every_operator`` are the witness search and its
+candidate stream taking the closure of every single, u^2 = 0 or not, and
+the Fitting null of every x, also where an earlier x had the same R_x.
+``left_products_chain_by_every_pair`` is the left-products clause
+building both chains for every pair (A, x) it counts.
+``perturbed`` is an algebra's table with one seeded structure constant
+changed, most often a table that breaks the Leibniz identity.
 ``cartan_by_phases`` is the Cartan descent in phases: every candidate of
 the first phase with one acting non-nilpotently gets its Fitting null
 space, computed in the restricted algebra, and the descent restricts to
@@ -73,8 +81,8 @@ from unittest import mock
 
 from leibnizalg import aalgebra
 from leibnizalg.core import LeibnizAlgebra, Violation
-from leibnizalg.decompose import (DecompositionFailed,
-                                  cartan_subalgebra,
+from leibnizalg.decompose import (DecompositionFailed, _fitting_null,
+                                  _sums_differences, cartan_subalgebra,
                                   enumerated_cartan_subalgebras,
                                   fitting_family, triangular_decomposition)
 from leibnizalg.enumeration import (DEFAULT_BUDGET, enumerate_spaces,
@@ -84,7 +92,8 @@ from leibnizalg.linalg import (Subspace, chain, fitting_power, kernel,
                                restrict_operator, solve, vec_add, vec_sub)
 from leibnizalg.poly import Poly, _divisors, poly
 from leibnizalg.series import (derived_series, is_metabelian, is_nilpotent_space,
-                               is_solvable, is_solvable_space)
+                               is_solvable, is_solvable_space,
+                               lower_nilpotent_series)
 
 
 def dense_bracket(L, u, v):
@@ -459,6 +468,60 @@ def witness_candidates_by_scalar_draws(L, seed):
         return list(aalgebra._witness_candidates(L, seed))
 
 
+def witness_candidates_by_every_operator(L, seed):
+    F, n, full = L.field, L.dim, L.full_space()
+    singles = _sums_differences(F, full.basis)
+    for u in singles:
+        if aalgebra._engel_bounded(L, [u]):
+            yield L.closure([u])
+    for x in singles[:2 * n]:
+        null = _fitting_null(L, full, x)
+        if null is not None:
+            yield null
+    yield from derived_series(L)[1:]
+    yield from lower_nilpotent_series(L)[1:]
+    rng = random.Random(seed)
+    for _ in range(aalgebra._WITNESS_RANDOM_TRIES):
+        u, v = F.random_vector(rng, n), F.random_vector(rng, n)
+        if aalgebra._engel_bounded(L, [u, v]):
+            yield L.closure([u, v])
+
+
+def witness_search_by_every_operator(L, seed):
+    seen = set()
+    for U in witness_candidates_by_every_operator(L, seed):
+        if U in seen:
+            continue
+        seen.add(U)
+        if aalgebra.verify_witness(L, U):
+            return U
+    return None
+
+
+def left_products_chain_by_every_pair(L, ideals):
+    n = L.dim
+    xs = _sums_differences(L.field, L._basis)
+    abelian = [A for A in ideals if L.is_abelian_space(A) and A.dim > 0]
+    tried = 0
+    for A in abelian:
+        for x in xs:
+            if tried >= aalgebra._TRIPLE_CAP:
+                break
+            if not A.contains(L._bracket(x, x)):
+                continue
+            tried += 1
+            left = A
+            right = A
+            for _ in range(1, n + 2):
+                left = Subspace.span(L.field, n, [L._bracket(x, w) for w in left.basis])
+                if not right.contains_space(left):
+                    return False, "left product chain escapes the right chain"
+                if left.is_zero():
+                    break  # every later left term is zero as well
+                right = Subspace.span(L.field, n, [L._bracket(w, x) for w in right.basis])
+    return True, f"checked {tried} pairs"
+
+
 _RANDOM_TRIES = 120
 
 
@@ -586,6 +649,20 @@ def complement_by_alphas(spec):
     for k in range(2, n + 1):
         coords[k - 2] = F.sub(coords[k - 2], spec.alphas[k - 2])
     return tuple(coords)
+
+
+def perturbed(L, rng):
+    """L's table with one seeded structure constant changed by a nonzero
+    scalar, which is most often a table that breaks the identity only at
+    some later triple."""
+    F = L.field
+    table = [[list(entry) for entry in row] for row in L.table]
+    i, j, m = (rng.randrange(L.dim) for _ in range(3))
+    c = F.zero
+    while not c:
+        c = F.random_scalar(rng)
+    table[i][j][m] = F.add(table[i][j][m], c)
+    return LeibnizAlgebra(F, table)
 
 
 def random_invertible(F, n, rng):

@@ -7,12 +7,16 @@ from fractions import Fraction
 import pytest
 
 from kernel_reference import (lemma_aa_by_decomposition,
+                              left_products_chain_by_every_pair, perturbed,
+                              witness_candidates_by_every_operator,
                               witness_candidates_by_scalar_draws,
+                              witness_search_by_every_operator,
                               witness_search_by_scalar_draws,
                               witness_search_without_engel_bound)
 from leibnizalg import aalgebra, decompose, linalg
 from leibnizalg.aalgebra import (_BATTERY, _check_abelian_ideals_commute,
                                  _check_cartan_complements,
+                                 _check_left_products_in_right_chain,
                                  _check_quotient_closure, _engel_bounded,
                                  _necessary_condition_violation,
                                  _witness_candidates, is_a_algebra,
@@ -21,6 +25,7 @@ from leibnizalg.aalgebra import (_BATTERY, _check_abelian_ideals_commute,
                                  witness_search)
 from leibnizalg.core import LeibnizAlgebra, direct_sum
 from leibnizalg.corpus import fixture
+from leibnizalg.cyclic import build_cyclic
 from leibnizalg.enumeration import (DEFAULT_BUDGET, enumerate_spaces,
                                     is_enumerable, total_subspaces)
 from leibnizalg.fields import QQ, gf
@@ -151,8 +156,9 @@ def test_witness_search_squares_each_operator_once(monkeypatch):
 
 
 def test_witness_search_takes_no_closure_the_engel_bound_refuses(monkeypatch):
-    # sl2 has no witness: each basis sum or difference generates a line, and
-    # a random element acts non-nilpotently, so no random pair passes the bound
+    # sl2 has no witness: each basis sum or difference squares to 0, so it
+    # spans a line and takes no closure, and a random element acts
+    # non-nilpotently, so no random pair passes the bound
     generators = []
     closure = LeibnizAlgebra.closure
 
@@ -162,7 +168,52 @@ def test_witness_search_takes_no_closure_the_engel_bound_refuses(monkeypatch):
 
     monkeypatch.setattr(LeibnizAlgebra, "closure", counting_closure)
     assert witness_search(fixture("sl2", QQ)) is None
-    assert 0 < len(generators) <= 9 and set(generators) == {1}
+    assert generators == []
+
+
+@pytest.mark.parametrize("L", [fixture("C3a", QQ), build_cyclic(QQ, (0, 0, 1))],
+                         ids=["C3a", "cyclic"])
+def test_witness_candidates_close_only_singles_that_square_to_nonzero(monkeypatch, L):
+    # a single u with u^2 = 0 spans the line Fu, which is no witness; every
+    # other single that passes the Engel bound takes its closure
+    closed = []
+    closure = LeibnizAlgebra.closure
+
+    def recording_closure(self, vectors):
+        if len(vectors) == 1:
+            closed.append(tuple(vectors[0]))
+        return closure(self, vectors)
+
+    monkeypatch.setattr(LeibnizAlgebra, "closure", recording_closure)
+    list(_witness_candidates(L, 0))
+    singles = decompose._sums_differences(L.field, L.full_space().basis)
+    squaring = [u for u in singles if any(L.bracket(u, u))]
+    assert closed == [u for u in squaring if _engel_bounded(L, [u])]
+    assert closed and len(squaring) < len(singles)
+
+
+@pytest.mark.parametrize("X", [fixture("r2", QQ), build_cyclic(QQ, (0, 0, 1))],
+                         ids=["r2", "cyclic"])
+def test_witness_search_takes_one_fitting_null_per_operator(monkeypatch, X):
+    # R_x = R_y when x - y lies in the abelian summand, so only the distinct
+    # right multiplications among the first 2n singles get a Fitting null.
+    # In the cyclic algebra, x^2 has [x^2, L] = 0 but R_{x^2} != 0
+    L = direct_sum(X, fixture("A2", QQ))
+    xs = []
+    fitting_null = aalgebra._fitting_null
+
+    def recording_fitting_null(L, K, x):
+        xs.append(tuple(x))
+        return fitting_null(L, K, x)
+
+    monkeypatch.setattr(aalgebra, "_fitting_null", recording_fitting_null)
+    list(_witness_candidates(L, 0))
+    singles = decompose._sums_differences(L.field, L.full_space().basis)[:2 * L.dim]
+    operators = {}
+    for x in singles:
+        operators.setdefault(tuple(map(tuple, L.right_mult(x))), x)
+    assert xs == list(operators.values())
+    assert len(xs) < len(singles)
 
 
 def test_engel_bound_passes_every_nilpotent_subalgebra(members):
@@ -206,6 +257,94 @@ def test_vector_draws_change_no_witness_candidate(members, finite):
                         == witness_candidates_by_scalar_draws(L, seed)), m.label
                 assert (witness_search(L, seed)
                         == witness_search_by_scalar_draws(L, seed)), m.label
+
+
+def _verified_order(candidates):
+    """The candidates of dimension >= 2, each at its first appearance: the
+    ones ``witness_search`` verifies, in its order."""
+    return list(dict.fromkeys(U for U in candidates if U.dim >= 2))
+
+
+@pytest.mark.parametrize("finite", [False, True], ids=["rational", "finite"])
+def test_operator_skips_change_no_witness_search(members, finite):
+    # the stream without skips also yields lines and repeated Fitting
+    # nulls, which witness_search passes over; the corpus must show skips
+    skipped = 0
+    for m in members:
+        L = m.algebra
+        if L.field.is_finite == finite and not is_enumerable(L, 10 ** 4):
+            for seed in (0, 1):
+                new = list(_witness_candidates(L, seed))
+                old = list(witness_candidates_by_every_operator(L, seed))
+                assert _verified_order(new) == _verified_order(old), m.label
+                assert (witness_search(L, seed)
+                        == witness_search_by_every_operator(L, seed)), m.label
+                skipped += len(old) - len(new)
+    assert skipped > 0
+
+
+def _chain_keys(L, ideals):
+    """The pairs (A, x) the left-products clause counts, the pairs among
+    them with L_x != 0 on A, and their distinct keys (A, L_x on A, R_x on A)."""
+    xs = decompose._sums_differences(L.field, L.full_space().basis)
+    pairs, acting, keys = 0, 0, set()
+    for A in ideals:
+        if A.dim == 0 or not L.is_abelian_space(A):
+            continue
+        for x in xs:
+            if pairs >= aalgebra._TRIPLE_CAP:
+                break
+            if A.contains(L.bracket(x, x)):
+                pairs += 1
+                lx = tuple(L.bracket(x, w) for w in A.basis)
+                if any(map(any, lx)):
+                    acting += 1
+                    keys.add((A, lx, tuple(L.bracket(w, x) for w in A.basis)))
+    return pairs, acting, len(keys)
+
+
+def test_chain_skips_change_no_left_products_clause(members, monkeypatch):
+    # a chain starts with right = A, the ideal object itself, so the calls
+    # of contains_space on an ideal count the pairs whose chains are built:
+    # one per distinct key, and fewer than half of the pairs
+    built = []
+    contains_space = linalg.Subspace.contains_space
+
+    def recording_contains_space(self, other):
+        built.append(self)
+        return contains_space(self, other)
+
+    monkeypatch.setattr(linalg.Subspace, "contains_space", recording_contains_space)
+    totals = Counter()
+    for m in members:
+        L = m.algebra
+        ideals = aalgebra._Facts(L, 0, 3000).ideals
+        built.clear()
+        got = _check_left_products_in_right_chain(L, ideals)
+        chains = sum(any(U is A for A in ideals) for U in built)
+        assert got == left_products_chain_by_every_pair(L, ideals), m.label
+        pairs, acting, keys = _chain_keys(L, ideals)
+        assert got == (True, f"checked {pairs} pairs") and chains == keys, m.label
+        totals.update(pairs=pairs, acting=acting, keys=keys)
+    assert totals["keys"] < totals["acting"] and totals["keys"] < totals["pairs"] / 2
+
+
+def test_chain_skips_keep_the_failure_detail(members):
+    # a perturbed table breaks the identity, and the ideals of the algebra
+    # it came from are mostly no ideals of it, so some chain escapes
+    rng = random.Random("left-products")
+    outcomes = Counter()
+    for m in members:
+        L = m.algebra
+        if L.dim > 5:
+            continue
+        ideals = aalgebra._Facts(L, 0, 3000).ideals
+        for _ in range(2):
+            P = perturbed(L, rng)
+            got = _check_left_products_in_right_chain(P, ideals)
+            assert got == left_products_chain_by_every_pair(P, ideals), m.label
+            outcomes[got[0]] += 1
+    assert outcomes[False] and outcomes[True]
 
 
 def test_engel_bound_ignores_nonzero_scalings(members):

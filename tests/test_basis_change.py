@@ -12,10 +12,12 @@ import random
 import warnings
 from collections import Counter
 
-from kernel_reference import (change_basis, random_invertible,
-                              triangular_by_restriction,
+from kernel_reference import (change_basis, left_products_chain_by_every_pair,
+                              random_invertible, triangular_by_restriction,
+                              witness_search_by_every_operator,
                               witness_search_by_scalar_draws,
                               witness_search_without_engel_bound)
+from leibnizalg import aalgebra
 from leibnizalg.aalgebra import lemma_aa_certificate, theorem_battery, witness_search
 from leibnizalg.core import LeibnizAlgebra
 from leibnizalg.decompose import triangular_decomposition
@@ -105,6 +107,19 @@ def test_vector_draws_change_no_witness_search_on_the_copies(members):
         M = change_basis(L, random_invertible(L.field, L.dim, rng))
         for seed in (0, 1):
             assert witness_search(M, seed) == witness_search_by_scalar_draws(M, seed), m.label
+
+
+def test_operator_skips_change_no_search_or_chain_on_the_copies(members):
+    rng = random.Random(BASIS_SEED)
+    for m in _pinned(members):
+        L = m.algebra
+        M = change_basis(L, random_invertible(L.field, L.dim, rng))
+        for seed in (0, 1):
+            assert (witness_search(M, seed)
+                    == witness_search_by_every_operator(M, seed)), m.label
+        ideals = aalgebra._Facts(M, 0, BUDGET).ideals
+        assert (aalgebra._check_left_products_in_right_chain(M, ideals)
+                == left_products_chain_by_every_pair(M, ideals)), m.label
 
 
 def _triangular_outcome(fn, L):

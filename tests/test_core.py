@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kernel_reference import (closure_by_rounds, left_mult, leib_ideal_from_table,
-                              lift, random_vector, unit_vectors,
+                              lift, perturbed, random_vector, unit_vectors,
                               violation_by_triples)
 from leibnizalg.core import LeibnizAlgebra, direct_sum
 from leibnizalg.corpus import FIELDS, FIXTURE_NAMES, fixture
@@ -300,20 +300,6 @@ def _types(violation):
     return [type(a) for a in violation.lhs + violation.rhs]
 
 
-def _perturbed(L, rng):
-    """L's table with one seeded structure constant changed by a nonzero
-    scalar, which is most often a table that breaks the identity only at
-    some later triple."""
-    F = L.field
-    table = [[list(entry) for entry in row] for row in L.table]
-    i, j, m = (rng.randrange(L.dim) for _ in range(3))
-    c = F.zero
-    while not c:
-        c = F.random_scalar(rng)
-    table[i][j][m] = F.add(table[i][j][m], c)
-    return LeibnizAlgebra(F, table)
-
-
 @pytest.mark.parametrize("F", [gf(2), gf(3), gf(4), QQ], ids=str)
 def test_violation_matches_triples_on_perturbed_corpus(F, members):
     rng = random.Random(f"perturbed-{F}")
@@ -322,7 +308,7 @@ def test_violation_matches_triples_on_perturbed_corpus(F, members):
     found = Counter()
     for L in algebras:
         for _ in range(2):
-            P = _perturbed(L, rng)
+            P = perturbed(L, rng)
             got = P.leibniz_violation()
             ref = violation_by_triples(LeibnizAlgebra(F, P.table))
             assert got == ref
@@ -354,7 +340,7 @@ def test_identity_check_forms_only_the_reported_brackets(F, monkeypatch):
         assert pairs == []
     violated = 0
     for L in holds:
-        P = _perturbed(L, rng)
+        P = perturbed(L, rng)
         pairs.clear()
         v = P.leibniz_violation()
         if v is None:
