@@ -334,7 +334,17 @@ def _check_nilradical_maximal_abelian(L, ideals, N):
 @memo
 def _quotient_verdict(L: LeibnizAlgebra, I: Subspace, budget: int,
                       seed: int) -> AVerdict:
-    """The verdict of L/I, decided once per ideal, budget and seed."""
+    """The verdict of L/I, decided once per ideal, budget and seed.
+
+    An I that contains L^2 needs no quotient algebra.  It is an ideal, as
+    [I, L] + [L, I] lies in L^2, and L/I is abelian; so ``is_a_algebra``
+    would answer "dimension" when codim I <= 1 and "abelian" otherwise.
+    Every ideal of codimension <= 1 is such an I: a Leibniz algebra of
+    dimension <= 1 is abelian, since [x, x] = a x gives
+    a^2 x = [x, [x, x]] = 0.  Every other I builds its quotient, which
+    refuses a subspace that is not an ideal."""
+    if I.contains_space(L.derived_space()):
+        return AVerdict(True, "dimension" if L.dim - I.dim <= 1 else "abelian")
     return is_a_algebra(L.quotient(I), budget, seed)
 
 
@@ -352,14 +362,18 @@ def _check_quotient_closure(L, ideals, budget, seed):
 
 
 def _check_intersection_quotient(L, ideals, budget, seed):
-    """Runs after quotient_closure, which decided the proper quotients."""
+    """Runs after quotient_closure, which decided the proper quotients.
+
+    A pair whose ideals both contain L^2 is skipped without its meet: the
+    meet contains L^2 as well, so its quotient is abelian and passes.  A
+    meet lies in the proper ideal B, so it is proper."""
     good = [I for I in ideals[:_PAIR_CAP]
             if I.dim < L.dim and _quotient_verdict(L, I, budget, seed).is_true]
+    der = L.derived_space()
     for B, C in itertools.combinations(good, 2):
-        D = B.intersect(C)
-        if D.dim == L.dim:
+        if B.contains_space(der) and C.contains_space(der):
             continue
-        if _quotient_verdict(L, D, budget, seed).is_false:
+        if _quotient_verdict(L, B.intersect(C), budget, seed).is_false:
             return False, f"quotient by an intersection of dims {B.dim} cap {C.dim} fails"
     return True, ""
 
@@ -404,18 +418,35 @@ def _check_abelian_chain_decomposition(decomposition):
 
 
 def _check_ideal_chain_alignment(decomp, ideals):
-    """Every ideal is the direct sum of its intersections with the parts."""
+    """Every ideal is the direct sum of its intersections with the parts.
+
+    When the parts are a direct sum of the whole space, an ideal D that
+    contains S, the sum of every part but the last P, aligns without a
+    meet: by the modular law D = S + (D cap P), and S is the direct sum
+    of its parts, each of which is its own meet with D."""
+    P0 = decomp[0]
+    S = Subspace.span(P0.field, P0.ambient, [v for P in decomp[:-1] for v in P.basis])
+    direct = Subspace.full_space(P0.field, P0.ambient).is_direct_sum(*decomp)
     for D in ideals:
+        if direct and D.contains_space(S):
+            continue
         if not D.is_direct_sum(*(D.intersect(P) for P in decomp)):
             return False, f"ideal of dim {D.dim} does not align"
     return True, f"checked {len(ideals)} ideals"
 
 
 def _check_ideal_part_split(L, decomp, ideals):
-    """Ideals split over the top part and the sum of the others."""
+    """Ideals split over the top part and the sum of the others.
+
+    When the parts are a direct sum of L, so that L = B + C directly, an
+    ideal D that contains B or C splits without a meet: by the modular law
+    D = B + (D cap C), or D = (D cap B) + C."""
     B = decomp[0]
     C = L.span([v for P in decomp[1:] for v in P.basis])
+    direct = L.full_space().is_direct_sum(*decomp)
     for D in ideals:
+        if direct and (D.contains_space(B) or D.contains_space(C)):
+            continue
         # B and C are independent, so D cap B and D cap C are as well
         if D.intersect(B).dim + D.intersect(C).dim != D.dim:
             return False, f"ideal of dim {D.dim} does not split"
@@ -518,16 +549,21 @@ def _check_frattini_free_socle(L, budget, socle):
 
 
 def _check_ideal_centralizer_criterion(L, ideals):
-    """B centralizes D iff B cap D is central in both B and D."""
+    """B centralizes D iff B cap D is central in both B and D.
+
+    The meet is formed only when B does not centralize D.  When it does,
+    the right-hand side holds: B cap D lies in B, inside C(D), and in D,
+    inside C(B), since [b, d] = 0 = [d, b] for all b in B and d in D says
+    both at once."""
     pool = ideals[:_PAIR_CAP]
     cent = {D: L.centralizer(D) for D in pool}
     for B, D in itertools.combinations_with_replacement(pool, 2):
-        lhs = cent[D].contains_space(B)
+        if cent[D].contains_space(B):
+            continue
         # I lies in B and in D, so it is central in each exactly when
         # that one's centralizer contains it
         I = B.intersect(D)
-        rhs = cent[B].contains_space(I) and cent[D].contains_space(I)
-        if lhs != rhs:
+        if cent[B].contains_space(I) and cent[D].contains_space(I):
             return False, f"criterion fails for ideals of dims {B.dim}, {D.dim}"
     return True, ""
 

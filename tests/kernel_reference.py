@@ -51,6 +51,12 @@ candidate stream taking the closure of every single, u^2 = 0 or not, and
 the Fitting null of every x, also where an earlier x had the same R_x.
 ``left_products_chain_by_every_pair`` is the left-products clause
 building both chains for every pair (A, x) it counts.
+``quotient_verdicts_by_quotients`` gives the A-verdict of L/I read off
+the quotient algebra for every I, an ideal containing L^2 included.
+``quotient_closure_by_quotients`` and ``intersection_quotient_by_pairs``
+are the two quotient clauses on those verdicts, the second forming the
+meet of every pair; ``ideal_centralizer_by_pairs`` is the centralizer
+criterion comparing both sides, with the meet, for every pair.
 ``perturbed`` is an algebra's table with one seeded structure constant
 changed, most often a table that breaks the Leibniz identity.
 ``cartan_by_phases`` is the Cartan descent in phases: every candidate of
@@ -73,6 +79,7 @@ basis of the columns of a seeded random invertible matrix.
 their cases with, which the library itself never needs.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -520,6 +527,43 @@ def left_products_chain_by_every_pair(L, ideals):
                     break  # every later left term is zero as well
                 right = Subspace.span(L.field, n, [L._bracket(w, x) for w in right.basis])
     return True, f"checked {tried} pairs"
+
+
+def quotient_verdicts_by_quotients(L, budget, seed):
+    """I -> the A-verdict of the quotient algebra L/I, each decided once."""
+    return functools.cache(lambda I: aalgebra.is_a_algebra(L.quotient(I), budget, seed))
+
+
+def quotient_closure_by_quotients(L, ideals, verdict):
+    """(holds, detail) of the quotient_closure clause on ``verdict``."""
+    with mock.patch.object(aalgebra, "_quotient_verdict",
+                           lambda L, I, budget, seed: verdict(I)):
+        return aalgebra._check_quotient_closure(L, ideals, None, None)
+
+
+def intersection_quotient_by_pairs(L, ideals, verdict):
+    """(holds, detail) of the intersection_quotient clause on ``verdict``."""
+    good = [I for I in ideals[:aalgebra._PAIR_CAP] if I.dim < L.dim and verdict(I).is_true]
+    for B, C in itertools.combinations(good, 2):
+        D = B.intersect(C)
+        if D.dim == L.dim:
+            continue
+        if verdict(D).is_false:
+            return False, f"quotient by an intersection of dims {B.dim} cap {C.dim} fails"
+    return True, ""
+
+
+def ideal_centralizer_by_pairs(L, ideals):
+    """(holds, detail) of the ideal_centralizer_criterion clause."""
+    pool = ideals[:aalgebra._PAIR_CAP]
+    cent = {D: L.centralizer(D) for D in pool}
+    for B, D in itertools.combinations_with_replacement(pool, 2):
+        lhs = cent[D].contains_space(B)
+        I = B.intersect(D)
+        rhs = cent[B].contains_space(I) and cent[D].contains_space(I)
+        if lhs != rhs:
+            return False, f"criterion fails for ideals of dims {B.dim}, {D.dim}"
+    return True, ""
 
 
 _RANDOM_TRIES = 120

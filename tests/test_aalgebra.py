@@ -6,8 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from kernel_reference import (lemma_aa_by_decomposition,
+from kernel_reference import (ideal_centralizer_by_pairs,
+                              ideal_chain_alignment_by_sums,
+                              ideal_part_split_by_sums,
+                              intersection_quotient_by_pairs,
+                              lemma_aa_by_decomposition,
                               left_products_chain_by_every_pair, perturbed,
+                              quotient_closure_by_quotients,
+                              quotient_verdicts_by_quotients,
                               witness_candidates_by_every_operator,
                               witness_candidates_by_scalar_draws,
                               witness_search_by_every_operator,
@@ -16,6 +22,10 @@ from kernel_reference import (lemma_aa_by_decomposition,
 from leibnizalg import aalgebra, decompose, linalg
 from leibnizalg.aalgebra import (_BATTERY, _check_abelian_ideals_commute,
                                  _check_cartan_complements,
+                                 _check_ideal_centralizer_criterion,
+                                 _check_ideal_chain_alignment,
+                                 _check_ideal_part_split,
+                                 _check_intersection_quotient,
                                  _check_left_products_in_right_chain,
                                  _check_quotient_closure, _engel_bounded,
                                  _necessary_condition_violation,
@@ -28,6 +38,7 @@ from leibnizalg.corpus import fixture
 from leibnizalg.cyclic import build_cyclic
 from leibnizalg.enumeration import (DEFAULT_BUDGET, enumerate_spaces,
                                     is_enumerable, total_subspaces)
+from leibnizalg.errors import NotAnIdeal
 from leibnizalg.fields import QQ, gf
 from leibnizalg.series import (is_metabelian, is_nilpotent_space,
                                upper_central_series)
@@ -605,6 +616,106 @@ def test_cartan_complements_take_no_intersection(monkeypatch):
     outcome = _check_cartan_complements(L, DEFAULT_BUDGET)
     assert clause.applicable and clause.holds and outcome == (True, "")
     assert calls == []
+
+
+def test_quotient_clauses_match_the_quotient_algebras(members):
+    # every member, the non-A ones with the A-gate dropped: the checks and
+    # the verdicts they memoise equal those read off the quotient algebras
+    failed = Counter()
+    for m in members:
+        L = m.algebra
+        ideals = aalgebra._Facts(L, 0, 3000).ideals
+        verdict = quotient_verdicts_by_quotients(L, 3000, 0)
+        got = [_check_quotient_closure(L, ideals, 3000, 0),
+               _check_intersection_quotient(L, ideals, 3000, 0),
+               _check_ideal_centralizer_criterion(L, ideals)]
+        assert got == [quotient_closure_by_quotients(L, ideals, verdict),
+                       intersection_quotient_by_pairs(L, ideals, verdict),
+                       ideal_centralizer_by_pairs(L, ideals)], m.label
+        memoised = {key[1]: v for key, v in L._cache.items()
+                    if key[0] == "_quotient_verdict" and key[2:] == (3000, 0)}
+        assert all(v == verdict(I) for I, v in memoised.items()), m.label
+        failed.update(i for i, (holds, _) in enumerate(got) if holds is False)
+    # the failure branches run: quotient_closure fails on every non-A
+    # member, through L/0, and the centralizer criterion on some
+    assert failed[0] > 100 and failed[2] > 10
+
+
+def _abelian_line(F):
+    return LeibnizAlgebra(F, (((F.zero,),),))
+
+
+def test_quotient_verdict_refuses_a_subspace_that_is_no_ideal():
+    F = gf(4)
+    L = direct_sum(fixture("r2", F), _abelian_line(F))
+    for U in (L.span([L.basis_vector(1), L.basis_vector(2)]), L.span([L.basis_vector(1)])):
+        assert not L.is_ideal(U)
+        with pytest.raises(NotAnIdeal):
+            aalgebra._quotient_verdict(L, U, DEFAULT_BUDGET, 0)
+
+
+@pytest.mark.parametrize("X", ["r2", "A2"])
+def test_quotient_and_meet_skips_build_nothing_they_decide(monkeypatch, X):
+    # X + A1 over GF(4), a battery-dense input: a quotient for exactly the
+    # ideals not containing L^2, and a meet for exactly the pairs, and the
+    # ideals, that no skip decides; A2 + A1 is abelian and forms none
+    F = gf(4)
+    L = direct_sum(fixture(X, F), _abelian_line(F))
+    facts = aalgebra._Facts(L, 0, DEFAULT_BUDGET)
+    ideals, decomp, der = facts.ideals, facts.decomp, L.derived_space()
+    pool = ideals[:aalgebra._PAIR_CAP]
+    cent = {D: L.centralizer(D) for D in pool}
+    top, rest = decomp[0], L.span([v for P in decomp[1:] for v in P.basis])
+    quotients, meets = [], []
+    quotient, intersect = LeibnizAlgebra.quotient, linalg.Subspace.intersect
+
+    def counting_quotient(self, I):
+        if self is L:
+            quotients.append(I)
+        return quotient(self, I)
+
+    def counting_intersect(self, other):
+        meets.append((self, other))
+        return intersect(self, other)
+
+    monkeypatch.setattr(LeibnizAlgebra, "quotient", counting_quotient)
+    monkeypatch.setattr(linalg.Subspace, "intersect", counting_intersect)
+    over = {I for I in ideals if I.contains_space(der)}
+    split = [D for D in ideals if not (D.contains_space(top) or D.contains_space(rest))]
+    assert len(over) > 2 and bool(split) == (X == "r2")
+
+    assert _check_quotient_closure(L, ideals, DEFAULT_BUDGET, 0) == (True, "")
+    assert quotients == [I for I in ideals if I.dim < L.dim and I not in over]
+    meets.clear()
+    assert _check_intersection_quotient(L, ideals, DEFAULT_BUDGET, 0) == (True, "")
+    assert meets == [(B, C) for B, C in itertools.combinations(pool, 2)
+                     if B.dim < L.dim and C.dim < L.dim and not (B in over and C in over)]
+    meets.clear()
+    assert _check_ideal_centralizer_criterion(L, ideals) == (True, "")
+    assert meets == [(B, D) for B, D in itertools.combinations_with_replacement(pool, 2)
+                     if not cent[D].contains_space(B)]
+    meets.clear()
+    assert _check_ideal_part_split(L, decomp, ideals) == (True, "")
+    assert meets == [(D, P) for D in split for P in (top, rest)]
+    meets.clear()
+    assert (_check_ideal_chain_alignment(decomp, ideals)
+            == (True, f"checked {len(ideals)} ideals"))
+    S = L.span([v for P in decomp[:-1] for v in P.basis])
+    assert meets == [(D, P) for D in ideals if not D.contains_space(S) for P in decomp]
+
+
+def test_ideal_splits_skip_nothing_without_a_direct_decomposition():
+    # with the top part repeated the parts are no direct sum, so an ideal
+    # containing the top part is checked, and it does not split
+    F = gf(4)
+    L = direct_sum(fixture("r2", F), _abelian_line(F))
+    decomp = aalgebra._Facts(L, 0, DEFAULT_BUDGET).decomp
+    repeated = (decomp[0],) + decomp
+    ideals = list(enumerate_spaces(L, "ideals"))
+    assert _check_ideal_part_split(L, repeated, ideals) == ideal_part_split_by_sums(
+        L, repeated, ideals) == (False, "ideal of dim 1 does not split")
+    assert _check_ideal_chain_alignment(repeated, ideals) == ideal_chain_alignment_by_sums(
+        L, repeated, ideals) == (False, "ideal of dim 1 does not align")
 
 
 @pytest.mark.parametrize("field", [gf(3), QQ], ids=str)

@@ -12,7 +12,13 @@ import random
 import warnings
 from collections import Counter
 
-from kernel_reference import (change_basis, left_products_chain_by_every_pair,
+from kernel_reference import (change_basis, ideal_centralizer_by_pairs,
+                              ideal_chain_alignment_by_sums,
+                              ideal_part_split_by_sums,
+                              intersection_quotient_by_pairs,
+                              left_products_chain_by_every_pair,
+                              quotient_closure_by_quotients,
+                              quotient_verdicts_by_quotients,
                               random_invertible, triangular_by_restriction,
                               witness_search_by_every_operator,
                               witness_search_by_scalar_draws,
@@ -137,3 +143,24 @@ def test_triangular_parts_match_the_recursion_on_the_copies(members):
         copy = LeibnizAlgebra(M.field, M.table, M.names)
         assert (_triangular_outcome(triangular_decomposition, M)
                 == _triangular_outcome(triangular_by_restriction, copy)), m.label
+
+
+def test_quotient_and_ideal_pair_clauses_match_the_reference_loops_on_the_copies(members):
+    rng = random.Random(BASIS_SEED)
+    for m in _pinned(members):
+        L = m.algebra
+        M = change_basis(L, random_invertible(L.field, L.dim, rng))
+        facts = aalgebra._Facts(M, 0, BUDGET)
+        ideals, decomp = facts.ideals, facts.decomp
+        verdict = quotient_verdicts_by_quotients(M, BUDGET, 0)
+        assert (aalgebra._check_quotient_closure(M, ideals, BUDGET, 0)
+                == quotient_closure_by_quotients(M, ideals, verdict)), m.label
+        assert (aalgebra._check_intersection_quotient(M, ideals, BUDGET, 0)
+                == intersection_quotient_by_pairs(M, ideals, verdict)), m.label
+        assert (aalgebra._check_ideal_centralizer_criterion(M, ideals)
+                == ideal_centralizer_by_pairs(M, ideals)), m.label
+        if decomp is not None:
+            assert (aalgebra._check_ideal_part_split(M, decomp, ideals)
+                    == ideal_part_split_by_sums(M, decomp, ideals)), m.label
+            assert (aalgebra._check_ideal_chain_alignment(decomp, ideals)
+                    == ideal_chain_alignment_by_sums(M, decomp, ideals)), m.label
