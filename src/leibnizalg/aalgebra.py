@@ -16,12 +16,10 @@ the runner evaluates the hypotheses lazily, in row order.
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import random
-from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Optional
 
 from .core import LeibnizAlgebra, memo
 from .decompose import (_fitting_null, _sums_differences,
@@ -35,19 +33,18 @@ from .linalg import Subspace
 from .series import (derived_series, is_completely_solvable, is_metabelian,
                      is_nilpotent, is_nilpotent_space, is_solvable,
                      lower_nilpotent_series, nilradical, predicates)
+from .value import Value
 
 _WITNESS_RANDOM_TRIES = 40
 _PAIR_CAP = 20
 _TRIPLE_CAP = 500
 
 
-@dataclass(frozen=True)
-class AVerdict:
+class AVerdict(Value):
     """Three-valued answer: True, False with witness, or None (unknown)."""
-    value: Optional[bool]
-    certificate: Optional[str] = None
-    witness: Optional[Subspace] = None
-    reasons: tuple = ()
+    _fields = ("value", "certificate", "witness", "reasons")
+    certificate = witness = None
+    reasons = ()
 
     @property
     def is_true(self) -> bool:
@@ -253,23 +250,18 @@ def is_a_algebra(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET,
 
 # ------------------------------------------------------------------ reports
 
-@dataclass(frozen=True)
-class ClauseResult:
-    clause: str
-    applicable: bool
-    holds: Optional[bool]
-    detail: str = ""
+class ClauseResult(Value):
+    _fields = ("clause", "applicable", "holds", "detail")
+    detail = ""
 
     @property
     def failed(self) -> bool:
         return self.applicable and self.holds is False
 
 
-@dataclass(frozen=True)
-class BatteryReport:
-    verdict: AVerdict
-    clauses: tuple
-    findings: tuple = ()
+class BatteryReport(Value):
+    _fields = ("verdict", "clauses", "findings")
+    findings = ()
 
     @property
     def hard_failures(self) -> tuple:
@@ -280,14 +272,9 @@ class BatteryReport:
         return not self.hard_failures
 
 
-@dataclass(frozen=True)
-class StructureReport:
-    predicates: dict
-    decomposition: Optional[tuple]
-    decomposition_error: Optional[str]
-    nilradical: Subspace
-    nilradical_mode: str
-    clauses: tuple
+class StructureReport(Value):
+    _fields = ("predicates", "decomposition", "decomposition_error", "nilradical",
+               "nilradical_mode", "clauses")
 
 
 def _basic_ideals(L: LeibnizAlgebra) -> list:
@@ -856,22 +843,20 @@ _UNMET = {
 }
 
 
-@dataclass(frozen=True)
-class _Row:
+class _Row(Value):
     """A clause, the hypotheses that leave it out of a report (gates) or
     mark it not applicable (needs), and its check.  An ``each`` row checks
     every member of that fact, passed last, up to the first failure; a
     probe reports a failure as a finding."""
-    clause: str
-    check: Callable
-    gates: tuple = ()
-    needs: tuple = ()
-    each: Optional[str] = None
-    probe: bool = False
+    _fields = ("clause", "check", "gates", "needs", "each", "probe")
+    gates = needs = ()
+    each = None
+    probe = False
 
     @cached_property
     def reads(self) -> tuple:
-        params = tuple(inspect.signature(self.check).parameters)
+        code = self.check.__code__
+        params = code.co_varnames[:code.co_argcount]
         return params[:-1] if self.each else params
 
 
@@ -931,7 +916,9 @@ _BATTERY = (
 # with no A-algebra or exact gate; the minimal-ideal rows keep their
 # exhaustive gate.
 _STRUCTURE = tuple(
-    replace(row, gates=("decomposed",) + tuple(g for g in row.gates if g == "exhaustive"))
+    _Row(row.clause, row.check,
+         ("decomposed",) + tuple(g for g in row.gates if g == "exhaustive"),
+         row.needs, row.each, row.probe)
     for row in _BATTERY
     if row.check in {_check_ideal_chain_alignment, _check_nilradical_chain_splitting,
                      _check_part_centre_alignment, _check_strong_split,

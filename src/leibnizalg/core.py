@@ -16,22 +16,19 @@ and ``I.quotient_coords`` maps L onto L/I.
 from __future__ import annotations
 
 import functools
-import inspect
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (AmbientMismatch, FieldParseError, NotAnIdeal,
                      NotASubalgebra, NotLeibniz, ShapeMismatch)
 from .linalg import Subspace, kernel, vec_add, vec_sub, zero_vec
+from .value import Value, bind
 
 
-@dataclass(frozen=True)
-class Violation:
-    """A basis triple where the Leibniz identity fails."""
+class Violation(Value):
+    """A basis triple (i, j, k) where the Leibniz identity fails: ``lhs``
+    is [b_i, [b_j, b_k]] and ``rhs`` is [[b_i, b_j], b_k] - [[b_i, b_k], b_j]."""
 
-    triple: tuple  # (i, j, k)
-    lhs: tuple     # [b_i, [b_j, b_k]]
-    rhs: tuple     # [[b_i, b_j], b_k] - [[b_i, b_k], b_j]
+    _fields = ("triple", "lhs", "rhs")
 
 
 _MISSING = object()
@@ -48,16 +45,15 @@ def memo(fn):
     Arguments after the algebra must be hashable, as subspaces are:
     ``aalgebra._quotient_verdict`` is keyed by its ideal.
     """
-    sig = inspect.signature(fn)
     name = fn.__qualname__
-    arity = len(sig.parameters) - 1
+    code, defaults = fn.__code__, fn.__defaults__ or ()
+    params = code.co_varnames[1:code.co_argcount]
+    arity = len(params)
 
     @functools.wraps(fn)
     def wrapper(L, *args, **kwargs):
         if kwargs or len(args) != arity:
-            bound = sig.bind(L, *args, **kwargs)
-            bound.apply_defaults()
-            args = tuple(bound.arguments.values())[1:]
+            args = bind(name, params, args, kwargs, defaults)
         key = (name, *args)
         hit = L._cache.get(key, _MISSING)
         if hit is _MISSING:

@@ -10,12 +10,12 @@ the same members in the same order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .core import LeibnizAlgebra, direct_sum
 from .cyclic import build_cyclic
 from .enumeration import enumerate_spaces, is_enumerable
 from .fields import QQ, gf
+from .value import Value
 
 FIELDS = (QQ, gf(2), gf(3), gf(4), gf(9))
 CYCLIC_SWEEP_FIELDS = (gf(2), gf(3))
@@ -62,11 +62,8 @@ def fixture(name: str, F) -> LeibnizAlgebra:
 FIXTURE_NAMES = ("A2", "r2", "H3", "sl2", "C2", "C3a", "C3b")
 
 
-@dataclass(frozen=True)
-class CorpusMember:
-    label: str
-    kind: str  # fixture | cyclic | sum | quotient
-    algebra: LeibnizAlgebra
+class CorpusMember(Value):
+    _fields = ("label", "kind", "algebra")  # kind: fixture | cyclic | sum | quotient
 
 
 _CORPUS_CACHE = {}

@@ -19,9 +19,6 @@ distinct irreducible factors, one of them x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .aalgebra import ClauseResult, is_a_algebra
 from .core import LeibnizAlgebra
 from .enumeration import (DEFAULT_BUDGET, frattini_ideal, is_enumerable,
@@ -29,13 +26,12 @@ from .enumeration import (DEFAULT_BUDGET, frattini_ideal, is_enumerable,
 from .errors import BadSpec
 from .poly import Poly, companion_matrix, poly, poly_factor
 from .series import is_nilpotent
+from .value import Value
 
 
-@dataclass(frozen=True)
-class CyclicSpec:
+class CyclicSpec(Value):
     """Structure data: alphas = (alpha_2, ..., alpha_n) as field scalars."""
-    field: object
-    alphas: tuple
+    _fields = ("field", "alphas")
 
     def __post_init__(self):
         if len(self.alphas) < 1:
@@ -81,20 +77,11 @@ def complement_vector(spec: CyclicSpec):
     return generator_cofactor(spec).coeffs
 
 
-@dataclass(frozen=True)
-class CyclicReport:
-    spec: CyclicSpec
-    algebra: LeibnizAlgebra
-    polynomial: Poly
-    cofactor: Poly
-    is_a: bool
-    nilpotent: bool
-    complement: tuple
-    factors: tuple  # of the cofactor: ((irreducible Poly, multiplicity), ...)
-    monolithic_claim: bool
-    frattini_free_claim: bool
-    normalization_scalar: Optional[object]
-    checks: tuple
+class CyclicReport(Value):
+    """``factors`` are the cofactor's: ((irreducible Poly, multiplicity), ...)."""
+    _fields = ("spec", "algebra", "polynomial", "cofactor", "is_a", "nilpotent",
+               "complement", "factors", "monolithic_claim", "frattini_free_claim",
+               "normalization_scalar", "checks")
 
     @property
     def ok(self) -> bool:

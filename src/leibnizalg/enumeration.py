@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 from .core import LeibnizAlgebra, memo
 from .errors import BudgetExceeded, InfiniteFieldUnsupported, LeibnizError
 from .linalg import Subspace
+from .value import Value
 
 DEFAULT_BUDGET = 10 ** 6
 
@@ -217,12 +216,11 @@ def _scan(L: LeibnizAlgebra, kind: str):
     return tuple(_ITERATORS[kind](L, math.inf))  # enumerate_spaces gated it
 
 
-@dataclass(frozen=True)
-class SocleReport:
-    minimal_ideals: tuple
-    asoc: Subspace  # sum of the abelian minimal ideals
-    monolithic: bool
-    monolith: Optional[Subspace]
+class SocleReport(Value):
+    """The minimal ideals, the sum ``asoc`` of the abelian ones, and the
+    monolith when there is exactly one (else None)."""
+
+    _fields = ("minimal_ideals", "asoc", "monolithic", "monolith")
 
 
 @memo
@@ -276,12 +274,15 @@ def frattini_ideal(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET) -> Subspace:
     """Largest ideal inside the intersection of all maximal subalgebras.
 
     The intersection itself need not be an ideal, so the result is the
-    largest enumerated ideal lying inside it.
+    largest enumerated ideal lying inside it.  The meets stop once the
+    running intersection is zero, since 0 cap M = 0.
     """
     maxes = maximal_subalgebras(L, budget)
     if not maxes:
         return L.zero_space()
     inter = maxes[0]
     for M in maxes[1:]:
+        if inter.is_zero():
+            break
         inter = inter.intersect(M)
     return _largest_member(enumerate_spaces(L, "ideals", budget), inter.contains_space)

@@ -35,18 +35,19 @@ fast without any compiled dependency.  This module keeps no polynomial
 arithmetic of its own: an extension field multiplies as ``poly.Poly``
 over GF(p) modulo its modulus, and checks and chooses that modulus with
 ``poly.is_irreducible``, so both use ``poly.py``'s one trial division.
+``poly`` is imported with the first extension field built (or default
+modulus chosen), so a process that meets only Q and prime fields never
+loads it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import ClassVar
 
 from .errors import BadSpec, FieldParseError, InfiniteFieldUnsupported
-from .poly import Poly, is_irreducible, monic_polys, poly
+from .value import Value
 
 _TABLE_LIMIT = 512  # build q x q lookup tables when q is at most this
 
@@ -95,16 +96,21 @@ def _rational(c):
     return c if type(c) is int or c.denominator != 1 else c.numerator
 
 
-@dataclass(frozen=True)
-class Rationals:
+class Rationals(Value):
     """The field of rational numbers; a scalar is an int when it is whole,
     else a reduced `fractions.Fraction`."""
 
-    char: ClassVar[int] = 0
-    is_finite: ClassVar[bool] = False
-    size: ClassVar[None] = None
-    zero: ClassVar[int] = 0
-    one: ClassVar[int] = 1
+    char = 0
+    is_finite = False
+    size = None
+    zero = 0
+    one = 1
+
+    def __eq__(self, other):
+        return True if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(())
 
     def add(self, a, b):
         return _rational(a + b)
@@ -200,14 +206,21 @@ def _check_finite_scalar(obj, p, k):
     raise FieldParseError(f"not a field element literal: {obj!r}")
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class PrimeField(Value):
     """GF(p); scalars are ints in range(p)."""
 
-    p: int
-    is_finite: ClassVar[bool] = True
-    zero: ClassVar[int] = 0
-    one: ClassVar[int] = 1
+    _fields = ("p",)
+    is_finite = True
+    zero = 0
+    one = 1
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.p == other.p
+
+    def __hash__(self):
+        return hash((self.p,))
 
     def __post_init__(self):
         if not is_prime(_int_param("p", self.p)):
@@ -269,23 +282,29 @@ class PrimeField:
         return f"GF({self.p})"
 
 
-@dataclass(frozen=True)
-class ExtensionField:
+class ExtensionField(Value):
     """GF(p**k) as GF(p)[x] modulo a monic irreducible of degree k.
 
     Scalars are ints in range(p**k): the base-p digits of the int are the
     coefficient vector of the element, least significant digit first.
     """
 
-    p: int
-    k: int
-    modulus: tuple  # ascending coefficients, length k+1, monic
-    is_finite: ClassVar[bool] = True
-    zero: ClassVar[int] = 0
-    one: ClassVar[int] = 1
+    _fields = ("p", "k", "modulus")  # modulus: ascending coefficients, length k+1, monic
+    is_finite = True
+    zero = 0
+    one = 1
     _mul_tab = _add_tab = _neg_tab = _inv_tab = None  # set when q <= _TABLE_LIMIT
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus)
+
+    def __hash__(self):
+        return hash((self.p, self.k, self.modulus))
+
     def __post_init__(self):
+        from .poly import Poly, is_irreducible, poly
         if not is_prime(_int_param("p", self.p)):
             raise BadSpec(f"{self.p} is not prime")
         if _int_param("k", self.k) < 1:
@@ -300,6 +319,7 @@ class ExtensionField:
             raise BadSpec(f"modulus {mod} is reducible over GF({self.p})")
         object.__setattr__(self, "modulus", mod)
         object.__setattr__(self, "_modulus_poly", modulus)
+        object.__setattr__(self, "_poly", poly)
         q = self.p ** self.k
         object.__setattr__(self, "_q", q)
         if q <= _TABLE_LIMIT:
@@ -364,7 +384,7 @@ class ExtensionField:
         return self._encode([(-d) % self.p for d in self._decode(a)])
 
     def _mul_slow(self, a, b):
-        m = self._modulus_poly
+        m, poly = self._modulus_poly, self._poly
         prod = poly(m.field, self._decode(a)) * poly(m.field, self._decode(b))
         return self._encode((prod % m).coeffs)
 
@@ -448,6 +468,7 @@ QQ = Rationals()
 @lru_cache(maxsize=None)
 def default_modulus(p: int, k: int):
     """Smallest monic irreducible of degree k over GF(p), ascending-lex."""
+    from .poly import is_irreducible, monic_polys
     for cand in monic_polys(PrimeField(p), k):
         if is_irreducible(cand):
             return cand.coeffs

@@ -9,9 +9,8 @@ are identical; everything downstream leans on that canonical form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import AmbientMismatch, NoSolution, ShapeMismatch
+from .value import Value
 
 
 def zero_vec(field, n):
@@ -118,14 +117,27 @@ def rref(field, rows):
     return [tuple(row) for row in work[:r]], tuple(pivots)
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """A subspace of F^n held as a canonical reduced-echelon basis."""
+class Subspace(Value):
+    """A subspace of F^n held as a canonical reduced-echelon basis: a
+    tuple of row tuples, with the tuple of their pivot columns."""
 
-    field: object
-    ambient: int
-    basis: tuple  # tuple of row tuples, reduced echelon form
-    pivots: tuple
+    _fields = ("field", "ambient", "basis", "pivots")
+
+    def __init__(self, field, ambient, basis, pivots):
+        set_field = object.__setattr__
+        set_field(self, "field", field)
+        set_field(self, "ambient", ambient)
+        set_field(self, "basis", basis)
+        set_field(self, "pivots", pivots)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.field, self.ambient, self.basis, self.pivots)
+                == (other.field, other.ambient, other.basis, other.pivots))
+
+    def __hash__(self):
+        return hash((self.field, self.ambient, self.basis, self.pivots))
 
     @classmethod
     def span(cls, field, ambient, vectors) -> "Subspace":
@@ -252,7 +264,7 @@ class Subspace:
 
     def _lies_in(self, field, ambient) -> bool:
         """Whether this space lies in field^ambient.  Fields are compared by
-        identity first: ``gf`` gives one object per field, and a dataclass
+        identity first: ``gf`` gives one object per field, and a field's
         ``!=`` would cost more than the check."""
         return self.ambient == ambient and (self.field is field or self.field == field)
 

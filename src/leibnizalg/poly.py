@@ -19,15 +19,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-
 from .errors import ShapeMismatch, ZeroPolynomial
+from .value import Value
 
 
-@dataclass(frozen=True)
-class Poly:
-    field: object
-    coeffs: tuple  # ascending, trimmed
+class Poly(Value):
+    _fields = ("field", "coeffs")  # coeffs ascending, trimmed
 
     @property
     def degree(self) -> int:

@@ -30,7 +30,9 @@ table entries, with no scalar checked.
 ``nilradical_by_sums``, ``radical_by_sums`` and ``frattini_by_sums`` are
 the largest nilpotent ideal, the largest solvable ideal and the largest
 ideal inside every maximal subalgebra, each as the span of all the
-enumerated ideals with that property.
+enumerated ideals with that property.  ``frattini_by_every_meet`` is the
+largest enumerated ideal inside the meet of the maximal subalgebras,
+formed with every meet, also after the running meet is zero.
 ``lemma_aa_by_decomposition`` is the lemma_aa certificate tested on the
 bottom part of a triangular decomposition, the complement of L^2 that a
 Cartan descent and a joint Fitting family find, refused where
@@ -92,8 +94,8 @@ from leibnizalg.decompose import (DecompositionFailed, _fitting_null,
                                   _sums_differences, cartan_subalgebra,
                                   enumerated_cartan_subalgebras,
                                   fitting_family, triangular_decomposition)
-from leibnizalg.enumeration import (DEFAULT_BUDGET, enumerate_spaces,
-                                    maximal_subalgebras)
+from leibnizalg.enumeration import (DEFAULT_BUDGET, _largest_member,
+                                    enumerate_spaces, maximal_subalgebras)
 from leibnizalg.errors import NoSolution
 from leibnizalg.linalg import (Subspace, chain, fitting_power, kernel,
                                restrict_operator, solve, vec_add, vec_sub)
@@ -403,6 +405,17 @@ def frattini_by_sums(L, budget):
     maxes = maximal_subalgebras(L, budget)
     return L.span([v for I in enumerate_spaces(L, "ideals", budget)
                    if all(M.contains_space(I) for M in maxes) for v in I.basis])
+
+
+def frattini_by_every_meet(L, budget):
+    """The largest ideal inside the running meet of every maximal subalgebra."""
+    maxes = maximal_subalgebras(L, budget)
+    if not maxes:
+        return L.zero_space()
+    inter = maxes[0]
+    for M in maxes[1:]:
+        inter = inter.intersect(M)
+    return _largest_member(enumerate_spaces(L, "ideals", budget), inter.contains_space)
 
 
 def _invertible_on(L, x, space):

@@ -2,16 +2,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernel_reference import dense_bracket, rank_contains, unit_vectors
+from kernel_reference import (dense_bracket, frattini_by_every_meet, rank_contains,
+                              unit_vectors)
 from leibnizalg import enumeration
 from leibnizalg.aalgebra import theorem_battery
 from leibnizalg.core import LeibnizAlgebra
 from leibnizalg.corpus import fixture
 from leibnizalg.cyclic import build_cyclic
 from leibnizalg.decompose import max_nilpotent_subalgebras
-from leibnizalg.enumeration import (_largest_member, echelon_bases,
+from leibnizalg.enumeration import (DEFAULT_BUDGET, _largest_member, echelon_bases,
                                     enumerate_spaces, frattini_ideal,
-                                    gaussian_binomial, iter_ideals,
+                                    gaussian_binomial, is_enumerable, iter_ideals,
                                     iter_subalgebras, iter_subspaces,
                                     maximal_subalgebras, socle_analysis,
                                     total_subspaces)
@@ -278,6 +279,34 @@ def test_largest_member_needs_one_maximal_member():
     # the three lines are maximal among the spaces of dimension at most 1
     with pytest.raises(LeibnizError, match="3 maximal members"):
         _largest_member(ideals, lambda S: S.dim <= 1)
+
+
+def test_frattini_matches_every_meet_on_the_enumerable_corpus(members):
+    checked = 0
+    for m in members:
+        L = m.algebra
+        if is_enumerable(L, DEFAULT_BUDGET):
+            assert frattini_ideal(L) == frattini_by_every_meet(L, DEFAULT_BUDGET), m.label
+            checked += 1
+    assert checked == 367
+
+
+def test_frattini_meets_stop_once_the_meet_is_zero(monkeypatch):
+    # the q + 1 lines of GF(q)^2 are the maximal subalgebras of the abelian
+    # A2; the first two meet in 0, and no later line is intersected
+    L = fixture("A2", gf(3))
+    assert len(maximal_subalgebras(L)) == 4
+    enumerate_spaces(L, "ideals")
+    meets = []
+    intersect = Subspace.intersect
+
+    def counted(self, other):
+        meets.append(other)
+        return intersect(self, other)
+
+    monkeypatch.setattr(Subspace, "intersect", counted)
+    assert frattini_ideal(L).is_zero()
+    assert len(meets) == 1
 
 
 def test_frattini_is_ideal_everywhere(small_finite_members):

@@ -6,7 +6,7 @@ every parameter of every function is read in its body, every
 exception class in ``errors.py`` is raised by some library module,
 only the witness search's module imports ``random``, only
 ``fields.py`` imports ``fractions`` or calls ``range`` on a field's
-``.size``, no script imports a private name of the package, and every
+``.size``, no module imports ``dataclasses`` or ``inspect``, no script imports a private name of the package, and every
 public ``LeibnizAlgebra`` method checks its subspace arguments with
 ``_own``.
 
@@ -285,6 +285,19 @@ def test_scan_finds_fractions_imports():
                     "fractions")
     assert not _imports(ast.parse("from .fields import Fraction\n"
                                   "import fractionsx\n"), "fractions")
+
+
+def test_no_module_imports_dataclasses_or_inspect():
+    # value.Value stands in for dataclasses, and functions are read through
+    # __code__: a CLI process compiles neither module
+    assert _importers("dataclasses") + _importers("inspect") == []
+
+
+def test_scan_finds_dataclasses_and_inspect_imports():
+    assert _imports(ast.parse("from dataclasses import dataclass, replace\n"), "dataclasses")
+    assert _imports(ast.parse("def f(g):\n    import inspect\n"), "inspect")
+    assert not _imports(ast.parse("from .value import Value\n"
+                                  "import inspection\n"), "inspect")
 
 
 def _private_imports(tree):

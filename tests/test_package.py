@@ -83,7 +83,8 @@ def test_import_loads_no_submodule_until_a_name_is_used():
         "leibnizalg.Subspace\n"
         "after = sorted(m for m in sys.modules if m.startswith('leibnizalg.'))\n"
         "print(json.dumps([before, after, leibnizalg.series.__name__]))\n"
-    ) == [[], ["leibnizalg.errors", "leibnizalg.linalg"], "leibnizalg.series"]
+    ) == [[], ["leibnizalg.errors", "leibnizalg.linalg", "leibnizalg.value"],
+          "leibnizalg.series"]
 
 
 @pytest.mark.parametrize("prelude", [
@@ -116,7 +117,26 @@ def test_star_import_binds_every_name():
 # --------------------------------------------------------------------- CLI
 
 CHECK_MODULES = ["algfile", "cli", "core", "enumeration", "errors", "fields", "linalg",
-                 "poly"]
+                 "value"]
+
+
+def _run_command(tmp_path, command, q):
+    """Run ``command`` on H3 over GF(q) in a fresh interpreter; return its
+    exit code, the package modules it loaded and the modules it added to
+    those of a bare interpreter."""
+    path = tmp_path / "h3.json"
+    path.write_text(dumps_algebra(fixture("H3", gf(q))), encoding="utf-8")
+    out = tmp_path / "report.json"
+    bare = _printed("import json, sys\nprint(json.dumps(sorted(sys.modules)))")
+    code, loaded = _printed(
+        "import json, sys\n"
+        "from leibnizalg.cli import main\n"
+        f"code = main([{command!r}, {str(path)!r}, '--format', 'json', '--output', {str(out)!r}])\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n"
+    )
+    assert json.loads(out.read_text(encoding="utf-8"))["command"] == command
+    return (code, [m for m in loaded if m.startswith("leibnizalg.")],
+            set(loaded) - set(bare))
 
 
 @pytest.mark.parametrize("command,modules", [
@@ -124,17 +144,16 @@ CHECK_MODULES = ["algfile", "cli", "core", "enumeration", "errors", "fields", "l
     ("analyze", sorted(CHECK_MODULES + ["series"])),
 ])
 def test_a_command_imports_only_the_modules_it_runs(tmp_path, command, modules):
-    path = tmp_path / "h3.json"
-    path.write_text(dumps_algebra(fixture("H3", gf(3))), encoding="utf-8")
-    out = tmp_path / "report.json"
-    assert _printed(
-        "import json, sys\n"
-        "from leibnizalg.cli import main\n"
-        f"code = main([{command!r}, {str(path)!r}, '--format', 'json', '--output', {str(out)!r}])\n"
-        "print(json.dumps([code, sorted(m for m in sys.modules\n"
-        "                               if m.startswith('leibnizalg.'))]))\n"
-    ) == [0, [f"leibnizalg.{m}" for m in modules]]
-    assert json.loads(out.read_text(encoding="utf-8"))["command"] == command
+    # over GF(3) no module loads poly, dataclasses or inspect
+    code, package, added = _run_command(tmp_path, command, 3)
+    assert (code, package) == (0, [f"leibnizalg.{m}" for m in modules])
+    assert {"dataclasses", "inspect"} & added == set()
+
+
+def test_an_extension_field_loads_poly_and_nothing_else(tmp_path):
+    code, package, added = _run_command(tmp_path, "check", 4)
+    assert (code, package) == (0, [f"leibnizalg.{m}" for m in sorted(CHECK_MODULES + ["poly"])])
+    assert {"dataclasses", "inspect"} & added == set()
 
 
 NOT_LEIBNIZ = json.dumps({"format_version": 1, "field": {"kind": "rationals"},
