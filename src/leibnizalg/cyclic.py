@@ -99,8 +99,8 @@ def classify_cyclic(field, alphas, budget: int = DEFAULT_BUDGET,
     L.require_leibniz()
     p = generator_polynomial(spec)
     alpha2 = spec.alphas[0]
-    is_a = not F.is_zero(alpha2)
-    nilpotent_claim = all(F.is_zero(a) for a in spec.alphas)
+    is_a = bool(alpha2)
+    nilpotent_claim = all(not a for a in spec.alphas)
     b = complement_vector(spec)
     checks = []
 

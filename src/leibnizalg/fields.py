@@ -9,16 +9,19 @@ so a ``Fraction(3)`` handed in by a caller is still the scalar 3.
 Over a finite field with q = p**k elements a scalar is an int in
 ``range(q)`` encoding the coefficient vector of the element in base p,
 least significant digit first; for a prime field (k = 1) this is just the
-residue.  Field objects supply the operations, so every higher layer stays
-field-agnostic and exact.  A field's ``scalar`` returns a given value in
-this canonical form or raises ``FieldParseError``; ``LeibnizAlgebra``
-passes every nonzero structure constant through it.
+residue.  ``PrimeField`` and ``ExtensionField`` write this contract once,
+in their base ``_FiniteField``.  Each keeps its own seven scalar methods,
+``add`` to ``is_zero``: those are what differ, and the benchmark counts
+each class's own.  Field objects supply the operations, so every higher
+layer stays field-agnostic and exact.  A field's ``scalar`` returns a
+given value in this canonical form or raises ``FieldParseError``;
+``LeibnizAlgebra`` passes every nonzero structure constant through it.
 
 Every field's zero is ``0`` (a caller's ``Fraction(0)`` is zero too), and
 ``is_zero`` is ``a == 0`` in all three classes, so
-``bool(a) == (not F.is_zero(a))`` for every scalar.  The inner loops of
-``core`` and ``linalg`` rely on this to skip zeros by truthiness:
-``LeibnizAlgebra.bracket``, ``Subspace.reduce`` and
+``bool(a) == (not F.is_zero(a))`` for every scalar.  Every other module
+tests a scalar for zero by truthiness, as the inner loops of ``core`` and
+``linalg`` must: ``LeibnizAlgebra.bracket``, ``Subspace.reduce`` and
 ``Subspace.intersect``, ``rref``, ``mat_mul`` and ``mat_vec``.  ``rref``
 also drops the zero rows it is given by truthiness, before elimination.
 
@@ -42,7 +45,6 @@ loads it.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -53,7 +55,7 @@ _TABLE_LIMIT = 512  # build q x q lookup tables when q is at most this
 
 
 # Miller-Rabin on the primes up to 37 decides every n below this bound
-# (Sorenson and Webster, 2015); above it a passing n is trial-divided.
+# (Sorenson and Webster, 2015); above it a passing n is refused with BadSpec.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_EXACT_BELOW = 318665857834031151167461
 
@@ -78,7 +80,10 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return n < _MR_EXACT_BELOW or all(n % d for d in range(41, math.isqrt(n) + 1, 2))
+    if n >= _MR_EXACT_BELOW:
+        raise BadSpec(f"cannot decide whether {n} is prime: primality is decided "
+                      f"only below {_MR_EXACT_BELOW}")
+    return True
 
 
 def _iroot(q, k):
@@ -183,14 +188,6 @@ def _int_param(name, value):
     raise BadSpec(f"{name} is not an integer: {value!r}")
 
 
-def _element_code(field, c):
-    """c itself if it is an int in range(q), the code of an element of the
-    finite field with q elements."""
-    if isinstance(c, int) and not isinstance(c, bool) and 0 <= c < field.size:
-        return c
-    raise FieldParseError(f"not an element code of {field}: {c!r}")
-
-
 def _check_finite_scalar(obj, p, k):
     """Normalize a parsed finite-field literal to digit tuple form."""
     if isinstance(obj, bool):
@@ -206,13 +203,49 @@ def _check_finite_scalar(obj, p, k):
     raise FieldParseError(f"not a field element literal: {obj!r}")
 
 
-class PrimeField(Value):
-    """GF(p); scalars are ints in range(p)."""
+class _FiniteField(Value):
+    """The contract of a finite field with q = p**k elements: its scalars
+    are the ints in range(q), an integer enters as its residue mod p, and
+    it prints as GF(q).  A subclass sets ``p`` and ``_q``."""
 
-    _fields = ("p",)
     is_finite = True
     zero = 0
     one = 1
+
+    @property
+    def char(self):
+        return self.p
+
+    @property
+    def size(self):
+        return self._q
+
+    def from_int(self, m: int):
+        return m % self.p
+
+    def elements(self):
+        return range(self._q)
+
+    def random_scalar(self, rng):
+        return rng.randrange(self._q)
+
+    def random_vector(self, rng, n):
+        return tuple(rng.randrange(self._q) for _ in range(n))
+
+    def scalar(self, c):
+        """c itself if it is an int in range(q), the code of an element."""
+        if isinstance(c, int) and not isinstance(c, bool) and 0 <= c < self._q:
+            return c
+        raise FieldParseError(f"not an element code of {self}: {c!r}")
+
+    def __str__(self):
+        return f"GF({self._q})"
+
+
+class PrimeField(_FiniteField):
+    """GF(p); scalars are ints in range(p)."""
+
+    _fields = ("p",)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -225,14 +258,7 @@ class PrimeField(Value):
     def __post_init__(self):
         if not is_prime(_int_param("p", self.p)):
             raise BadSpec(f"{self.p} is not prime")
-
-    @property
-    def char(self):
-        return self.p
-
-    @property
-    def size(self):
-        return self.p
+        object.__setattr__(self, "_q", self.p)
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -257,32 +283,14 @@ class PrimeField(Value):
     def is_zero(self, a):
         return a == 0
 
-    def from_int(self, m: int):
-        return m % self.p
-
-    def elements(self):
-        return range(self.p)
-
-    def random_scalar(self, rng):
-        return rng.randrange(self.p)
-
-    def random_vector(self, rng, n):
-        return tuple(rng.randrange(self.p) for _ in range(n))
-
-    def scalar(self, c):
-        return _element_code(self, c)
-
     def parse_scalar(self, obj):
         return _check_finite_scalar(obj, self.p, 1)[0]
 
     def serialize_scalar(self, a):
         return [a]
 
-    def __str__(self):
-        return f"GF({self.p})"
 
-
-class ExtensionField(Value):
+class ExtensionField(_FiniteField):
     """GF(p**k) as GF(p)[x] modulo a monic irreducible of degree k.
 
     Scalars are ints in range(p**k): the base-p digits of the int are the
@@ -290,9 +298,6 @@ class ExtensionField(Value):
     """
 
     _fields = ("p", "k", "modulus")  # modulus: ascending coefficients, length k+1, monic
-    is_finite = True
-    zero = 0
-    one = 1
     _mul_tab = _add_tab = _neg_tab = _inv_tab = None  # set when q <= _TABLE_LIMIT
 
     def __eq__(self, other):
@@ -389,14 +394,6 @@ class ExtensionField(Value):
         return self._encode((prod % m).coeffs)
 
     # field API ----------------------------------------------------------
-    @property
-    def char(self):
-        return self.p
-
-    @property
-    def size(self):
-        return self._q
-
     def add(self, a, b):
         if self._add_tab is not None:
             return self._add_tab[a][b]
@@ -437,29 +434,11 @@ class ExtensionField(Value):
     def is_zero(self, a):
         return a == 0
 
-    def from_int(self, m: int):
-        return m % self.p
-
-    def elements(self):
-        return range(self._q)
-
-    def random_scalar(self, rng):
-        return rng.randrange(self._q)
-
-    def random_vector(self, rng, n):
-        return tuple(rng.randrange(self._q) for _ in range(n))
-
-    def scalar(self, c):
-        return _element_code(self, c)
-
     def parse_scalar(self, obj):
         return self._encode(list(_check_finite_scalar(obj, self.p, self.k)))
 
     def serialize_scalar(self, a):
         return self._decode(a)
-
-    def __str__(self):
-        return f"GF({self._q})"
 
 
 QQ = Rationals()

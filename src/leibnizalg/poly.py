@@ -66,7 +66,7 @@ class Poly(Value):
             return Poly(F, ())
         out = [F.zero] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
-            if F.is_zero(ai):
+            if not ai:
                 continue
             for j, bj in enumerate(b):
                 out[i + j] = F.add(out[i + j], F.mul(ai, bj))
@@ -124,7 +124,7 @@ class Poly(Value):
 def poly(field, coeffs) -> Poly:
     """Build a polynomial, trimming trailing zeros."""
     c = list(coeffs)
-    while c and field.is_zero(c[-1]):
+    while c and not c[-1]:
         c.pop()
     return Poly(field, tuple(c))
 
@@ -281,7 +281,7 @@ def format_poly(p: Poly) -> str:
     out = ""
     for e in range(p.degree, -1, -1):
         c = p.coeffs[e]
-        if F.is_zero(c):
+        if not c:
             continue
         # rational coefficients read better with a subtraction sign
         neg = F.char == 0 and c < 0

@@ -98,11 +98,19 @@ def test_rationals_scalar_checks_and_canonicalises():
             QQ.scalar(bad)
 
 
-@pytest.mark.parametrize("q", (2, 3, 4, 9))
-def test_finite_scalar_accepts_element_codes_only(q):
+# the shared finite-field contract on every kind of finite field: prime,
+# tabled extension, untabled extension, and an extension of degree 1
+CONTRACT_FIELDS = [gf(q) for q in (2, 3, 4, 9, 625)] + [ExtensionField(2, 1, (1, 1))]
+CONTRACT_IDS = ["2", "3", "4", "9", "625", "2-degree-1"]
+
+
+@pytest.mark.parametrize("F", CONTRACT_FIELDS, ids=CONTRACT_IDS)
+def test_finite_scalar_accepts_element_codes_only(F):
     # scalar takes the internal code; parse_scalar would read an int
     # literal as a residue mod p, so 5 over GF(9) as 2
-    F = gf(q)
+    q = F.size
+    assert str(F) == f"GF({q})" and F.char == F.p and F.is_finite
+    assert list(F.elements()) == list(range(q))
     assert [F.scalar(c) for c in F.elements()] == list(range(q))
     for bad in (-1, q, True, 1.0, Fraction(1), "1", [1]):
         with pytest.raises(FieldParseError, match="not an element code"):
@@ -180,6 +188,8 @@ def test_from_int_wraps():
     assert F.from_int(-1) == 4
     F4 = gf(4)
     assert F4.from_int(-1) == F4.one
+    for F in CONTRACT_FIELDS:
+        assert [F.from_int(m) for m in (-1, 0, F.p + 1, 7 * F.p)] == [F.p - 1, 0, 1, 0]
 
 
 def test_default_modulus_known():
@@ -216,10 +226,32 @@ def test_is_prime_matches_trial_division():
         [n for n in range(20000) if _prime_by_trial_division(n)]
 
 
-def test_is_prime_above_the_miller_rabin_bound_trial_divides(monkeypatch):
+def test_is_prime_above_the_miller_rabin_bound_refuses_a_pass(monkeypatch):
+    # a "composite" answer is a proof at any size, a pass above the bound
+    # is not, and trial division to the square root would not end
     monkeypatch.setattr(fields, "_MR_EXACT_BELOW", 100)
-    assert [n for n in range(5000) if is_prime(n)] == \
-        [n for n in range(5000) if _prime_by_trial_division(n)]
+    for n in range(5000):
+        if n >= 100 and _prime_by_trial_division(n):
+            with pytest.raises(BadSpec, match="only below 100$"):
+                is_prime(n)
+        else:
+            assert is_prime(n) is _prime_by_trial_division(n)
+
+
+M89 = 2 ** 89 - 1  # a Mersenne prime above the Miller-Rabin bound
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: PrimeField(M89), BadSpec),
+    (lambda: gf(M89), BadSpec),
+    (lambda: parse_field_name(f"gf({M89})"), BadSpec),
+    (lambda: field_from_doc({"kind": "prime_field", "p": M89}), FieldParseError),
+], ids=["PrimeField", "gf", "parse_field_name", "field_from_doc"])
+def test_a_prime_above_the_miller_rabin_bound_is_refused_at_once(build, error):
+    start = time.perf_counter()
+    with pytest.raises(error, match=f"cannot decide whether {M89} is prime"):
+        build()
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("n, prime", [

@@ -5,10 +5,11 @@ acceptance tests or the kernel reference (a re-export is not a use),
 every parameter of every function is read in its body, every
 exception class in ``errors.py`` is raised by some library module,
 only the witness search's module imports ``random``, only
-``fields.py`` imports ``fractions`` or calls ``range`` on a field's
-``.size``, no module imports ``dataclasses`` or ``inspect``, no script imports a private name of the package, and every
-public ``LeibnizAlgebra`` method checks its subspace arguments with
-``_own``.
+``fields.py`` imports ``fractions``, calls ``range`` on a field's
+``.size`` or tests a scalar with ``.is_zero``, no module imports
+``dataclasses`` or ``inspect``, no script imports a private name of the
+package, and every public ``LeibnizAlgebra`` method checks its subspace
+arguments with ``_own``.
 
 ``__init__.py`` is skipped by the import check, since its imports are the
 package's re-exports.
@@ -476,6 +477,32 @@ def test_field_scalars_listed_only_in_fields():
     found = {p.name: _size_ranges(ast.parse(p.read_text(), filename=str(p)))
              for p in MODULES if p.name != "fields.py"}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def _scalar_zero_tests(tree):
+    """Lines of ``.is_zero(...)`` calls with an argument: a field's zero
+    test, not the no-argument one of a subspace or polynomial."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "is_zero" and (node.args or node.keywords))
+
+
+def test_scalars_tested_for_zero_only_by_truthiness():
+    # every field's zero is the only falsy scalar (see fields.py), so one
+    # spelling serves the kernel's inner loops and every other caller
+    found = {p.name: _scalar_zero_tests(ast.parse(p.read_text(), filename=str(p)))
+             for p in MODULES if p.name != "fields.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_scan_finds_scalar_zero_tests():
+    tree = ast.parse("F.is_zero(a)\n"
+                     "W.is_zero()\n"
+                     "all(L.field.is_zero(c) for c in v)\n"
+                     "if p.is_zero(): pass\n"
+                     "F.is_zero(a=c)\n"
+                     "not c\n")
+    assert _scalar_zero_tests(tree) == [1, 3, 5]
 
 
 def test_scan_finds_size_ranges():

@@ -498,6 +498,19 @@ def test_cli_bad_field():
     assert doc["error"]["type"] == "BadSpec"
 
 
+def test_cli_refuses_a_prime_above_the_primality_bound(tmp_path):
+    # 2**89 - 1 passes Miller-Rabin above the bound where that decides
+    # primality; the trial division that followed did not end
+    p = 2 ** 89 - 1
+    doc, code = run_command(["cyclic", "--field", f"gf({p})", "1"])
+    assert (code, doc["error"]["type"]) == (3, "BadSpec")
+    path = tmp_path / "big.json"
+    field = {"kind": "prime_field", "p": p}
+    path.write_text(json.dumps(dict(algebra_to_doc(fixture("A2", gf(2))), field=field)))
+    doc, code = run_command(["check", str(path)])
+    assert (code, doc["error"]["type"]) == (3, "FieldParseError")
+
+
 @pytest.mark.parametrize("degree", [0, -1])
 def test_cli_bad_extension_degree(degree):
     doc, code = run_command(["cyclic", "--field", f"gf(2,{degree})", "1"])
