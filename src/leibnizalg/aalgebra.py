@@ -277,16 +277,11 @@ class StructureReport(Value):
                "nilradical_mode", "clauses")
 
 
-def _basic_ideals(L: LeibnizAlgebra) -> list:
-    """0, L^2, Leib(L), Z(L) and L, each once."""
-    return list(dict.fromkeys([L.zero_space(), L.derived_space(), L.leib_ideal(),
-                               L.centre(), L.full_space()]))
-
-
 def _series_ideals(L: LeibnizAlgebra) -> list:
-    """The basic ideals and the ideals among the derived and lower
-    nilpotent series terms, each once."""
-    known = [*_basic_ideals(L), *derived_series(L), *lower_nilpotent_series(L)]
+    """0, L^2, Leib(L), Z(L) and L, then the ideals among the derived and
+    lower nilpotent series terms, each once."""
+    known = [L.zero_space(), L.derived_space(), L.leib_ideal(), L.centre(),
+             L.full_space(), *derived_series(L), *lower_nilpotent_series(L)]
     return [U for U in dict.fromkeys(known) if L.is_ideal(U)]
 
 
@@ -694,7 +689,7 @@ def _check_abelian_complement_criterion(L, verdict, budget):
     must not be a witnessed failure."""
     granted, why = lemma_aa_certificate(L, budget)
     if not granted:
-        return None, why or "certificate refused"
+        return None, why
     if verdict.is_false:
         return False, "certificate granted but a witness exists"
     if not is_completely_solvable(L):
@@ -705,12 +700,10 @@ def _check_abelian_complement_criterion(L, verdict, budget):
 def _check_monolithic_strong_certificate(L, verdict, budget):
     """Monolithic case: completely solvable A-algebra iff the certificate
     condition holds."""
-    if verdict.is_unknown:
-        return None, "A-verdict unknown"
-    # The row runs only when every subspace fits the budget, so the
-    # certificate never refuses an "unenumerable" complement: B complements
-    # L^2 != 0, and q^dim B <= q^(n-1) <= [n, 1]_q <= total_subspaces(n, q)
-    # <= budget.
+    # The row runs only when every subspace fits the budget.  So
+    # is_a_algebra decides the verdict, and the certificate never refuses
+    # an "unenumerable" complement: B complements L^2 != 0, and
+    # q^dim B <= q^(n-1) <= [n, 1]_q <= total_subspaces(n, q) <= budget.
     granted, _ = lemma_aa_certificate(L, budget)
     lhs = verdict.is_true and is_completely_solvable(L)
     ok = lhs == granted
@@ -732,12 +725,11 @@ def _check_char_zero_metabelian(L):
 class _Facts:
     """What the rows of one report read about L, each computed on first
     use: data, named by the checks' parameters, and hypotheses, named by
-    the rows."""
+    the rows.  A table that is not Leibniz is refused with NotLeibniz."""
 
-    def __init__(self, L: LeibnizAlgebra, seed: Optional[int], budget: int,
-                 structural=_series_ideals):
+    def __init__(self, L: LeibnizAlgebra, seed: Optional[int], budget: int):
+        L.require_leibniz()
         self.L, self.seed, self.budget = L, seed, budget
-        self._structural = structural  # the known ideals without enumeration
 
     @cached_property
     def verdict(self) -> AVerdict:
@@ -745,10 +737,10 @@ class _Facts:
 
     @cached_property
     def ideals(self) -> list:
-        """All the ideals when exhaustive, else the structural ones."""
+        """All the ideals when exhaustive, else the known ones."""
         if self.exhaustive:
             return list(enumerate_spaces(self.L, "ideals", self.budget))
-        return self._structural(self.L)
+        return _series_ideals(self.L)
 
     @cached_property
     def _nilradical(self):
@@ -974,7 +966,6 @@ def theorem_battery(L: LeibnizAlgebra, seed: int = 0,
     needs is computable within the budget; the probe clause
     (derived_length_bound) reports findings instead of failures.
     """
-    L.require_leibniz()
     facts = _Facts(L, seed, budget)
     clauses, findings = _run(_BATTERY, facts)
     return BatteryReport(facts.verdict, clauses, findings)
@@ -983,7 +974,7 @@ def theorem_battery(L: LeibnizAlgebra, seed: int = 0,
 def structure_report(L: LeibnizAlgebra,
                      budget: int = DEFAULT_BUDGET) -> StructureReport:
     """Decomposition-centric summary used by reporting front ends."""
-    facts = _Facts(L, None, budget, _basic_ideals)  # no row reads a verdict
+    facts = _Facts(L, None, budget)  # no row reads a verdict
     N, mode = facts._nilradical
     clauses, _ = _run(_STRUCTURE, facts)
     decomp, error = facts.decomposition

@@ -20,7 +20,8 @@ from kernel_reference import (ideal_centralizer_by_pairs,
                               witness_search_by_scalar_draws,
                               witness_search_without_engel_bound)
 from leibnizalg import aalgebra, decompose, linalg
-from leibnizalg.aalgebra import (_BATTERY, _check_abelian_ideals_commute,
+from leibnizalg.aalgebra import (_BATTERY, ClauseResult,
+                                 _check_abelian_ideals_commute,
                                  _check_cartan_complements,
                                  _check_ideal_centralizer_criterion,
                                  _check_ideal_chain_alignment,
@@ -38,7 +39,7 @@ from leibnizalg.corpus import fixture
 from leibnizalg.cyclic import build_cyclic
 from leibnizalg.enumeration import (DEFAULT_BUDGET, enumerate_spaces,
                                     is_enumerable, total_subspaces)
-from leibnizalg.errors import NotAnIdeal
+from leibnizalg.errors import NotAnIdeal, NotLeibniz
 from leibnizalg.fields import QQ, gf
 from leibnizalg.series import (is_metabelian, is_nilpotent_space,
                                upper_central_series)
@@ -522,6 +523,57 @@ def test_battery_probe_findings_not_failures():
     probe = [c for c in rep.clauses if c.clause == "derived_length_bound"]
     assert len(probe) == 1
     assert "derived_length_bound" not in rep.hard_failures
+
+
+def test_failing_probe_is_a_finding_not_a_failure():
+    def check(L):
+        return False, f"dimension {L.dim}"
+
+    row = aalgebra._Row("probe_clause", check, probe=True)
+    facts = aalgebra._Facts(fixture("r2", QQ), 0, DEFAULT_BUDGET)
+    clauses, findings = aalgebra._run((row,), facts)
+    assert clauses == (ClauseResult("probe_clause", True, True, "finding: dimension 2"),)
+    assert findings == ("dimension 2",)
+    assert not any(c.failed for c in clauses)
+
+
+@pytest.mark.parametrize("report", [theorem_battery, structure_report],
+                         ids=["theorem_battery", "structure_report"])
+def test_both_reports_refuse_a_table_that_is_not_leibniz(report):
+    # [e1, e1] = e1 breaks the identity at (0, 0, 0): e1 = [e1, e1] - [e1, e1] = 0
+    with pytest.raises(NotLeibniz) as exc:
+        report(LeibnizAlgebra(QQ, [[[1]]]))
+    assert exc.value.violation.triple == (0, 0, 0)
+
+
+def _gf4_on_gf2_squared():
+    """GF(4) = GF(2)[w]/(w^2 + w + 1) acting on V = GF(2)^2 by
+    multiplication: basis v1 = 1, v2 = w of V and b1 = 1, b2 = w of GF(4),
+    with [v, b] = v b and every other bracket zero.  A Leibniz algebra
+    that is not a Lie algebra, as [b, v] = 0 != -[v, b]."""
+    F = gf(2)
+    zero = (0, 0, 0, 0)
+    table = [[zero] * 4 for _ in range(4)]
+    table[0][2] = (1, 0, 0, 0)  # [v1, b1] = 1
+    table[0][3] = (0, 1, 0, 0)  # [v1, b2] = w
+    table[1][2] = (0, 1, 0, 0)  # [v2, b1] = w
+    table[1][3] = (1, 1, 0, 0)  # [v2, b2] = w^2 = 1 + w
+    return LeibnizAlgebra(F, table, ("v1", "v2", "b1", "b2"))
+
+
+def test_non_lie_algebra_granted_by_the_finite_certificate_sweep():
+    L = _gf4_on_gf2_squared()
+    L.require_leibniz()
+    assert L.bracket(L.basis_vector(2), L.basis_vector(0)) == (0, 0, 0, 0)
+    assert L.derived_space().dim == 2  # so the complement B has dim 2
+    assert lemma_aa_certificate(L) == (True, "")
+    v = is_a_algebra(L)
+    assert v.is_true and v.certificate == "exhaustive"
+    rep = theorem_battery(L)
+    assert rep.ok
+    holds = {c.clause: (c.applicable, c.holds) for c in rep.clauses}
+    assert holds["abelian_complement_criterion"] == (True, True)
+    assert holds["monolithic_strong_certificate"] == (True, True)
 
 
 def test_battery_deterministic():

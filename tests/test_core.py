@@ -63,6 +63,13 @@ def test_table_shape_checked():
         LeibnizAlgebra(F, (((z, z),),))
     with pytest.raises(ShapeMismatch):
         LeibnizAlgebra(F, (((z,), (z,)),))
+    with pytest.raises(ShapeMismatch, match="^1 basis names for dimension 2$"):
+        LeibnizAlgebra(F, fixture("A2", F).table, ("x",))
+
+
+def test_fixture_refuses_an_unknown_name():
+    with pytest.raises(KeyError, match="unknown fixture 'A3'"):
+        fixture("A3", QQ)
 
 
 def test_default_names():
@@ -481,6 +488,8 @@ def test_direct_sum(h3, r2):
     v = (0, 0, 0, 1, 0)
     assert all(QQ.is_zero(c) for c in L.bracket(u, v))
     assert all(QQ.is_zero(c) for c in L.bracket(v, u))
+    with pytest.raises(ShapeMismatch, match="common ground field"):
+        direct_sum(h3, fixture("A2", gf(3)))
 
 
 def test_table_key(h3, r2):

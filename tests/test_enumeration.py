@@ -24,12 +24,18 @@ from leibnizalg.linalg import Subspace, rref
 
 # ------------------------------------------------------------------ counting
 
+def test_enumerate_spaces_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown enumeration kind 'ideal'"):
+        enumerate_spaces(fixture("A2", gf(2)), "ideal")
+
+
 def test_gaussian_binomial_known():
     assert gaussian_binomial(4, 2, 2) == 35
     assert gaussian_binomial(5, 1, 3) == 121
     assert gaussian_binomial(5, 2, 3) == 1210
     assert gaussian_binomial(3, 0, 5) == 1
     assert gaussian_binomial(3, 3, 5) == 1
+    assert gaussian_binomial(3, -1, 2) == gaussian_binomial(3, 4, 2) == 0
 
 
 def test_total_subspaces_known():
@@ -270,6 +276,9 @@ def test_frattini_h3(h3_gf2):
 
 def test_frattini_abelian_is_zero():
     assert frattini_ideal(fixture("A2", gf(3))).dim == 0
+    # the zero algebra has no proper subalgebra, so no maximal one
+    Z = LeibnizAlgebra(gf(2), [])
+    assert frattini_ideal(Z) == Z.zero_space()
 
 
 def test_largest_member_needs_one_maximal_member():

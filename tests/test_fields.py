@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from kernel_reference import ext_product, first_irreducible
 from leibnizalg import fields
 from leibnizalg.corpus import FIELDS
-from leibnizalg.errors import BadSpec, FieldParseError
+from leibnizalg.errors import BadSpec, FieldParseError, InfiniteFieldUnsupported
 from leibnizalg.fields import (QQ, ExtensionField, PrimeField, default_modulus,
                                field_from_doc, field_to_doc, gf, is_prime,
                                parse_field_name)
@@ -53,12 +53,27 @@ def test_rationals_parse_forms():
         QQ.parse_scalar("x")
     with pytest.raises(FieldParseError):
         QQ.parse_scalar([1, 2])
+    with pytest.raises(FieldParseError, match="not a rational literal: True"):
+        QQ.parse_scalar(True)
 
 
 def _exact(a, value):
     """Whether a is the rational value as the scalar contract writes it:
     an int when whole, a Fraction otherwise."""
     return a == value and type(a) is (int if value == int(value) else Fraction)
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: QQ.inv(0), ZeroDivisionError),
+    (lambda: gf(3).inv(0), ZeroDivisionError),
+    (lambda: gf(4).inv(0), ZeroDivisionError),
+    (lambda: gf(625).inv(0), ZeroDivisionError),
+    (lambda: QQ.div(1, 0), ZeroDivisionError),
+    (lambda: QQ.elements(), InfiniteFieldUnsupported),
+], ids=["inv-Q", "inv-GF(3)", "inv-GF(4)", "inv-GF(625)", "div-Q", "elements-Q"])
+def test_scalar_preconditions_are_refused(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_rationals_scalar_contract():
@@ -424,6 +439,9 @@ def test_parse_field_name():
         parse_field_name("gf(4,2)")
     with pytest.raises(BadSpec, match="^extension degree must be at least 1$"):
         parse_field_name("gf(3,0)")
+    for name in ("gf(x)", "gf(2,3,4)"):
+        with pytest.raises(BadSpec, match=re.escape(f"bad field name {name!r}")):
+            parse_field_name(name)
 
 
 @pytest.mark.parametrize("build", [
@@ -458,6 +476,22 @@ def test_field_doc_round_trip(q):
 def test_field_doc_rejects_garbage():
     with pytest.raises(FieldParseError):
         field_from_doc({"kind": "quaternions"})
+    with pytest.raises(FieldParseError, match="^bad field descriptor: "):
+        field_from_doc(["prime_field", 3])
+
+
+@pytest.mark.parametrize("doc,reason", [
+    # p is checked first, so the short modulus is not what is named
+    ({"p": 4, "k": 2, "modulus": [3, 1]}, "4 is not prime"),
+    ({"p": 2, "k": 0, "modulus": [1]}, "extension degree must be at least 1"),
+    ({"p": 3, "k": 2, "modulus": [1, 0, 2]}, "modulus must be monic of degree k"),
+    ({"p": 2, "k": 2, "modulus": [1, 1, 1, 1]}, "modulus must be monic of degree k"),
+    ({"p": 2, "k": 2, "modulus": [1, 0, 1]}, "modulus (1, 0, 1) is reducible over GF(2)"),
+], ids=["p-composite", "k-zero", "modulus-not-monic", "modulus-wrong-length",
+        "modulus-reducible"])
+def test_field_doc_refuses_an_extension_that_is_no_field(doc, reason):
+    with pytest.raises(FieldParseError, match=re.escape(reason)):
+        field_from_doc(dict(doc, kind="extension_field"))
 
 
 @pytest.mark.parametrize("doc", [

@@ -254,51 +254,57 @@ def _imports(tree, module):
     return False
 
 
-def _importers(module):
-    return [p.name for p in sorted(SRC.glob("*.py"))
-            if _imports(ast.parse(p.read_text(), filename=str(p)), module)]
+def _findings(scan, paths):
+    """What ``scan`` finds in the tree of each file, by file name, for the
+    files where it finds something."""
+    found = {}
+    for p in paths:
+        hits = scan(ast.parse(p.read_text(), filename=str(p)))
+        if hits:
+            found[p.name] = hits
+    return found
 
 
-def test_only_the_witness_search_imports_random():
+OUTSIDE_FIELDS = [p for p in MODULES if p.name != "fields.py"]
+
+# Each standard module and the only library modules that may import it.
+IMPORT_RULES = {
     # randomness may decide only whether a witness is found; every other
     # result, decompositions included, depends on the algebra and budget
-    assert _importers("random") == ["aalgebra.py"]
-
-
-def test_scan_finds_random_imports():
-    assert _imports(ast.parse("import random\n"), "random")
-    assert _imports(ast.parse("from random import Random\n"), "random")
-    assert _imports(ast.parse("def f():\n    import random as r\n"), "random")
-    assert not _imports(ast.parse("import randomize\n"
-                                  "from .random import x\n"
-                                  "from .fields import random_scalar\n"), "random")
-
-
-def test_only_fields_imports_fractions():
+    "random": ["aalgebra.py"],
     # Rationals alone decides when a scalar is an int and when a Fraction
-    assert _importers("fractions") == ["fields.py"]
-
-
-def test_scan_finds_fractions_imports():
-    assert _imports(ast.parse("from fractions import Fraction\n"), "fractions")
-    assert _imports(ast.parse("import fractions\n"), "fractions")
-    assert _imports(ast.parse("def f():\n    from fractions import Fraction as F\n"),
-                    "fractions")
-    assert not _imports(ast.parse("from .fields import Fraction\n"
-                                  "import fractionsx\n"), "fractions")
-
-
-def test_no_module_imports_dataclasses_or_inspect():
+    "fractions": ["fields.py"],
     # value.Value stands in for dataclasses, and functions are read through
     # __code__: a CLI process compiles neither module
-    assert _importers("dataclasses") + _importers("inspect") == []
+    "dataclasses": [],
+    "inspect": [],
+}
 
 
-def test_scan_finds_dataclasses_and_inspect_imports():
-    assert _imports(ast.parse("from dataclasses import dataclass, replace\n"), "dataclasses")
-    assert _imports(ast.parse("def f(g):\n    import inspect\n"), "inspect")
-    assert not _imports(ast.parse("from .value import Value\n"
-                                  "import inspection\n"), "inspect")
+@pytest.mark.parametrize("module", IMPORT_RULES)
+def test_module_imported_only_where_allowed(module):
+    importers = _findings(lambda tree: _imports(tree, module), sorted(SRC.glob("*.py")))
+    assert list(importers) == IMPORT_RULES[module]
+
+
+@pytest.mark.parametrize("source,module,found", [
+    ("import random\n", "random", True),
+    ("from random import Random\n", "random", True),
+    ("def f():\n    import random as r\n", "random", True),
+    ("import randomize\nfrom .random import x\nfrom .fields import random_scalar\n",
+     "random", False),
+    ("from fractions import Fraction\n", "fractions", True),
+    ("import fractions\n", "fractions", True),
+    ("def f():\n    from fractions import Fraction as F\n", "fractions", True),
+    ("from .fields import Fraction\nimport fractionsx\n", "fractions", False),
+    ("from dataclasses import dataclass, replace\n", "dataclasses", True),
+    ("def f(g):\n    import inspect\n", "inspect", True),
+    ("from .value import Value\nimport inspection\n", "inspect", False),
+], ids=["random-import", "random-from", "random-nested", "random-lookalikes",
+        "fractions-from", "fractions-import", "fractions-nested", "fractions-lookalikes",
+        "dataclasses-from", "inspect-nested", "inspect-lookalikes"])
+def test_scan_finds_imports(source, module, found):
+    assert _imports(ast.parse(source), module) is found
 
 
 def _private_imports(tree):
@@ -322,9 +328,7 @@ def _private_imports(tree):
 
 def test_scripts_import_no_private_names():
     # the scripts lay out CLI reports, through the package's public names
-    found = {p.name: _private_imports(ast.parse(p.read_text(), filename=str(p)))
-             for p in sorted((ROOT / "scripts").glob("*.py"))}
-    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert _findings(_private_imports, sorted((ROOT / "scripts").glob("*.py"))) == {}
 
 
 def test_scan_finds_private_imports():
@@ -358,9 +362,7 @@ def _field_type_tests(tree):
 
 
 def test_field_types_tested_only_in_fields():
-    found = {p.name: _field_type_tests(ast.parse(p.read_text(), filename=str(p)))
-             for p in MODULES if p.name != "fields.py"}
-    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert _findings(_field_type_tests, OUTSIDE_FIELDS) == {}
 
 
 def test_scan_finds_field_type_tests():
@@ -474,9 +476,7 @@ def _size_ranges(tree):
 def test_field_scalars_listed_only_in_fields():
     # a finite field's scalars are F.elements(); only fields.py knows they
     # are range(q)
-    found = {p.name: _size_ranges(ast.parse(p.read_text(), filename=str(p)))
-             for p in MODULES if p.name != "fields.py"}
-    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert _findings(_size_ranges, OUTSIDE_FIELDS) == {}
 
 
 def _scalar_zero_tests(tree):
@@ -490,9 +490,7 @@ def _scalar_zero_tests(tree):
 def test_scalars_tested_for_zero_only_by_truthiness():
     # every field's zero is the only falsy scalar (see fields.py), so one
     # spelling serves the kernel's inner loops and every other caller
-    found = {p.name: _scalar_zero_tests(ast.parse(p.read_text(), filename=str(p)))
-             for p in MODULES if p.name != "fields.py"}
-    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert _findings(_scalar_zero_tests, OUTSIDE_FIELDS) == {}
 
 
 def test_scan_finds_scalar_zero_tests():

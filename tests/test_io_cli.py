@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from leibnizalg import aalgebra
 from leibnizalg.aalgebra import theorem_battery
 from leibnizalg.algfile import (algebra_from_doc, algebra_to_doc,
                                 dumps_algebra, input_digest, loads_algebra)
@@ -76,6 +77,10 @@ def test_parse_errors():
 
     bad = dict(base, basis_names=["x", "x"])
     with pytest.raises(ParseError, match="distinct"):
+        algebra_from_doc(bad)
+
+    bad = dict(base, basis_names=["x", ""])
+    with pytest.raises(ParseError, match="non-empty strings"):
         algebra_from_doc(bad)
 
     bad = dict(base, table=[base["table"][0]])
@@ -322,6 +327,28 @@ def test_cli_corpus_filters_by_field_and_kind(members):
                     len(rep.clauses))), m.label
 
 
+def test_cli_corpus_counts_unknown_verdicts():
+    doc, code = run_command(["corpus", "--battery", "--field", "q", "--kind", "fixture"])
+    assert code == 0
+    assert [row["label"] for row in doc["members"] if row["verdict"] == "unknown"] == ["sl2/Q"]
+    assert doc["battery"] == {"failed_members": [], "unknown_verdicts": 1}
+
+
+def test_cli_corpus_lists_failed_members(monkeypatch):
+    def fail(L):
+        return False, f"forced failure in dimension {L.dim}"
+
+    rows = tuple(aalgebra._Row(row.clause, fail) if row.clause == "nilradical_centralizer"
+                 else row for row in aalgebra._BATTERY)
+    monkeypatch.setattr(aalgebra, "_BATTERY", rows)
+    doc, code = run_command(["corpus", "--battery", "--field", "gf2", "--kind", "fixture",
+                             "--limit", "2"])
+    assert code == 1
+    labels = [row["label"] for row in doc["members"]]
+    assert doc["battery"]["failed_members"] == labels
+    assert all(row["hard_failures"] == ["nilradical_centralizer"] for row in doc["members"])
+
+
 def test_cli_corpus_refuses_an_unknown_field():
     doc, code = run_command(["corpus", "--field", "nonsense"])
     assert code == 3
@@ -509,6 +536,15 @@ def test_cli_refuses_a_prime_above_the_primality_bound(tmp_path):
     path.write_text(json.dumps(dict(algebra_to_doc(fixture("A2", gf(2))), field=field)))
     doc, code = run_command(["check", str(path)])
     assert (code, doc["error"]["type"]) == (3, "FieldParseError")
+
+
+def test_cli_refuses_a_reducible_modulus(tmp_path):
+    path = tmp_path / "reducible.json"
+    field = {"kind": "extension_field", "p": 2, "k": 2, "modulus": [1, 0, 1]}
+    path.write_text(json.dumps(dict(algebra_to_doc(fixture("A2", gf(4))), field=field)))
+    doc, code = run_command(["check", str(path)])
+    assert (code, doc["error"]["type"]) == (3, "FieldParseError")
+    assert "reducible" in doc["error"]["message"]
 
 
 @pytest.mark.parametrize("degree", [0, -1])

@@ -204,6 +204,17 @@ def test_solve_round_trip(rows, xs):
     assert mat_vec(F3, rows, x) == tuple(b)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: Subspace.span(F3, 2, [(1, 0, 0)]),
+    lambda: Subspace.span(F3, 2, [(1,)]),
+    lambda: kernel(F3, []),
+    lambda: solve(F3, [], ()),
+], ids=["span-long", "span-short", "kernel-no-rows-no-width", "solve-no-rows"])
+def test_shapes_that_cannot_be_read_are_refused(call):
+    with pytest.raises(ShapeMismatch):
+        call()
+
+
 def test_solve_no_solution():
     rows = [(1, 0), (0, 0)]
     with pytest.raises(NoSolution):

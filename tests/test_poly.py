@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernel_reference import kronecker_by_product, poly_from_ints, x_power
-from leibnizalg.errors import ZeroPolynomial
+from leibnizalg.errors import ShapeMismatch, ZeroPolynomial
 from leibnizalg.fields import QQ, gf
 from leibnizalg.linalg import is_nilpotent_operator
 from leibnizalg.poly import (Poly, _kronecker_candidates, companion_matrix,
@@ -235,6 +235,20 @@ def test_is_irreducible_stops_at_first_factor(monkeypatch):
     F = gf(2)
     assert not is_irreducible(poly_from_ints(F, [0, 1] + [0] * 10 + [1]))
     assert calls == [poly_from_ints(F, [0, 1])]
+
+
+def test_polynomial_preconditions_are_refused():
+    F = gf(5)
+    zero = Poly(F, ())
+    with pytest.raises(ZeroPolynomial):
+        zero.leading
+    with pytest.raises(ZeroDivisionError):
+        poly_from_ints(F, [1, 1]).divmod(zero)
+    # a constant is a unit or zero, never irreducible
+    assert not is_irreducible(poly_from_ints(F, [3]))
+    assert not is_irreducible(zero)
+    with pytest.raises(ShapeMismatch, match="monic"):
+        companion_matrix(poly_from_ints(F, [1, 2]))  # 2x + 1
 
 
 def test_companion_matrix_shape_and_action():
