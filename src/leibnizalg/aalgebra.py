@@ -727,7 +727,7 @@ class _Facts:
     use: data, named by the checks' parameters, and hypotheses, named by
     the rows.  A table that is not Leibniz is refused with NotLeibniz."""
 
-    def __init__(self, L: LeibnizAlgebra, seed: Optional[int], budget: int):
+    def __init__(self, L: LeibnizAlgebra, seed: int, budget: int):
         L.require_leibniz()
         self.L, self.seed, self.budget = L, seed, budget
 
@@ -904,19 +904,11 @@ _BATTERY = (
          ("char_zero_solvable_a_algebra",)),
 )
 
-# The structure report runs these rows whenever a decomposition exists,
-# with no A-algebra or exact gate; the minimal-ideal rows keep their
-# exhaustive gate.
-_STRUCTURE = tuple(
-    _Row(row.clause, row.check,
-         ("decomposed",) + tuple(g for g in row.gates if g == "exhaustive"),
-         row.needs, row.each, row.probe)
-    for row in _BATTERY
-    if row.check in {_check_ideal_chain_alignment, _check_nilradical_chain_splitting,
-                     _check_part_centre_alignment, _check_strong_split,
-                     _check_minimal_ideal_location, _check_minimal_ideal_position,
-                     _check_minimal_ideal_centre, _check_minimal_ideal_derived,
-                     _check_frattini_free_socle})
+# The structure report's rows: the battery's own, gates included.
+_STRUCTURE = tuple(row for row in _BATTERY if row.clause in {
+    "ideal_chain_alignment", "nilradical_chain_splitting", "part_centre_alignment",
+    "strong_split", "minimal_ideal_location", "minimal_ideal_position",
+    "minimal_ideal_centre", "minimal_ideal_derived", "frattini_free_socle"})
 
 
 def _outcomes(row: _Row, facts: _Facts) -> list:
@@ -973,9 +965,14 @@ def theorem_battery(L: LeibnizAlgebra, seed: int = 0,
 
 def structure_report(L: LeibnizAlgebra,
                      budget: int = DEFAULT_BUDGET) -> StructureReport:
-    """Decomposition-centric summary used by reporting front ends."""
-    facts = _Facts(L, None, budget)  # no row reads a verdict
+    """Decomposition-centric summary used by reporting front ends.
+
+    Its clauses are the battery's rows on the decomposition and the
+    socle, with the battery's gates and seed 0; they run only when L has
+    a decomposition, and ``decompose`` exits 1 when one fails.
+    """
+    facts = _Facts(L, 0, budget)
     N, mode = facts._nilradical
-    clauses, _ = _run(_STRUCTURE, facts)
     decomp, error = facts.decomposition
+    clauses = _run(_STRUCTURE, facts)[0] if decomp is not None else ()
     return StructureReport(predicates(L), decomp, error, N, mode, clauses)

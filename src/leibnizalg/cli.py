@@ -158,7 +158,7 @@ def _cmd_decompose(args, doc):
     doc["nilradical"] = {"dim": report.nilradical.dim,
                          "mode": report.nilradical_mode}
     doc["clauses"] = [_clause_doc(c) for c in report.clauses]
-    return EXIT_OK
+    return EXIT_MATH if any(c.failed for c in report.clauses) else EXIT_OK
 
 
 def _cmd_a_algebra(args, doc):

@@ -20,7 +20,7 @@ from kernel_reference import (ideal_centralizer_by_pairs,
                               witness_search_by_scalar_draws,
                               witness_search_without_engel_bound)
 from leibnizalg import aalgebra, decompose, linalg
-from leibnizalg.aalgebra import (_BATTERY, ClauseResult,
+from leibnizalg.aalgebra import (_BATTERY, _STRUCTURE, ClauseResult,
                                  _check_abelian_ideals_commute,
                                  _check_cartan_complements,
                                  _check_ideal_centralizer_criterion,
@@ -827,6 +827,22 @@ def test_battery_and_structure_reports_golden_digest(golden_reports):
     assert len(golden_reports) == 231
     assert digest.hexdigest() == (
         "8fc2f625bb83defdb924d29c7eb9c9cb78e340f85da745e694f241928b7f20bf")
+
+
+def test_structure_clauses_are_the_battery_clauses_on_a_decomposition(golden_reports):
+    """The structure report runs the battery's own rows, gates included,
+    and only when L has a decomposition: each of its clauses is the
+    battery's result of the same name."""
+    positions = [next(i for i, row in enumerate(_BATTERY) if row is s) for s in _STRUCTURE]
+    assert positions == sorted(positions) and len(positions) == 9
+    names = {row.clause for row in _STRUCTURE}
+    compared = 0
+    for m, rep, srep in golden_reports:
+        expected = [] if srep.decomposition is None else [
+            c for c in rep.clauses if c.clause in names]
+        assert list(srep.clauses) == expected, m.label
+        compared += len(expected)
+    assert compared == 1168
 
 
 # Clauses whose hypotheses can hold over Q; the others need an enumerated

@@ -24,7 +24,8 @@ from kernel_reference import (change_basis, ideal_centralizer_by_pairs,
                               witness_search_by_scalar_draws,
                               witness_search_without_engel_bound)
 from leibnizalg import aalgebra
-from leibnizalg.aalgebra import lemma_aa_certificate, theorem_battery, witness_search
+from leibnizalg.aalgebra import (lemma_aa_certificate, structure_report, theorem_battery,
+                                 witness_search)
 from leibnizalg.core import LeibnizAlgebra
 from leibnizalg.decompose import triangular_decomposition
 from leibnizalg.enumeration import enumerate_spaces, total_subspaces
@@ -66,6 +67,8 @@ def _invariants(L):
     by_verdict = {
         "clauses": [(c.clause, c.applicable, c.holds) for c in report.clauses],
         "hard_failures": len(report.hard_failures),
+        "structure": [(c.clause, c.applicable, c.holds)
+                      for c in structure_report(L, BUDGET).clauses],
     }
     return report.verdict.label, fixed, by_verdict
 

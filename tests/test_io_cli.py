@@ -213,6 +213,19 @@ def test_cli_decompose(tmp_path):
     assert doc["decomposition_error"] is None
 
 
+def test_cli_decompose_exits_1_on_a_failed_clause(monkeypatch, tmp_path):
+    def fail(L):
+        return False, f"forced failure in dimension {L.dim}"
+
+    rows = tuple(aalgebra._Row(row.clause, fail, row.gates)
+                 if row.clause == "ideal_chain_alignment" else row for row in aalgebra._STRUCTURE)
+    monkeypatch.setattr(aalgebra, "_STRUCTURE", rows)
+    doc, code = run_command(["decompose", _write(tmp_path, "c2", fixture("C2", gf(3)))])
+    assert code == 1
+    assert {"clause": "ideal_chain_alignment", "applicable": True, "holds": False,
+            "detail": "forced failure in dimension 2"} in doc["clauses"]
+
+
 def test_cli_cyclic():
     doc, code = run_command(["cyclic", "--field", "gf2", "1", "0", "1"])
     assert code == 0
@@ -670,6 +683,34 @@ def test_cli_analyze_and_decompose_golden_digest(members, tmp_path):
     assert outputs == 462
     assert digest.hexdigest() == (
         "35faa9fd3c2a20be5c02010c0572cc85c13b8b4c379860d665cfac81e85eac18")
+
+
+BENCHMARK_REFERENCE = (Path(__file__).resolve().parent.parent
+                       / "benchmark" / "reference" / "cli-oneshot.json")
+
+
+def test_cli_decompose_matches_the_benchmark_reference(members, tmp_path):
+    """The seed-0 `decompose` reports of the benchmark's cli-oneshot
+    catalogue, the finite members with 10^4 to 10^5 subspaces, each in a
+    file named by the digest of its text, are byte for byte the ones
+    recorded in benchmark/reference/cli-oneshot.json."""
+    ops = json.loads(BENCHMARK_REFERENCE.read_text(encoding="utf-8"))["ops"]
+    expected = {key: (op["code"], op["digest"]) for key, op in ops.items()
+                if key.startswith("cli:decompose:") and key.endswith("|seed=0")}
+    got = {}
+    for m in members:
+        L = m.algebra
+        if not (L.field.is_finite and 10 ** 4 <= total_subspaces(L.dim, L.field.size) <= 10 ** 5):
+            continue
+        text = dumps_algebra(L)
+        name = hashlib.sha256(text.encode("utf-8")).hexdigest()[:20]
+        path = tmp_path / f"{name}.json"
+        path.write_text(text, encoding="utf-8")
+        doc, code = run_command(["decompose", str(path), "--format", "json", "--seed", "0"])
+        got[f"cli:decompose:{name}|seed=0"] = (
+            code, hashlib.sha256(render(doc, "json").encode("utf-8")).hexdigest())
+    assert len(expected) == 19
+    assert got == expected
 
 
 def _golden_inputs(tmp_path):
