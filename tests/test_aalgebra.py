@@ -826,7 +826,7 @@ def test_battery_and_structure_reports_golden_digest(golden_reports):
         digest.update(repr((battery, structure)).encode())
     assert len(golden_reports) == 231
     assert digest.hexdigest() == (
-        "8fc2f625bb83defdb924d29c7eb9c9cb78e340f85da745e694f241928b7f20bf")
+        "457ff2c5220b50b8d1a8cc6ee79058e573819eb0b1d922027e338f916ca61acd")
 
 
 def test_structure_clauses_are_the_battery_clauses_on_a_decomposition(golden_reports):

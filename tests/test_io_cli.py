@@ -682,7 +682,7 @@ def test_cli_analyze_and_decompose_golden_digest(members, tmp_path):
             outputs += 1
     assert outputs == 462
     assert digest.hexdigest() == (
-        "35faa9fd3c2a20be5c02010c0572cc85c13b8b4c379860d665cfac81e85eac18")
+        "07f2a648b95c333062d8304a306fecf981556b0e67002eee6b41843aa249e918")
 
 
 BENCHMARK_REFERENCE = (Path(__file__).resolve().parent.parent
