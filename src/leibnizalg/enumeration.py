@@ -25,7 +25,7 @@ import math
 
 from .core import LeibnizAlgebra, memo
 from .errors import BudgetExceeded, InfiniteFieldUnsupported, LeibnizError
-from .linalg import Subspace
+from .linalg import Subspace, kernel
 from .value import Value
 
 DEFAULT_BUDGET = 10 ** 6
@@ -74,16 +74,25 @@ def echelon_bases(field, n: int, bracket=None):
     and reduced by all fixed rows.  Each fixed row's support, as a (pivot,
     nonzero entries) pair, is computed once and carried down the recursion.
     A subspace is closed exactly when every residual is zero after all d
-    rows.
+    rows.  Write p_{d+1} = n.
 
-    - After r_1..r_t, a residual nonzero left of p_{t+1} (after r_d:
-      anywhere) kills the branch: every later row is zero there, so no
-      choice of them reduces that entry away.
-    - Before the last row, a nonzero residual rho must become a multiple of
-      r_d, so it forces r_d = rho / rho[p_d], and the branch dies when
-      rho[p_d] = 0.  The pruning made rho zero left of p_d and at every
-      fixed pivot, so the forced row has the echelon shape.  With every
-      residual zero, r_d takes all its values.
+    - After r_1..r_t, a nonzero residual whose leading entry e is none of
+      the remaining pivots p_{t+1}, ..., p_d kills the branch.  A later
+      row r_s is zero left of p_s, and reducing by it subtracts
+      rho[p_s] r_s: for p_s < e, rho[p_s] = 0 and nothing changes, and for
+      p_s > e, r_s is zero at e and left of it.  So the entry at e never
+      cancels, whatever the later rows are.  After r_d no pivot remains,
+      and every residual must be zero.
+    - Before r_t tries a candidate, each residual rho is zero left of p_t
+      and leads at one of p_t, ..., p_d.  Reducing it by r_t subtracts
+      rho[p_t] r_t, which must leave it zero left of p_{t+1}.  So when
+      rho[p_t] != 0, r_t's free entries p_t + 1 ... p_{t+1} - 1 are
+      rho[j] / rho[p_t], and the node dies when two residuals ask for
+      different ones; when rho[p_t] = 0, rho leads at a later pivot and
+      is already zero there.  The candidates list r_t's free entries as
+      the digits of its index, first free position most significant, so
+      the rows with a given prefix are one contiguous slice.  For r_d the
+      prefix is the whole row, rho / rho[p_d].
 
     Given no bracket, every subspace is yielded.  Each dimension's yields
     are sorted by row tuple, so the subalgebras come in the order of the
@@ -91,8 +100,9 @@ def echelon_bases(field, n: int, bracket=None):
     of one shared reduction loop measured slowed a library workload 3-5%.
     """
     elems = tuple(field.elements())
+    q = len(elems)  # the scalars are range(q), so each is its own digit
     zero, one = field.zero, field.one
-    sub, mul = field.sub, field.mul
+    sub, mul, inv = field.sub, field.mul, field.inv
 
     def reduced(v, fixed):
         """v less its projection on the fixed rows, given as (pivot,
@@ -105,10 +115,16 @@ def echelon_bases(field, n: int, bracket=None):
                     w[m] = sub(w[m], mul(c, b))
         return w
 
-    def residuals_with(bound, rows, fixed, r, residuals):
+    def dead(rho, later):
+        """Whether the nonzero rho leads at none of the ``later`` pivots."""
+        for e in range(n):
+            if rho[e]:
+                return e not in later
+
+    def residuals_with(later, rows, fixed, r, residuals):
         """The nonzero residuals once r is fixed after ``rows``, whose
         (pivot, nonzero entries) pairs ``fixed`` ends with r's, or None when
-        one is nonzero left of ``bound``.
+        one leads at a position that is none of the ``later`` pivots.
 
         The old residuals are zero at the earlier pivots, and so is r, so
         they are reduced by r alone, and checked before any new bracket is
@@ -117,16 +133,16 @@ def echelon_bases(field, n: int, bracket=None):
         kept = []
         for rho in residuals:
             rho = reduced(rho, last)
-            if any(rho[:bound]):
-                return None
             if any(rho):
+                if dead(rho, later):
+                    return None
                 kept.append(rho)
         pairs = [(r, r)] + [pair for a in rows for pair in ((a, r), (r, a))]
         for u, v in pairs:
             rho = reduced(bracket(u, v), fixed)
-            if any(rho[:bound]):
-                return None
             if any(rho):
+                if dead(rho, later):
+                    return None
                 kept.append(rho)
         return kept
 
@@ -135,18 +151,29 @@ def echelon_bases(field, n: int, bracket=None):
         if t == len(pivots):
             out.append((rows, pivots))
             return
-        candidates = choices[t]
-        if t == len(pivots) - 1 and residuals:
-            c = residuals[0][pivots[t]]
-            if not c:
-                return
-            c = field.inv(c)
-            candidates = (tuple(field.mul(c, a) for a in residuals[0]),)
         p = pivots[t]
         bound = pivots[t + 1] if t + 1 < len(pivots) else n
+        candidates = choices[t]
+        prefix = None
+        for rho in residuals:
+            c = rho[p]
+            if c:
+                c = inv(c)
+                forced = [mul(c, a) for a in rho[p + 1:bound]]
+                if prefix is None:
+                    prefix = forced
+                elif forced != prefix:
+                    return
+        if prefix is not None:
+            index = 0
+            for a in prefix:
+                index = index * q + a
+            size = len(candidates) // q ** len(prefix)
+            candidates = candidates[index * size:(index + 1) * size]
+        later = pivots[t + 1:]
         for r in candidates:
             step = fixed + ((p, [(m, b) for m, b in enumerate(r) if b]),)
-            kept = residuals_with(bound, rows, step, r, residuals)
+            kept = residuals_with(later, rows, step, r, residuals)
             if kept is not None:
                 walk(pivots, choices, rows + (r,), step, kept, out)
 
@@ -243,12 +270,37 @@ def _maximal_members(spaces, keep):
     Visited backwards, largest first, a non-maximal one lies in a kept
     member of larger dimension, so each member is compared with the kept
     ones only, and ``keep`` runs only on those no kept one contains; the
-    order within one dimension changes neither."""
+    order within one dimension changes neither.
+
+    Each kept member T gets its annihilator once, the x with x . t = 0
+    for every t in T (all of F^n for T = 0, nothing for T = F^n).  As
+    T = (T^perp)^perp, T contains S exactly when every annihilator row is
+    orthogonal to every row of S: dim S * codim T dot products over the
+    annihilator rows' nonzero entries, in place of dim S reductions by T.
+    Only kept members get an annihilator; one for every tested member
+    costs more than the tests it saves (ROADMAP item 18)."""
     kept = []
     for S in reversed(spaces):
-        if not any(T.dim > S.dim and T.contains_space(S) for T in kept) and keep(S):
-            kept.append(S)
-    return tuple(reversed(kept))
+        if not any(T.dim > S.dim and _annihilates(ann, S) for T, ann in kept) and keep(S):
+            ann = kernel(S.field, S.basis, ncols=S.ambient).basis
+            kept.append((S, [[(j, a) for j, a in enumerate(x) if a] for x in ann]))
+    return tuple(S for S, _ in reversed(kept))
+
+
+def _annihilates(annihilator, S):
+    """Whether every row of S is orthogonal to each annihilator row, given
+    as its (position, nonzero entry) pairs."""
+    add, mul, zero = S.field.add, S.field.mul, S.field.zero
+    for s in S.basis:
+        for support in annihilator:
+            dot = zero
+            for j, a in support:
+                b = s[j]
+                if b:
+                    dot = add(dot, mul(a, b))
+            if dot:
+                return False
+    return True
 
 
 def _largest_member(spaces, keep):

@@ -4,7 +4,9 @@
 pair of coordinates of u_i v_j [e_i, e_j], with no zero skipped.
 ``rank_contains`` decides membership by the dimension of a span, through
 ``rref`` and without ``Subspace.reduce``.  ``maximal_by_pairs`` is the
-all-pairs definition of the maximal members of a family of subspaces.
+all-pairs definition of the maximal members of a family of subspaces;
+``maximal_members_by_containment`` is the lattice filter comparing each
+member, largest first, with the kept ones by ``Subspace.contains_space``.
 ``plain_power`` is the n-th power of an n x n matrix by n products.
 ``ext_product`` and ``first_irreducible`` are extension-field
 multiplication and the choice of its modulus, on plain int lists.
@@ -136,6 +138,17 @@ def maximal_by_pairs(spaces):
     compared with every other, and containment is decided by rank."""
     return [S for S in spaces
             if not any(T.dim > S.dim and T.add(S).dim == T.dim for T in spaces)]
+
+
+def maximal_members_by_containment(spaces, keep):
+    """The members of a scan by ascending dimension passing ``keep`` that no
+    other such member strictly contains, in scan order: each member, largest
+    first, is reduced by every kept member of larger dimension."""
+    kept = []
+    for S in reversed(spaces):
+        if not any(T.dim > S.dim and T.contains_space(S) for T in kept) and keep(S):
+            kept.append(S)
+    return tuple(reversed(kept))
 
 
 def schoolbook_product(F, A, B):
