@@ -174,10 +174,10 @@ def test_walk_decides_closure_without_closure_test(name, q, monkeypatch):
     (lambda: fixture("H3", gf(2)), 38, 12),
     (lambda: fixture("C3b", gf(3)), 47, 10),
     (lambda: fixture("sl2", gf(3)), 59, 19),
-    # old residuals refuse rows only from dimension 4 on; this walk forms
-    # 140 when they are checked after the new brackets instead of before,
-    # and 140 when a residual dies only for an entry left of the next pivot,
-    # not for every leading entry at no remaining pivot
+    # old residuals refuse rows only from dimension 4 on; checked after the
+    # new brackets instead of before, or killed only for an entry left of the
+    # next pivot instead of for leading at no remaining pivot, they would let
+    # this walk form 140
     (lambda: build_cyclic(gf(2), (1, 0, 0)), 137, 20),
 ], ids=["H3-gf2", "C3b-gf3", "sl2-gf3", "cyclic-100-gf2"])
 def test_walk_bracket_calls_are_pinned(build, calls, subalgebras):
