@@ -20,6 +20,7 @@ subalgebra.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 
@@ -326,15 +327,31 @@ def frattini_ideal(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET) -> Subspace:
     """Largest ideal inside the intersection of all maximal subalgebras.
 
     The intersection itself need not be an ideal, so the result is the
-    largest enumerated ideal lying inside it.  The meets stop once the
-    running intersection is zero, since 0 cap M = 0.
+    largest enumerated ideal lying inside it.
+
+    Every subalgebra of dimension n - 1 is maximal, as only L lies above
+    it.  So the meet of those subalgebras contains the meet of all maximal
+    ones, and with it phi(L): when it is zero, phi(L) = 0, and no list of
+    maximal subalgebras is built.  The scan is ordered by dimension and
+    ends with L, so they are the members just before L.
     """
+    spaces = enumerate_spaces(L, "subalgebras", budget)
+    codim_one = spaces[bisect.bisect_left(spaces, L.dim - 1, key=lambda S: S.dim):-1]
+    if codim_one and _meet(codim_one).is_zero():
+        return L.zero_space()
     maxes = maximal_subalgebras(L, budget)
     if not maxes:
         return L.zero_space()
-    inter = maxes[0]
-    for M in maxes[1:]:
+    return _largest_member(enumerate_spaces(L, "ideals", budget), _meet(maxes).contains_space)
+
+
+def _meet(spaces):
+    """The intersection of a nonempty sequence of spaces, in its order.
+    The meets stop once the running intersection is zero, since
+    0 cap M = 0."""
+    inter = spaces[0]
+    for M in spaces[1:]:
         if inter.is_zero():
             break
         inter = inter.intersect(M)
-    return _largest_member(enumerate_spaces(L, "ideals", budget), inter.contains_space)
+    return inter

@@ -61,6 +61,10 @@ the quotient algebra for every I, an ideal containing L^2 included.
 are the two quotient clauses on those verdicts, the second forming the
 meet of every pair; ``ideal_centralizer_by_pairs`` is the centralizer
 criterion comparing both sides, with the meet, for every pair.
+``abelian_ideals_commute_by_centralizers`` and
+``ideal_centralizer_by_centralizers`` are those two clauses deciding
+[X, Y] = 0 = [Y, X] as ``L.centralizer(X).contains_space(Y)``, with one
+centralizer per ideal.
 ``perturbed`` is an algebra's table with one seeded structure constant
 changed, most often a table that breaks the Leibniz identity.
 ``cartan_by_phases`` is the Cartan descent in phases: every candidate of
@@ -80,7 +84,8 @@ out from the negated alphas, without the cofactor q.
 basis of the columns of a seeded random invertible matrix.
 ``identity_matrix``, ``left_mult``, ``lift``, ``poly_from_ints`` and
 ``x_power`` build the matrices, vectors and polynomials the tests state
-their cases with, which the library itself never needs.
+their cases with, which the library itself never needs;
+``structure_tables`` draws the random tables of the hypothesis tests.
 """
 
 import functools
@@ -89,6 +94,8 @@ import math
 import random
 from fractions import Fraction
 from unittest import mock
+
+from hypothesis import strategies as st
 
 from leibnizalg import aalgebra
 from leibnizalg.core import LeibnizAlgebra, Violation
@@ -99,6 +106,7 @@ from leibnizalg.decompose import (DecompositionFailed, _fitting_null,
 from leibnizalg.enumeration import (DEFAULT_BUDGET, _largest_member,
                                     enumerate_spaces, maximal_subalgebras)
 from leibnizalg.errors import NoSolution
+from leibnizalg.fields import gf
 from leibnizalg.linalg import (Subspace, chain, fitting_power, kernel,
                                restrict_operator, solve, vec_add, vec_sub)
 from leibnizalg.poly import Poly, _divisors, poly
@@ -592,6 +600,34 @@ def ideal_centralizer_by_pairs(L, ideals):
     return True, ""
 
 
+def abelian_ideals_commute_by_centralizers(L, ideals):
+    """(holds, detail) of the abelian_ideals_commute clause, the first
+    failing pair found by centralizer containment."""
+    abelian = [I for I in ideals if L.is_abelian_space(I)]
+    if L.is_abelian_space(L.span([v for I in abelian for v in I.basis])):
+        return True, ""
+    cent = {B: L.centralizer(B) for B in abelian}
+    for B, C in itertools.combinations_with_replacement(abelian, 2):
+        if not cent[B].contains_space(C):
+            return False, f"abelian ideals of dims {B.dim}, {C.dim} do not commute"
+    return True, ""
+
+
+def ideal_centralizer_by_centralizers(L, ideals):
+    """(holds, detail) of the ideal_centralizer_criterion clause, each side
+    decided by centralizer containment, the meet formed only for a pair
+    that does not centralize."""
+    pool = ideals[:aalgebra._PAIR_CAP]
+    cent = {D: L.centralizer(D) for D in pool}
+    for B, D in itertools.combinations_with_replacement(pool, 2):
+        if cent[D].contains_space(B):
+            continue
+        I = B.intersect(D)
+        if cent[B].contains_space(I) and cent[D].contains_space(I):
+            return False, f"criterion fails for ideals of dims {B.dim}, {D.dim}"
+    return True, ""
+
+
 _RANDOM_TRIES = 120
 
 
@@ -777,3 +813,15 @@ def poly_from_ints(field, ints):
 
 def x_power(field, e):
     return Poly(field, (field.zero,) * e + (field.one,))
+
+
+@st.composite
+def structure_tables(draw, max_dims):
+    """Random structure constants over GF(q) in dimension n <= max_dims[q],
+    Leibniz or not: the pruning uses only bilinearity."""
+    q = draw(st.sampled_from(sorted(max_dims)))
+    n = draw(st.integers(1, max_dims[q]))
+    entries = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    table = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                          min_size=n, max_size=n))
+    return LeibnizAlgebra(gf(q), table)

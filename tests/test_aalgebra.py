@@ -5,8 +5,12 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kernel_reference import (ideal_centralizer_by_pairs,
+from kernel_reference import (abelian_ideals_commute_by_centralizers,
+                              ideal_centralizer_by_centralizers,
+                              ideal_centralizer_by_pairs,
                               ideal_chain_alignment_by_sums,
                               ideal_part_split_by_sums,
                               intersection_quotient_by_pairs,
@@ -14,6 +18,7 @@ from kernel_reference import (ideal_centralizer_by_pairs,
                               left_products_chain_by_every_pair, perturbed,
                               quotient_closure_by_quotients,
                               quotient_verdicts_by_quotients,
+                              structure_tables,
                               witness_candidates_by_every_operator,
                               witness_candidates_by_scalar_draws,
                               witness_search_by_every_operator,
@@ -623,6 +628,56 @@ def test_abelian_ideals_commute_detects_h3_gf2(h3_gf2):
     assert not _commute_by_products(L, xz, yz)
     holds, _ = _assert_commute_matches_products(L)
     assert not holds
+
+
+@st.composite
+def _tables_with_two_spaces(draw):
+    """A random table and two spaces, Leibniz or not.  About half the
+    products and spanning vectors are zero or basis vectors, so that
+    [X, Y] = 0 while [Y, X] != 0 comes up."""
+    q = draw(st.sampled_from((2, 3, 4)))
+    n = draw(st.integers(1, 4 if q == 2 else 3))
+    dense = st.lists(st.integers(0, q - 1), min_size=n, max_size=n).map(tuple)
+    product = st.one_of(st.just((0,) * n), dense)
+    L = LeibnizAlgebra(gf(q), draw(st.lists(st.lists(product, min_size=n, max_size=n),
+                                            min_size=n, max_size=n)))
+    unit = st.sampled_from([L.basis_vector(i) for i in range(n)])
+    vectors = st.lists(st.one_of(unit, dense), min_size=1, max_size=n)
+    return L, L.span(draw(vectors)), L.span(draw(vectors))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tables_with_two_spaces())
+def test_commute_matches_centralizer_containment(case):
+    L, X, Y = case
+    assert aalgebra._commute(L, X, Y) == L.centralizer(X).contains_space(Y)
+
+
+def _commute_clauses_match_centralizers(L, ideals):
+    got = (_check_abelian_ideals_commute(L, ideals),
+           _check_ideal_centralizer_criterion(L, ideals))
+    assert got == (abelian_ideals_commute_by_centralizers(L, ideals),
+                   ideal_centralizer_by_centralizers(L, ideals))
+    return got
+
+
+def test_commute_clauses_match_centralizers_on_the_enumerable_corpus(members):
+    checked, failed = 0, Counter()
+    for m in members:
+        L = m.algebra
+        if is_enumerable(L, DEFAULT_BUDGET):
+            got = _commute_clauses_match_centralizers(L, enumerate_spaces(L, "ideals"))
+            failed.update(i for i, (holds, _) in enumerate(got) if holds is False)
+            checked += 1
+    assert checked == 367
+    # both failure branches run
+    assert failed[0] > 10 and failed[1] > 10
+
+
+@settings(max_examples=120, deadline=None)
+@given(structure_tables({2: 4, 3: 3, 4: 3}))
+def test_commute_clauses_match_centralizers_on_random_tables(L):
+    _commute_clauses_match_centralizers(L, enumerate_spaces(L, "ideals"))
 
 
 def test_battery_builds_each_quotient_once(monkeypatch):

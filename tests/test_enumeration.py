@@ -1,13 +1,12 @@
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from kernel_reference import (dense_bracket, frattini_by_every_meet,
                               maximal_members_by_containment, rank_contains,
-                              unit_vectors)
+                              structure_tables, unit_vectors)
 from leibnizalg import enumeration
 from leibnizalg.aalgebra import theorem_battery
-from leibnizalg.core import LeibnizAlgebra
+from leibnizalg.core import LeibnizAlgebra, direct_sum
 from leibnizalg.corpus import fixture
 from leibnizalg.cyclic import build_cyclic
 from leibnizalg.decompose import max_nilpotent_subalgebras
@@ -194,18 +193,6 @@ def test_walk_bracket_calls_are_pinned(build, calls, subalgebras):
     assert len(pairs) == calls
 
 
-@st.composite
-def structure_tables(draw, max_dims):
-    """Random structure constants over GF(q) in dimension n <= max_dims[q],
-    Leibniz or not: the pruning uses only bilinearity."""
-    q = draw(st.sampled_from(sorted(max_dims)))
-    n = draw(st.integers(1, max_dims[q]))
-    entries = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
-    table = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
-                          min_size=n, max_size=n))
-    return LeibnizAlgebra(gf(q), table)
-
-
 @settings(max_examples=120, deadline=None)
 @given(structure_tables({2: 5, 3: 4, 4: 3}))
 def test_pruned_walk_matches_full_walk_on_random_tables(L):
@@ -363,6 +350,36 @@ def test_frattini_meets_stop_once_the_meet_is_zero(monkeypatch):
     monkeypatch.setattr(Subspace, "intersect", counted)
     assert frattini_ideal(L).is_zero()
     assert len(meets) == 1
+
+
+@settings(max_examples=120, deadline=None)
+@given(structure_tables({2: 4, 3: 3, 4: 3}))
+def test_frattini_matches_every_meet_on_random_tables(L):
+    assert frattini_ideal(L) == frattini_by_every_meet(L, DEFAULT_BUDGET)
+
+
+@pytest.mark.parametrize("build,listed", [
+    (lambda: fixture("A2", gf(3)), False),
+    (lambda: direct_sum(fixture("r2", gf(4)), LeibnizAlgebra(gf(4), [[[0]]])), False),
+    (lambda: fixture("H3", gf(2)), True),
+])
+def test_frattini_lists_maximal_subalgebras_only_past_a_nonzero_meet(monkeypatch, build,
+                                                                    listed):
+    # the subalgebras of codimension one meet in 0 in A2 and in r2 + F,
+    # which settles phi(L) = 0; in H3 each contains the centre
+    L = build()
+    calls = []
+    listing = enumeration.maximal_subalgebras
+
+    def counted(*args):
+        calls.append(args)
+        return listing(*args)
+
+    monkeypatch.setattr(enumeration, "maximal_subalgebras", counted)
+    phi = frattini_ideal(L)
+    assert len(calls) == (1 if listed else 0)
+    assert phi.is_zero() != listed
+    assert phi == frattini_by_every_meet(L, DEFAULT_BUDGET)
 
 
 def test_frattini_is_ideal_everywhere(small_finite_members):
