@@ -174,8 +174,8 @@ def enumerated_cartan_subalgebras(L: LeibnizAlgebra,
 @memo
 def max_nilpotent_subalgebras(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
     """Maximal nilpotent subalgebras of a small finite-field algebra."""
-    return _maximal_members(enumerate_spaces(L, "subalgebras", budget),
-                            lambda S: is_nilpotent_space(L, S))
+    return tuple(_maximal_members(enumerate_spaces(L, "subalgebras", budget),
+                                  lambda S: is_nilpotent_space(L, S)))[::-1]
 
 
 def triangular_decomposition(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET) -> tuple:

@@ -20,13 +20,12 @@ subalgebra.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 
 from .core import LeibnizAlgebra, memo
 from .errors import BudgetExceeded, InfiniteFieldUnsupported, LeibnizError
-from .linalg import Subspace, kernel
+from .linalg import Subspace, chain, kernel
 from .value import Value
 
 DEFAULT_BUDGET = 10 ** 6
@@ -266,26 +265,32 @@ def socle_analysis(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET) -> SocleRepo
 
 
 def _maximal_members(spaces, keep):
-    """The members of ``spaces``, a scan by ascending dimension, passing
-    ``keep`` that no other such member strictly contains, in scan order.
-    Visited backwards, largest first, a non-maximal one lies in a kept
-    member of larger dimension, so each member is compared with the kept
-    ones only, and ``keep`` runs only on those no kept one contains; the
-    order within one dimension changes neither.
+    """Yield the members of ``spaces``, a scan by ascending dimension,
+    passing ``keep`` that no other such member strictly contains, largest
+    first: the scan is visited backwards.  A non-maximal member lies in a
+    kept one of larger dimension, so each member is compared with the kept
+    ones only, and ``keep`` runs only on those no kept one contains.  Each
+    is yielded once both tests pass, so a caller may stop drawing early.
 
-    Each kept member T gets its annihilator once, the x with x . t = 0
-    for every t in T (all of F^n for T = 0, nothing for T = F^n).  As
+    A kept member T gets its annihilator, the x with x . t = 0 for every
+    t in T, the first time a smaller space S is tested against it.  As
     T = (T^perp)^perp, T contains S exactly when every annihilator row is
-    orthogonal to every row of S: dim S * codim T dot products over the
-    annihilator rows' nonzero entries, in place of dim S reductions by T.
-    Only kept members get an annihilator; one for every tested member
-    costs more than the tests it saves (ROADMAP item 18)."""
-    kept = []
+    orthogonal to every row of S: dim S * codim T dot products, in place
+    of dim S reductions by T (ROADMAP item 18)."""
+    kept = []  # [T, T's annihilator rows once built]
     for S in reversed(spaces):
-        if not any(T.dim > S.dim and _annihilates(ann, S) for T, ann in kept) and keep(S):
-            ann = kernel(S.field, S.basis, ncols=S.ambient).basis
-            kept.append((S, [[(j, a) for j, a in enumerate(x) if a] for x in ann]))
-    return tuple(S for S, _ in reversed(kept))
+        for entry in kept:
+            T, ann = entry
+            if T.dim > S.dim:
+                if ann is None:
+                    ann = entry[1] = [[(j, a) for j, a in enumerate(x) if a]
+                                      for x in kernel(T.field, T.basis, ncols=T.ambient).basis]
+                if _annihilates(ann, S):
+                    break
+        else:
+            if keep(S):
+                kept.append([S, None])
+                yield S
 
 
 def _annihilates(annihilator, S):
@@ -309,49 +314,39 @@ def _largest_member(spaces, keep):
     such member: the one maximal member, when ``keep`` holds for a family
     closed under sums.  Raises when there is not exactly one, which would
     mean the family is not closed under sums."""
-    top = _maximal_members(spaces, keep)
+    top = tuple(_maximal_members(spaces, keep))
     if len(top) != 1:
         raise LeibnizError(f"{len(top)} maximal members where one largest was expected")
     return top[0]
 
 
-@memo
 def maximal_subalgebras(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET):
     """Maximal proper subalgebras, canonical order."""
-    return _maximal_members(enumerate_spaces(L, "subalgebras", budget),
-                            lambda S: S.dim < L.dim)
+    return tuple(_maximal_members(enumerate_spaces(L, "subalgebras", budget),
+                                  lambda S: S.dim < L.dim))[::-1]
 
 
 @memo
 def frattini_ideal(L: LeibnizAlgebra, budget: int = DEFAULT_BUDGET) -> Subspace:
     """Largest ideal inside the intersection of all maximal subalgebras.
 
-    The intersection itself need not be an ideal, so the result is the
-    largest enumerated ideal lying inside it.
+    The maximal subalgebras are met as ``_maximal_members`` yields them,
+    the subalgebras of dimension n - 1 first.  Once the meet is zero,
+    phi(L) = 0, and no further one is drawn.  L = 0 has none and gives 0.
 
-    Every subalgebra of dimension n - 1 is maximal, as only L lies above
-    it.  So the meet of those subalgebras contains the meet of all maximal
-    ones, and with it phi(L): when it is zero, phi(L) = 0, and no list of
-    maximal subalgebras is built.  The scan is ordered by dimension and
-    ends with L, so they are the members just before L.
+    The meet V need not be an ideal.  The largest ideal inside it is the
+    limit W of V_0 = V, V_{k+1} = V_k cap {x : [x, L] + [L, x] in V_k}.
+    The chain falls, so it settles within dim V steps, at a W inside V with
+    [W, L] + [L, W] in W: an ideal.  An ideal I inside V_k has
+    [I, L] + [L, I] in I, which is in V_k, so I lies in V_{k+1}: by
+    induction every ideal inside V lies in W.
     """
-    spaces = enumerate_spaces(L, "subalgebras", budget)
-    codim_one = spaces[bisect.bisect_left(spaces, L.dim - 1, key=lambda S: S.dim):-1]
-    if codim_one and _meet(codim_one).is_zero():
-        return L.zero_space()
-    maxes = maximal_subalgebras(L, budget)
-    if not maxes:
-        return L.zero_space()
-    return _largest_member(enumerate_spaces(L, "ideals", budget), _meet(maxes).contains_space)
-
-
-def _meet(spaces):
-    """The intersection of a nonempty sequence of spaces, in its order.
-    The meets stop once the running intersection is zero, since
-    0 cap M = 0."""
-    inter = spaces[0]
-    for M in spaces[1:]:
-        if inter.is_zero():
-            break
-        inter = inter.intersect(M)
-    return inter
+    members = _maximal_members(enumerate_spaces(L, "subalgebras", budget),
+                               lambda S: S.dim < L.dim)
+    meet = next(members, L.zero_space())
+    for M in members:
+        meet = meet.intersect(M)
+        if meet.is_zero():
+            return meet
+    full = L.full_space()
+    return chain(meet, lambda V: V.intersect(L.stabilizer(full, V)))[-1]

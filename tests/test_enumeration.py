@@ -1,5 +1,8 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kernel_reference import (dense_bracket, frattini_by_every_meet,
                               maximal_members_by_containment, rank_contains,
@@ -358,28 +361,77 @@ def test_frattini_matches_every_meet_on_random_tables(L):
     assert frattini_ideal(L) == frattini_by_every_meet(L, DEFAULT_BUDGET)
 
 
-@pytest.mark.parametrize("build,listed", [
-    (lambda: fixture("A2", gf(3)), False),
-    (lambda: direct_sum(fixture("r2", gf(4)), LeibnizAlgebra(gf(4), [[[0]]])), False),
-    (lambda: fixture("H3", gf(2)), True),
-])
-def test_frattini_lists_maximal_subalgebras_only_past_a_nonzero_meet(monkeypatch, build,
-                                                                    listed):
-    # the subalgebras of codimension one meet in 0 in A2 and in r2 + F,
-    # which settles phi(L) = 0; in H3 each contains the centre
+@pytest.mark.parametrize("build,drawn,annihilators,chains", [
+    (lambda: fixture("A2", gf(3)), 2, 0, 0),
+    (lambda: direct_sum(fixture("r2", gf(4)), LeibnizAlgebra(gf(4), [[[0]]])), 4, 0, 0),
+    (lambda: fixture("H3", gf(2)), 3, 3, 1),
+    (lambda: build_cyclic(gf(2), (1, 1)), 2, 1, 0),
+], ids=["A2-GF3", "r2+F-GF4", "H3-GF2", "cyclic11-GF2"])
+def test_frattini_draws_maximal_subalgebras_until_the_meet_is_zero(monkeypatch, build, drawn,
+                                                                   annihilators, chains):
+    # the subalgebras of codimension one come first: two of them meet in 0
+    # in A2 and four in r2 + F, before any smaller space is tested against
+    # one, so no annihilator is built.  In H3 all three contain the centre,
+    # so the meet stays nonzero and the chain runs.  The cyclic algebra's
+    # one plane contains no other maximal subalgebra; it meets the line
+    # after it in 0, once the line has been tested against the plane.
     L = build()
-    calls = []
-    listing = enumeration.maximal_subalgebras
+    maxes = maximal_subalgebras(L)
+    expected = frattini_by_every_meet(L, DEFAULT_BUDGET)
+    members, kernels, chained = [], [], []
+    maximal_members, kernel, chain = (enumeration._maximal_members, enumeration.kernel,
+                                      enumeration.chain)
 
-    def counted(*args):
-        calls.append(args)
-        return listing(*args)
+    def counted_members(*args):
+        for S in maximal_members(*args):
+            members.append(S)
+            yield S
 
-    monkeypatch.setattr(enumeration, "maximal_subalgebras", counted)
+    def counted(calls, fn):
+        return lambda *args, **kwargs: calls.append(args) or fn(*args, **kwargs)
+
+    monkeypatch.setattr(enumeration, "_maximal_members", counted_members)
+    monkeypatch.setattr(enumeration, "kernel", counted(kernels, kernel))
+    monkeypatch.setattr(enumeration, "chain", counted(chained, chain))
     phi = frattini_ideal(L)
-    assert len(calls) == (1 if listed else 0)
-    assert phi.is_zero() != listed
-    assert phi == frattini_by_every_meet(L, DEFAULT_BUDGET)
+    assert (len(members), len(kernels), len(chained)) == (drawn, annihilators, chains)
+    assert tuple(members) == maxes[::-1][:drawn]
+    assert phi.is_zero() != bool(chains)
+    assert phi == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(structure_tables({2: 4, 3: 3, 4: 3}), st.data())
+def test_frattini_chain_is_the_largest_ideal_inside_any_space(L, data):
+    """With one drawn space V as the only maximal member, ``frattini_ideal``
+    returns its chain on V, which must be the largest enumerated ideal
+    inside V."""
+    q, n = L.field.size, L.dim
+    vectors = data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
+                                 max_size=n))
+    V = L.span(vectors)
+    with mock.patch.object(enumeration, "_maximal_members", lambda spaces, keep: iter([V])):
+        phi = frattini_ideal.__wrapped__(L)
+    assert phi == _largest_member(enumerate_spaces(L, "ideals"), V.contains_space)
+
+
+def test_frattini_reads_no_ideal_scan(members, monkeypatch):
+    kinds = []
+    scan = enumeration.enumerate_spaces
+
+    def recorded(L, kind, *args):
+        kinds.append(kind)
+        return scan(L, kind, *args)
+
+    monkeypatch.setattr(enumeration, "enumerate_spaces", recorded)
+    checked = 0
+    for m in members:
+        L = m.algebra
+        if is_enumerable(L, 10 ** 4):
+            frattini_ideal(LeibnizAlgebra(L.field, L.table, L.names))
+            checked += 1
+    assert checked == 342
+    assert kinds == ["subalgebras"] * checked
 
 
 def test_frattini_is_ideal_everywhere(small_finite_members):

@@ -14,7 +14,7 @@ from collections import Counter
 
 import pytest
 
-from leibnizalg import decompose, series
+from leibnizalg import decompose, enumeration, series
 from leibnizalg.aalgebra import structure_report, theorem_battery
 from leibnizalg.core import LeibnizAlgebra
 from leibnizalg.corpus import fixture
@@ -119,7 +119,7 @@ def test_product_memo_belongs_to_one_algebra():
 
 
 READ_ONCE = (series.nilradical, series.radical, decompose.cartan_subalgebra,
-             decompose.triangular_decomposition)
+             decompose.triangular_decomposition, enumeration.maximal_subalgebras)
 # (corpus label, budget): enumerable, past the budget, and over Q
 REPORT_CASES = (("r2/GF(3)", 10 ** 6), ("C3b/GF(3)", 10 ** 6),
                 ("sum(r2,sl2)/GF(3)", 10 ** 6), ("sum(r2,C3b)/GF(3)", 100),
